@@ -11,20 +11,14 @@ from .baouendi import (
     BaouendiSpec,
     GridSolution,
     derived_quadratic_constant,
-    dilate_alpha,
     fd_solve,
-    frequency_baouendi,
-    monneau_baouendi,
     normalization_constant,
     orthogonality_check,
     problem_from_json,
-    psi_alpha,
-    rho_alpha,
     solid_harmonic_quadratic,
-    weiss_baouendi,
     z_alpha_apply,
 )
-from .constants import gauge_constant, gauge_constant_mc
+from .constants import Geometry, gauge_constant, gauge_constant_mc
 from .errors import SubfreqError
 from .frequency import (
     FrequencyCurve,

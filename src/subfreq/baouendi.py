@@ -1,57 +1,43 @@
 """The degenerate operators B_a = Delta_z + (|z|^(2a)/4) Delta_t.
 
-Gauge, weight and Euler operator; quadratic solid harmonics with the
-symbolically derived constant; Almgren/Weiss/Monneau functionals (shared
-with the frequency module, since the geometry coincides with the group
-case at alpha = 1); and a finite-difference Dirichlet solver that
-produces honest non-polynomial solutions at desk scale.
+The spec is a `Geometry` (gauge, weight and dilations), so the
+Almgren/Weiss/Monneau functionals of the frequency module apply to it
+unchanged, as to the group case alpha = 1.  This module adds the Euler
+operator; quadratic solid harmonics with the symbolically derived
+constant; and a finite-difference Dirichlet solver that produces honest
+non-polynomial solutions at desk scale.
 """
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from . import constants
+from .constants import Geometry
 from .errors import (
     BadGrid,
     DimensionMismatch,
     NoConvergence,
     NonIntegerAlpha,
-    OriginSingularity,
     ParseError,
 )
-from .frequency import (
-    FunctionHandle,
-    check_monneau_derivative,
-    check_weiss_derivative,
-    frequency,
-    monneau,
-    weiss,
-)
+from .frequency import FunctionHandle
 from .polynomials import Polynomial, baouendi_apply, euler
 
 
 @dataclass(frozen=True)
-class BaouendiSpec:
-    """(m, k, alpha) with homogeneous dimension Q = m + (alpha+1) k."""
-
-    m: int
-    k: int
-    alpha: float
-    N: int = field(init=False)
-    Q: float = field(init=False)
+class BaouendiSpec(Geometry):
+    """The geometry (m, k, alpha) of B_a, with Q = m + (alpha+1) k."""
 
     def __post_init__(self):
         if self.m < 1 or self.k < 1:
             raise DimensionMismatch("m and k must be positive")
         if not self.alpha > 0:
             raise DimensionMismatch("alpha must be > 0")
-        object.__setattr__(self, "N", self.m + self.k)
-        object.__setattr__(self, "Q", self.m + (self.alpha + 1.0) * self.k)
+        super().__post_init__()
 
     def integer_alpha(self):
         a = self.alpha
@@ -60,30 +46,6 @@ class BaouendiSpec:
         if isinstance(a, float) and a.is_integer():
             return int(a)
         raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
-
-
-def rho_alpha(spec, z, t):
-    """Gauge (|z|^(2(a+1)) + 4(a+1)^2 |t|^2)^(1/(2(a+1))), vectorized."""
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a1 = spec.alpha + 1.0
-    return (np.sum(z ** 2, axis=-1) ** a1
-            + 4.0 * a1 ** 2 * np.sum(t ** 2, axis=-1)) ** (1.0 / (2.0 * a1))
-
-
-def psi_alpha(spec, z, t):
-    """Weight |grad_a rho_a|^2 = |z|^(2a) / rho_a^(2a)."""
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    rho = rho_alpha(spec, z, t)
-    if np.any(rho == 0.0):
-        raise OriginSingularity("psi_alpha is undefined at the origin")
-    return np.sum(z ** 2, axis=-1) ** spec.alpha / rho ** (2.0 * spec.alpha)
-
-
-def dilate_alpha(spec, lam, z, t):
-    """(z, t) -> (lam z, lam^(a+1) t)."""
-    return lam * np.asarray(z, float), lam ** (spec.alpha + 1.0) * np.asarray(t, float)
 
 
 def z_alpha_apply(spec, u):
@@ -320,40 +282,6 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     full[interior] = sol.reshape(ni)
     return GridSolution(spec=spec, box=tuple(tuple(b_) for b_ in box),
                         axes=axes, values=full, residual=resid / scale)
-
-
-# -- functional wrappers (shared machinery, Baouendi geometry) -------------
-
-
-def frequency_baouendi(spec, u, r, rule, radial_steps=32):
-    return frequency(_as_handle(spec, u), r, rule, radial_steps)
-
-
-def weiss_baouendi(spec, u, kappa, r, rule, radial_steps=32):
-    return weiss(_as_handle(spec, u), kappa, r, rule, radial_steps)
-
-
-def monneau_baouendi(spec, u, p, kappa, r, rule):
-    return monneau(_as_handle(spec, u), _as_handle(spec, p), kappa, r, rule)
-
-
-def weiss_derivative_check(spec, u, kappa, radii, rule):
-    return check_weiss_derivative(_as_handle(spec, u), kappa, radii, rule)
-
-
-def monneau_derivative_check(spec, u, p, kappa, radii, rule):
-    return check_monneau_derivative(_as_handle(spec, u), _as_handle(spec, p),
-                                    kappa, radii, rule)
-
-
-def _as_handle(spec, u):
-    if isinstance(u, FunctionHandle):
-        return u
-    if isinstance(u, Polynomial):
-        return FunctionHandle.from_polynomial(spec, u)
-    if isinstance(u, GridSolution):
-        return u.as_handle()
-    raise TypeError(f"cannot interpret {type(u).__name__} as a function")
 
 
 # -- problem files ---------------------------------------------------------

@@ -14,15 +14,20 @@ from .baouendi import (
     BaouendiSpec,
     fd_solve,
     orthogonality_check,
-    monneau_derivative_check,
     problem_from_json,
     solid_harmonic_quadratic,
-    weiss_derivative_check,
 )
 from .errors import ParseError, SubfreqError
-from .frequency import FunctionHandle, frequency_curve, geometric_radii
+from .frequency import (
+    FunctionHandle,
+    check_monneau_derivative,
+    check_weiss_derivative,
+    frequency_curve,
+    geometric_radii,
+)
 from .groups import Point, group_from_json
 from .polynomials import Polynomial, discrepancy_poly, harmonic_basis
+from .quadrature import build_sphere_rule
 
 
 def _read(path):
@@ -47,6 +52,13 @@ def _emit(args, text):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _emit_curve(args, curve):
+    if np.all(np.isnan(curve.N)):
+        print("warning: H(r) = 0 at every radius; N is NaN", file=sys.stderr)
+    _emit(args, curve.to_csv())
+    return 0
 
 
 def _radii(args):
@@ -83,12 +95,6 @@ def cmd_harmonics(args):
     return 0
 
 
-def _build_rule(context, resolution):
-    from .quadrature import build_sphere_rule
-
-    return build_sphere_rule(context, resolution)
-
-
 def cmd_frequency(args):
     g = _load_group(args.group)
     p = _load_poly(args.poly, m=g.m, k=g.k)
@@ -97,16 +103,13 @@ def cmd_frequency(args):
         raw = json.loads(args.center)
         center = Point(tuple(raw[0]), tuple(raw[1]))
     u = FunctionHandle.from_polynomial(g, p, center=center, label=args.poly)
-    rule = _build_rule(g, args.resolution)
+    rule = build_sphere_rule(g, args.resolution)
     ref = None
     if args.ref:
         ref = FunctionHandle.from_polynomial(
             g, _load_poly(args.ref, m=g.m, k=g.k), label=args.ref)
     curve = frequency_curve(u, rule, _radii(args), kappa=args.kappa, ref=ref)
-    if np.all(np.isnan(curve.N)):
-        print("warning: H(r) = 0 at every radius; N is NaN", file=sys.stderr)
-    _emit(args, curve.to_csv())
-    return 0
+    return _emit_curve(args, curve)
 
 
 def cmd_discrepancy(args):
@@ -150,17 +153,14 @@ def cmd_baouendi_solve(args):
 
 def cmd_baouendi_frequency(args):
     spec, u = _baouendi_input(args)
-    rule = _build_rule(spec, args.resolution)
+    rule = build_sphere_rule(spec, args.resolution)
     curve = frequency_curve(u, rule, _radii(args), kappa=args.kappa)
-    if np.all(np.isnan(curve.N)):
-        print("warning: H(r) = 0 at every radius; N is NaN", file=sys.stderr)
-    _emit(args, curve.to_csv())
-    return 0
+    return _emit_curve(args, curve)
 
 
 def cmd_baouendi_ortho(args):
     spec = BaouendiSpec(args.m, args.k, args.alpha)
-    rule = _build_rule(spec, args.resolution)
+    rule = build_sphere_rule(spec, args.resolution)
     p1 = Polynomial.z_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
     pq = solid_harmonic_quadratic(spec)
     inner = orthogonality_check(spec, p1, pq, args.radius, rule)
@@ -176,8 +176,8 @@ def cmd_baouendi_ortho(args):
 
 def cmd_baouendi_weiss(args):
     spec, u = _baouendi_input(args)
-    rule = _build_rule(spec, args.resolution)
-    res = weiss_derivative_check(spec, u, args.kappa, _radii(args), rule)
+    rule = build_sphere_rule(spec, args.resolution)
+    res = check_weiss_derivative(u, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))
     _emit(args, f"max_residual={worst:.6e}")
     return 0
@@ -187,8 +187,9 @@ def cmd_baouendi_monneau(args):
     spec, u = _baouendi_input(args)
     ref = _load_poly(args.ref, m=spec.m, k=spec.k,
                      tweight=spec.integer_alpha() + 1)
-    rule = _build_rule(spec, args.resolution)
-    res = monneau_derivative_check(spec, u, ref, args.kappa, _radii(args), rule)
+    ref = FunctionHandle.from_polynomial(spec, ref, label=args.ref)
+    rule = build_sphere_rule(spec, args.resolution)
+    res = check_monneau_derivative(u, ref, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))
     mono = bool(np.all(np.diff(res["M"]) >= -1e-5))
     _emit(args, f"max_residual={worst:.6e} nondecreasing={str(mono).lower()}")

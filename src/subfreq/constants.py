@@ -8,18 +8,66 @@ Gamma = C * rho_a^(2-Q), Q = m + (a+1)k, where
            / [ (|z|^(a+1)+1)^2 + 4(a+1)^2|t|^2 ]^((Q+2a)/(2(a+1))) dz dt.
 
 A group of Heisenberg type is the case a = 1, where the gauge becomes
-(|z|^4 + 16|t|^2)^(1/4).  This module evaluates the defining integral
-two independent ways: a deterministic product quadrature and an
+(|z|^4 + 16|t|^2)^(1/4).  `Geometry` is the one place that states this
+gauge; everything else asks it.  This module evaluates the defining
+integral two independent ways: a deterministic product quadrature and an
 importance-sampled Monte-Carlo estimator with a reported standard error.
 """
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, OriginSingularity
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """The gauge geometry (m, k, alpha) of R^m x R^k.
+
+    Dilations are (z, t) -> (lam z, lam^(alpha+1) t), the homogeneous
+    dimension is Q = m + (alpha+1) k, and rho is the gauge above.  Points
+    are arrays whose last axis holds the coordinates.
+    """
+
+    m: int
+    k: int
+    alpha: float
+    N: int = field(init=False)
+    Q: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", self.m + self.k)
+        object.__setattr__(self, "Q", self.m + (self.alpha + 1.0) * self.k)
+
+    @property
+    def geometry(self):
+        """The geometry itself, as for the specs and groups that have one."""
+        return self
+
+    def rho_power(self, z, t, p):
+        """rho^p = (|z|^(2(a+1)) + 4(a+1)^2 |t|^2)^(p/(2(a+1)))."""
+        a1 = self.alpha + 1.0
+        z2 = np.sum(np.asarray(z, dtype=float) ** 2, axis=-1)
+        t2 = np.sum(np.asarray(t, dtype=float) ** 2, axis=-1)
+        return (z2 ** a1 + 4.0 * a1 ** 2 * t2) ** (p / (2.0 * a1))
+
+    def rho(self, z, t):
+        return self.rho_power(z, t, 1.0)
+
+    def psi(self, z, t):
+        """Weight |grad rho|^2 = |z|^(2a) / rho^(2a); undefined at the origin."""
+        rho2a = self.rho_power(z, t, 2.0 * self.alpha)
+        if np.any(rho2a == 0.0):
+            raise OriginSingularity("psi is undefined at the origin")
+        return np.sum(np.asarray(z, dtype=float) ** 2, axis=-1) ** self.alpha / rho2a
+
+    def dilate(self, lam, z, t):
+        """(z, t) -> (lam z, lam^(a+1) t)."""
+        return lam * np.asarray(z, float), lam ** (self.alpha + 1.0) * np.asarray(t, float)
 
 
 def sphere_area(d):

@@ -45,6 +45,10 @@ class DiscrepancyNonzero(SubfreqError, ValueError):
     """Functional requires vanishing discrepancy but the input has some."""
 
 
+class DiscrepancyUnknown(SubfreqError, ValueError):
+    """Functional needs the discrepancy of an input that does not carry it."""
+
+
 class ZeroDenominator(SubfreqError, ArithmeticError):
     """Denominator of a requested ratio vanished."""
 

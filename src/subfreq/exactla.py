@@ -1,4 +1,9 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""Exact linear algebra over the rationals.
+
+Row reduction, rank and determinant are computed by sympy's DomainMatrix
+over QQ (imported on first use, so that importing the package does not
+load sympy).  Inputs and results are Fractions.
+"""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,42 +22,36 @@ def to_fraction(x):
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 
+def _domain_matrix(rows):
+    """Sparse DomainMatrix over QQ holding a nonempty list of rows."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    elements = {}
+    for i, row in enumerate(rows):
+        fracs = {j: to_fraction(x) for j, x in enumerate(row) if x != 0}
+        if fracs:
+            elements[i] = {j: QQ(x.numerator, x.denominator) for j, x in fracs.items()}
+    return DomainMatrix(elements, (len(rows), len(rows[0])), QQ)
+
+
+def _fraction(q):
+    return Fraction(q.numerator, q.denominator)
+
+
 def rref(rows):
     """Reduced row echelon form. Returns (new_rows, pivot_columns).
 
-    Pivoting is deterministic: first nonzero entry scanning columns left to
-    right, rows top to bottom.
+    The RREF of a matrix is unique, so neither depends on how it is computed.
     """
-    rows = [list(r) for r in rows]
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows, pivots
+        return [], []
+    reduced, pivots = _domain_matrix(rows).rref()
+    return [[_fraction(x) for x in row] for row in reduced.to_list()], list(pivots)
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return _domain_matrix(rows).rank() if rows else 0
 
 
 def kernel_basis(rows, ncols):
@@ -93,26 +92,5 @@ def clear_denominators(vec):
 
 
 def det(rows):
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = Fraction(1)
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pv = a[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return sign * result
+    """Exact determinant of a square matrix."""
+    return _fraction(_domain_matrix(rows).det())

@@ -7,10 +7,11 @@ every ratio and identity tested here.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DiscrepancyNonzero, ZeroDenominator, ZeroHeight
+from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
 from .groups import GroupSpec
 from .polynomials import Polynomial, apply_X, discrepancy_poly, euler, left_translate
 from .quadrature import surface_integral, volume_integral
@@ -64,7 +65,6 @@ class FunctionHandle:
             d = p.diff_t(ell)
             gt = gt + d * d
         znorm = Polynomial.z_norm_sq(p.m, p.k, p.tweight)
-        from fractions import Fraction
         gsq = gz + znorm ** alpha * gt * Fraction(1, 4)
         zp = euler(p)
         return cls(context, p.evaluate, gsq.evaluate, zp.evaluate,
@@ -72,16 +72,12 @@ class FunctionHandle:
 
     @classmethod
     def from_callable(cls, context, value, grad_sq=None, zu=None, label=""):
-        alpha = 1.0 if isinstance(context, GroupSpec) else float(context.alpha)
-
         if zu is None:
-            def zu(z, t, _v=value, _a=alpha):
+            def zu(z, t, _v=value, _c=context):
                 norm = np.sqrt(np.sum(z ** 2, axis=1) + np.sum(t ** 2, axis=1))
                 h = FD_STEP * (1.0 + norm)
-                lp = (1.0 + h)[:, None]
-                lm = (1.0 - h)[:, None]
-                up = _v(lp * z, lp ** (_a + 1.0) * t)
-                um = _v(lm * z, lm ** (_a + 1.0) * t)
+                up = _v(*_c.geometry.dilate((1.0 + h)[:, None], z, t))
+                um = _v(*_c.geometry.dilate((1.0 - h)[:, None], z, t))
                 return (up - um) / (2.0 * h)
 
         if grad_sq is None:
@@ -103,7 +99,7 @@ class FunctionHandle:
                         total += xi ** 2
                     return total
             else:
-                def grad_sq(z, t, _v=value, _a=alpha):
+                def grad_sq(z, t, _v=value, _a=float(context.alpha)):
                     norm = np.sqrt(np.sum(z ** 2, axis=1) + np.sum(t ** 2, axis=1))
                     h = FD_STEP * (1.0 + norm)
                     total = np.zeros(len(z))
@@ -152,13 +148,6 @@ def frequency(u, r, rule, radial_steps=32):
     if h <= floor:
         raise ZeroHeight(f"H({r}) = {h} vanished; u is zero on the ball")
     return r * dirichlet(u, r, rule, radial_steps) / h
-
-
-def dirichlet_surface_form(u, r, rule):
-    """D(r) as the boundary integral int_{S_r} u (Zu/r) |grad_H rho| dsigma_H
-    (valid for harmonic u)."""
-    return surface_integral(lambda z, t: u.value(z, t) * u.zu(z, t) / r,
-                            r, rule, weighted=True)
 
 
 def weiss(u, kappa, r, rule, radial_steps=32):
@@ -249,8 +238,12 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     """Residuals of the first variation
     D'(r) = (Q-2)/r D + 2 int (Zu/r)^2 psi dmu + 2 int (Zu/r) E_u dmu,
     where the last integral uses the unweighted polar measure and
-    E_u = 4 (sum t_l Theta_l u) / rho^3.  Setting include_discrepancy=False
-    drops the E_u term (negative-control variant)."""
+    E_u = 4 (sum t_l Theta_l u) / rho^3.  E_u vanishes identically for B_a,
+    so the term is 0 there; on a group it needs a polynomial input.  Setting
+    include_discrepancy=False drops the E_u term (negative-control variant)."""
+    with_disc = include_discrepancy and isinstance(u.context, GroupSpec)
+    if with_disc and u.disc is None:
+        raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
     radii = np.asarray(radii, dtype=float)
     d_vals = np.array([dirichlet(u, r, rule) for r in radii])
     r_in, dp, inner = log_grid_derivative(d_vals, radii)
@@ -259,10 +252,7 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
         zr_sq = lambda z, t: (u.zu(z, t) / r) ** 2
         val = (rule.Q - 2.0) / r * dirichlet(u, r, rule) \
             + 2.0 * surface_integral(zr_sq, r, rule, weighted=True)
-        if include_discrepancy:
-            if u.disc is None:
-                raise DiscrepancyNonzero(
-                    "discrepancy term needs a group polynomial input")
+        if with_disc:
             e_term = lambda z, t: (u.zu(z, t) / r) * (4.0 * u.disc.evaluate(z, t) / r ** 3)
             val += 2.0 * surface_integral(e_term, r, rule, weighted=False)
         rhs.append(val)
@@ -302,12 +292,7 @@ def check_monneau_derivative(u, p_handle, kappa, radii, rule):
 
 def frequency_radial_exponential(eps, r, rule):
     """N(u, r) for u = exp(-rho^-eps); analytically eps / r^eps."""
-    a1 = rule.alpha + 1.0
-
-    def rho_of(z, t):
-        return (np.sum(z ** 2, axis=1) ** a1
-                + 4.0 * a1 ** 2 * np.sum(t ** 2, axis=1)) ** (1.0 / (2.0 * a1))
-
+    rho_of = rule.geometry.rho
     u_val = lambda z, t: np.exp(-rho_of(z, t) ** (-eps))
     zu_val = lambda z, t: eps * rho_of(z, t) ** (-eps) * u_val(z, t)
     i_r = surface_integral(lambda z, t: u_val(z, t) * zu_val(z, t) / r,
@@ -339,10 +324,6 @@ class FrequencyCurve:
                    self.W[i], self.M[i], self.disc_norm[i]]
             lines.append(",".join(f"{x:.17g}" for x in row))
         return "\n".join(lines) + "\n"
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 def frequency_curve(u, rule, radii, kappa=None, ref=None, radial_steps=32):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exactla
-from .constants import gauge_constant
+from .constants import Geometry, gauge_constant
 from .errors import (
     DimensionMismatch,
     NonPositiveLambda,
@@ -62,6 +62,12 @@ class GroupSpec:
     @cached_property
     def classification(self):
         return classify(self)
+
+    @cached_property
+    def geometry(self):
+        """The gauge geometry (m, k, alpha = 1); H-type groups only."""
+        self.require_htype("the gauge geometry")
+        return Geometry(self.m, self.k, 1.0)
 
     def identity(self):
         return Point((0,) * self.m, (0,) * self.k)
@@ -176,7 +182,7 @@ def _is_metivier(G):
         jt = np.tensordot(t, jf, axes=1)
         sv = np.linalg.svd(jt, compute_uv=False)[-1]
         min_sv = min(min_sv, sv)
-    return min_sv > METIVIER_TOL
+    return bool(min_sv > METIVIER_TOL)
 
 
 def classify(G):
@@ -217,19 +223,9 @@ def dilate(G, lam, g):
 
 
 def gauge(G, g):
-    """Koranyi-type gauge rho = (|z|^4 + 16|t|^2)^(1/4) (H-type only)."""
-    G.require_htype("gauge")
+    """Koranyi-type gauge rho of G.geometry (H-type only)."""
     _check_point(G, g)
-    z2 = sum(float(a) ** 2 for a in g.z)
-    t2 = sum(float(a) ** 2 for a in g.t)
-    return (z2 ** 2 + 16.0 * t2) ** 0.25
-
-
-def _gauge_raw(G, g):
-    """The same formula without the H-type gate (internal use)."""
-    z2 = sum(float(a) ** 2 for a in g.z)
-    t2 = sum(float(a) ** 2 for a in g.t)
-    return (z2 ** 2 + 16.0 * t2) ** 0.25
+    return float(G.geometry.rho(g.z, g.t))
 
 
 def horiz_gauge_grad_sq(G, g):
@@ -245,7 +241,7 @@ def horiz_gauge_grad_sq(G, g):
         raise OriginSingularity("psi is undefined at the identity")
     jt = np.tensordot(t, G.J_float, axes=1)
     jtz = jt @ z
-    rho6 = (z2 ** 2 + 16.0 * float(t @ t)) ** 1.5
+    rho6 = Geometry(G.m, G.k, 1.0).rho_power(z, t, 6.0)
     return (z2 ** 3 + 16.0 * float(jtz @ jtz)) / rho6
 
 

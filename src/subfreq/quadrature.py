@@ -1,14 +1,13 @@
 """Quadrature over anisotropic gauge balls and spheres.
 
-Geometry.  Both the H-type group gauge (alpha = 1) and the Baouendi gauge
-share the form
-
-    rho = ( |z|^(2(alpha+1)) + 4(alpha+1)^2 |t|^2 )^(1 / (2(alpha+1))),
-
-with dilations (z, t) -> (lam z, lam^(alpha+1) t) and homogeneous
-dimension Q = m + (alpha+1) k.  The unit sphere {rho = 1} is parametrized
-by s = |z| in (0, 1), a z-direction omega in S^(m-1) and a t-direction
-tau in S^(k-1), with |t| = q(s) = sqrt(1 - s^(2(alpha+1))) / (2(alpha+1)).
+Geometry.  The H-type group gauge (alpha = 1) and the Baouendi gauge are
+one `constants.Geometry(m, k, alpha)`: it owns the gauge rho, the weight
+psi, the dilations (z, t) -> (lam z, lam^(alpha+1) t) and the homogeneous
+dimension Q = m + (alpha+1) k.  A context (group or Baouendi spec) hands
+its geometry to `build_sphere_rule`.  The unit sphere {rho = 1} is
+parametrized by s = |z| in (0, 1), a z-direction omega in S^(m-1) and a
+t-direction tau in S^(k-1), with
+|t| = q(s) = sqrt(1 - s^(2(alpha+1))) / (2(alpha+1)).
 
 Polar Jacobian (derived from the change of variables (r, s) ->
 (|z|, |t|) = (r s, r^(alpha+1) q(s)) whose Jacobian determinant is
@@ -30,7 +29,6 @@ every functional uniformly, so it cancels in the frequency N = rD/H and
 in every identity and ratio this package checks.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,20 +36,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .constants import sphere_area
+from .constants import Geometry, sphere_area
 from .errors import InsufficientSamples, NotHType, ResolutionTooSmall
 from .groups import GroupSpec
 
 MIN_RESOLUTION = 4
-
-
-def _context_params(context):
-    """(m, k, alpha, Q) for a GroupSpec (alpha=1) or BaouendiSpec."""
-    if isinstance(context, GroupSpec):
-        if not context.classification["is_htype"]:
-            raise NotHType("quadrature requires an H-type group or Baouendi spec")
-        return context.m, context.k, 1.0, float(context.Q)
-    return context.m, context.k, float(context.alpha), float(context.Q)
 
 
 @dataclass(frozen=True)
@@ -75,6 +64,10 @@ class SphereRule:
 
     def __len__(self):
         return len(self.weights)
+
+    @property
+    def geometry(self):
+        return Geometry(self.m, self.k, self.alpha)
 
 
 @lru_cache(maxsize=64)
@@ -146,7 +139,8 @@ def build_sphere_rule(context, resolution):
     """Quadrature rule for the calibrated polar measure on S_1."""
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooSmall(f"resolution must be >= {MIN_RESOLUTION}")
-    m, k, alpha, q_hom = _context_params(context)
+    geometry = context.geometry
+    m, k, alpha, q_hom = geometry.m, geometry.k, float(geometry.alpha), float(geometry.Q)
     a1 = alpha + 1.0
 
     # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)
@@ -185,9 +179,7 @@ def build_sphere_rule(context, resolution):
     gamma = (q_hom ** 2 / (q_hom - 2.0)) / surface_psi_integral(m, k, alpha)
     weights = weights * gamma
 
-    rho = (np.sum(z_nodes ** 2, axis=1) ** a1
-           + 4.0 * a1 ** 2 * np.sum(t_nodes ** 2, axis=1)) ** (1.0 / (2.0 * a1))
-    assert np.max(np.abs(rho - 1.0)) <= 1e-12
+    assert np.max(np.abs(geometry.rho(z_nodes, t_nodes) - 1.0)) <= 1e-12
 
     return SphereRule(z=z_nodes, t=t_nodes, weights=weights, psi=psi,
                       m=m, k=k, alpha=alpha, Q=q_hom,
@@ -237,8 +229,8 @@ def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
     h = shell_half_width
     if not 0.0 < h < r:
         raise InsufficientSamples("shell half width must lie in (0, r)")
-    m, k, alpha = rule.m, rule.k, rule.alpha
-    a1 = alpha + 1.0
+    geometry = rule.geometry
+    m, k, a1 = rule.m, rule.k, rule.alpha + 1.0
     r_out = r + h
     z_box = r_out
     t_box = r_out ** a1 / (2.0 * a1)
@@ -247,16 +239,14 @@ def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.uniform(-z_box, z_box, size=(samples, m))
     t = rng.uniform(-t_box, t_box, size=(samples, k))
-    rho = (np.sum(z ** 2, axis=1) ** a1
-           + 4.0 * a1 ** 2 * np.sum(t ** 2, axis=1)) ** (1.0 / (2.0 * a1))
+    rho = geometry.rho(z, t)
     inside = (rho > r - h) & (rho < r + h)
     if inside.sum() < 10:
         raise InsufficientSamples("almost no samples hit the shell")
     contrib = np.zeros(samples)
     vals = f(z[inside], t[inside])
     if weighted:
-        z2 = np.sum(z[inside] ** 2, axis=1)
-        vals = vals * (z2 ** alpha / rho[inside] ** (2.0 * alpha))
+        vals = vals * geometry.psi(z[inside], t[inside])
     contrib[inside] = vals
     scale = rule.gamma * box_vol / (2.0 * h)
     value = scale * float(contrib.mean())
@@ -268,15 +258,11 @@ def mean_value(G, u, g, r, rule, radial_steps=32):
     """Solid mean value M_r u(g) = (Q-2)/Q r^-Q int_{B_r} u(g.h) psi(h) dh."""
     if not isinstance(G, GroupSpec):
         raise NotHType("mean_value is a group-side operation")
-    G.require_htype("mean_value")
-    alpha = rule.alpha
+    psi = G.geometry.psi
 
     def integrand(z, t):
-        rho2a = (np.sum(z ** 2, axis=1) ** (alpha + 1.0)
-                 + 4.0 * (alpha + 1.0) ** 2 * np.sum(t ** 2, axis=1)) ** (alpha / (alpha + 1.0))
-        psi = np.sum(z ** 2, axis=1) ** alpha / rho2a
         pts_z, pts_t = _translate_batch(G, g, z, t)
-        return u(pts_z, pts_t) * psi
+        return u(pts_z, pts_t) * psi(z, t)
 
     q_hom = rule.Q
     return (q_hom - 2.0) / q_hom * r ** (-q_hom) \
@@ -292,27 +278,3 @@ def _translate_batch(G, g, z, t):
     new_z = z + z0
     new_t = t + t0 + 0.5 * z @ jz0.T
     return new_z, new_t
-
-
-def rule_cache_key(context, resolution):
-    """Stable hash key for caching rules on disk."""
-    if isinstance(context, GroupSpec):
-        payload = f"group:{context.m}:{context.k}:{context.J}:{resolution}"
-    else:
-        payload = f"baouendi:{context.m}:{context.k}:{context.alpha}:{resolution}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def save_rule(rule, path):
-    np.savez(path, z=rule.z, t=rule.t, weights=rule.weights, psi=rule.psi,
-             meta=np.array([rule.m, rule.k, rule.alpha, rule.Q,
-                            rule.resolution, rule.gamma]))
-
-
-def load_rule(path):
-    data = np.load(path)
-    meta = data["meta"]
-    return SphereRule(z=data["z"], t=data["t"], weights=data["weights"],
-                      psi=data["psi"], m=int(meta[0]), k=int(meta[1]),
-                      alpha=float(meta[2]), Q=float(meta[3]),
-                      resolution=int(meta[4]), gamma=float(meta[5]))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import fixtures
-from .baouendi import BaouendiSpec, solid_harmonic_quadratic
+from .baouendi import BaouendiSpec, orthogonality_check, solid_harmonic_quadratic
 from .frequency import (
     FunctionHandle,
     check_D_variation,
@@ -102,7 +102,6 @@ def run_battery(resolution=32, seed=12345, n_random=25, flip_psi=False):
     brule = build_sphere_rule(spec, resolution)
     if flip_psi:
         brule = _flip_psi(brule)
-    from .baouendi import orthogonality_check
 
     p1 = Polynomial.z_var(2, 1, 0, tweight=2)
     pq = solid_harmonic_quadratic(spec)

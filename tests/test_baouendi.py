@@ -39,10 +39,10 @@ def test_integer_alpha_gate():
 def test_gauge_homogeneity(ba112):
     z = np.array([[0.4], [1.0]])
     t = np.array([[0.3], [-0.2]])
-    rho = sf.rho_alpha(ba112, z, t)
+    rho = ba112.rho(z, t)
     for lam in (0.5, 2.0):
-        zl, tl = sf.dilate_alpha(ba112, lam, z, t)
-        np.testing.assert_allclose(sf.rho_alpha(ba112, zl, tl), lam * rho,
+        zl, tl = ba112.dilate(lam, z, t)
+        np.testing.assert_allclose(ba112.rho(zl, tl), lam * rho,
                                    rtol=1e-12)
 
 
@@ -52,19 +52,27 @@ def test_gauge_reduces_to_group_case(h1, ba211):
     rng = np.random.default_rng(0)
     z = rng.normal(size=(10, 2))
     t = rng.normal(size=(10, 1))
-    rho = sf.rho_alpha(ba211, z, t)
+    rho = ba211.rho(z, t)
     for i in range(10):
         assert rho[i] == pytest.approx(
             sf.gauge(h1, Point(tuple(z[i]), tuple(t[i]))), rel=1e-12)
+    # one geometry: the H^1 rule and the (2, 1, 1) rule are the same rule
+    for res in (8, 16, 32):
+        group_rule = sf.build_sphere_rule(h1, res)
+        spec_rule = sf.build_sphere_rule(ba211, res)
+        for name in ("z", "t", "weights", "psi"):
+            assert np.array_equal(getattr(group_rule, name), getattr(spec_rule, name))
+        assert group_rule.Q == spec_rule.Q
+        assert group_rule.gamma == spec_rule.gamma
 
 
 def test_psi_alpha_range_and_singularity(ba112):
     z = np.array([[0.5], [0.01]])
     t = np.array([[0.1], [0.9]])
-    psi = sf.psi_alpha(ba112, z, t)
+    psi = ba112.psi(z, t)
     assert np.all((psi >= 0.0) & (psi <= 1.0))
     with pytest.raises(OriginSingularity):
-        sf.psi_alpha(ba112, np.array([[0.0]]), np.array([[0.0]]))
+        ba112.psi(np.array([[0.0]]), np.array([[0.0]]))
 
 
 def test_solid_harmonic_quadratic_constants():
@@ -106,8 +114,8 @@ def test_frequency_of_solid_harmonics(ba112, rule_ba112):
              (sf.solid_harmonic_quadratic(ba112), 6)]
     for p, kappa in cases:
         for r in (0.4, 1.0):
-            assert sf.frequency_baouendi(ba112, p, r, rule_ba112) == pytest.approx(
-                kappa, rel=1e-9)
+            u = FunctionHandle.from_polynomial(ba112, p)
+            assert sf.frequency(u, r, rule_ba112) == pytest.approx(kappa, rel=1e-9)
 
 
 def test_weiss_derivative_identity(ba112, rule_ba112):
@@ -126,6 +134,14 @@ def test_monneau_derivative_and_monotone(ba112, rule_ba112):
         FunctionHandle.from_polynomial(ba112, t), 3, radii, rule_ba112)
     assert np.max(res["residuals"]) < 1e-2
     assert np.all(np.diff(res["M"]) >= -1e-5)
+
+
+def test_d_variation_without_discrepancy_term(ba112, ba211, rule_ba112, rule_ba211):
+    # E_u vanishes identically for B_a, so the first variation holds without it
+    radii = sf.geometric_radii(0.5, 1.0, 16)
+    for spec, rule in ((ba112, rule_ba112), (ba211, rule_ba211)):
+        u = FunctionHandle.from_polynomial(spec, mixed_fixture(spec))
+        assert np.max(sf.check_D_variation(u, radii, rule)["residuals"]) <= 1e-2
 
 
 def test_normalization_constant_estimators_agree(ba112):
@@ -182,8 +198,8 @@ def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):
     u_fd = sol.as_handle()
     u_ex = FunctionHandle.from_polynomial(ba112, exact)
     for r in (0.3, 0.5):
-        n_fd = sf.frequency_baouendi(ba112, u_fd, r, rule_ba112)
-        n_ex = sf.frequency_baouendi(ba112, u_ex, r, rule_ba112)
+        n_fd = sf.frequency(u_fd, r, rule_ba112)
+        n_ex = sf.frequency(u_ex, r, rule_ba112)
         assert n_fd == pytest.approx(n_ex, rel=0.05)
 
 

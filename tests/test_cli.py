@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ def test_group_report_json(h1_file, capsys):
     assert entry(["group", "--group", h1_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["Q"] == 4 and data["htype"] is True
+
+
+def test_group_json_quaternionic(tmp_path, capsys):
+    # k = 3: the Metivier check takes its Sobol path
+    quaternionic = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
+    path = tmp_path / "quaternionic.json"
+    path.write_text(json.dumps(sf.group_to_json(sf.make_group(4, 3, quaternionic))))
+    assert entry(["group", "--group", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"m": 4, "k": 3, "N": 7, "Q": 10, "htype": True, "metivier": True}
 
 
 def test_group_6d_report(tmp_path, capsys):
@@ -141,6 +154,39 @@ def test_baouendi_polynomial_mode(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     for line in lines[1:]:
         assert float(line.split(",")[3]) == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.fixture()
+def mixed_112_files(tmp_path):
+    """u = t + P/10 on (1, 1, 2) and the reference t, as polynomial files."""
+    t = Polynomial.t_var(1, 1, 0, tweight=3)
+    u = t + sf.solid_harmonic_quadratic(sf.BaouendiSpec(1, 1, 2)) * Fraction(1, 10)
+    paths = tmp_path / "u.json", tmp_path / "t.json"
+    for path, p in zip(paths, (u, t)):
+        path.write_text(json.dumps(p.to_json()))
+    return [str(path) for path in paths]
+
+
+MIXED_112_FLAGS = ["--m", "1", "--k", "1", "--alpha", "2", "--kappa", "3",
+                   "--rmin", "0.3", "--rmax", "1.0"]
+
+
+def _fields(out):
+    return dict(item.split("=") for item in out.split())
+
+
+def test_baouendi_weiss_cli(mixed_112_files, capsys):
+    u, _ = mixed_112_files
+    assert entry(["baouendi", "weiss", "--poly", u] + MIXED_112_FLAGS) == 0
+    assert float(_fields(capsys.readouterr().out)["max_residual"]) < 1e-2
+
+
+def test_baouendi_monneau_cli(mixed_112_files, capsys):
+    u, t = mixed_112_files
+    assert entry(["baouendi", "monneau", "--poly", u, "--ref", t] + MIXED_112_FLAGS) == 0
+    fields = _fields(capsys.readouterr().out)
+    assert float(fields["max_residual"]) < 1e-2
+    assert fields["nondecreasing"] == "true"
 
 
 def test_baouendi_missing_inputs_exit_2(capsys):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -66,3 +69,9 @@ def test_kernel_vectors_integer_cleared():
     basis = exactla.kernel_basis(rows, 3)
     for vec in basis:
         assert all(c.denominator == 1 for c in vec)
+
+
+def test_import_does_not_load_sympy():
+    code = "import sys, subfreq; assert 'sympy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -9,9 +9,6 @@ from subfreq.errors import InsufficientSamples, NotHType, ResolutionTooSmall
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial
 from subfreq.quadrature import (
-    load_rule,
-    rule_cache_key,
-    save_rule,
     surface_psi_integral,
     unit_ball_volume_raw,
     unit_sphere_rule,
@@ -151,22 +148,6 @@ def test_sphere_rules_antipodally_symmetric():
         assert w.sum() == pytest.approx(constants.sphere_area(d), rel=1e-12)
         # first moment cancels exactly by symmetry of the node set
         assert np.max(np.abs(pts.T @ w)) < 1e-12
-
-
-def test_rule_save_load_round_trip(tmp_path, rule_ba211):
-    path = tmp_path / "rule.npz"
-    save_rule(rule_ba211, path)
-    back = load_rule(path)
-    assert np.array_equal(back.z, rule_ba211.z)
-    assert np.array_equal(back.weights, rule_ba211.weights)
-    assert back.Q == rule_ba211.Q
-    assert back.resolution == rule_ba211.resolution
-
-
-def test_rule_cache_keys_distinct(h1, h2, ba112):
-    keys = {rule_cache_key(h1, 32), rule_cache_key(h2, 32),
-            rule_cache_key(h1, 16), rule_cache_key(ba112, 32)}
-    assert len(keys) == 4
 
 
 def test_gauge_constant_h1_oracle():
