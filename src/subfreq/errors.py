@@ -37,6 +37,10 @@ class ResolutionTooSmall(SubfreqError, ValueError):
     """Quadrature resolution below the supported minimum."""
 
 
+class ResolutionTooLarge(SubfreqError, ValueError):
+    """Quadrature rule at this resolution would exceed the node limit."""
+
+
 class ZeroHeight(SubfreqError, ArithmeticError):
     """Boundary height H(r) vanished; the function is zero on the ball."""
 

@@ -140,14 +140,19 @@ def height(u, r, rule):
     return surface_integral(lambda z, t: u.value(z, t) ** 2, r, rule, weighted=True)
 
 
-def frequency(u, r, rule, radial_steps=32):
-    """N(r) = r D(r) / H(r); raises ZeroHeight when u vanishes on B_r."""
-    h = height(u, r, rule)
+def _frequency_from(u, r, rule, d, h):
+    """r d / h for d = D(r), h = H(r); raises ZeroHeight when u vanishes on B_r."""
     sup = float(np.max(np.abs(u.value(r * rule.z, r ** (rule.alpha + 1.0) * rule.t))))
     floor = 1e-14 * sup ** 2 * r ** (rule.Q - 1.0) * float(np.dot(rule.weights, rule.psi))
     if h <= floor:
         raise ZeroHeight(f"H({r}) = {h} vanished; u is zero on the ball")
-    return r * dirichlet(u, r, rule, radial_steps) / h
+    return r * d / h
+
+
+def frequency(u, r, rule, radial_steps=32):
+    """N(r) = r D(r) / H(r); raises ZeroHeight when u vanishes on B_r."""
+    return _frequency_from(u, r, rule, dirichlet(u, r, rule, radial_steps),
+                           height(u, r, rule))
 
 
 def weiss(u, kappa, r, rule, radial_steps=32):
@@ -248,9 +253,9 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     d_vals = np.array([dirichlet(u, r, rule) for r in radii])
     r_in, dp, inner = log_grid_derivative(d_vals, radii)
     rhs = []
-    for r in r_in:
+    for r, d in zip(r_in, d_vals[inner]):
         zr_sq = lambda z, t: (u.zu(z, t) / r) ** 2
-        val = (rule.Q - 2.0) / r * dirichlet(u, r, rule) \
+        val = (rule.Q - 2.0) / r * d \
             + 2.0 * surface_integral(zr_sq, r, rule, weighted=True)
         if with_disc:
             e_term = lambda z, t: (u.zu(z, t) / r) * (4.0 * u.disc.evaluate(z, t) / r ** 3)
@@ -342,7 +347,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None, radial_steps=32):
         d_col[i] = dirichlet(u, r, rule, radial_steps)
         h_col[i] = height(u, r, rule)
         try:
-            n_col[i] = frequency(u, r, rule, radial_steps)
+            n_col[i] = _frequency_from(u, r, rule, d_col[i], h_col[i])
         except ZeroHeight:
             n_col[i] = math.nan
         if kappa is not None:

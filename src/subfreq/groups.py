@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 
-METIVIER_SAMPLES = 10_000  # Sobol points on the t-sphere for k > 2
+METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for k > 2
 METIVIER_TOL = 1e-9
 
 
@@ -149,8 +149,8 @@ def _is_metivier(G):
     """J(t) nonsingular for every t != 0.
 
     Exact for k <= 2 (determinant / real-root counting on the pencil);
-    for k > 2 a documented 10,000-point Sobol sample of the t-sphere is
-    used, which is a one-sided certificate only.
+    for k > 2 a documented 8,192-point (2^13) Sobol sample of the t-sphere
+    is used, which is a one-sided certificate only.
     """
     if G.m % 2 == 1:
         return False  # odd skew-symmetric matrices are singular
@@ -171,7 +171,7 @@ def _is_metivier(G):
     from scipy.stats import norm, qmc
 
     sob = qmc.Sobol(d=G.k, scramble=False)
-    pts = sob.random(METIVIER_SAMPLES)
+    pts = sob.random_base2(METIVIER_SAMPLES_LOG2)
     pts = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(pts, axis=1)
     good = norms > 1e-8

@@ -22,6 +22,13 @@ weight u^(m/2-1) (1 - u)^((k-2)/2) times a smooth factor, so Gauss-Jacobi
 nodes in u integrate the (tau- and omega-symmetrized) integrands
 spectrally and never touch the degenerate endpoints s = 0, 1.
 
+Resolution.  At resolution R both sphere factors omega and tau come from
+`unit_sphere_rule`, which is exact for every polynomial of degree <= R on
+every sphere S^(d-1), and the u factor has R Gauss-Jacobi nodes.  The rule
+has 4 R (R // 2 + 1)^(m+k-2) nodes, so it exists for every (m, k), H^n for
+every n included; above MAX_RULE_NODES `build_sphere_rule` raises
+ResolutionTooLarge before allocating anything.
+
 Normalization.  All weights carry one global factor gamma fixed by the
 mean-value calibration sum_i w_i psi(sigma_i) = Q^2/(Q-2), equivalently
 M_r(1) = 1 for the ball average with weight psi.  The factor multiplies
@@ -34,13 +41,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .constants import Geometry, sphere_area
-from .errors import InsufficientSamples, NotHType, ResolutionTooSmall
+from .errors import InsufficientSamples, NotHType, ResolutionTooLarge, ResolutionTooSmall
 from .groups import GroupSpec
 
 MIN_RESOLUTION = 4
+MAX_RULE_NODES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -74,48 +82,20 @@ class SphereRule:
 def unit_sphere_rule(d, resolution):
     """Nodes/weights on the Euclidean sphere S^(d-1), weights sum to its area.
 
-    Node sets are antipodally symmetric so odd integrands cancel exactly.
+    Recursive product rule (Stroud 1971): S^(d-1) is S^(d-2) scaled by
+    sqrt(1 - x^2) at height x, with surface measure
+    (1 - x^2)^((d-3)/2) dx dsigma_(d-2), so resolution // 2 + 1 Gauss-Jacobi
+    nodes in x integrate every polynomial of degree <= resolution exactly.
+    The rule has 2 (resolution // 2 + 1)^(d-1) nodes.  Node sets are
+    antipodally symmetric so odd integrands cancel exactly.
     """
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        n = 2 * max(4, min(resolution, 32))
-        theta = 2.0 * math.pi * np.arange(n) / n
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return pts, np.full(n, 2.0 * math.pi / n)
-    if d == 3:
-        nc = max(6, min(resolution // 2, 24))
-        nphi = 2 * max(4, min(resolution // 2, 16))
-        c, wc = roots_legendre(nc)
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        s = np.sqrt(1.0 - c ** 2)
-        pts = np.stack([
-            np.outer(s, np.cos(phi)).ravel(),
-            np.outer(s, np.sin(phi)).ravel(),
-            np.repeat(c, nphi),
-        ], axis=1)
-        w = np.repeat(wc, nphi) * (2.0 * math.pi / nphi)
-        return pts, w
-    if d == 4:
-        nv = max(4, min(resolution // 4, 12))
-        nc = 2 * max(4, min(resolution // 4, 12))
-        v, wv = roots_jacobi(nv, 0.0, 0.0)
-        v = 0.5 * (v + 1.0)
-        wv = 0.5 * wv
-        phi = 2.0 * math.pi * np.arange(nc) / nc
-        circ = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        pts = []
-        w = []
-        for vi, wi in zip(v, wv):
-            c1 = math.sqrt(1.0 - vi)
-            c2 = math.sqrt(vi)
-            for a in range(nc):
-                for b in range(nc):
-                    pts.append([c1 * circ[a, 0], c1 * circ[a, 1],
-                                c2 * circ[b, 0], c2 * circ[b, 1]])
-                    w.append(0.5 * wi * (2.0 * math.pi / nc) ** 2)
-        return np.array(pts), np.array(w)
-    raise ResolutionTooSmall(f"no unit sphere rule for dimension {d}")
+    sub, w_sub = unit_sphere_rule(d - 1, resolution)
+    x, wx = roots_jacobi(resolution // 2 + 1, (d - 3) / 2.0, (d - 3) / 2.0)
+    pts = np.column_stack([np.kron(np.sqrt(1.0 - x ** 2)[:, None], sub),
+                           np.repeat(x, len(sub))])
+    return pts, np.kron(wx, w_sub)
 
 
 def surface_psi_integral(m, k, alpha):
@@ -141,6 +121,12 @@ def build_sphere_rule(context, resolution):
         raise ResolutionTooSmall(f"resolution must be >= {MIN_RESOLUTION}")
     geometry = context.geometry
     m, k, alpha, q_hom = geometry.m, geometry.k, float(geometry.alpha), float(geometry.Q)
+    # resolution radial nodes times the two sphere factors
+    n_nodes = 4 * resolution * (resolution // 2 + 1) ** (m + k - 2)
+    if n_nodes > MAX_RULE_NODES:
+        raise ResolutionTooLarge(
+            f"resolution {resolution} needs {n_nodes} nodes for (m, k) = ({m}, {k}); "
+            f"the limit is {MAX_RULE_NODES}")
     a1 = alpha + 1.0
 
     # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)
@@ -158,23 +144,11 @@ def build_sphere_rule(context, resolution):
     tau, w_tau = unit_sphere_rule(k, resolution)
 
     qs = np.sqrt(1.0 - u ** a1) / (2.0 * a1)
-
-    n = len(u) * len(omega) * len(tau)
-    z_nodes = np.empty((n, m))
-    t_nodes = np.empty((n, k))
-    weights = np.empty(n)
-    psi = np.empty(n)
-    idx = 0
-    for iu in range(len(u)):
-        block = len(omega) * len(tau)
-        zs = s[iu] * np.repeat(omega, len(tau), axis=0)
-        ts = qs[iu] * np.tile(tau, (len(omega), 1))
-        z_nodes[idx:idx + block] = zs
-        t_nodes[idx:idx + block] = ts
-        weights[idx:idx + block] = wu[iu] * np.repeat(w_omega, len(tau)) \
-            * np.tile(w_tau, len(omega))
-        psi[idx:idx + block] = u[iu] ** alpha
-        idx += block
+    n_omega, n_tau = len(omega), len(tau)
+    z_nodes = np.kron(s[:, None], np.repeat(omega, n_tau, axis=0))
+    t_nodes = np.kron(qs[:, None], np.tile(tau, (n_omega, 1)))
+    weights = np.kron(np.kron(wu, w_omega), w_tau)
+    psi = np.repeat(u ** alpha, n_omega * n_tau)
 
     gamma = (q_hom ** 2 / (q_hom - 2.0)) / surface_psi_integral(m, k, alpha)
     weights = weights * gamma

@@ -7,6 +7,7 @@ import pytest
 import subfreq as sf
 from subfreq.cli import entry
 from subfreq.polynomials import Polynomial
+from subfreq.quadrature import MAX_RULE_NODES
 
 
 @pytest.fixture()
@@ -96,6 +97,17 @@ def test_frequency_csv(h1_file, x_file, tmp_path, capsys):
     first = out.read_text()
     assert entry(args) == 0
     assert out.read_text() == first
+
+
+def test_frequency_resolution_too_large_exit_2(tmp_path, capsys):
+    group = tmp_path / "h3.json"
+    group.write_text(json.dumps(sf.group_to_json(sf.heisenberg(3))))
+    poly = tmp_path / "x.json"
+    poly.write_text('[{"coeff":"1","z":[1,0,0,0,0,0],"t":[0]}]')
+    # the default resolution 32 needs about 182M nodes on H^3
+    assert entry(["frequency", "--group", str(group), "--poly", str(poly)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and f"the limit is {MAX_RULE_NODES}" in err
 
 
 def test_frequency_zero_polynomial(h1_file, tmp_path, capsys):

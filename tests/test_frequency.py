@@ -9,7 +9,7 @@ from subfreq import fixtures
 from subfreq.errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
 from subfreq.frequency import CSV_HEADER, FunctionHandle, log_grid_derivative
 from subfreq.groups import Point
-from subfreq.polynomials import Polynomial
+from subfreq.polynomials import Polynomial, harmonic_basis
 
 
 def handle(h1, p, **kw):
@@ -39,6 +39,21 @@ def test_frequency_of_homogeneous_harmonics(h1, rule_h1):
         u = handle(h1, p)
         for r in (0.3, 1.0, 1.7):
             assert sf.frequency(u, r, rule_h1) == pytest.approx(kappa, rel=1e-10)
+
+
+def test_frequency_h2_degree_4_at_res_16(h2):
+    rule = sf.build_sphere_rule(h2, 16)
+    u = handle(h2, harmonic_basis(h2, 4)[-1])
+    assert sf.frequency(u, 1.0, rule) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_frequency_h3_harmonics():
+    h3 = sf.heisenberg(3)
+    rule = sf.build_sphere_rule(h3, 8)
+    for kappa in (1, 2, 3):
+        u = handle(h3, harmonic_basis(h3, kappa)[-1])
+        for r in (0.5, 1.3):
+            assert sf.frequency(u, r, rule) == pytest.approx(kappa, abs=1e-12)
 
 
 def test_frequency_scaling_exact(h1, rule_h1):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,18 @@ def test_metivier_example_not_htype():
     g = sf.example_group_metivier()
     assert not g.classification["is_htype"]
     assert g.classification["is_metivier"]
+
+
+def test_quaternionic_classification_emits_no_warning():
+    # k = 3 takes the Sobol path of the Metivier check
+    quaternionic = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        info = sf.make_group(4, 3, quaternionic).classification
+    assert caught == []
+    assert info == {"is_htype": True, "is_metivier": True}
 
 
 def test_odd_horizontal_dimension_never_metivier():

@@ -1,14 +1,22 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import subfreq as sf
 from subfreq import constants
-from subfreq.errors import InsufficientSamples, NotHType, ResolutionTooSmall
+from subfreq.errors import (
+    InsufficientSamples,
+    NotHType,
+    ResolutionTooLarge,
+    ResolutionTooSmall,
+)
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial
 from subfreq.quadrature import (
+    MAX_RULE_NODES,
     surface_psi_integral,
     unit_ball_volume_raw,
     unit_sphere_rule,
@@ -141,8 +149,42 @@ def test_non_htype_group_rejected():
         sf.build_sphere_rule(sf.example_group_metivier(), 16)
 
 
+def test_resolution_too_large_raises_before_allocating():
+    # H^3 at res 32 needs 4 * 32 * 17^5 (about 182M) nodes
+    assert 4 * 32 * 17 ** 5 > MAX_RULE_NODES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionTooLarge):
+            sf.build_sphere_rule(sf.heisenberg(3), 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _folland_moment(a, d):
+    """int_{S^(d-1)} x^a dsigma = 2 prod Gamma((a_i+1)/2) / Gamma((|a|+d)/2)."""
+    if any(x % 2 for x in a):
+        return 0.0
+    return 2.0 * math.prod(math.gamma((x + 1) / 2.0) for x in a) \
+        / math.gamma((sum(a) + d) / 2.0)
+
+
+@pytest.mark.parametrize("d,resolution",
+                         [(d, res) for d in range(1, 7) for res in (4, 7, 8)]
+                         + [(d, 16) for d in range(1, 5)])
+def test_unit_sphere_rule_exact_to_resolution(d, resolution):
+    pts, w = unit_sphere_rule(d, resolution)
+    assert len(w) == 2 * (resolution // 2 + 1) ** (d - 1)
+    powers = pts[:, :, None] ** np.arange(resolution + 1)  # (node, axis, exponent)
+    for a in itertools.product(range(resolution + 1), repeat=d):
+        if sum(a) <= resolution:
+            val = float(np.prod(powers[:, np.arange(d), a], axis=1) @ w)
+            assert abs(val - _folland_moment(a, d)) <= 1e-13
+
+
 def test_sphere_rules_antipodally_symmetric():
-    for d in (1, 2, 3, 4):
+    for d in (1, 2, 3, 4, 5, 6):
         pts, w = unit_sphere_rule(d, 16)
         assert np.allclose(np.sum(pts ** 2, axis=1), 1.0)
         assert w.sum() == pytest.approx(constants.sphere_area(d), rel=1e-12)
