@@ -60,6 +60,11 @@ class ZeroDenominator(SubfreqError, ArithmeticError):
 class NoConvergence(SubfreqError, RuntimeError):
     """Iterative solver failed to reach the requested tolerance."""
 
+    def __init__(self, message, iterations, residual):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
+
 
 class BadGrid(SubfreqError, ValueError):
     """Grid shape or box unsuitable for the finite-difference solver."""

@@ -27,7 +27,8 @@ Resolution.  At resolution R both sphere factors omega and tau come from
 every sphere S^(d-1), and the u factor has R Gauss-Jacobi nodes.  The rule
 has 4 R (R // 2 + 1)^(m+k-2) nodes, so it exists for every (m, k), H^n for
 every n included; above MAX_RULE_NODES `build_sphere_rule` raises
-ResolutionTooLarge before allocating anything.
+ResolutionTooLarge before allocating anything, naming the largest
+resolution within the limit for that (m, k).
 
 Normalization.  All weights carry one global factor gamma fixed by the
 mean-value calibration sum_i w_i psi(sigma_i) = Q^2/(Q-2), equivalently
@@ -36,6 +37,7 @@ every functional uniformly, so it cancels in the frequency N = rD/H and
 in every identity and ratio this package checks.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -122,11 +124,18 @@ def build_sphere_rule(context, resolution):
     geometry = context.geometry
     m, k, alpha, q_hom = geometry.m, geometry.k, float(geometry.alpha), float(geometry.Q)
     # resolution radial nodes times the two sphere factors
-    n_nodes = 4 * resolution * (resolution // 2 + 1) ** (m + k - 2)
-    if n_nodes > MAX_RULE_NODES:
+    def n_nodes(res):
+        return 4 * res * (res // 2 + 1) ** (m + k - 2)
+
+    if n_nodes(resolution) > MAX_RULE_NODES:
+        # n_nodes grows with res, so the resolutions within the limit are a prefix
+        fit = bisect.bisect_right(range(MIN_RESOLUTION, resolution), MAX_RULE_NODES,
+                                  key=n_nodes)
+        largest = (f"the largest resolution within it is {MIN_RESOLUTION + fit - 1}"
+                   if fit else f"no resolution >= {MIN_RESOLUTION} is within it")
         raise ResolutionTooLarge(
-            f"resolution {resolution} needs {n_nodes} nodes for (m, k) = ({m}, {k}); "
-            f"the limit is {MAX_RULE_NODES}")
+            f"resolution {resolution} needs {n_nodes(resolution)} nodes for "
+            f"(m, k) = ({m}, {k}); the limit is {MAX_RULE_NODES}; {largest}")
     a1 = alpha + 1.0
 
     # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)

@@ -7,6 +7,7 @@ import subfreq as sf
 from subfreq.errors import (
     BadGrid,
     DimensionMismatch,
+    NoConvergence,
     NonIntegerAlpha,
     OriginSingularity,
     ParseError,
@@ -189,6 +190,62 @@ def test_fd_solver_3d(ba211):
     ts = mesh[2].ravel()[:, None]
     ref = exact.evaluate(zs, ts).reshape(sol.values.shape)
     assert np.max(np.abs(sol.values - ref)) < 1e-8
+
+
+def _generic_boundary(z, t):
+    # not B_a-harmonic, so the interior solution is no polynomial
+    return np.exp(z[:, 0] - 0.5 * z[:, -1]) + np.sin(3.0 * t[:, 0])
+
+
+def _stencil_residual(spec, sol):
+    """Relative residual of the centered B_a stencil on the interior nodes,
+    applied to sol.values by slicing, without the solver's sparse matrix."""
+    u = sol.values
+    inner = (slice(1, -1),) * u.ndim
+
+    def second_difference(axis):
+        lo, hi = list(inner), list(inner)
+        lo[axis], hi[axis] = slice(None, -2), slice(2, None)
+        h = sol.axes[axis][1] - sol.axes[axis][0]
+        return (u[tuple(lo)] - 2.0 * u[inner] + u[tuple(hi)]) / h ** 2
+
+    zs = np.meshgrid(*[ax[1:-1] for ax in sol.axes[:spec.m]], indexing="ij")
+    coeff = (sum(z ** 2 for z in zs) ** spec.alpha / 4.0)[..., None]
+    lap_z = sum(second_difference(i) for i in range(spec.m))
+    lap_t = coeff * sum(second_difference(spec.m + j) for j in range(spec.k))
+    scale = max(np.max(np.abs(lap_z)), np.max(np.abs(lap_t)))
+    return np.max(np.abs(lap_z + lap_t)) / scale
+
+
+@pytest.mark.parametrize("dims, alpha, box, grid", [
+    ((1, 1), 2, [(-1.0, 1.0), (-0.5, 0.7)], [33, 65]),
+    ((1, 1), 1.5, [(-1.0, 1.0), (-0.5, 0.7)], [33, 65]),
+    ((1, 1), 0.75, [(-1.0, 1.0), (-0.5, 0.7)], [33, 65]),
+    ((2, 1), 1, [(-1.0, 1.0), (-0.6, 0.8), (-0.5, 0.7)], [17, 9, 21]),
+    ((2, 1), 3, [(-1.0, 1.0), (-0.6, 0.8), (-0.5, 0.7)], [17, 9, 21]),
+])
+def test_fd_solution_satisfies_stencil(dims, alpha, box, grid):
+    spec = sf.BaouendiSpec(*dims, alpha)
+    sol = sf.fd_solve(spec, box, grid, _generic_boundary)
+    assert _stencil_residual(spec, sol) <= 1e-10
+
+
+@pytest.mark.parametrize("dims, grid", [((1, 1), [257, 257]), ((2, 1), [33, 33, 65])])
+def test_fd_solver_converges_in_one_or_two_iterations(dims, grid):
+    # the preconditioner is the exact inverse; a wrong mode eigenvalue or
+    # band shows here as extra iterations, not as a wrong solution
+    spec = sf.BaouendiSpec(*dims, 2)
+    sol = sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
+    assert sol.iterations <= 2
+    assert sol.residual <= 1e-13
+
+
+def test_fd_no_convergence_carries_iterations_and_residual(ba112):
+    with pytest.raises(NoConvergence) as exc:
+        sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], _generic_boundary, tol=0.0)
+    assert exc.value.residual > 0.0
+    assert exc.value.iterations >= 1
+    assert "iterations" in str(exc.value) and "residual" in str(exc.value)
 
 
 def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):

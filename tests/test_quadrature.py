@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,21 @@ def test_resolution_too_large_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_resolution_too_large_names_largest_fitting_resolution():
+    def n_nodes(m, k, res):
+        return 4 * res * (res // 2 + 1) ** (m + k - 2)
+
+    with pytest.raises(ResolutionTooLarge) as exc:
+        sf.build_sphere_rule(sf.heisenberg(3), 32)
+    match = re.search(r"largest resolution within it is (\d+)", str(exc.value))
+    assert match is not None
+    best = int(match.group(1))
+    assert n_nodes(6, 1, best) <= MAX_RULE_NODES < n_nodes(6, 1, best + 1)
+    # H^7: even the smallest resolution needs 16 * 3^13 nodes
+    with pytest.raises(ResolutionTooLarge, match="no resolution >= 4"):
+        sf.build_sphere_rule(sf.heisenberg(7), 32)
 
 
 def _folland_moment(a, d):
