@@ -10,6 +10,7 @@ non-polynomial solutions at desk scale.
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +48,24 @@ class BaouendiSpec(Geometry):
         if isinstance(a, float) and a.is_integer():
             return int(a)
         raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
+
+    def horizontal_grad_sq(self, dz, dt, z=None):
+        """|grad_H u|^2 = |d_z u|^2 + |z|^(2a)/4 |d_t u|^2 from the Euclidean
+        partials dz = [d_{z_i} u] and dt = [d_{t_j} u].  Exact when they are
+        Polynomials (z unused; alpha must be an integer and their layer weight
+        alpha + 1), numeric when they are arrays at the points z."""
+        if z is None:
+            p, a = dz[0], self.integer_alpha()
+            if (p.m, p.k, p.tweight) != (self.m, self.k, a + 1):
+                raise DimensionMismatch("polynomial does not match the Baouendi spec")
+            weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** a * Fraction(1, 4)
+        else:
+            weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
+        return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
+
+    def discrepancy(self, p=None):
+        """The discrepancy E_u vanishes identically for B_a: the zero numerator."""
+        return Polynomial.zero(self.m, self.k)
 
 
 def z_alpha_apply(spec, u):
@@ -143,45 +162,32 @@ class GridSolution:
     def as_handle(self):
         """FunctionHandle evaluating by multilinear interpolation.
 
-        Derivative evaluators come from second-order central differences on
-        the grid, interpolated the same way."""
+        The partials are second-order central differences on the grid,
+        interpolated by one interpolator on the stacked gradients.  Scalar
+        2-D data take scipy's compiled path instead, which is as fast and
+        rounds differently, so in 2-D each gradient keeps its own."""
         from scipy.interpolate import RegularGridInterpolator
 
-        interp = RegularGridInterpolator(self.axes, self.values, method="linear",
-                                         bounds_error=True)
+        def interpolator(data):
+            return RegularGridInterpolator(self.axes, data, method="linear", bounds_error=True)
+
         grads = np.gradient(self.values, *self.axes, edge_order=2)
-        if self.values.ndim == 1:
-            grads = [grads]
-        ginterp = [RegularGridInterpolator(self.axes, g, method="linear",
-                                           bounds_error=True) for g in grads]
-        m, k = self.spec.m, self.spec.k
-        alpha = float(self.spec.alpha)
+        if self.values.ndim > 2:
+            stacked = interpolator(np.stack(grads, axis=-1))
+            interpolate_grads = lambda p: stacked(p).T
+        else:
+            columns = [interpolator(g) for g in grads]
+            interpolate_grads = lambda p: [f(p) for f in columns]
+        value = interpolator(self.values)
+        m = self.spec.m
 
-        def pts(z, t):
-            return np.concatenate([z, t], axis=1)
+        def partials(z, t):
+            d = interpolate_grads(np.concatenate([z, t], axis=1))
+            return d[:m], d[m:]
 
-        value = lambda z, t: interp(pts(z, t))
-
-        def grad_sq(z, t):
-            p = pts(z, t)
-            total = np.zeros(len(p))
-            for i in range(m):
-                total += ginterp[i](p) ** 2
-            coeff = np.sum(z ** 2, axis=1) ** alpha / 4.0
-            for j in range(k):
-                total += coeff * ginterp[m + j](p) ** 2
-            return total
-
-        def zu(z, t):
-            p = pts(z, t)
-            out = np.zeros(len(p))
-            for i in range(m):
-                out += z[:, i] * ginterp[i](p)
-            for j in range(k):
-                out += (alpha + 1.0) * t[:, j] * ginterp[m + j](p)
-            return out
-
-        return FunctionHandle(self.spec, value, grad_sq, zu, label="fd-solution")
+        return FunctionHandle.from_partials(
+            self.spec, lambda z, t: value(np.concatenate([z, t], axis=1)), partials,
+            label="fd-solution")
 
 
 def _second_difference(n, h):

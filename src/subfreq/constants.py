@@ -9,17 +9,21 @@ Gamma = C * rho_a^(2-Q), Q = m + (a+1)k, where
 
 A group of Heisenberg type is the case a = 1, where the gauge becomes
 (|z|^4 + 16|t|^2)^(1/4).  `Geometry` is the one place that states this
-gauge; everything else asks it.  This module evaluates the defining
-integral two independent ways: a deterministic product quadrature and an
-importance-sampled Monte-Carlo estimator with a reported standard error.
+gauge; everything else asks it.  The defining integral reduces to Beta
+functions: the |z| integral is 1/s with s = (m+a-1)/(a+1), which cancels
+the (m+a-1) factor, and what is left is the flux normalization
+
+    C^-1 = (Q-2) int_{S_1} psi dmu,
+
+with the raw polar measure dmu of `quadrature` (`surface_psi_integral`).
+An importance-sampled Monte-Carlo estimator of the defining integral,
+with a reported standard error, is the independent oracle.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import InsufficientSamples, OriginSingularity
 
@@ -69,6 +73,16 @@ class Geometry:
         """(z, t) -> (lam z, lam^(a+1) t)."""
         return lam * np.asarray(z, float), lam ** (self.alpha + 1.0) * np.asarray(t, float)
 
+    def euler_field(self, z, t, dz, dt):
+        """Zu = z . d_z u + (a+1) t . d_t u at the points (z, t), from the
+        arrays dz = [d_{z_i} u] and dt = [d_{t_j} u] there."""
+        out = np.zeros(len(z))
+        for i, d in enumerate(dz):
+            out += z[:, i] * d
+        for j, d in enumerate(dt):
+            out += (self.alpha + 1.0) * t[:, j] * d
+        return out
+
 
 def sphere_area(d):
     """Surface measure of the unit sphere S^(d-1) in R^d (2 for d=1)."""
@@ -86,23 +100,8 @@ def _radial_integrand(a_r, b_r, m, k, alpha):
     return a_r ** (m + alpha - 2.0) * b_r ** (k - 1.0) / base ** power
 
 
-def _defining_integral_quadrature(m, k, alpha, n=240):
-    """Deterministic value of the full R^N integral (angular part included)."""
-    x, w = roots_legendre(n)
-    # map (-1,1) -> (0,1) -> (0,inf) via u/(1-u)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    r = u / (1.0 - u)
-    jac = 1.0 / (1.0 - u) ** 2
-    a_r = r[:, None]
-    b_r = r[None, :]
-    vals = _radial_integrand(a_r, b_r, m, k, alpha)
-    vals = vals * (wu * jac)[:, None] * (wu * jac)[None, :]
-    return sphere_area(m) * sphere_area(k) * float(vals.sum())
-
-
 def _defining_integral_mc(m, k, alpha, samples, seed):
-    """Importance-sampled MC value of the same integral, with stderr.
+    """Importance-sampled MC value of the defining integral, with stderr.
 
     Radial variables are drawn from independent half-Cauchy distributions,
     which have the right algebraic tails for this integrand.
@@ -122,12 +121,18 @@ def _defining_integral_mc(m, k, alpha, samples, seed):
     return mean, stderr
 
 
-@lru_cache(maxsize=None)
+def surface_psi_integral(m, k, alpha):
+    """Closed form of int_{S_1} psi dmu for the *raw* polar measure."""
+    a1 = alpha + 1.0
+    beta = math.gamma((m + 2 * alpha) / (2 * a1)) * math.gamma(k / 2.0) \
+        / math.gamma((m + 2 * alpha) / (2 * a1) + k / 2.0)
+    return sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
+
+
 def gauge_constant(m, k, alpha=1.0):
-    """The constant C in Gamma = C * rho_a^(2-Q) (deterministic quadrature)."""
+    """The constant C in Gamma = C * rho_a^(2-Q), in closed form."""
     q = m + (alpha + 1.0) * k
-    integral = _defining_integral_quadrature(m, k, alpha)
-    return 1.0 / ((m + alpha - 1.0) * (q - 2.0) * integral)
+    return 1.0 / ((q - 2.0) * surface_psi_integral(m, k, alpha))
 
 
 def gauge_constant_mc(m, k, alpha=1.0, samples=200_000, seed=0):

@@ -7,13 +7,11 @@ every ratio and identity tested here.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
-from .groups import GroupSpec
-from .polynomials import Polynomial, apply_X, discrepancy_poly, euler, left_translate
+from .polynomials import euler, left_translate
 from .quadrature import surface_integral, volume_integral
 
 FD_STEP = 1e-5
@@ -24,8 +22,15 @@ class FunctionHandle:
     the frequency functionals need: value, |horizontal gradient|^2, and the
     Euler derivative Zu.
 
-    Polynomials get exact symbolic evaluators; black boxes get central
-    differences with step FD_STEP * (1 + |g|).
+    Every constructor is a source of the Euclidean partials (d_z u, d_t u)
+    for `from_partials`: the context turns them into |grad_H u|^2 by its own
+    formula (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
+    `BaouendiSpec.horizontal_grad_sq`: |d_z u|^2 + |z|^(2a)/4 |d_t u|^2), and
+    Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.
+    Polynomials pass their exact derivatives and keep exact polynomials for
+    |grad_H u|^2 and Zu; black boxes pass central differences with step
+    FD_STEP * (1 + |g|).  `disc` is the discrepancy numerator from the
+    context: exact on H-type group polynomials, zero for B_a, else None.
     """
 
     def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label=""):
@@ -34,87 +39,50 @@ class FunctionHandle:
         self.grad_sq = grad_sq
         self.zu = zu
         self.poly = poly              # underlying Polynomial, if any
-        self.disc = disc              # group discrepancy numerator, if known
+        self.disc = disc              # discrepancy numerator, if known
         self.label = label
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_polynomial(cls, context, p, center=None, label=""):
-        if isinstance(context, GroupSpec):
-            if center is not None:
-                p = left_translate(context, p, center)
-            grads = [apply_X(context, i, p) for i in range(context.m)]
-            gsq = Polynomial.zero(p.m, p.k, p.tweight)
-            for g in grads:
-                gsq = gsq + g * g
-            zp = euler(p)
-            disc = None
-            if context.classification["is_htype"]:
-                disc = discrepancy_poly(context, p)
-            return cls(context, p.evaluate, gsq.evaluate, zp.evaluate,
-                       poly=p, disc=disc, label=label)
-        # Baouendi case: horizontal fields are d_z and (|z|^alpha / 2) d_t
-        alpha = int(context.alpha)
-        gz = Polynomial.zero(p.m, p.k, p.tweight)
-        for i in range(p.m):
-            d = p.diff_z(i)
-            gz = gz + d * d
-        gt = Polynomial.zero(p.m, p.k, p.tweight)
-        for ell in range(p.k):
-            d = p.diff_t(ell)
-            gt = gt + d * d
-        znorm = Polynomial.z_norm_sq(p.m, p.k, p.tweight)
-        gsq = gz + znorm ** alpha * gt * Fraction(1, 4)
-        zp = euler(p)
-        return cls(context, p.evaluate, gsq.evaluate, zp.evaluate,
-                   poly=p, disc=None, label=label)
+    def from_partials(cls, context, value, partials, poly=None, label=""):
+        """Handle from the Euclidean partials of u: either the pair
+        ([d_{z_i} poly], [d_{t_j} poly]) of Polynomials of u = poly (exact), or
+        a function (z, t) -> (dz, dt) returning lists of arrays (numeric)."""
+        if callable(partials):
+            def grad_sq(z, t):
+                return context.horizontal_grad_sq(*partials(z, t), z)
+
+            def zu(z, t):
+                return context.geometry.euler_field(z, t, *partials(z, t))
+        else:
+            grad_sq = context.horizontal_grad_sq(*partials).evaluate
+            zu = euler(poly).evaluate
+        return cls(context, value, grad_sq, zu, poly=poly,
+                   disc=context.discrepancy(poly), label=label)
 
     @classmethod
-    def from_callable(cls, context, value, grad_sq=None, zu=None, label=""):
-        if zu is None:
-            def zu(z, t, _v=value, _c=context):
-                norm = np.sqrt(np.sum(z ** 2, axis=1) + np.sum(t ** 2, axis=1))
-                h = FD_STEP * (1.0 + norm)
-                up = _v(*_c.geometry.dilate((1.0 + h)[:, None], z, t))
-                um = _v(*_c.geometry.dilate((1.0 - h)[:, None], z, t))
-                return (up - um) / (2.0 * h)
+    def from_polynomial(cls, context, p, center=None, label=""):
+        if center is not None:
+            p = left_translate(context, p, center)
+        partials = ([p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)])
+        return cls.from_partials(context, p.evaluate, partials, poly=p, label=label)
 
-        if grad_sq is None:
-            if isinstance(context, GroupSpec):
-                jf = context.J_float
+    @classmethod
+    def from_callable(cls, context, value, label=""):
+        def partials(z, t):
+            g = np.concatenate([z, t], axis=1)
+            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
+            m, d = z.shape[1], []
+            for i in range(g.shape[1]):
+                step = np.zeros_like(g)
+                step[:, i] = h
+                up, down = g + step, g - step
+                d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
+                         / (2.0 * h))
+            return d[:m], d[m:]
 
-                def grad_sq(z, t, _v=value, _jf=jf):
-                    norm = np.sqrt(np.sum(z ** 2, axis=1) + np.sum(t ** 2, axis=1))
-                    h = FD_STEP * (1.0 + norm)
-                    total = np.zeros(len(z))
-                    m = z.shape[1]
-                    for i in range(m):
-                        # right translation by (+-h e_i, 0):
-                        # z -> z +- h e_i, t_l -> t_l +- (h/2) (J_l z)_i
-                        dz = np.zeros_like(z)
-                        dz[:, i] = h
-                        dt = 0.5 * h[:, None] * np.einsum("lij,nj->nli", _jf, z)[:, :, i]
-                        xi = (_v(z + dz, t + dt) - _v(z - dz, t - dt)) / (2.0 * h)
-                        total += xi ** 2
-                    return total
-            else:
-                def grad_sq(z, t, _v=value, _a=float(context.alpha)):
-                    norm = np.sqrt(np.sum(z ** 2, axis=1) + np.sum(t ** 2, axis=1))
-                    h = FD_STEP * (1.0 + norm)
-                    total = np.zeros(len(z))
-                    for i in range(z.shape[1]):
-                        dz = np.zeros_like(z)
-                        dz[:, i] = h
-                        total += ((_v(z + dz, t) - _v(z - dz, t)) / (2.0 * h)) ** 2
-                    coeff = np.sum(z ** 2, axis=1) ** _a / 4.0
-                    for j in range(t.shape[1]):
-                        dt = np.zeros_like(t)
-                        dt[:, j] = h
-                        total += coeff * ((_v(z, t + dt) - _v(z, t - dt)) / (2.0 * h)) ** 2
-                    return total
-
-        return cls(context, value, grad_sq, zu, label=label)
+        return cls.from_partials(context, value, partials, label=label)
 
     def shifted_by(self, other):
         """Handle for u - other (used by Monneau and the Weiss identity)."""
@@ -171,11 +139,10 @@ def _require_vanishing_discrepancy(handle):
 def monneau(u, p_handle, kappa, r, rule):
     """M_kappa(u, P, r) = r^-(Q-1+2k) int_{S_r} (u-P)^2 |grad_H rho| dsigma_H.
 
-    On the group side both u and P must have vanishing discrepancy (checked
-    exactly when both are polynomials)."""
-    if isinstance(u.context, GroupSpec):
-        _require_vanishing_discrepancy(u)
-        _require_vanishing_discrepancy(p_handle)
+    Both u and P must have vanishing discrepancy (checked exactly when it is
+    known; it vanishes for every B_a handle)."""
+    _require_vanishing_discrepancy(u)
+    _require_vanishing_discrepancy(p_handle)
     diff = u.shifted_by(p_handle)
     return height(diff, r, rule) / r ** (rule.Q - 1.0 + 2.0 * kappa)
 
@@ -192,10 +159,8 @@ def doubling_ratio(u, r, rule, radial_steps=32):
 def discrepancy_surface_norm(u, r, rule):
     """L2 norm of the discrepancy E_u on S_r w.r.t. the polar measure.
 
-    Group polynomials only; 0.0 for Baouendi contexts (the discrepancy of
-    every function vanishes identically there); NaN when unknown."""
-    if not isinstance(u.context, GroupSpec):
-        return 0.0
+    0.0 for B_a handles (the discrepancy of every function vanishes
+    identically there); NaN when unknown (group callables)."""
     if u.disc is None:
         return math.nan
     e_sq = lambda z, t: (4.0 * u.disc.evaluate(z, t) / r ** 3) ** 2
@@ -246,9 +211,9 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     E_u = 4 (sum t_l Theta_l u) / rho^3.  E_u vanishes identically for B_a,
     so the term is 0 there; on a group it needs a polynomial input.  Setting
     include_discrepancy=False drops the E_u term (negative-control variant)."""
-    with_disc = include_discrepancy and isinstance(u.context, GroupSpec)
-    if with_disc and u.disc is None:
+    if include_discrepancy and u.disc is None:
         raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
+    with_disc = include_discrepancy and not u.disc.is_zero()
     radii = np.asarray(radii, dtype=float)
     d_vals = np.array([dirichlet(u, r, rule) for r in radii])
     r_in, dp, inner = log_grid_derivative(d_vals, radii)

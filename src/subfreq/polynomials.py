@@ -15,7 +15,6 @@ from . import exactla
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    NonIntegerAlpha,
     ParseError,
 )
 
@@ -390,15 +389,10 @@ def left_translate(G, p, g0):
 def baouendi_apply(spec, p):
     """B_alpha p = Delta_z p + (|z|^(2 alpha) / 4) Delta_t p, exact.
 
-    Requires a positive integer alpha so that |z|^(2 alpha) is polynomial.
+    Requires an integer alpha (`BaouendiSpec.integer_alpha`) so that
+    |z|^(2 alpha) is polynomial.
     """
-    alpha = spec.alpha
-    if not (isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1)
-            or (isinstance(alpha, float) and alpha.is_integer())):
-        raise NonIntegerAlpha(f"symbolic B_alpha needs integer alpha, got {alpha}")
-    alpha = int(alpha)
-    if alpha < 1:
-        raise NonIntegerAlpha("alpha must be a positive integer")
+    alpha = spec.integer_alpha()
     if p.m != spec.m or p.k != spec.k or p.tweight != alpha + 1:
         raise DimensionMismatch("polynomial does not match the Baouendi spec")
     result = Polynomial.zero(p.m, p.k, p.tweight)

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .constants import Geometry, sphere_area
+from .constants import Geometry, sphere_area, surface_psi_integral
 from .errors import InsufficientSamples, NotHType, ResolutionTooLarge, ResolutionTooSmall
 from .groups import GroupSpec
 
@@ -98,14 +98,6 @@ def unit_sphere_rule(d, resolution):
     pts = np.column_stack([np.kron(np.sqrt(1.0 - x ** 2)[:, None], sub),
                            np.repeat(x, len(sub))])
     return pts, np.kron(wx, w_sub)
-
-
-def surface_psi_integral(m, k, alpha):
-    """Closed form of int_{S_1} psi dmu for the *raw* polar measure."""
-    a1 = alpha + 1.0
-    beta = math.gamma((m + 2 * alpha) / (2 * a1)) * math.gamma(k / 2.0) \
-        / math.gamma((m + 2 * alpha) / (2 * a1) + k / 2.0)
-    return sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
 
 
 def unit_ball_volume_raw(m, k, alpha):
@@ -241,11 +233,11 @@ def mean_value(G, u, g, r, rule, radial_steps=32):
     """Solid mean value M_r u(g) = (Q-2)/Q r^-Q int_{B_r} u(g.h) psi(h) dh."""
     if not isinstance(G, GroupSpec):
         raise NotHType("mean_value is a group-side operation")
-    psi = G.geometry.psi
 
+    # psi is homogeneous of degree 0, so on every radial shell it is rule.psi
     def integrand(z, t):
         pts_z, pts_t = _translate_batch(G, g, z, t)
-        return u(pts_z, pts_t) * psi(z, t)
+        return u(pts_z, pts_t) * rule.psi
 
     q_hom = rule.Q
     return (q_hom - 2.0) / q_hom * r ** (-q_hom) \

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import subfreq as sf
+from subfreq import fixtures
 from subfreq.errors import (
     BadGrid,
     DimensionMismatch,
@@ -35,6 +36,41 @@ def test_integer_alpha_gate():
     assert sf.BaouendiSpec(1, 1, 2.0).integer_alpha() == 2
     with pytest.raises(NonIntegerAlpha):
         sf.BaouendiSpec(1, 1, 1.5).integer_alpha()
+
+
+def test_polynomial_handle_needs_integer_alpha_and_matching_weight():
+    # |grad_H t|^2 = |z|^3 / 4 for a = 1.5: no polynomial handle, and the
+    # alpha is not truncated to 1 (which would give |z|^2 / 4)
+    spec = sf.BaouendiSpec(1, 1, 1.5)
+    with pytest.raises(NonIntegerAlpha):
+        FunctionHandle.from_polynomial(spec, Polynomial.t_var(1, 1, 0, tweight=2))
+    with pytest.raises(DimensionMismatch):
+        FunctionHandle.from_polynomial(sf.BaouendiSpec(1, 1, 2),
+                                       Polynomial.t_var(1, 1, 0, tweight=2))
+    box = FunctionHandle.from_callable(spec, lambda z, t: t[:, 0])
+    assert box.grad_sq(np.array([[0.5]]), np.array([[0.0]]))[0] == pytest.approx(
+        0.5 ** 3 / 4.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1)])
+def test_horizontal_grad_sq_is_carre_du_champ(dims):
+    # B_a(p^2) = 2 p B_a p + 2 |grad_H p|^2, exactly, on non-harmonic p; the
+    # numeric form of the same formula agrees with the exact one
+    spec = sf.BaouendiSpec(*dims)
+    rng = np.random.default_rng(5)
+    z, t = rng.uniform(-1.0, 1.0, (16, spec.m)), rng.uniform(-1.0, 1.0, (16, spec.k))
+    for _ in range(4):
+        p = fixtures.random_polynomial(rng, spec.m, spec.k, tweight=spec.alpha + 1,
+                                       max_degree=4, n_terms=4)
+        assert not sf.baouendi_apply(spec, p).is_zero()
+        dz = [p.diff_z(i) for i in range(spec.m)]
+        dt = [p.diff_t(j) for j in range(spec.k)]
+        grad_sq = spec.horizontal_grad_sq(dz, dt)
+        assert (sf.baouendi_apply(spec, p * p)
+                == p * sf.baouendi_apply(spec, p) * 2 + grad_sq * 2)
+        numeric = spec.horizontal_grad_sq([d.evaluate(z, t) for d in dz],
+                                          [d.evaluate(z, t) for d in dt], z)
+        np.testing.assert_allclose(numeric, grad_sq.evaluate(z, t), rtol=1e-12, atol=1e-12)
 
 
 def test_gauge_homogeneity(ba112):

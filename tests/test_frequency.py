@@ -118,13 +118,27 @@ def test_d_variation_needs_discrepancy_data(h1, rule_h1):
         sf.check_D_variation(u, radii, rule_h1)
 
 
-def test_callable_handle_matches_polynomial(h1, rule_h1):
-    p = fixtures.poly_x2_minus_y2(h1)
-    exact = handle(h1, p)
-    box = FunctionHandle.from_callable(h1, p.evaluate)
+def _baouendi_mixed(spec):
+    t = Polynomial.t_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
+    return t + sf.solid_harmonic_quadratic(spec) * Fraction(1, 10)
+
+
+@pytest.mark.parametrize("context, make", [("h1", fixtures.poly_x2_minus_y2),
+                                           ("ba112", _baouendi_mixed),
+                                           ("ba211", _baouendi_mixed)],
+                         ids=["h1", "ba112", "ba211"])
+def test_callable_handle_matches_polynomial(context, make, request):
+    ctx = request.getfixturevalue(context)
+    rule = request.getfixturevalue(f"rule_{context}")
+    p = make(ctx)
+    exact = handle(ctx, p)
+    box = FunctionHandle.from_callable(ctx, p.evaluate)
     for r in (0.5, 1.0):
-        assert sf.frequency(box, r, rule_h1) == pytest.approx(
-            sf.frequency(exact, r, rule_h1), rel=1e-7)
+        assert sf.frequency(box, r, rule) == pytest.approx(
+            sf.frequency(exact, r, rule), rel=1e-7)
+        z, t = rule.geometry.dilate(r, rule.z, rule.t)
+        want = exact.zu(z, t)
+        assert np.max(np.abs(box.zu(z, t) - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_log_grid_derivative_accuracy():

@@ -17,6 +17,7 @@ from subfreq.errors import (
     OriginSingularity,
 )
 from subfreq.groups import Point, _is_htype
+from subfreq.polynomials import harmonic_basis, sublaplacian
 
 
 def rational_points(m, k):
@@ -205,3 +206,24 @@ def test_htype_identity_matrix_form():
             target = 2.0 * np.eye(4) if l1 == l2 else np.zeros((4, 4))
             assert np.array_equal(prod, target)
     assert _is_htype(g)
+
+
+@pytest.mark.parametrize("make, max_kappa", [(lambda: sf.heisenberg(1), 4),
+                                             (lambda: sf.heisenberg(2), 3),
+                                             (sf.example_group_6d, 2)],
+                         ids=["h1", "h2", "g6"])
+def test_horizontal_grad_sq_is_carre_du_champ(make, max_kappa):
+    # Delta_H(p^2) = 2 p Delta_H p + 2 |grad_H p|^2, exactly; the numeric
+    # form of the same formula agrees with the exact one at sample points
+    G = make()
+    rng = np.random.default_rng(3)
+    z, t = rng.uniform(-1.0, 1.0, (16, G.m)), rng.uniform(-1.0, 1.0, (16, G.k))
+    for kappa in range(1, max_kappa + 1):
+        for p in harmonic_basis(G, kappa):
+            dz = [p.diff_z(i) for i in range(G.m)]
+            dt = [p.diff_t(ell) for ell in range(G.k)]
+            grad_sq = G.horizontal_grad_sq(dz, dt)
+            assert sublaplacian(G, p * p) == p * sublaplacian(G, p) * 2 + grad_sq * 2
+            numeric = G.horizontal_grad_sq([d.evaluate(z, t) for d in dz],
+                                           [d.evaluate(z, t) for d in dt], z)
+            np.testing.assert_allclose(numeric, grad_sq.evaluate(z, t), rtol=1e-12, atol=1e-12)

@@ -214,8 +214,15 @@ def test_gauge_constant_h1_oracle():
                                                          rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_gauge_constant_m2_k1_closed_form(alpha):
+    # for m = 2, k = 1 the Beta factors of the closed form cancel: C = 1/(2 pi)
+    assert sf.gauge_constant(2, 1, alpha) == pytest.approx(1.0 / (2.0 * math.pi),
+                                                           rel=1e-12)
+
+
 def test_gauge_constant_mc_agrees():
-    for (m, k, alpha) in ((2, 1, 1.0), (1, 1, 2.0)):
+    for (m, k, alpha) in ((2, 1, 1.0), (1, 1, 2.0), (1, 1, 0.5), (1, 1, 1.5)):
         det = sf.gauge_constant(m, k, alpha)
         mc, err = sf.gauge_constant_mc(m, k, alpha, samples=400_000, seed=11)
         assert abs(mc - det) < 4.0 * err + 1e-4 * det
