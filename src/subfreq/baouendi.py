@@ -162,27 +162,20 @@ class GridSolution:
     def as_handle(self):
         """FunctionHandle evaluating by multilinear interpolation.
 
-        The partials are second-order central differences on the grid,
-        interpolated by one interpolator on the stacked gradients.  Scalar
-        2-D data take scipy's compiled path instead, which is as fast and
-        rounds differently, so in 2-D each gradient keeps its own."""
+        The partials are second-order central differences on the grid, each
+        interpolated the same way."""
         from scipy.interpolate import RegularGridInterpolator
 
         def interpolator(data):
             return RegularGridInterpolator(self.axes, data, method="linear", bounds_error=True)
 
-        grads = np.gradient(self.values, *self.axes, edge_order=2)
-        if self.values.ndim > 2:
-            stacked = interpolator(np.stack(grads, axis=-1))
-            interpolate_grads = lambda p: stacked(p).T
-        else:
-            columns = [interpolator(g) for g in grads]
-            interpolate_grads = lambda p: [f(p) for f in columns]
         value = interpolator(self.values)
+        grads = [interpolator(g) for g in np.gradient(self.values, *self.axes, edge_order=2)]
         m = self.spec.m
 
         def partials(z, t):
-            d = interpolate_grads(np.concatenate([z, t], axis=1))
+            p = np.concatenate([z, t], axis=1)
+            d = [f(p) for f in grads]
             return d[:m], d[m:]
 
         return FunctionHandle.from_partials(

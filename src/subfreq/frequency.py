@@ -28,9 +28,11 @@ class FunctionHandle:
     `BaouendiSpec.horizontal_grad_sq`: |d_z u|^2 + |z|^(2a)/4 |d_t u|^2), and
     Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.
     Polynomials pass their exact derivatives and keep exact polynomials for
-    |grad_H u|^2 and Zu; black boxes pass central differences with step
-    FD_STEP * (1 + |g|).  `disc` is the discrepancy numerator from the
-    context: exact on H-type group polynomials, zero for B_a, else None.
+    |grad_H u|^2 and Zu; black boxes pass central differences (step
+    FD_STEP * (1 + |g|), 2(m+k) evaluations of u) and take Zu from one
+    central difference along the Euler field (2 evaluations).  `disc` is the
+    discrepancy numerator from the context: exact on H-type group
+    polynomials, zero for B_a, else None.
     """
 
     def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label=""):
@@ -45,16 +47,15 @@ class FunctionHandle:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_partials(cls, context, value, partials, poly=None, label=""):
+    def from_partials(cls, context, value, partials, poly=None, zu=None, label=""):
         """Handle from the Euclidean partials of u: either the pair
         ([d_{z_i} poly], [d_{t_j} poly]) of Polynomials of u = poly (exact), or
-        a function (z, t) -> (dz, dt) returning lists of arrays (numeric)."""
+        a function (z, t) -> (dz, dt) returning lists of arrays (numeric).  Zu
+        is the Euler field of the partials unless a numeric source passes its
+        own `zu`."""
         if callable(partials):
-            def grad_sq(z, t):
-                return context.horizontal_grad_sq(*partials(z, t), z)
-
-            def zu(z, t):
-                return context.geometry.euler_field(z, t, *partials(z, t))
+            grad_sq = lambda z, t: context.horizontal_grad_sq(*partials(z, t), z)
+            zu = zu or (lambda z, t: context.geometry.euler_field(z, t, *partials(z, t)))
         else:
             grad_sq = context.horizontal_grad_sq(*partials).evaluate
             zu = euler(poly).evaluate
@@ -70,19 +71,24 @@ class FunctionHandle:
 
     @classmethod
     def from_callable(cls, context, value, label=""):
+        m = context.m
+
+        def derivative(g, v):
+            """Central difference of u at the points g along the vectors v."""
+            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
+            up, down = g + h[:, None] * v, g - h[:, None] * v
+            return (value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:])) / (2.0 * h)
+
         def partials(z, t):
             g = np.concatenate([z, t], axis=1)
-            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
-            m, d = z.shape[1], []
-            for i in range(g.shape[1]):
-                step = np.zeros_like(g)
-                step[:, i] = h
-                up, down = g + step, g - step
-                d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
-                         / (2.0 * h))
+            d = [derivative(g, e) for e in np.eye(g.shape[1])]
             return d[:m], d[m:]
 
-        return cls.from_partials(context, value, partials, label=label)
+        def zu(z, t):
+            euler_vector = np.concatenate([z, (context.geometry.alpha + 1.0) * t], axis=1)
+            return derivative(np.concatenate([z, t], axis=1), euler_vector)
+
+        return cls.from_partials(context, value, partials, zu=zu, label=label)
 
     def shifted_by(self, other):
         """Handle for u - other (used by Monneau and the Weiss identity)."""

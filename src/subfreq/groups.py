@@ -28,7 +28,7 @@ from .errors import (
     OriginSingularity,
     ParseError,
 )
-from .polynomials import _check_group_poly, _jz_component, discrepancy_poly
+from .polynomials import discrepancy_poly, horizontal_field
 
 METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for k > 2
 METIVIER_TOL = 1e-9
@@ -74,22 +74,13 @@ class GroupSpec:
         return Point((0,) * self.m, (0,) * self.k)
 
     def horizontal_grad_sq(self, dz, dt, z=None):
-        """|grad_H u|^2 = sum_i (d_{z_i} u + 1/2 sum_l (J_l z)_i d_{t_l} u)^2,
-        i.e. sum_i (X_i u)^2, from the Euclidean partials dz = [d_{z_i} u] and
-        dt = [d_{t_l} u].  Exact when they are Polynomials (z unused), numeric
-        when they are arrays at the points z."""
-        if z is None:
-            _check_group_poly(self, dz[0])
-            jz = [[_jz_component(self, ell, i) for i in range(self.m)] for ell in range(self.k)]
-            half = Fraction(1, 2)
-        else:
-            jz = np.einsum("lij,nj->lin", self.J_float, z)
-            half = 0.5
+        """|grad_H u|^2 = sum_i (X_i u)^2 (see `horizontal_field`) from the
+        Euclidean partials dz = [d_{z_i} u] and dt = [d_{t_l} u].  Exact when
+        they are Polynomials (z unused), numeric when they are arrays at the
+        points z."""
         total = 0
         for i in range(self.m):
-            x_i = dz[i]
-            for ell in range(self.k):
-                x_i = x_i + jz[ell][i] * dt[ell] * half
+            x_i = horizontal_field(self, i, dz[i], dt, z)
             total = total + x_i * x_i
         return total
 

@@ -276,6 +276,8 @@ class Polynomial:
 
 
 def _check_group_poly(G, p):
+    if not hasattr(G, "J"):
+        raise DimensionMismatch(f"{type(G).__name__} has no group law")
     if p.m != G.m or p.k != G.k or p.tweight != 2:
         raise DimensionMismatch("polynomial does not match the group")
 
@@ -292,15 +294,28 @@ def _jz_component(G, ell, i):
     return Polynomial(G.m, G.k, 2, terms)
 
 
+def horizontal_field(G, i, dz_i, dt, z=None):
+    """X_i u = d_{z_i} u + (1/2) sum_l <J_l z, e_i> d_{t_l} u from the Euclidean
+    partials dz_i = d_{z_i} u and dt = [d_{t_l} u]: exact when they are
+    Polynomials (z omitted), numeric when they are arrays at the points z."""
+    if z is None:
+        _check_group_poly(G, dz_i)
+    result = dz_i
+    for ell in range(G.k):
+        if z is None:
+            half_jz = _jz_component(G, ell, i) * Fraction(1, 2)
+        else:
+            half_jz = 0.5 * (z @ G.J_float[ell, i])
+        result = result + half_jz * dt[ell]
+    return result
+
+
 def apply_X(G, i, p):
-    """X_i = d_{z_i} + (1/2) sum_l <J_l z, e_i> d_{t_l}."""
+    """X_i p, exactly (see `horizontal_field`)."""
     _check_group_poly(G, p)
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"field index {i} outside 0..{G.m - 1}")
-    result = p.diff_z(i)
-    for ell in range(G.k):
-        result = result + _jz_component(G, ell, i) * p.diff_t(ell) * Fraction(1, 2)
-    return result
+    return horizontal_field(G, i, p.diff_z(i), [p.diff_t(ell) for ell in range(G.k)])
 
 
 def apply_theta(G, ell, p):

@@ -52,6 +52,16 @@ def test_polynomial_handle_needs_integer_alpha_and_matching_weight():
         0.5 ** 3 / 4.0, rel=1e-7)
 
 
+@pytest.mark.parametrize("dims", [(2, 1, 1), (1, 1, 2)])
+def test_polynomial_handle_center_needs_group_law(dims):
+    # B_a has no group law, so there is no left translation to a center
+    from subfreq.groups import Point
+    spec = sf.BaouendiSpec(*dims)
+    p = Polynomial.z_var(spec.m, 1, 0, tweight=spec.integer_alpha() + 1)
+    with pytest.raises(DimensionMismatch, match="no group law"):
+        FunctionHandle.from_polynomial(spec, p, center=Point((0,) * spec.m, (1,)))
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1)])
 def test_horizontal_grad_sq_is_carre_du_champ(dims):
     # B_a(p^2) = 2 p B_a p + 2 |grad_H p|^2, exactly, on non-harmonic p; the
