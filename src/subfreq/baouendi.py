@@ -9,11 +9,11 @@ non-polynomial solutions at desk scale.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -107,8 +107,7 @@ def solid_harmonic_quadratic(spec):
             ratio = c / other
         elif ratio != c / other:
             raise ArithmeticError("B_a images are not proportional")
-    big_a = ratio
-    p = lead - tnorm * big_a
+    p = lead - tnorm * ratio
     assert baouendi_apply(spec, p).is_zero()
     return p
 
@@ -156,7 +155,7 @@ class GridSolution:
     box: tuple          # ((lo, hi), ...) per axis, z axes first
     axes: tuple         # per-axis node arrays
     values: np.ndarray  # full grid including boundary
-    residual: float     # ||A u - b|| / ||b|| of the assembled system
+    residual: float     # |stencil(u)| / |stencil(boundary data)| at the interior nodes
     iterations: int     # CG iterations
 
     def as_handle(self):
@@ -172,37 +171,39 @@ class GridSolution:
         value = interpolator(self.values)
         grads = [interpolator(g) for g in np.gradient(self.values, *self.axes, edge_order=2)]
         m = self.spec.m
+        lo, hi = np.array(self.box).T
+
+        def points(z, t):
+            p = np.concatenate([z, t], axis=1)
+            outside = np.any((p < lo) | (p > hi), axis=1)
+            if outside.any():
+                box = " x ".join(f"[{a:g}, {b:g}]" for a, b in self.box)
+                raise BadGrid(f"point {p[outside][0]} lies outside the FD solution box {box}")
+            return p
 
         def partials(z, t):
-            p = np.concatenate([z, t], axis=1)
+            p = points(z, t)
             d = [f(p) for f in grads]
             return d[:m], d[m:]
 
         return FunctionHandle.from_partials(
-            self.spec, lambda z, t: value(np.concatenate([z, t], axis=1)), partials,
-            label="fd-solution")
-
-
-def _second_difference(n, h):
-    """Sparse 1-D second difference on n interior nodes, Dirichlet ends."""
-    main = np.full(n, -2.0 / h ** 2)
-    off = np.full(n - 1, 1.0 / h ** 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+            self.spec, lambda z, t: value(points(z, t)), partials, label="fd-solution")
 
 
 def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     """Solve B_a u = 0 with Dirichlet data, by preconditioned conjugate gradients.
 
-    Second-order centered stencil; the degenerate coefficient |z|^(2a)/4
-    multiplies only t-differences between nodes sharing their z-slot, so
-    the (negated) system is symmetric positive definite.  The coefficient
-    depends on z only and the t axis is uniform with Dirichlet ends, so an
-    orthonormal DST-I in t diagonalises the t-difference (fast
-    diagonalisation, Lynch, Rice & Thomas 1964) and leaves one banded SPD
-    system in z per t-mode.  Those solves form the exact inverse, which
-    preconditions CG on the assembled stencil: CG stops after one or two
-    iterations, and the assembled matrix alone defines the scheme and the
-    residual.  Supports N = m + k in {2, 3} with at most 257 nodes per
+    `stencil` is the scheme: the second-order centred B_a stencil at the
+    interior nodes of a full-grid array, with the degenerate coefficient
+    |z|^(2a)/4 on the t-differences only, so the (negated) operator is
+    symmetric positive definite.  It gives the right-hand side (the stencil
+    of the boundary data), the matrix-free CG operator and the residual.
+    The coefficient depends on z only and the t axis is uniform with
+    Dirichlet ends, so an orthonormal DST-I in t diagonalises the
+    t-difference (fast diagonalisation, Lynch, Rice & Thomas 1964) and
+    leaves one banded SPD system in z per t-mode.  Those solves form the
+    exact inverse, which preconditions CG: it stops after one or two
+    iterations.  Supports N = m + k in {2, 3} with at most 257 nodes per
     axis."""
     from scipy.fft import dst
 
@@ -218,66 +219,41 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes))
     steps = [ax[1] - ax[0] for ax in axes]
     shape = tuple(grid_sizes)
+    ni = tuple(n - 2 for n in shape)
+    interior = (slice(1, -1),) * ndim
 
-    full = np.zeros(shape)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts_z = np.stack([mesh[i].ravel() for i in range(m)], axis=1)
-    pts_t = np.stack([mesh[m + j].ravel() for j in range(k)], axis=1)
-    bvals = boundary_fn(pts_z, pts_t).reshape(shape)
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(ndim):
-        sl = [slice(None)] * ndim
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = -1
-        mask[tuple(sl)] = True
-    full[mask] = bvals[mask]
+    full = np.array(boundary_fn(pts_z, mesh[m].reshape(-1, 1)), dtype=float).reshape(shape)
+    full[interior] = 0.0
 
-    interior_axes = [ax[1:-1] for ax in axes]
-    ni = [len(ax) for ax in interior_axes]
-    zmesh = np.meshgrid(*interior_axes[:m], indexing="ij")
-    coeff = sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0
-    c = coeff.ravel()
+    zmesh = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
+    coeff = (sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0)[..., None]
 
-    # op = lap_zz (x) I_t + diag(c) (x) d2_t, with lap_zz the Kronecker sum
-    # over the z axes (the last axis varies fastest)
-    d2 = [_second_difference(n, h) for n, h in zip(ni, steps)]
-    lap_zz = d2[0]
-    for d in d2[1:m]:
-        lap_zz = sp.kronsum(d, lap_zz)
-    n_t = ni[-1]
-    op = (sp.kron(lap_zz, sp.identity(n_t)) + sp.kron(sp.diags(c), d2[-1])).tocsr()
-
-    # right-hand side from boundary values entering the stencil
-    rhs = np.zeros(ni)
-    interior = tuple(slice(1, -1) for _ in range(ndim))
-    for axis in range(ndim):
-        h2 = steps[axis] ** 2
-        lo = [slice(1, -1)] * ndim
-        hi = [slice(1, -1)] * ndim
-        lo[axis] = 0
-        hi[axis] = -1
-        tgt_lo = [slice(None)] * ndim
-        tgt_hi = [slice(None)] * ndim
-        tgt_lo[axis] = 0
-        tgt_hi[axis] = -1
-        contrib_lo = full[tuple(lo)] / h2
-        contrib_hi = full[tuple(hi)] / h2
-        if axis >= m:
-            contrib_lo = contrib_lo * coeff
-            contrib_hi = contrib_hi * coeff
-        rhs[tuple(tgt_lo)] -= contrib_lo
-        rhs[tuple(tgt_hi)] -= contrib_hi
+    def stencil(g):
+        # the centred B_a stencil of the full-grid array g at the interior nodes
+        out = np.zeros(ni)
+        for axis, h in enumerate(steps):
+            lo, hi = list(interior), list(interior)
+            lo[axis], hi[axis] = slice(None, -2), slice(2, None)
+            d2 = (g[tuple(lo)] - 2.0 * g[interior] + g[tuple(hi)]) / h ** 2
+            out += coeff * d2 if axis >= m else d2
+        return out
 
     # exact inverse: d2_t = S diag(lam) S with S the orthonormal DST-I, so
-    # t-mode j leaves the SPD system -(lap_zz + lam_j diag(c)), banded with
-    # half-bandwidth bw, kept in upper band storage
-    nz = len(c)
+    # t-mode j leaves the SPD system -lap_zz - lam_j diag(c), banded with
+    # half-bandwidth bw (the stride of z axis 0), kept in upper band storage
+    c = coeff.ravel()
+    nz, n_t = len(c), ni[-1]
     bw = nz // ni[0]
     lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
-    upper = sp.triu(-lap_zz, format="coo")
     bands = np.zeros((bw + 1, nz))
-    bands[bw + upper.row - upper.col, upper.col] = upper.data
+    bands[bw] = sum(2.0 / h ** 2 for h in steps[:m])
+    for i in range(m):
+        # -1/h_i^2 couples each node to its neighbour one stride s_i back along z_i
+        stride = math.prod(ni[i + 1:m])
+        band = bands[bw - stride].reshape(ni[:m])
+        band[(slice(None),) * i + (slice(1, None),)] = -1.0 / steps[i] ** 2
 
     def exact_inverse(r):
         modes = dst(r.reshape(nz, n_t), type=1, norm="ortho", axis=1)
@@ -288,25 +264,28 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
                                         check_finite=False)
         return dst(modes, type=1, norm="ortho", axis=1).ravel()
 
-    b = -rhs.ravel()
-    a_mat = -op  # SPD
-    precond = LinearOperator(a_mat.shape, matvec=exact_inverse, dtype=float)
-    iterations = 0
+    work = np.zeros(shape)  # zero boundary, interior overwritten by each matvec
 
-    def count(xk):
-        nonlocal iterations
-        iterations += 1
+    def negated_stencil(x):
+        work[interior] = x.reshape(ni)
+        return -stencil(work).ravel()
 
-    sol, info = cg(a_mat, b, x0=np.zeros(a_mat.shape[0]), rtol=1e-12, atol=0.0,
-                   maxiter=20000, M=precond, callback=count)
-    resid = float(np.linalg.norm(a_mat @ sol - b)) / (float(np.linalg.norm(b)) or 1.0)
+    n = math.prod(ni)
+    a_op = LinearOperator((n, n), matvec=negated_stencil, dtype=float)  # SPD
+    precond = LinearOperator((n, n), matvec=exact_inverse, dtype=float)
+    b = stencil(full).ravel()
+    iterates = []  # one entry per CG iteration
+    sol, info = cg(a_op, b, x0=np.zeros(n), rtol=1e-12, atol=0.0,
+                   maxiter=20000, M=precond, callback=iterates.append)
+    iterations = len(iterates)
+    full[interior] = sol.reshape(ni)
+    resid = float(np.linalg.norm(stencil(full))) / (float(np.linalg.norm(b)) or 1.0)
     if info != 0 or resid > tol:
         raise NoConvergence(
             f"CG stopped (info={info}) after {iterations} iterations with "
             f"residual {resid:.3e}, tolerance {tol}",
             iterations=iterations, residual=resid)
 
-    full[interior] = sol.reshape(ni)
     return GridSolution(spec=spec, box=tuple(tuple(b_) for b_ in box),
                         axes=axes, values=full, residual=resid,
                         iterations=iterations)

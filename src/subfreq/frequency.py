@@ -104,9 +104,9 @@ class FunctionHandle:
 # -- core functionals ------------------------------------------------------
 
 
-def dirichlet(u, r, rule, radial_steps=32):
+def dirichlet(u, r, rule):
     """D(r) = int_{B_r} |grad_H u|^2 dg."""
-    return volume_integral(u.grad_sq, r, rule, radial_steps)
+    return volume_integral(u.grad_sq, r, rule)
 
 
 def height(u, r, rule):
@@ -123,16 +123,16 @@ def _frequency_from(u, r, rule, d, h):
     return r * d / h
 
 
-def frequency(u, r, rule, radial_steps=32):
+def frequency(u, r, rule):
     """N(r) = r D(r) / H(r); raises ZeroHeight when u vanishes on B_r."""
-    return _frequency_from(u, r, rule, dirichlet(u, r, rule, radial_steps),
+    return _frequency_from(u, r, rule, dirichlet(u, r, rule),
                            height(u, r, rule))
 
 
-def weiss(u, kappa, r, rule, radial_steps=32):
+def weiss(u, kappa, r, rule):
     """W_kappa(u, r) = D/r^(Q-2+2k) - kappa H/r^(Q-1+2k)."""
     q = rule.Q
-    return (dirichlet(u, r, rule, radial_steps) / r ** (q - 2.0 + 2.0 * kappa)
+    return (dirichlet(u, r, rule) / r ** (q - 2.0 + 2.0 * kappa)
             - kappa * height(u, r, rule) / r ** (q - 1.0 + 2.0 * kappa))
 
 
@@ -153,13 +153,13 @@ def monneau(u, p_handle, kappa, r, rule):
     return height(diff, r, rule) / r ** (rule.Q - 1.0 + 2.0 * kappa)
 
 
-def doubling_ratio(u, r, rule, radial_steps=32):
+def doubling_ratio(u, r, rule):
     """int_{B_2r} u^2 / int_{B_r} u^2."""
     u_sq = lambda z, t: u.value(z, t) ** 2
-    denom = volume_integral(u_sq, r, rule, radial_steps)
+    denom = volume_integral(u_sq, r, rule)
     if denom == 0.0:
         raise ZeroDenominator(f"int_(B_{r}) u^2 = 0")
-    return volume_integral(u_sq, 2.0 * r, rule, radial_steps) / denom
+    return volume_integral(u_sq, 2.0 * r, rule) / denom
 
 
 def discrepancy_surface_norm(u, r, rule):
@@ -302,7 +302,7 @@ class FrequencyCurve:
         return "\n".join(lines) + "\n"
 
 
-def frequency_curve(u, rule, radii, kappa=None, ref=None, radial_steps=32):
+def frequency_curve(u, rule, radii, kappa=None, ref=None):
     """Sample D, H, N (and optionally W_kappa, M_kappa) on a radius grid.
 
     ZeroHeight radii yield NaN in the N column."""
@@ -315,7 +315,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None, radial_steps=32):
     m_col = np.full(n, math.nan)
     e_col = np.empty(n)
     for i, r in enumerate(radii):
-        d_col[i] = dirichlet(u, r, rule, radial_steps)
+        d_col[i] = dirichlet(u, r, rule)
         h_col[i] = height(u, r, rule)
         try:
             n_col[i] = _frequency_from(u, r, rule, d_col[i], h_col[i])

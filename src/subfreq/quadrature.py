@@ -51,6 +51,7 @@ from .groups import GroupSpec
 
 MIN_RESOLUTION = 4
 MAX_RULE_NODES = 2 ** 24
+RADIAL_STEPS = 32  # Gauss-Jacobi radii of every volume integral
 
 
 @dataclass(frozen=True)
@@ -162,17 +163,17 @@ def build_sphere_rule(context, resolution):
 
 
 @lru_cache(maxsize=64)
-def _radial_rule(n, q_hom):
+def _radial_rule(q_hom):
     """Nodes/weights for int_0^1 g(v) v^(Q-1) dv (Jacobi weight, exact in Q)."""
-    x, w = roots_jacobi(n, 0.0, q_hom - 1.0)
+    x, w = roots_jacobi(RADIAL_STEPS, 0.0, q_hom - 1.0)
     v = 0.5 * (x + 1.0)
     wv = w * 2.0 ** (-q_hom)
     return v, wv
 
 
-def volume_integral(f, r, rule, radial_steps=32):
+def volume_integral(f, r, rule):
     """int_{B_r} f dg via the polar factorization radii x sphere rule."""
-    v, wv = _radial_rule(radial_steps, rule.Q)
+    v, wv = _radial_rule(rule.Q)
     a1 = rule.alpha + 1.0
     total = 0.0
     for vi, wi in zip(v, wv):
@@ -229,7 +230,7 @@ def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
     return {"value": value, "stderr": stderr, "hits": int(inside.sum())}
 
 
-def mean_value(G, u, g, r, rule, radial_steps=32):
+def mean_value(G, u, g, r, rule):
     """Solid mean value M_r u(g) = (Q-2)/Q r^-Q int_{B_r} u(g.h) psi(h) dh."""
     if not isinstance(G, GroupSpec):
         raise NotHType("mean_value is a group-side operation")
@@ -241,7 +242,7 @@ def mean_value(G, u, g, r, rule, radial_steps=32):
 
     q_hom = rule.Q
     return (q_hom - 2.0) / q_hom * r ** (-q_hom) \
-        * volume_integral(integrand, r, rule, radial_steps)
+        * volume_integral(integrand, r, rule)
 
 
 def _translate_batch(G, g, z, t):

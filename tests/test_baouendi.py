@@ -209,17 +209,21 @@ def test_fd_solver_guards(ba112):
         sf.fd_solve(ba112, [(-1, 1)], [9, 9], lambda z, t: np.zeros(len(z)))
 
 
-def test_fd_reproduces_exact_solution(ba112):
+@pytest.mark.parametrize("dims, sizes", [((1, 1, 2), (33, 65)), ((2, 1, 1), (17, 33))],
+                         ids=["ba112", "ba211"])
+def test_fd_reproduces_exact_solution(dims, sizes):
     # manufactured solution: polynomial in the kernel of B_alpha supplies
     # both the boundary data and the exact reference
-    exact = mixed_fixture(ba112)
-    box = [(-1.0, 1.0), (-1.0, 1.0)]
+    spec = sf.BaouendiSpec(*dims)
+    exact = mixed_fixture(spec)
+    ndim = spec.m + spec.k
+    box = [(-1.0, 1.0)] * ndim
     errs = []
-    for n in (33, 65):
-        sol = sf.fd_solve(ba112, box, [n, n], exact.evaluate)
+    for n in sizes:
+        sol = sf.fd_solve(spec, box, [n] * ndim, exact.evaluate)
         mesh = np.meshgrid(*sol.axes, indexing="ij")
-        zs = mesh[0].ravel()[:, None]
-        ts = mesh[1].ravel()[:, None]
+        zs = np.stack([mesh[i].ravel() for i in range(spec.m)], axis=1)
+        ts = mesh[-1].ravel()[:, None]
         ref = exact.evaluate(zs, ts).reshape(sol.values.shape)
         errs.append(np.max(np.abs(sol.values - ref)))
     assert errs[1] < 1e-3
@@ -245,7 +249,7 @@ def _generic_boundary(z, t):
 
 def _stencil_residual(spec, sol):
     """Relative residual of the centered B_a stencil on the interior nodes,
-    applied to sol.values by slicing, without the solver's sparse matrix."""
+    applied to sol.values by slicing, independently of the solver's stencil."""
     u = sol.values
     inner = (slice(1, -1),) * u.ndim
 

@@ -156,6 +156,19 @@ def test_baouendi_solve_and_frequency(tmp_path, capsys):
         assert float(line.split(",")[3]) == pytest.approx(3.0, abs=0.05)
 
 
+def test_baouendi_frequency_outside_box_exit_2(tmp_path, capsys):
+    bpoly = tmp_path / "b.json"
+    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({
+        "m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+        "grid": [17, 17], "boundary": f"poly:{bpoly}"}))
+    # gauge balls of radius > 1 leave the box of the FD solution
+    assert entry(["baouendi", "frequency", "--problem", str(prob),
+                  "--rmin", "0.5", "--rmax", "2", "--steps", "3"]) == 2
+    assert "[-1, 1] x [-1, 1]" in capsys.readouterr().err
+
+
 def test_baouendi_polynomial_mode(tmp_path, capsys):
     poly = tmp_path / "t.json"
     poly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
