@@ -223,9 +223,11 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     interior = (slice(1, -1),) * ndim
 
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts_z = np.stack([mesh[i].ravel() for i in range(m)], axis=1)
-    full = np.array(boundary_fn(pts_z, mesh[m].reshape(-1, 1)), dtype=float).reshape(shape)
-    full[interior] = 0.0
+    edge = np.ones(shape, dtype=bool)
+    edge[interior] = False
+    full = np.zeros(shape)  # the boundary data, evaluated on the boundary nodes only
+    pts_z = np.stack([mesh[i][edge] for i in range(m)], axis=1)
+    full[edge] = np.asarray(boundary_fn(pts_z, mesh[m][edge].reshape(-1, 1)), dtype=float).ravel()
 
     zmesh = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
     coeff = (sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0)[..., None]

@@ -126,12 +126,17 @@ def cmd_discrepancy(args):
     return 0
 
 
+def _solve_problem(path):
+    """Read a problem file and solve it; returns (spec, grid, solution)."""
+    spec, box, grid, poly = problem_from_json(_read(path))
+    return spec, grid, fd_solve(spec, box, grid, poly.evaluate)
+
+
 def _baouendi_input(args):
-    """Returns (spec, function, rule_context). Solves the FD problem when a
-    problem file is given, otherwise loads a polynomial."""
+    """Returns (spec, function handle). Solves the FD problem when a problem
+    file is given, otherwise loads a polynomial."""
     if args.problem:
-        spec, box, grid, poly = problem_from_json(_read(args.problem))
-        sol = fd_solve(spec, box, grid, poly.evaluate)
+        spec, _, sol = _solve_problem(args.problem)
         return spec, sol.as_handle()
     if not (args.poly and args.m and args.k and args.alpha is not None):
         raise ParseError("need --problem, or --poly with --m --k --alpha")
@@ -142,8 +147,7 @@ def _baouendi_input(args):
 
 
 def cmd_baouendi_solve(args):
-    spec, box, grid, poly = problem_from_json(_read(args.problem))
-    sol = fd_solve(spec, box, grid, poly.evaluate)
+    spec, grid, sol = _solve_problem(args.problem)
     if args.out:
         np.savez(args.out, *sol.axes, values=sol.values)
     print(f"m={spec.m} k={spec.k} alpha={spec.alpha} grid={grid} "
@@ -251,13 +255,12 @@ def build_parser():
     bp = sub.add_parser("baouendi", help="Baouendi operator tools")
     bsub = bp.add_subparsers(dest="subcommand", required=True)
 
-    def common_b(p, need_problem=False):
-        p.add_argument("--problem", required=need_problem)
-        if not need_problem:
-            p.add_argument("--poly")
-            p.add_argument("--m", type=int)
-            p.add_argument("--k", type=int)
-            p.add_argument("--alpha", type=float)
+    def common_b(p):
+        p.add_argument("--problem")
+        p.add_argument("--poly")
+        p.add_argument("--m", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--alpha", type=float)
         p.add_argument("--resolution", type=int, default=32)
         p.add_argument("--out")
 
@@ -312,9 +315,6 @@ def entry(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SubfreqError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank and determinant are computed by sympy's DomainMatrix
-over QQ (imported on first use, so that importing the package does not
-load sympy).  Inputs and results are Fractions.
+Rank and determinant are computed by sympy's DomainMatrix over QQ, and
+the kernel is sympy's null space over ZZ (imported on first use, so that
+importing the package does not load sympy).  Inputs and results are
+Fractions.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def to_fraction(x):
@@ -39,56 +40,25 @@ def _fraction(q):
     return Fraction(q.numerator, q.denominator)
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns).
-
-    The RREF of a matrix is unique, so neither depends on how it is computed.
-    """
-    if not rows:
-        return [], []
-    reduced, pivots = _domain_matrix(rows).rref()
-    return [[_fraction(x) for x in row] for row in reduced.to_list()], list(pivots)
-
-
 def rank(rows):
     return _domain_matrix(rows).rank() if rows else 0
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the null space of the matrix, as integer-cleared vectors.
+    """Basis of the null space of the matrix, as primitive integer vectors.
 
-    One basis vector per free column, in increasing column order; each vector
-    has entry +denominator-cleared 1-slot at its free column.
+    One vector per free column of the reduced matrix, in increasing column
+    order, divided by the gcd of its entries and signed so that its first
+    nonzero entry is positive.  Scaling a row to integers keeps the null
+    space, which sympy then computes fraction-free over ZZ.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    _, numerators = _domain_matrix(rows or [[0] * ncols]).clear_denoms_rowwise(convert=True)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(clear_denominators(vec))
+    for vec in numerators.nullspace().to_list():
+        vec = [int(x) for x in vec]
+        g = gcd(*vec) if next(x for x in vec if x) > 0 else -gcd(*vec)
+        basis.append([Fraction(x // g) for x in vec])
     return basis
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to coprime integers with positive leading sign."""
-    denoms = [x.denominator for x in vec if x != 0]
-    if not denoms:
-        return [Fraction(0)] * len(vec)
-    mult = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-    ints = [x * mult for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, int(x))
-    if g > 1:
-        ints = [x / g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
 
 
 def det(rows):

@@ -2,12 +2,7 @@
 
 from fractions import Fraction
 
-from .groups import heisenberg
 from .polynomials import Polynomial, sublaplacian
-
-
-def h1():
-    return heisenberg(1)
 
 
 def poly_x(G):

@@ -129,11 +129,14 @@ def frequency(u, r, rule):
                            height(u, r, rule))
 
 
+def _weiss_from(d, h, r, kappa, q):
+    """d/r^(Q-2+2k) - kappa h/r^(Q-1+2k) for d = D(r), h = H(r)."""
+    return d / r ** (q - 2.0 + 2.0 * kappa) - kappa * h / r ** (q - 1.0 + 2.0 * kappa)
+
+
 def weiss(u, kappa, r, rule):
     """W_kappa(u, r) = D/r^(Q-2+2k) - kappa H/r^(Q-1+2k)."""
-    q = rule.Q
-    return (dirichlet(u, r, rule) / r ** (q - 2.0 + 2.0 * kappa)
-            - kappa * height(u, r, rule) / r ** (q - 1.0 + 2.0 * kappa))
+    return _weiss_from(dirichlet(u, r, rule), height(u, r, rule), r, kappa, rule.Q)
 
 
 def _require_vanishing_discrepancy(handle):
@@ -322,8 +325,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
         except ZeroHeight:
             n_col[i] = math.nan
         if kappa is not None:
-            w_col[i] = (d_col[i] / r ** (rule.Q - 2.0 + 2.0 * kappa)
-                        - kappa * h_col[i] / r ** (rule.Q - 1.0 + 2.0 * kappa))
+            w_col[i] = _weiss_from(d_col[i], h_col[i], r, kappa, rule.Q)
             if ref is not None:
                 m_col[i] = monneau(u, ref, kappa, r, rule)
         e_col[i] = discrepancy_surface_norm(u, r, rule)

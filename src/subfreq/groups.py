@@ -61,6 +61,10 @@ class GroupSpec:
         return np.array(self.J, dtype=float)
 
     @cached_property
+    def is_htype(self):
+        return _is_htype(self)
+
+    @cached_property
     def classification(self):
         return classify(self)
 
@@ -87,12 +91,12 @@ class GroupSpec:
     def discrepancy(self, p):
         """Numerator of the discrepancy of the polynomial p (see
         `discrepancy_poly`); None when p is None or G is not of H-type."""
-        if p is None or not self.classification["is_htype"]:
+        if p is None or not self.is_htype:
             return None
         return discrepancy_poly(self, p)
 
     def require_htype(self, what):
-        if not self.classification["is_htype"]:
+        if not self.is_htype:
             raise NotHType(f"{what} requires a group of Heisenberg type")
 
 
@@ -206,7 +210,7 @@ def _is_metivier(G):
 
 def classify(G):
     """Return {"is_htype": bool, "is_metivier": bool}."""
-    return {"is_htype": _is_htype(G), "is_metivier": _is_metivier(G)}
+    return {"is_htype": G.is_htype, "is_metivier": _is_metivier(G)}
 
 
 def _check_point(G, g):

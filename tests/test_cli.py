@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +130,18 @@ def test_frequency_with_center(h1_file, x_file, capsys):
                   "--steps", "2", "--resolution", "8"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 3
+
+
+def test_frequency_on_h1_loads_no_sympy(h1_file, x_file):
+    # the H-type test is exact and cheap; the Metivier test (a sympy
+    # determinant for k = 1) is not needed to compute a curve
+    code = ("import sys; from subfreq.cli import entry; "
+            f"rc = entry(['frequency', '--group', {h1_file!r}, '--poly', {x_file!r}, "
+            "'--steps', '2', '--resolution', '8']); "
+            "assert rc == 0; assert 'sympy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
 
 
 def test_discrepancy_command(h1_file, x_file, capsys):

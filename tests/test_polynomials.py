@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -162,6 +163,17 @@ def test_harmonic_basis_spans_known_elements(h1):
 
 def test_harmonic_basis_deterministic(h1):
     assert sf.harmonic_basis(h1, 3) == sf.harmonic_basis(h1, 3)
+
+
+@pytest.mark.parametrize("group, kappa, digest", [
+    ("h2", 6, "48d4db0dba0f6103f00bbcd697e6afa28ecf2d539a28df8ef7cda9c301a79b49"),
+    ("g6", 4, "83691b7ac846e93760003c3978d8da0ed92368ab858c9f52a779c2334df8e84a"),
+], ids=["h2-6", "g6-4"])
+def test_harmonic_basis_pinned(group, kappa, digest):
+    # the order, sign and scaling of the basis are part of `harmonics --json`
+    G = sf.heisenberg(2) if group == "h2" else sf.example_group_6d()
+    payload = json.dumps([p.to_json() for p in sf.harmonic_basis(G, kappa)])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_discrepancy_fixtures(h1):
