@@ -60,6 +60,7 @@ from .polynomials import (
     apply_X,
     apply_theta,
     baouendi_apply,
+    cylindrical_harmonic,
     discrepancy_poly,
     euler,
     euler_Z,

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .frequency import FunctionHandle
-from .polynomials import Polynomial, baouendi_apply, euler
+from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic, euler
 
 
 @dataclass(frozen=True)
@@ -85,31 +85,11 @@ def z_alpha_apply(spec, u):
 
 
 def solid_harmonic_quadratic(spec):
-    """P = |z|^(2(a+1)) - A |t|^2 with A derived from B_a P = 0.
-
-    The constant is not hard-coded: it is the exact ratio of the two
-    symbolic images B_a(|z|^(2(a+1))) and B_a(|t|^2), and the result is
-    verified to be annihilated exactly.
-    """
+    """P = |z|^(2(a+1)) - A |t|^2 with A derived from B_a P = 0
+    (`cylindrical_harmonic`)."""
     a = spec.integer_alpha()
-    tweight = a + 1
-    znorm = Polynomial.z_norm_sq(spec.m, spec.k, tweight)
-    tnorm = Polynomial.t_norm_sq(spec.m, spec.k, tweight)
-    lead = znorm ** (a + 1)
-    img_lead = baouendi_apply(spec, lead)      # c * |z|^(2a)
-    img_tn = baouendi_apply(spec, tnorm)       # (k/2) * |z|^(2a)
-    ratio = None
-    for key, c in img_lead.terms.items():
-        other = img_tn.terms.get(key)
-        if other is None:
-            raise ArithmeticError("unexpected monomial structure in B_a images")
-        if ratio is None:
-            ratio = c / other
-        elif ratio != c / other:
-            raise ArithmeticError("B_a images are not proportional")
-    p = lead - tnorm * ratio
-    assert baouendi_apply(spec, p).is_zero()
-    return p
+    lead = Polynomial.z_norm_sq(spec.m, spec.k, a + 1) ** (a + 1)
+    return cylindrical_harmonic(lambda q: baouendi_apply(spec, q), lead)
 
 
 def derived_quadratic_constant(spec):

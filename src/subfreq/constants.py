@@ -15,7 +15,8 @@ the (m+a-1) factor, and what is left is the flux normalization
 
     C^-1 = (Q-2) int_{S_1} psi dmu,
 
-with the raw polar measure dmu of `quadrature` (`surface_psi_integral`).
+with the raw polar measure dmu of `quadrature` (`polar_moment` with
+e = 2a, since psi = s^(2a) on S_1).
 An importance-sampled Monte-Carlo estimator of the defining integral,
 with a reported standard error, is the independent oracle.
 """
@@ -121,18 +122,20 @@ def _defining_integral_mc(m, k, alpha, samples, seed):
     return mean, stderr
 
 
-def surface_psi_integral(m, k, alpha):
-    """Closed form of int_{S_1} psi dmu for the *raw* polar measure."""
+def polar_moment(m, k, alpha, e):
+    """Closed form of int_{S_1} s^e dmu, s = |z|, for the *raw* polar measure.
+
+    e = 2 alpha gives int_{S_1} psi dmu; e = 0 gives Q |B_1|."""
     a1 = alpha + 1.0
-    beta = math.gamma((m + 2 * alpha) / (2 * a1)) * math.gamma(k / 2.0) \
-        / math.gamma((m + 2 * alpha) / (2 * a1) + k / 2.0)
+    beta = math.gamma((m + e) / (2 * a1)) * math.gamma(k / 2.0) \
+        / math.gamma((m + e) / (2 * a1) + k / 2.0)
     return sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
 
 
 def gauge_constant(m, k, alpha=1.0):
     """The constant C in Gamma = C * rho_a^(2-Q), in closed form."""
     q = m + (alpha + 1.0) * k
-    return 1.0 / ((q - 2.0) * surface_psi_integral(m, k, alpha))
+    return 1.0 / ((q - 2.0) * polar_moment(m, k, alpha, 2 * alpha))
 
 
 def gauge_constant_mc(m, k, alpha=1.0, samples=200_000, seed=0):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from .polynomials import Polynomial, sublaplacian
+from .polynomials import Polynomial, cylindrical_harmonic, sublaplacian
 
 
 def poly_x(G):
@@ -24,20 +24,12 @@ def poly_x2_minus_y2(G):
 
 
 def quartic_cylindrical(G):
-    """|z|^4 + c t^2 with c derived so the polynomial is harmonic.
+    """|z|^4 - A |t|^2 with A derived so the polynomial is harmonic
+    (`cylindrical_harmonic`).
 
     Cylindrically symmetric, hence has vanishing discrepancy."""
-    zn = Polynomial.z_norm_sq(G.m, G.k)
-    tn = Polynomial.t_norm_sq(G.m, G.k)
-    img_z = sublaplacian(G, zn * zn)
-    img_t = sublaplacian(G, tn)
-    ratios = {key: c / img_t.terms[key] for key, c in img_z.terms.items()}
-    vals = set(ratios.values())
-    assert len(vals) == 1
-    c = -vals.pop()
-    p = zn * zn + tn * c
-    assert sublaplacian(G, p).is_zero()
-    return p
+    lead = Polynomial.z_norm_sq(G.m, G.k) ** 2
+    return cylindrical_harmonic(lambda q: sublaplacian(G, q), lead)
 
 
 def one_plus_t(G):

@@ -193,7 +193,8 @@ def log_grid_derivative(values, radii):
         raise ValueError("need at least 5 radii")
     dx = math.log(radii[1] / radii[0])
     steps = np.diff(np.log(radii))
-    assert np.allclose(steps, dx, rtol=1e-8), "radius grid is not geometric"
+    if not np.allclose(steps, dx, rtol=1e-8):
+        raise ValueError("radius grid is not geometric")
     inner = slice(2, len(radii) - 2)
     dv = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dx)
     return radii[inner], dv / radii[inner], inner

@@ -330,21 +330,33 @@ def apply_theta(G, ell, p):
 
 
 def sublaplacian(G, p):
-    """Delta_H = Delta_z + (1/4) sum <J_l z, J_l' z> d_{t_l} d_{t_l'}
-    + sum d_{t_l} Theta_l."""
+    """Delta_H = sum_i X_i^2, exactly."""
     _check_group_poly(G, p)
     result = Polynomial.zero(G.m, G.k, 2)
     for i in range(G.m):
-        result = result + p.diff_z(i).diff_z(i)
-    for l1 in range(G.k):
-        for l2 in range(G.k):
-            inner = Polynomial.zero(G.m, G.k, 2)
-            for i in range(G.m):
-                inner = inner + _jz_component(G, l1, i) * _jz_component(G, l2, i)
-            result = result + inner * p.diff_t(l1).diff_t(l2) * Fraction(1, 4)
-    for ell in range(G.k):
-        result = result + apply_theta(G, ell, p.diff_t(ell))
+        result = result + apply_X(G, i, apply_X(G, i, p))
     return result
+
+
+def cylindrical_harmonic(apply, lead):
+    """lead - A |t|^2, annihilated by the linear operator `apply`.
+
+    A is the exact ratio of the images apply(lead) and apply(|t|^2), so it
+    is derived, not hard-coded; lead is a cylindrical leading part such as
+    |z|^4 for Delta_H or |z|^(2(a+1)) for B_a.  Raises ArithmeticError when
+    the two images are not proportional or the result is not annihilated.
+    """
+    tnorm = Polynomial.t_norm_sq(lead.m, lead.k, lead.tweight)
+    img_lead, img_t = apply(lead), apply(tnorm)
+    if img_lead.terms.keys() != img_t.terms.keys():
+        raise ArithmeticError("images of the lead and of |t|^2 have different monomials")
+    ratios = {c / img_t.terms[key] for key, c in img_lead.terms.items()}
+    if len(ratios) != 1:
+        raise ArithmeticError("images of the lead and of |t|^2 are not proportional")
+    p = lead - tnorm * ratios.pop()
+    if not apply(p).is_zero():
+        raise ArithmeticError("lead - A |t|^2 is not annihilated")
+    return p
 
 
 def euler_Z(G, p):

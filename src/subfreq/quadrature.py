@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .constants import Geometry, sphere_area, surface_psi_integral
+from .constants import Geometry, polar_moment
 from .errors import InsufficientSamples, NotHType, ResolutionTooLarge, ResolutionTooSmall
 from .groups import GroupSpec
 
@@ -101,15 +101,6 @@ def unit_sphere_rule(d, resolution):
     return pts, np.kron(wx, w_sub)
 
 
-def unit_ball_volume_raw(m, k, alpha):
-    """Closed form of |B_1| for the raw (uncalibrated) measure."""
-    a1 = alpha + 1.0
-    q = m + a1 * k
-    beta = math.gamma(m / (2 * a1)) * math.gamma(k / 2.0) \
-        / math.gamma(m / (2 * a1) + k / 2.0)
-    return sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1 * q)
-
-
 def build_sphere_rule(context, resolution):
     """Quadrature rule for the calibrated polar measure on S_1."""
     if resolution < MIN_RESOLUTION:
@@ -152,7 +143,7 @@ def build_sphere_rule(context, resolution):
     weights = np.kron(np.kron(wu, w_omega), w_tau)
     psi = np.repeat(u ** alpha, n_omega * n_tau)
 
-    gamma = (q_hom ** 2 / (q_hom - 2.0)) / surface_psi_integral(m, k, alpha)
+    gamma = (q_hom ** 2 / (q_hom - 2.0)) / polar_moment(m, k, alpha, 2 * alpha)
     weights = weights * gamma
 
     assert np.max(np.abs(geometry.rho(z_nodes, t_nodes) - 1.0)) <= 1e-12

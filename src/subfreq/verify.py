@@ -24,7 +24,7 @@ from .groups import example_group_6d, example_group_metivier, heisenberg
 from .polynomials import (
     Polynomial,
     apply_X,
-    apply_theta,
+    discrepancy_poly,
     euler_Z,
     sublaplacian,
 )
@@ -117,9 +117,7 @@ def run_battery(resolution=32, seed=12345, n_random=25, flip_psi=False):
     # six-dimensional example group: exact discrepancy fixture
     g6 = example_group_6d()
     x1sq_x3sq = (Polynomial.z_var(4, 2, 0) ** 2 + Polynomial.z_var(4, 2, 2) ** 2)
-    disc = Polynomial.zero(4, 2, 2)
-    for ell in range(2):
-        disc = disc + Polynomial.t_var(4, 2, ell) * apply_theta(g6, ell, x1sq_x3sq)
+    disc = discrepancy_poly(g6, x1sq_x3sq)
     expected = (Polynomial.t_var(4, 2, 0)
                 * (Polynomial.z_var(4, 2, 0) * Polynomial.z_var(4, 2, 1)
                    + Polynomial.z_var(4, 2, 2) * Polynomial.z_var(4, 2, 3)) * (-2))

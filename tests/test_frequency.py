@@ -151,7 +151,7 @@ def test_log_grid_derivative_accuracy():
 def test_log_grid_derivative_guards():
     with pytest.raises(ValueError):
         log_grid_derivative([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         log_grid_derivative(np.ones(6), np.linspace(1.0, 2.0, 6))
 
 

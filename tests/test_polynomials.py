@@ -114,15 +114,37 @@ def test_field_commutator_gives_center(h1):
         assert comm == p.diff_t(0)
 
 
-def test_sublaplacian_as_sum_of_squares(h1):
-    rng = np.random.default_rng(4)
-    from subfreq import fixtures
-    for _ in range(10):
-        p = fixtures.random_polynomial(rng, 2, 1)
-        total = Polynomial.zero(2, 1)
-        for i in range(2):
-            total = total + sf.apply_X(h1, i, sf.apply_X(h1, i, p))
-        assert total == sf.sublaplacian(h1, p)
+QUATERNIONIC = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
+
+
+def sublaplacian_by_contraction(G, p):
+    """Delta_z + (1/4) sum <J_l z, J_l' z> d_{t_l} d_{t_l'} + sum d_{t_l} Theta_l,
+    with Theta_l = sum_i <J_l z, e_i> d_{z_i}: Delta_H expanded by hand."""
+    zero = Polynomial.zero(G.m, G.k)
+    jz = [[sum((Polynomial.z_var(G.m, G.k, j) * Fraction(G.J[ell][i][j])
+                for j in range(G.m)), zero) for i in range(G.m)] for ell in range(G.k)]
+    result = sum((p.diff_z(i).diff_z(i) for i in range(G.m)), zero)
+    for l1 in range(G.k):
+        for l2 in range(G.k):
+            inner = sum((jz[l1][i] * jz[l2][i] for i in range(G.m)), zero)
+            result = result + inner * p.diff_t(l1).diff_t(l2) * Fraction(1, 4)
+        result = result + sum((jz[l1][i] * p.diff_t(l1).diff_z(i) for i in range(G.m)), zero)
+    return result
+
+
+def test_sublaplacian_as_sum_of_squares():
+    # sum_i X_i^2 against the J-contraction formula, on every monomial of
+    # stratified degree <= 5
+    from subfreq.polynomials import _monomials_of_degree
+    groups = (sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d(),
+              sf.example_group_metivier(), sf.make_group(4, 3, QUATERNIONIC))
+    for G in groups:
+        for kappa in range(6):
+            for a, b in _monomials_of_degree(G.m, G.k, 2, kappa):
+                p = Polynomial.monomial(G.m, G.k, a, b)
+                assert sf.sublaplacian(G, p) == sublaplacian_by_contraction(G, p)
 
 
 def test_known_harmonic_polynomials(h1):
@@ -140,6 +162,19 @@ def test_quartic_cylindrical_harmonic(h1):
     assert p == zn * zn - t * t * 32
     assert sf.sublaplacian(h1, p).is_zero()
     assert sf.discrepancy_poly(h1, p).is_zero()
+
+
+def test_quartic_cylindrical_needs_proportional_images():
+    # on the Metivier group Delta_H |z|^4 is not a multiple of Delta_H |t|^2
+    from subfreq import fixtures
+    with pytest.raises(ArithmeticError):
+        fixtures.quartic_cylindrical(sf.example_group_metivier())
+
+
+def test_cylindrical_harmonic_needs_matching_monomials():
+    lead = Polynomial.z_norm_sq(2, 1) ** 2
+    with pytest.raises(ArithmeticError):
+        sf.cylindrical_harmonic(lambda q: q, lead)
 
 
 def test_harmonic_basis_dimensions(h1):

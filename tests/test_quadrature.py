@@ -16,12 +16,7 @@ from subfreq.errors import (
 )
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial
-from subfreq.quadrature import (
-    MAX_RULE_NODES,
-    surface_psi_integral,
-    unit_ball_volume_raw,
-    unit_sphere_rule,
-)
+from subfreq.quadrature import MAX_RULE_NODES, unit_sphere_rule
 
 
 def test_nodes_lie_on_unit_gauge_sphere(rule_h1, rule_ba112):
@@ -45,13 +40,13 @@ def test_calibration_sum_6d_group():
 
 
 def test_surface_psi_integral_h1_oracle():
-    # hand-derived: int_{S_1} psi dmu_raw = pi on H^1
-    assert surface_psi_integral(2, 1, 1.0) == pytest.approx(math.pi, rel=1e-12)
+    # hand-derived: int_{S_1} psi dmu_raw = pi on H^1 (psi = s^2 on S_1)
+    assert constants.polar_moment(2, 1, 1.0, 2.0) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_unit_ball_volume_h1_oracle():
-    # hand-derived: |B_1| = pi^2 / 8 for the raw polar measure on H^1
-    assert unit_ball_volume_raw(2, 1, 1.0) == pytest.approx(math.pi ** 2 / 8.0, rel=1e-12)
+    # hand-derived: |B_1| = int_{S_1} dmu_raw / Q = pi^2 / 8 on H^1
+    assert constants.polar_moment(2, 1, 1.0, 0.0) / 4 == pytest.approx(math.pi ** 2 / 8.0, rel=1e-12)
 
 
 def test_calibrated_ball_volume_h1(h1, rule_h1):
