@@ -122,14 +122,36 @@ def _defining_integral_mc(m, k, alpha, samples, seed):
     return mean, stderr
 
 
-def polar_moment(m, k, alpha, e):
-    """Closed form of int_{S_1} s^e dmu, s = |z|, for the *raw* polar measure.
+def polar_moment(m, k, alpha, e, a=(), b=()):
+    """Closed form of int_{S_1} z^a t^b s^e dmu, s = |z|, for the *raw* polar
+    measure; a and b are multi-indices over z and t (empty means zero).
 
-    e = 2 alpha gives int_{S_1} psi dmu; e = 0 gives Q |B_1|."""
+    On S_1, z = s omega and |t| = sqrt(1 - s^(2 a1)) / (2 a1) with
+    a1 = alpha + 1, so the moment is Folland's sphere moments
+    S_d(c) = 2 prod Gamma((c_i+1)/2) / Gamma((|c|+d)/2) times one Beta
+    integral in v = s^(2 a1):
+
+        S_m(a) S_k(b) B((m+|a|+e)/(2 a1), (k+|b|)/2)
+          / (2 a1 * 2 (2 a1)^(k-1) * (2 a1)^|b|).
+
+    An odd exponent gives exactly 0.  The value at a = b = 0 is computed
+    directly, and the rest is one lgamma ratio (no overflow at high degree;
+    exactly 1.0 at a = b = 0).  With a = b = 0, e = 2 alpha gives
+    int_{S_1} psi dmu and e = 0 gives Q |B_1|."""
+    if any(p % 2 for p in (*a, *b)):
+        return 0.0
     a1 = alpha + 1.0
-    beta = math.gamma((m + e) / (2 * a1)) * math.gamma(k / 2.0) \
-        / math.gamma((m + e) / (2 * a1) + k / 2.0)
-    return sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
+    x, y = (m + e) / (2 * a1), k / 2.0
+    beta = math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+    base = sphere_area(m) * sphere_area(k) * beta / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
+    da, db = sum(a), sum(b)
+    x1, y1 = x + da / (2 * a1), y + db / 2.0
+    log_ratio = (sum(math.lgamma((p + 1) / 2.0) - math.lgamma(0.5) for p in (*a, *b))
+                 + math.lgamma(m / 2.0) - math.lgamma((m + da) / 2.0)
+                 + math.lgamma(x1) - math.lgamma(x)
+                 + math.lgamma(x + y) - math.lgamma(x1 + y1)
+                 - db * math.log(2.0 * a1))
+    return base * math.exp(log_ratio)
 
 
 def gauge_constant(m, k, alpha=1.0):

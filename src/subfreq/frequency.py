@@ -1,12 +1,17 @@
 """Frequency functionals D, H, N, Weiss and Monneau, plus identity checks.
 
-All functionals are quadrature sums over one SphereRule, so the global
-calibration factor of the rule multiplies D and H alike and cancels in
-every ratio and identity tested here.
+Every functional is an integral over a gauge ball or sphere of one
+SphereRule.  For a polynomial handle the integrands |grad_H u|^2, u^2,
+(u - P)^2 and the squared discrepancy are Polynomials, integrated in
+closed form by sphere moments (finite power series in r); callables and
+FD handles are summed over the rule's nodes.  Either way the global
+calibration factor gamma of the rule multiplies D and H alike and cancels
+in every ratio and identity tested here.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +32,13 @@ class FunctionHandle:
     formula (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
     `BaouendiSpec.horizontal_grad_sq`: |d_z u|^2 + |z|^(2a)/4 |d_t u|^2), and
     Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.
-    Polynomials pass their exact derivatives and keep exact polynomials for
-    |grad_H u|^2 and Zu; black boxes pass central differences (step
-    FD_STEP * (1 + |g|), 2(m+k) evaluations of u) and take Zu from one
-    central difference along the Euler field (2 evaluations).  `disc` is the
+    Polynomials pass their exact derivatives and keep exact Polynomials for
+    |grad_H u|^2 and Zu, which evaluate like functions and which the
+    quadrature integrates in closed form; `value_sq` (u^2) and `disc_sq`
+    are Polynomials too, built once per handle.  Black boxes pass central
+    differences (step FD_STEP * (1 + |g|), 2(m+k) evaluations of u) and
+    take Zu from one central difference along the Euler field (2
+    evaluations); their integrals are sums over the rule.  `disc` is the
     discrepancy numerator from the context: exact on H-type group
     polynomials, zero for B_a, else None.
     """
@@ -57,8 +65,8 @@ class FunctionHandle:
             grad_sq = lambda z, t: context.horizontal_grad_sq(*partials(z, t), z)
             zu = zu or (lambda z, t: context.geometry.euler_field(z, t, *partials(z, t)))
         else:
-            grad_sq = context.horizontal_grad_sq(*partials).evaluate
-            zu = euler(poly).evaluate
+            grad_sq = context.horizontal_grad_sq(*partials)
+            zu = euler(poly)
         return cls(context, value, grad_sq, zu, poly=poly,
                    disc=context.discrepancy(poly), label=label)
 
@@ -90,6 +98,18 @@ class FunctionHandle:
 
         return cls.from_partials(context, value, partials, zu=zu, label=label)
 
+    @cached_property
+    def value_sq(self):
+        """u^2: a Polynomial when u is one, else a function."""
+        if self.poly is not None:
+            return self.poly * self.poly
+        return lambda z, t: self.value(z, t) ** 2
+
+    @cached_property
+    def disc_sq(self):
+        """(4 disc)^2, so that E_u^2 = disc_sq / rho^6 (disc must be known)."""
+        return self.disc * self.disc * 16
+
     def shifted_by(self, other):
         """Handle for u - other (used by Monneau and the Weiss identity)."""
         label = f"{self.label}-{other.label}"
@@ -111,7 +131,7 @@ def dirichlet(u, r, rule):
 
 def height(u, r, rule):
     """H(r) = int_{S_r} u^2 |grad_H rho| dsigma_H."""
-    return surface_integral(lambda z, t: u.value(z, t) ** 2, r, rule, weighted=True)
+    return surface_integral(u.value_sq, r, rule, weighted=True)
 
 
 def _frequency_from(u, r, rule, d, h):
@@ -145,24 +165,33 @@ def _require_vanishing_discrepancy(handle):
             f"function {handle.label or handle.poly} has nonzero discrepancy")
 
 
+def _monneau_difference(u, p_handle):
+    """The handle of u - P, after checking that both have vanishing
+    discrepancy (exactly when it is known; it vanishes for every B_a handle)."""
+    _require_vanishing_discrepancy(u)
+    _require_vanishing_discrepancy(p_handle)
+    return u.shifted_by(p_handle)
+
+
+def _monneau_from(diff, kappa, r, rule):
+    """M_kappa at r from the handle diff of u - P."""
+    return height(diff, r, rule) / r ** (rule.Q - 1.0 + 2.0 * kappa)
+
+
 def monneau(u, p_handle, kappa, r, rule):
     """M_kappa(u, P, r) = r^-(Q-1+2k) int_{S_r} (u-P)^2 |grad_H rho| dsigma_H.
 
     Both u and P must have vanishing discrepancy (checked exactly when it is
     known; it vanishes for every B_a handle)."""
-    _require_vanishing_discrepancy(u)
-    _require_vanishing_discrepancy(p_handle)
-    diff = u.shifted_by(p_handle)
-    return height(diff, r, rule) / r ** (rule.Q - 1.0 + 2.0 * kappa)
+    return _monneau_from(_monneau_difference(u, p_handle), kappa, r, rule)
 
 
 def doubling_ratio(u, r, rule):
     """int_{B_2r} u^2 / int_{B_r} u^2."""
-    u_sq = lambda z, t: u.value(z, t) ** 2
-    denom = volume_integral(u_sq, r, rule)
+    denom = volume_integral(u.value_sq, r, rule)
     if denom == 0.0:
         raise ZeroDenominator(f"int_(B_{r}) u^2 = 0")
-    return volume_integral(u_sq, 2.0 * r, rule) / denom
+    return volume_integral(u.value_sq, 2.0 * r, rule) / denom
 
 
 def discrepancy_surface_norm(u, r, rule):
@@ -172,8 +201,9 @@ def discrepancy_surface_norm(u, r, rule):
     identically there); NaN when unknown (group callables)."""
     if u.disc is None:
         return math.nan
-    e_sq = lambda z, t: (4.0 * u.disc.evaluate(z, t) / r ** 3) ** 2
-    return math.sqrt(max(surface_integral(e_sq, r, rule, weighted=False), 0.0))
+    # on S_r, rho = r, so E_u^2 = disc_sq / r^6
+    e_sq = surface_integral(u.disc_sq, r, rule, weighted=False) / r ** 6
+    return math.sqrt(max(e_sq, 0.0))
 
 
 # -- derivative estimation on geometric radius grids -----------------------
@@ -262,7 +292,8 @@ def check_weiss_derivative(u, kappa, radii, rule):
 def check_monneau_derivative(u, p_handle, kappa, radii, rule):
     """Residuals of dM/dr = (2/r) W_kappa(u, r)."""
     radii = np.asarray(radii, dtype=float)
-    m_vals = np.array([monneau(u, p_handle, kappa, r, rule) for r in radii])
+    diff = _monneau_difference(u, p_handle)
+    m_vals = np.array([_monneau_from(diff, kappa, r, rule) for r in radii])
     r_in, mp, inner = log_grid_derivative(m_vals, radii)
     rhs = np.array([2.0 / r * weiss(u, kappa, r, rule) for r in r_in])
     scale = np.maximum(np.maximum(np.abs(mp), np.abs(rhs)), 1e-300)
@@ -318,6 +349,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
     w_col = np.full(n, math.nan)
     m_col = np.full(n, math.nan)
     e_col = np.empty(n)
+    diff = _monneau_difference(u, ref) if kappa is not None and ref is not None else None
     for i, r in enumerate(radii):
         d_col[i] = dirichlet(u, r, rule)
         h_col[i] = height(u, r, rule)
@@ -327,8 +359,8 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
             n_col[i] = math.nan
         if kappa is not None:
             w_col[i] = _weiss_from(d_col[i], h_col[i], r, kappa, rule.Q)
-            if ref is not None:
-                m_col[i] = monneau(u, ref, kappa, r, rule)
+            if diff is not None:
+                m_col[i] = _monneau_from(diff, kappa, r, rule)
         e_col[i] = discrepancy_surface_norm(u, r, rule)
     return FrequencyCurve(radii=radii, D=d_col, H=h_col, N=n_col,
                           W=w_col, M=m_col, disc_norm=e_col)

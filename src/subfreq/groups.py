@@ -28,7 +28,7 @@ from .errors import (
     OriginSingularity,
     ParseError,
 )
-from .polynomials import discrepancy_poly, horizontal_field
+from .polynomials import _jz_component, discrepancy_poly, horizontal_field
 
 METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for k > 2
 METIVIER_TOL = 1e-9
@@ -59,6 +59,13 @@ class GroupSpec:
     @cached_property
     def J_float(self):
         return np.array(self.J, dtype=float)
+
+    @cached_property
+    def half_jz(self):
+        """The polynomials (1/2) <J_l z, e_i> of `horizontal_field`, indexed
+        [l][i], built once per group."""
+        return tuple(tuple(_jz_component(self, ell, i) * Fraction(1, 2) for i in range(self.m))
+                     for ell in range(self.k))
 
     @cached_property
     def is_htype(self):

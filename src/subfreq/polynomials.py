@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
+from .constants import polar_moment
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -22,12 +23,13 @@ from .errors import (
 class Polynomial:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("m", "k", "tweight", "terms")
+    __slots__ = ("m", "k", "tweight", "terms", "_series")
 
     def __init__(self, m, k, tweight, terms=None):
         self.m = m
         self.k = k
         self.tweight = tweight
+        self._series = {}
         clean = {}
         for key, coeff in (terms or {}).items():
             coeff = exactla.to_fraction(coeff)
@@ -206,6 +208,27 @@ class Polynomial:
             out += term
         return out
 
+    def __call__(self, z, t):
+        return self.evaluate(z, t)
+
+    def sphere_series(self, alpha, e):
+        """Powers d and coefficients c_d with
+        int_{S_1} p(lam z, lam^(alpha+1) t) s^e dmu = sum_d c_d lam^d for the
+        raw polar measure dmu of the geometry (m, k, alpha): each monomial
+        z^a t^b has dilation degree |a| + (alpha+1)|b| and moment
+        `polar_moment(m, k, alpha, e, a, b)`.  Built once per (alpha, e)."""
+        key = (alpha, e)
+        if key not in self._series:
+            sums = {}
+            for (a, b), c in self.terms.items():
+                moment = polar_moment(self.m, self.k, alpha, e, a, b)
+                if moment:
+                    d = sum(a) + (alpha + 1.0) * sum(b)
+                    sums[d] = sums.get(d, 0.0) + float(c) * moment
+            self._series[key] = (np.array(list(sums), dtype=float),
+                                 np.array(list(sums.values()), dtype=float))
+        return self._series[key]
+
     def substitute(self, z_subs, t_subs):
         """Substitute polynomials for each variable."""
         result = Polynomial.zero(self.m, self.k, self.tweight)
@@ -303,7 +326,7 @@ def horizontal_field(G, i, dz_i, dt, z=None):
     result = dz_i
     for ell in range(G.k):
         if z is None:
-            half_jz = _jz_component(G, ell, i) * Fraction(1, 2)
+            half_jz = G.half_jz[ell][i]
         else:
             half_jz = 0.5 * (z @ G.J_float[ell, i])
         result = result + half_jz * dt[ell]

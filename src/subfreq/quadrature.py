@@ -35,19 +35,38 @@ mean-value calibration sum_i w_i psi(sigma_i) = Q^2/(Q-2), equivalently
 M_r(1) = 1 for the ball average with weight psi.  The factor multiplies
 every functional uniformly, so it cancels in the frequency N = rD/H and
 in every identity and ratio this package checks.
+
+Polynomials.  `volume_integral` and `surface_integral` take a Polynomial
+in place of a callable and integrate it in closed form: on S_1 each
+monomial has the exact moment `constants.polar_moment` (Folland's sphere
+moments times one Beta integral), and the dilation delta_r multiplies a
+monomial of degree d by r^d, so
+
+    int_{B_r} p     = gamma sum_d c_d r^(Q+d) / (Q+d),
+    int_{S_r} p psi = gamma r^(Q-1) sum_d c_d r^d,
+
+with c_d from `Polynomial.sphere_series` (e = 2 alpha for the psi weight,
+e = 0 without it).  Callables and FD handles are summed over the rule.
 """
 
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .constants import Geometry, polar_moment
-from .errors import InsufficientSamples, NotHType, ResolutionTooLarge, ResolutionTooSmall
+from .errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    NotHType,
+    ResolutionTooLarge,
+    ResolutionTooSmall,
+)
 from .groups import GroupSpec
+from .polynomials import Polynomial
 
 MIN_RESOLUTION = 4
 MAX_RULE_NODES = 2 ** 24
@@ -75,6 +94,13 @@ class SphereRule:
 
     def __len__(self):
         return len(self.weights)
+
+    @cached_property
+    def psi_gamma(self):
+        """gamma with the sign of the psi mass sum_i w_i psi_i: the scale of
+        closed-form psi-weighted integrals, so that a sign error in psi
+        reaches them as it reaches the node sums."""
+        return math.copysign(self.gamma, float(np.dot(self.weights, self.psi)))
 
     @property
     def geometry(self):
@@ -162,8 +188,20 @@ def _radial_rule(q_hom):
     return v, wv
 
 
+def _sphere_series(p, rule, weighted):
+    """(powers d, coefficients c_d) of the Polynomial p on the rule's geometry,
+    with the psi = s^(2 alpha) weight when `weighted`."""
+    if (p.m, p.k) != (rule.m, rule.k):
+        raise DimensionMismatch("polynomial does not match the rule's (m, k)")
+    return p.sphere_series(rule.alpha, 2.0 * rule.alpha if weighted else 0.0)
+
+
 def volume_integral(f, r, rule):
-    """int_{B_r} f dg via the polar factorization radii x sphere rule."""
+    """int_{B_r} f dg: in closed form for a Polynomial f (module docstring),
+    else via the polar factorization radii x sphere rule."""
+    if isinstance(f, Polynomial):
+        d, c = _sphere_series(f, rule, weighted=False)
+        return rule.gamma * float(np.sum(c * r ** (rule.Q + d) / (rule.Q + d)))
     v, wv = _radial_rule(rule.Q)
     a1 = rule.alpha + 1.0
     total = 0.0
@@ -177,7 +215,13 @@ def volume_integral(f, r, rule):
 def surface_integral(f, r, rule, weighted=True):
     """int_{S_r} f |grad_H rho| dsigma_H (weighted=True), i.e.
     r^(Q-1) sum_i w_i psi_i f(delta_r sigma_i); with weighted=False the
-    psi factor is dropped, giving the plain polar measure dH/|grad rho|."""
+    psi factor is dropped, giving the plain polar measure dH/|grad rho|.
+    A Polynomial f is integrated in closed form (module docstring), scaled
+    by `rule.psi_gamma` when weighted."""
+    if isinstance(f, Polynomial):
+        d, c = _sphere_series(f, rule, weighted)
+        scale = rule.psi_gamma if weighted else rule.gamma
+        return scale * r ** (rule.Q - 1.0) * float(np.sum(c * r ** d))
     a1 = rule.alpha + 1.0
     vals = f(r * rule.z, r ** a1 * rule.t)
     w = rule.weights * rule.psi if weighted else rule.weights

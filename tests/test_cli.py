@@ -251,6 +251,13 @@ def test_verify_negative_control(capsys):
     assert entry(["verify", "--resolution", "12",
                   "--inject-psi-sign-error"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # the psi fault reaches exactly the checks that integrate against psi
+    assert entry(["verify", "--resolution", "12", "--json",
+                  "--inject-psi-sign-error"]) == 1
+    failed = {item["name"] for item in json.loads(capsys.readouterr().out)
+              if not item["passed"]}
+    assert failed == {"H-prime-identity", "first-variation-full",
+                      "weiss-derivative", "monneau"}
 
 
 def test_verify_json(capsys):

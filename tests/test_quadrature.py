@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 import subfreq as sf
 from subfreq import constants
 from subfreq.errors import (
+    DimensionMismatch,
     InsufficientSamples,
     NotHType,
     ResolutionTooLarge,
@@ -226,3 +228,121 @@ def test_gauge_constant_mc_agrees():
 def test_gauge_constant_mc_needs_samples():
     with pytest.raises(InsufficientSamples):
         sf.gauge_constant_mc(2, 1, 1.0, samples=10)
+
+
+# -- closed-form moments of polynomial integrands --------------------------
+
+
+def _moment_cases():
+    """(context, rule resolution, polynomial): non-homogeneous, so that the
+    doubling ratio mixes several powers of r."""
+    h1, h2, g6 = sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d()
+    cases = [(h1, 32, sf.harmonic_basis(h1, kappa)[0] + Polynomial.t_var(2, 1, 0))
+             for kappa in (1, 2, 3, 4)]
+    cases += [(h2, 12, sf.harmonic_basis(h2, kappa)[-1] + Polynomial.z_var(4, 1, 1))
+              for kappa in (2, 4)]
+    cases.append((g6, 6, sf.harmonic_basis(g6, 3)[0] + Polynomial.t_var(4, 2, 1)))
+    for m, k, alpha in ((1, 1, 2), (2, 1, 1)):
+        spec, tw = sf.BaouendiSpec(m, k, alpha), alpha + 1
+        cases.append((spec, 32, sf.solid_harmonic_quadratic(spec)
+                      + Polynomial.t_var(m, k, 0, tweight=tw)
+                      + Polynomial.z_var(m, k, 0, tweight=tw) ** 3))
+    return cases
+
+
+@pytest.mark.parametrize("context,resolution,p", _moment_cases(),
+                         ids=["h1-k1", "h1-k2", "h1-k3", "h1-k4", "h2-k2", "h2-k4",
+                              "g6-k3", "ba112", "ba211"])
+def test_moments_match_quadrature(context, resolution, p):
+    rule = sf.build_sphere_rule(context, resolution)
+    u = sf.FunctionHandle.from_polynomial(context, p)
+    assert isinstance(u.grad_sq, Polynomial) and isinstance(u.value_sq, Polynomial)
+    grad_sq = lambda z, t: u.grad_sq.evaluate(z, t)
+    u_sq = lambda z, t: p.evaluate(z, t) ** 2
+    e_sq = lambda z, t: (4.0 * u.disc.evaluate(z, t)) ** 2
+    for r in (0.6, 1.7):
+        pairs = [
+            (sf.dirichlet(u, r, rule), sf.volume_integral(grad_sq, r, rule)),
+            (sf.height(u, r, rule), sf.surface_integral(u_sq, r, rule)),
+            (sf.doubling_ratio(u, r, rule),
+             sf.volume_integral(u_sq, 2 * r, rule) / sf.volume_integral(u_sq, r, rule)),
+            (sf.discrepancy_surface_norm(u, r, rule),
+             math.sqrt(sf.surface_integral(e_sq, r, rule, weighted=False)) / r ** 3),
+        ]
+        for moment, quad in pairs:
+            assert abs(moment - quad) <= 1e-12 * abs(quad)
+
+
+def test_monomial_moment_against_mc_shell():
+    # the gauge shell r - h < rho < r + h holds
+    # (V(r + h) - V(r - h)) / (2 h) with V(r) = int_{B_r} f, all in closed form
+    g6 = sf.example_group_6d()
+    rule = sf.build_sphere_rule(g6, 4)
+    p = Polynomial.monomial(4, 2, (2, 0, 2, 0), (0, 2))
+    r, h = 1.0, 0.05
+    exact = (sf.volume_integral(p, r + h, rule) - sf.volume_integral(p, r - h, rule)) / (2 * h)
+    mc = sf.mc_thin_shell(p.evaluate, r, h, 400_000, 3, rule, weighted=False)
+    assert abs(mc["value"] - exact) < 4.0 * mc["stderr"]
+
+
+def test_odd_monomials_integrate_to_exact_zero(rule_h1, rule_ba211):
+    assert constants.polar_moment(4, 2, 1.0, 2.0, (1, 2, 0, 0), (0, 0)) == 0.0
+    assert constants.polar_moment(4, 2, 1.0, 0.0, (2, 2, 0, 0), (0, 3)) == 0.0
+    for p, rule in ((Polynomial.monomial(2, 1, (3, 2), (0,)), rule_h1),
+                    (Polynomial.monomial(2, 1, (2, 2), (1,)), rule_h1),
+                    (Polynomial.monomial(2, 1, (1, 1), (2,)), rule_ba211)):
+        assert sf.surface_integral(p, 0.7, rule) == 0.0
+        assert sf.surface_integral(p, 0.7, rule, weighted=False) == 0.0
+        assert sf.volume_integral(p, 0.7, rule) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_polar_moment_is_the_zero_monomial_moment(alpha):
+    for m, k in itertools.product(range(1, 7), range(1, 4)):
+        for e in (0.0, 2.0 * alpha):
+            raw = constants.polar_moment(m, k, alpha, e)
+            assert raw == constants.polar_moment(m, k, alpha, e, (0,) * m, (0,) * k)
+            # the Gamma-function form that fixes every rule's gamma
+            a1 = alpha + 1.0
+            beta = math.gamma((m + e) / (2 * a1)) * math.gamma(k / 2.0) \
+                / math.gamma((m + e) / (2 * a1) + k / 2.0)
+            assert raw == constants.sphere_area(m) * constants.sphere_area(k) * beta \
+                / (2.0 * (2.0 * a1) ** (k - 1) * 2.0 * a1)
+
+
+def test_polar_moment_against_radial_quadrature():
+    # Folland's sphere moments times the s-integral, done by adaptive quadrature
+    from scipy.integrate import quad
+
+    for m, k, alpha, a, b in ((2, 1, 1.0, (2, 4), (2,)), (4, 2, 1.0, (2, 0, 2, 2), (2, 4)),
+                              (1, 1, 2.0, (6,), (2,)), (2, 1, 0.5, (0, 2), (4,))):
+        a1 = alpha + 1.0
+        for e in (0.0, 2.0 * alpha):
+            radial, _ = quad(lambda s: s ** (m - 1 + sum(a) + e)
+                             * (1.0 - s ** (2 * a1)) ** ((k - 2 + sum(b)) / 2.0), 0.0, 1.0,
+                             epsabs=0.0, epsrel=1e-13)
+            want = (_folland_moment(a, m) * _folland_moment(b, k) * radial
+                    / (2.0 * (2.0 * a1) ** (k - 1) * (2.0 * a1) ** sum(b)))
+            assert constants.polar_moment(m, k, alpha, e, a, b) == pytest.approx(want, rel=1e-12)
+
+
+def test_psi_sign_reaches_closed_form(rule_h1):
+    flipped = dataclasses.replace(rule_h1, psi=-rule_h1.psi)
+    p = Polynomial.monomial(2, 1, (2, 0), (2,)) + Polynomial.constant(2, 1, 1)
+    assert sf.surface_integral(p, 0.9, flipped) == -sf.surface_integral(p, 0.9, rule_h1)
+    assert sf.surface_integral(p, 0.9, flipped, weighted=False) \
+        == sf.surface_integral(p, 0.9, rule_h1, weighted=False)
+
+
+def test_polynomial_integrand_must_match_rule(rule_h1):
+    with pytest.raises(DimensionMismatch):
+        sf.surface_integral(Polynomial.z_var(4, 1, 0), 1.0, rule_h1)
+
+
+def test_closed_form_reads_dilations_from_rule(rule_ba112):
+    # z^a t^b has degree |a| + (alpha+1)|b| under the rule's dilations,
+    # whatever layer weight the polynomial carries (2 here, alpha + 1 = 3)
+    p = Polynomial.monomial(1, 1, (2,), (2,))
+    for weighted in (True, False):
+        quad = sf.surface_integral(lambda z, t: p.evaluate(z, t), 0.7, rule_ba112, weighted)
+        assert abs(sf.surface_integral(p, 0.7, rule_ba112, weighted) - quad) <= 1e-12 * abs(quad)
