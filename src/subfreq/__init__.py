@@ -10,15 +10,12 @@ and the Baouendi machinery including a finite-difference Dirichlet solver.
 from .baouendi import (
     BaouendiSpec,
     GridSolution,
-    derived_quadratic_constant,
     fd_solve,
-    normalization_constant,
     orthogonality_check,
     problem_from_json,
     solid_harmonic_quadratic,
-    z_alpha_apply,
 )
-from .constants import Geometry, gauge_constant, gauge_constant_mc
+from .constants import Geometry, gauge_constant
 from .errors import SubfreqError
 from .frequency import (
     FrequencyCurve,
@@ -51,7 +48,6 @@ from .groups import (
     group_product,
     group_to_json,
     heisenberg,
-    horiz_gauge_grad_sq,
     inverse,
     make_group,
 )
@@ -65,14 +61,12 @@ from .polynomials import (
     euler,
     euler_Z,
     harmonic_basis,
-    in_span,
     left_translate,
     sublaplacian,
 )
 from .quadrature import (
     SphereRule,
     build_sphere_rule,
-    mc_thin_shell,
     mean_value,
     surface_integral,
     volume_integral,

@@ -2,9 +2,9 @@
 
 The spec is a `Geometry` (gauge, weight and dilations), so the
 Almgren/Weiss/Monneau functionals of the frequency module apply to it
-unchanged, as to the group case alpha = 1.  This module adds the Euler
-operator; quadratic solid harmonics with the symbolically derived
-constant; and a finite-difference Dirichlet solver that produces honest
+unchanged, as to the group case alpha = 1.  This module adds quadratic
+solid harmonics with the symbolically derived constant, their surface
+orthogonality, and a finite-difference Dirichlet solver that produces honest
 non-polynomial solutions at desk scale.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
-from . import constants
 from .constants import Geometry
 from .errors import (
     BadGrid,
@@ -27,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .frequency import FunctionHandle
-from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic, euler
+from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,8 @@ class BaouendiSpec(Geometry):
         Polynomials (z unused; alpha must be an integer and their layer weight
         alpha + 1), numeric when they are arrays at the points z."""
         if z is None:
-            p, a = dz[0], self.integer_alpha()
-            if (p.m, p.k, p.tweight) != (self.m, self.k, a + 1):
-                raise DimensionMismatch("polynomial does not match the Baouendi spec")
+            p = dz[0]
+            a = _symbolic_alpha(self, p)
             weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** a * Fraction(1, 4)
         else:
             weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
@@ -68,20 +66,13 @@ class BaouendiSpec(Geometry):
         return Polynomial.zero(self.m, self.k)
 
 
-def z_alpha_apply(spec, u):
-    """Euler operator Z_a = sum z_i d_{z_i} + (a+1) sum t_j d_{t_j}.
-
-    Exact on polynomials with matching layer weight; on anything carrying a
-    .zu evaluator (FunctionHandle / GridSolution handles) delegates to it.
-    """
-    if isinstance(u, Polynomial):
-        a = spec.integer_alpha()
-        if u.tweight != a + 1:
-            raise DimensionMismatch("polynomial layer weight does not match alpha+1")
-        return euler(u)
-    if isinstance(u, FunctionHandle):
-        return u.zu
-    raise TypeError("expected a Polynomial or FunctionHandle")
+def _symbolic_alpha(spec, p):
+    """The integer alpha of spec, after checking that the Polynomial p belongs
+    to its symbolic calculus: the same (m, k) and layer weight alpha + 1."""
+    a = spec.integer_alpha()
+    if (p.m, p.k, p.tweight) != (spec.m, spec.k, a + 1):
+        raise DimensionMismatch("polynomial does not match the Baouendi spec")
+    return a
 
 
 def solid_harmonic_quadratic(spec):
@@ -92,36 +83,17 @@ def solid_harmonic_quadratic(spec):
     return cylindrical_harmonic(lambda q: baouendi_apply(spec, q), lead)
 
 
-def derived_quadratic_constant(spec):
-    """The exact A of solid_harmonic_quadratic, as a Fraction."""
-    p = solid_harmonic_quadratic(spec)
-    tn_key = next(iter(Polynomial.t_norm_sq(spec.m, spec.k,
-                                            spec.integer_alpha() + 1).terms))
-    return -p.terms[tn_key]
-
-
 def orthogonality_check(spec, p, p_prime, r, rule):
-    """Surface inner product int_{S_r} P P' psi_a dH/|grad rho_a|.
+    """Surface inner product int_{S_r} P P' psi_a dH/|grad rho_a| of two
+    Polynomials in the symbolic calculus of B_a (alpha an integer, layer
+    weight alpha + 1).
 
     Vanishes for solid harmonics of distinct homogeneity degrees."""
     from .quadrature import surface_integral
 
-    hp = p if isinstance(p, FunctionHandle) else FunctionHandle.from_polynomial(spec, p)
-    hq = (p_prime if isinstance(p_prime, FunctionHandle)
-          else FunctionHandle.from_polynomial(spec, p_prime))
-    return surface_integral(lambda z, t: hp.value(z, t) * hq.value(z, t),
-                            r, rule, weighted=True)
-
-
-def normalization_constant(spec, samples=200_000, seed=0):
-    """The constant C_a of Gamma = C_a rho_a^(2-Q), by two estimators.
-
-    Returns {"value": deterministic quadrature, "mc": MC value,
-    "mc_stderr": its standard error}."""
-    det = constants.gauge_constant(spec.m, spec.k, float(spec.alpha))
-    mc, err = constants.gauge_constant_mc(spec.m, spec.k, float(spec.alpha),
-                                          samples=samples, seed=seed)
-    return {"value": det, "mc": mc, "mc_stderr": err}
+    for q in (p, p_prime):
+        _symbolic_alpha(spec, q)
+    return surface_integral(lambda z, t: p(z, t) * p_prime(z, t), r, rule, weighted=True)
 
 
 # -- finite-difference Dirichlet solver ------------------------------------

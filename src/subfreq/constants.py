@@ -16,9 +16,8 @@ the (m+a-1) factor, and what is left is the flux normalization
     C^-1 = (Q-2) int_{S_1} psi dmu,
 
 with the raw polar measure dmu of `quadrature` (`polar_moment` with
-e = 2a, since psi = s^(2a) on S_1).
-An importance-sampled Monte-Carlo estimator of the defining integral,
-with a reported standard error, is the independent oracle.
+e = 2a, since psi = s^(2a) on S_1).  The tests check it against an
+importance-sampled Monte-Carlo estimate of the defining integral.
 """
 
 import math
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, OriginSingularity
+from .errors import OriginSingularity
 
 
 @dataclass(frozen=True)
@@ -90,38 +89,6 @@ def sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _radial_integrand(a_r, b_r, m, k, alpha):
-    """Integrand of the defining integral reduced to radial variables.
-
-    a_r = |z|, b_r = |t|; the angular factors are handled by the caller.
-    """
-    q = m + (alpha + 1.0) * k
-    power = (q + 2.0 * alpha) / (2.0 * (alpha + 1.0))
-    base = (a_r ** (alpha + 1.0) + 1.0) ** 2 + 4.0 * (alpha + 1.0) ** 2 * b_r ** 2
-    return a_r ** (m + alpha - 2.0) * b_r ** (k - 1.0) / base ** power
-
-
-def _defining_integral_mc(m, k, alpha, samples, seed):
-    """Importance-sampled MC value of the defining integral, with stderr.
-
-    Radial variables are drawn from independent half-Cauchy distributions,
-    which have the right algebraic tails for this integrand.
-    """
-    if samples < 1000:
-        raise InsufficientSamples(f"need >= 1000 samples, got {samples}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    u1 = rng.random(samples)
-    u2 = rng.random(samples)
-    a_r = np.tan(0.5 * math.pi * u1)
-    b_r = np.tan(0.5 * math.pi * u2)
-    pdf = (2.0 / math.pi / (1.0 + a_r ** 2)) * (2.0 / math.pi / (1.0 + b_r ** 2))
-    vals = _radial_integrand(a_r, b_r, m, k, alpha) / pdf
-    vals *= sphere_area(m) * sphere_area(k)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-    return mean, stderr
-
-
 def polar_moment(m, k, alpha, e, a=(), b=()):
     """Closed form of int_{S_1} z^a t^b s^e dmu, s = |z|, for the *raw* polar
     measure; a and b are multi-indices over z and t (empty means zero).
@@ -158,14 +125,3 @@ def gauge_constant(m, k, alpha=1.0):
     """The constant C in Gamma = C * rho_a^(2-Q), in closed form."""
     q = m + (alpha + 1.0) * k
     return 1.0 / ((q - 2.0) * polar_moment(m, k, alpha, 2 * alpha))
-
-
-def gauge_constant_mc(m, k, alpha=1.0, samples=200_000, seed=0):
-    """MC estimate of the same constant; returns (value, stderr)."""
-    q = m + (alpha + 1.0) * k
-    integral, ierr = _defining_integral_mc(m, k, alpha, samples, seed)
-    factor = (m + alpha - 1.0) * (q - 2.0)
-    value = 1.0 / (factor * integral)
-    # first-order error propagation through the reciprocal
-    stderr = ierr / (factor * integral ** 2)
-    return value, stderr

@@ -70,9 +70,5 @@ class BadGrid(SubfreqError, ValueError):
     """Grid shape or box unsuitable for the finite-difference solver."""
 
 
-class InsufficientSamples(SubfreqError, ValueError):
-    """Monte-Carlo estimate requested with too few (effective) samples."""
-
-
 class ParseError(SubfreqError, ValueError):
     """Input file failed to parse or validate."""

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant are computed by sympy's DomainMatrix over QQ, and
-the kernel is sympy's null space over ZZ (imported on first use, so that
+The determinant is computed by sympy's DomainMatrix over QQ, and the
+kernel is sympy's null space over ZZ (imported on first use, so that
 importing the package does not load sympy).  Inputs and results are
 Fractions.
 """
@@ -38,10 +38,6 @@ def _domain_matrix(rows):
 
 def _fraction(q):
     return Fraction(q.numerator, q.denominator)
-
-
-def rank(rows):
-    return _domain_matrix(rows).rank() if rows else 0
 
 
 def kernel_basis(rows, ncols):

@@ -53,15 +53,3 @@ def random_polynomial(rng, m, k, tweight=2, max_degree=5, n_terms=6):
             terms[(a, b)] = terms.get((a, b), 0) + coeff
     return Polynomial(m, k, tweight, terms)
 
-
-def harmonic_with_discrepancy(G):
-    """x + y t - x |z|^2 / 8 on H^1: harmonic, nonzero discrepancy, and the
-    discrepancy surface term in the first variation does not integrate to
-    zero (unlike for the bare coordinate function x)."""
-    x = poly_x(G)
-    y = poly_y(G)
-    t = poly_t(G)
-    zn = Polynomial.z_norm_sq(G.m, G.k)
-    u = x + y * t - x * zn * Fraction(1, 8)
-    assert sublaplacian(G, u).is_zero()
-    return u

@@ -136,7 +136,7 @@ def height(u, r, rule):
 
 def _frequency_from(u, r, rule, d, h):
     """r d / h for d = D(r), h = H(r); raises ZeroHeight when u vanishes on B_r."""
-    sup = float(np.max(np.abs(u.value(r * rule.z, r ** (rule.alpha + 1.0) * rule.t))))
+    sup = float(np.max(np.abs(u.value(*rule.geometry.dilate(r, rule.z, rule.t)))))
     floor = 1e-14 * sup ** 2 * r ** (rule.Q - 1.0) * float(np.dot(rule.weights, rule.psi))
     if h <= floor:
         raise ZeroHeight(f"H({r}) = {h} vanished; u is zero on the ball")

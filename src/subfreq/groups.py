@@ -258,23 +258,6 @@ def gauge(G, g):
     return float(G.geometry.rho(g.z, g.t))
 
 
-def horiz_gauge_grad_sq(G, g):
-    """psi = |grad_H rho|^2 = (|z|^6 + 16 |J(t)z|^2) / rho^6.
-
-    On H-type groups this reduces to |z|^2 / rho^2 exactly.
-    """
-    _check_point(G, g)
-    z = np.array([float(a) for a in g.z])
-    t = np.array([float(a) for a in g.t])
-    z2 = float(z @ z)
-    if z2 == 0.0 and not t.any():
-        raise OriginSingularity("psi is undefined at the identity")
-    jt = np.tensordot(t, G.J_float, axes=1)
-    jtz = jt @ z
-    rho6 = Geometry(G.m, G.k, 1.0).rho_power(z, t, 6.0)
-    return (z2 ** 3 + 16.0 * float(jtz @ jtz)) / rho6
-
-
 def fundamental_solution(G, g):
     """Gamma(g) = C * rho(g)^(2-Q) with C from `gauge_constant` (closed form)."""
     G.require_htype("fundamental_solution")

@@ -169,27 +169,6 @@ class Polynomial:
                 terms[key] = terms.get(key, Fraction(0)) + c * b[ell]
         return self._like(terms)
 
-    # -- degree structure --------------------------------------------------
-
-    def stratified_degree(self, key):
-        a, b = key
-        return sum(a) + self.tweight * sum(b)
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(self.stratified_degree(key) for key in self.terms)
-
-    def is_homogeneous(self, kappa=None):
-        degs = {self.stratified_degree(key) for key in self.terms}
-        if kappa is None:
-            return len(degs) <= 1
-        return degs <= {kappa}
-
-    def homogeneous_part(self, kappa):
-        return self._like({key: c for key, c in self.terms.items()
-                           if self.stratified_degree(key) == kappa})
-
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, z, t):
@@ -243,14 +222,6 @@ class Polynomial:
                     prod = prod * (t_subs[ell] ** p)
             result = result + prod
         return result
-
-    def compose_dilation(self, lam):
-        """p(delta_lam .) with exact rational lam."""
-        lam = exactla.to_fraction(lam)
-        terms = {}
-        for (a, b), c in self.terms.items():
-            terms[(a, b)] = c * lam ** self.stratified_degree((a, b))
-        return self._like(terms)
 
     # -- serialization -----------------------------------------------------
 
@@ -508,19 +479,3 @@ def harmonic_basis(G, kappa):
         basis.append(Polynomial(G.m, G.k, 2, terms))
     return basis
 
-
-def in_span(p, basis):
-    """Exact membership of p in the rational span of the basis."""
-    keys = sorted({key for q in basis for key in q.terms} | set(p.terms))
-    index = {key: i for i, key in enumerate(keys)}
-    rows = []
-    for q in basis:
-        row = [Fraction(0)] * len(keys)
-        for key, c in q.terms.items():
-            row[index[key]] = c
-        rows.append(row)
-    base_rank = exactla.rank(rows)
-    row = [Fraction(0)] * len(keys)
-    for key, c in p.terms.items():
-        row[index[key]] = c
-    return exactla.rank(rows + [row]) == base_rank

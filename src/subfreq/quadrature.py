@@ -60,7 +60,6 @@ from scipy.special import roots_jacobi
 from .constants import Geometry, polar_moment
 from .errors import (
     DimensionMismatch,
-    InsufficientSamples,
     NotHType,
     ResolutionTooLarge,
     ResolutionTooSmall,
@@ -203,11 +202,10 @@ def volume_integral(f, r, rule):
         d, c = _sphere_series(f, rule, weighted=False)
         return rule.gamma * float(np.sum(c * r ** (rule.Q + d) / (rule.Q + d)))
     v, wv = _radial_rule(rule.Q)
-    a1 = rule.alpha + 1.0
+    dilate = rule.geometry.dilate
     total = 0.0
     for vi, wi in zip(v, wv):
-        ri = r * vi
-        vals = f(ri * rule.z, ri ** a1 * rule.t)
+        vals = f(*dilate(r * vi, rule.z, rule.t))
         total += wi * float(np.dot(rule.weights, vals))
     return r ** rule.Q * total
 
@@ -222,47 +220,9 @@ def surface_integral(f, r, rule, weighted=True):
         d, c = _sphere_series(f, rule, weighted)
         scale = rule.psi_gamma if weighted else rule.gamma
         return scale * r ** (rule.Q - 1.0) * float(np.sum(c * r ** d))
-    a1 = rule.alpha + 1.0
-    vals = f(r * rule.z, r ** a1 * rule.t)
+    vals = f(*rule.geometry.dilate(r, rule.z, rule.t))
     w = rule.weights * rule.psi if weighted else rule.weights
     return r ** (rule.Q - 1.0) * float(np.dot(w, vals))
-
-
-def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
-    """Monte-Carlo oracle for surface_integral via a thin gauge shell.
-
-    Samples uniformly from a bounding box of B_(r+h), keeps points whose
-    gauge lies in (r-h, r+h), and normalizes by the shell thickness 2h.
-    Completely independent of the polar parametrization.
-    """
-    if samples < 1000:
-        raise InsufficientSamples(f"need >= 1000 samples, got {samples}")
-    h = shell_half_width
-    if not 0.0 < h < r:
-        raise InsufficientSamples("shell half width must lie in (0, r)")
-    geometry = rule.geometry
-    m, k, a1 = rule.m, rule.k, rule.alpha + 1.0
-    r_out = r + h
-    z_box = r_out
-    t_box = r_out ** a1 / (2.0 * a1)
-    box_vol = (2.0 * z_box) ** m * (2.0 * t_box) ** k
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    z = rng.uniform(-z_box, z_box, size=(samples, m))
-    t = rng.uniform(-t_box, t_box, size=(samples, k))
-    rho = geometry.rho(z, t)
-    inside = (rho > r - h) & (rho < r + h)
-    if inside.sum() < 10:
-        raise InsufficientSamples("almost no samples hit the shell")
-    contrib = np.zeros(samples)
-    vals = f(z[inside], t[inside])
-    if weighted:
-        vals = vals * geometry.psi(z[inside], t[inside])
-    contrib[inside] = vals
-    scale = rule.gamma * box_vol / (2.0 * h)
-    value = scale * float(contrib.mean())
-    stderr = scale * float(contrib.std(ddof=1)) / math.sqrt(samples)
-    return {"value": value, "stderr": stderr, "hits": int(inside.sum())}
 
 
 def mean_value(G, u, g, r, rule):

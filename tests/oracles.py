@@ -1,0 +1,150 @@
+"""Independent oracles and fixtures used only by the tests.
+
+Each oracle computes a quantity that `subfreq` also computes, by a route
+that shares as little as possible with it: Monte-Carlo estimates instead
+of the polar rule and the closed-form moments, sympy's dense rank instead
+of `exactla`, psi through the structure matrices J instead of
+`Geometry.psi`, and dilations by substitution instead of the Euler
+operator.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import sympy
+
+from subfreq.constants import Geometry, sphere_area
+from subfreq.errors import OriginSingularity
+from subfreq.fixtures import poly_t, poly_x, poly_y
+from subfreq.groups import _check_point
+from subfreq.polynomials import Polynomial, sublaplacian
+
+
+class InsufficientSamples(ValueError):
+    """Monte-Carlo estimate requested with too few (effective) samples."""
+
+
+def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
+    """Monte-Carlo estimate of `surface_integral(f, r, rule, weighted)` via a
+    thin gauge shell.
+
+    Samples uniformly from a bounding box of B_(r+h), keeps points whose
+    gauge lies in (r-h, r+h), and normalizes by the shell thickness 2h.
+    Only the calibration factor gamma is shared with the polar rule.
+    Returns {"value", "stderr", "hits"}.
+    """
+    if samples < 1000:
+        raise InsufficientSamples(f"need >= 1000 samples, got {samples}")
+    h = shell_half_width
+    if not 0.0 < h < r:
+        raise InsufficientSamples("shell half width must lie in (0, r)")
+    geometry = rule.geometry
+    m, k, a1 = rule.m, rule.k, rule.alpha + 1.0
+    r_out = r + h
+    z_box = r_out
+    t_box = r_out ** a1 / (2.0 * a1)
+    box_vol = (2.0 * z_box) ** m * (2.0 * t_box) ** k
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    z = rng.uniform(-z_box, z_box, size=(samples, m))
+    t = rng.uniform(-t_box, t_box, size=(samples, k))
+    rho = geometry.rho(z, t)
+    inside = (rho > r - h) & (rho < r + h)
+    if inside.sum() < 10:
+        raise InsufficientSamples("almost no samples hit the shell")
+    contrib = np.zeros(samples)
+    vals = f(z[inside], t[inside])
+    if weighted:
+        vals = vals * geometry.psi(z[inside], t[inside])
+    contrib[inside] = vals
+    scale = rule.gamma * box_vol / (2.0 * h)
+    value = scale * float(contrib.mean())
+    stderr = scale * float(contrib.std(ddof=1)) / math.sqrt(samples)
+    return {"value": value, "stderr": stderr, "hits": int(inside.sum())}
+
+
+def gauge_constant_mc(m, k, alpha=1.0, samples=200_000, seed=0):
+    """Monte-Carlo estimate of the constant C of Gamma = C rho_a^(2-Q) from
+    its defining integral (`subfreq.constants`); returns (value, stderr).
+
+    The integral, reduced to the radial variables |z| and |t|, is sampled
+    by importance: both are drawn from independent half-Cauchy
+    distributions, which have the right algebraic tails.
+    """
+    if samples < 1000:
+        raise InsufficientSamples(f"need >= 1000 samples, got {samples}")
+    rng = np.random.Generator(np.random.Philox(seed))
+    u1 = rng.random(samples)
+    u2 = rng.random(samples)
+    a_r = np.tan(0.5 * math.pi * u1)
+    b_r = np.tan(0.5 * math.pi * u2)
+    pdf = (2.0 / math.pi / (1.0 + a_r ** 2)) * (2.0 / math.pi / (1.0 + b_r ** 2))
+    q = m + (alpha + 1.0) * k
+    power = (q + 2.0 * alpha) / (2.0 * (alpha + 1.0))
+    base = (a_r ** (alpha + 1.0) + 1.0) ** 2 + 4.0 * (alpha + 1.0) ** 2 * b_r ** 2
+    vals = a_r ** (m + alpha - 2.0) * b_r ** (k - 1.0) / base ** power / pdf
+    vals *= sphere_area(m) * sphere_area(k)
+    integral = float(vals.mean())
+    ierr = float(vals.std(ddof=1) / math.sqrt(samples))
+    factor = (m + alpha - 1.0) * (q - 2.0)
+    value = 1.0 / (factor * integral)
+    # first-order error propagation through the reciprocal
+    stderr = ierr / (factor * integral ** 2)
+    return value, stderr
+
+
+def rank(rows):
+    """Exact rank of a list of rational rows, by sympy's dense Matrix."""
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+def in_span(p, basis):
+    """Exact membership of the Polynomial p in the rational span of basis."""
+    keys = sorted({key for q in basis for key in q.terms} | set(p.terms))
+    index = {key: i for i, key in enumerate(keys)}
+    rows = []
+    for q in basis + [p]:
+        row = [Fraction(0)] * len(keys)
+        for key, c in q.terms.items():
+            row[index[key]] = c
+        rows.append(row)
+    return rank(rows) == rank(rows[:-1])
+
+
+def horiz_gauge_grad_sq(G, g):
+    """psi = |grad_H rho|^2 = (|z|^6 + 16 |J(t)z|^2) / rho^6 at the point g,
+    through the structure matrices J: valid on every step-2 group, and equal
+    to |z|^2 / rho^2 on H-type groups."""
+    _check_point(G, g)
+    z = np.array([float(a) for a in g.z])
+    t = np.array([float(a) for a in g.t])
+    z2 = float(z @ z)
+    if z2 == 0.0 and not t.any():
+        raise OriginSingularity("psi is undefined at the identity")
+    jt = np.tensordot(t, G.J_float, axes=1)
+    jtz = jt @ z
+    rho6 = Geometry(G.m, G.k, 1.0).rho_power(z, t, 6.0)
+    return (z2 ** 3 + 16.0 * float(jtz @ jtz)) / rho6
+
+
+def harmonic_with_discrepancy(G):
+    """x + y t - x |z|^2 / 8 on H^1: harmonic, nonzero discrepancy, and the
+    discrepancy surface term in the first variation does not integrate to
+    zero (unlike for the bare coordinate function x)."""
+    x = poly_x(G)
+    y = poly_y(G)
+    t = poly_t(G)
+    zn = Polynomial.z_norm_sq(G.m, G.k)
+    u = x + y * t - x * zn * Fraction(1, 8)
+    assert sublaplacian(G, u).is_zero()
+    return u
+
+
+def dilated(p, lam):
+    """p(lam z, lam^w t) for exact rational lam and layer weight w, by
+    substituting the dilated variables."""
+    lam = Fraction(lam)
+    z = [Polynomial.z_var(p.m, p.k, i, p.tweight) * lam for i in range(p.m)]
+    t = [Polynomial.t_var(p.m, p.k, j, p.tweight) * lam ** p.tweight for j in range(p.k)]
+    return p.substitute(z, t)

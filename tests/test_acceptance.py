@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import subfreq as sf
 from subfreq import fixtures
 from subfreq.frequency import FunctionHandle
@@ -61,7 +62,7 @@ def test_criterion_03_h_prime_and_first_variation(h1, rule_h1):
     # every gauge sphere by parity; that of x + yt - x|z|^2/8 does not
     polys = [fixtures.poly_x(h1), fixtures.poly_t(h1),
              fixtures.poly_x2_minus_y2(h1),
-             fixtures.harmonic_with_discrepancy(h1)]
+             oracles.harmonic_with_discrepancy(h1)]
     worst_h = worst_d = 0.0
     for p in polys:
         u = FunctionHandle.from_polynomial(h1, p)
@@ -70,7 +71,7 @@ def test_criterion_03_h_prime_and_first_variation(h1, rule_h1):
         worst_d = max(worst_d, float(np.max(
             sf.check_D_variation(u, radii, rule_h1)["residuals"])))
     # negative control: without the E_u term the D' identity must break
-    ud = FunctionHandle.from_polynomial(h1, fixtures.harmonic_with_discrepancy(h1))
+    ud = FunctionHandle.from_polynomial(h1, oracles.harmonic_with_discrepancy(h1))
     full = float(np.max(sf.check_D_variation(ud, radii, rule_h1)["residuals"]))
     trunc = float(np.max(sf.check_D_variation(
         ud, radii, rule_h1, include_discrepancy=False)["residuals"]))
@@ -281,7 +282,7 @@ def test_criterion_10_scaling_and_doubling(h1, rule_h1):
     worst_scale = 0.0
     for p in (fixtures.poly_x(h1), fixtures.mixed_cylindrical(h1)):
         u = FunctionHandle.from_polynomial(h1, p)
-        ud = FunctionHandle.from_polynomial(h1, p.compose_dilation(lam))
+        ud = FunctionHandle.from_polynomial(h1, oracles.dilated(p, lam))
         for r in (0.4, 0.8):
             n1 = sf.frequency(ud, r, rule_h1)
             n2 = sf.frequency(u, float(lam) * r, rule_h1)

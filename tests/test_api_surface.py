@@ -1,0 +1,53 @@
+"""The public surface: every name `subfreq` exports is called somewhere in
+the package, or is listed in README's "Toolkit API" section.  A name that
+only the tests call belongs in the tests (`oracles.py`)."""
+
+import ast
+import pathlib
+import re
+import types
+
+import subfreq as sf
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "subfreq"
+
+
+def referenced_names():
+    """Every name, attribute or imported name used outside __init__.py."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def toolkit_api():
+    """The backquoted names that open the bullets of README's "Toolkit API"
+    section, up to each bullet's colon."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Toolkit API\n(.*?)(?=^## |\Z)", readme, re.M | re.S)
+    assert section, "README has no '## Toolkit API' section"
+    heads = re.findall(r"^- ([^:]*):", section.group(1), re.M)
+    return {name for head in heads for name in re.findall(r"`(\w+)`", head)}
+
+
+def exported_names():
+    return {name for name in sf.__all__
+            if not isinstance(getattr(sf, name), types.ModuleType)}
+
+
+def test_every_export_has_a_caller_or_is_toolkit_api():
+    orphans = exported_names() - referenced_names() - toolkit_api()
+    assert not orphans, f"exported with no caller in src/subfreq: {sorted(orphans)}"
+
+
+def test_toolkit_api_names_are_exported():
+    assert toolkit_api() <= exported_names()

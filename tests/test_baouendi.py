@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import subfreq as sf
 from subfreq import fixtures
 from subfreq.errors import (
@@ -123,16 +124,19 @@ def test_psi_alpha_range_and_singularity(ba112):
 
 
 def test_solid_harmonic_quadratic_constants():
-    # derived, not hard-coded: A = 4(alpha+1)(2 alpha + m)/k
-    assert sf.derived_quadratic_constant(sf.BaouendiSpec(1, 1, 2)) == 60
-    assert sf.derived_quadratic_constant(sf.BaouendiSpec(2, 1, 1)) == 32
-    assert sf.derived_quadratic_constant(sf.BaouendiSpec(3, 2, 1)) == 20
+    # derived, not hard-coded: P = |z|^(2(alpha+1)) - A |t|^2 with
+    # A = 4(alpha+1)(2 alpha + m)/k
+    for dims, A in (((1, 1, 2), 60), ((2, 1, 1), 32), ((3, 2, 1), 20)):
+        m, k, alpha = dims
+        lead = Polynomial.z_norm_sq(m, k, alpha + 1) ** (alpha + 1)
+        t_sq = Polynomial.t_norm_sq(m, k, alpha + 1)
+        assert sf.solid_harmonic_quadratic(sf.BaouendiSpec(*dims)) == lead - t_sq * A
 
 
 def test_solid_harmonic_annihilated(ba112):
     p = sf.solid_harmonic_quadratic(ba112)
     assert sf.baouendi_apply(ba112, p).is_zero()
-    assert p.is_homogeneous(2 * (ba112.integer_alpha() + 1))
+    assert sf.euler(p) == p * (2 * (ba112.integer_alpha() + 1))
 
 
 def test_alpha_one_matches_group_quartic(h1, ba211):
@@ -142,8 +146,9 @@ def test_alpha_one_matches_group_quartic(h1, ba211):
 
 
 def test_z_alpha_on_homogeneous(ba112):
+    # Z_a = z . d_z + (a+1) t . d_t, exactly and as the handle's Zu
     p = sf.solid_harmonic_quadratic(ba112)
-    assert sf.z_alpha_apply(ba112, p) == p * 6
+    assert FunctionHandle.from_polynomial(ba112, p).zu == sf.euler(p) == p * 6
 
 
 def test_orthogonality(ba112, rule_ba112):
@@ -153,6 +158,19 @@ def test_orthogonality(ba112, rule_ba112):
     n1 = abs(sf.orthogonality_check(ba112, p1, p1, 1.0, rule_ba112)) ** 0.5
     n2 = abs(sf.orthogonality_check(ba112, pq, pq, 1.0, rule_ba112)) ** 0.5
     assert abs(inner) <= 1e-10 * n1 * n2
+
+
+def test_orthogonality_rejects_polynomials_outside_the_spec(ba112, rule_ba112):
+    pq = sf.solid_harmonic_quadratic(ba112)
+    for wrong in (Polynomial.z_var(1, 1, 0),                # layer weight 2, not 3
+                  Polynomial.z_var(2, 1, 0, tweight=3),     # m = 2, not 1
+                  Polynomial.t_var(1, 2, 0, tweight=3)):    # k = 2, not 1
+        with pytest.raises(DimensionMismatch):
+            sf.orthogonality_check(ba112, wrong, pq, 1.0, rule_ba112)
+        with pytest.raises(DimensionMismatch):
+            sf.orthogonality_check(ba112, pq, wrong, 1.0, rule_ba112)
+    with pytest.raises(NonIntegerAlpha):
+        sf.orthogonality_check(sf.BaouendiSpec(1, 1, 1.5), pq, pq, 1.0, rule_ba112)
 
 
 def test_frequency_of_solid_harmonics(ba112, rule_ba112):
@@ -192,8 +210,10 @@ def test_d_variation_without_discrepancy_term(ba112, ba211, rule_ba112, rule_ba2
 
 
 def test_normalization_constant_estimators_agree(ba112):
-    out = sf.normalization_constant(ba112, samples=300_000, seed=3)
-    assert abs(out["mc"] - out["value"]) < 4.0 * out["mc_stderr"] + 1e-4 * out["value"]
+    value = sf.gauge_constant(ba112.m, ba112.k, float(ba112.alpha))
+    mc, mc_stderr = oracles.gauge_constant_mc(ba112.m, ba112.k, float(ba112.alpha),
+                                              samples=300_000, seed=3)
+    assert abs(mc - value) < 4.0 * mc_stderr + 1e-4 * value
 
 
 # -- finite-difference solver ----------------------------------------------

