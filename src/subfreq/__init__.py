@@ -49,6 +49,7 @@ from .groups import (
     group_to_json,
     heisenberg,
     inverse,
+    left_translate,
     make_group,
 )
 from .polynomials import (
@@ -61,7 +62,6 @@ from .polynomials import (
     euler,
     euler_Z,
     harmonic_basis,
-    left_translate,
     sublaplacian,
 )
 from .quadrature import (

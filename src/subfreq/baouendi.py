@@ -93,7 +93,15 @@ def orthogonality_check(spec, p, p_prime, r, rule):
 
     for q in (p, p_prime):
         _symbolic_alpha(spec, q)
-    return surface_integral(lambda z, t: p(z, t) * p_prime(z, t), r, rule, weighted=True)
+    return surface_integral(p * p_prime, r, rule, weighted=True)
+
+
+def relative_orthogonality(spec, p, p_prime, r, rule):
+    """(inner, |inner| / (|p| |p'|)) from `orthogonality_check`."""
+    inner = orthogonality_check(spec, p, p_prime, r, rule)
+    n1 = abs(orthogonality_check(spec, p, p, r, rule)) ** 0.5
+    n2 = abs(orthogonality_check(spec, p_prime, p_prime, r, rule)) ** 0.5
+    return inner, abs(inner) / (n1 * n2)
 
 
 # -- finite-difference Dirichlet solver ------------------------------------
@@ -167,6 +175,8 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
         raise BadGrid("box/grid must have one entry per axis")
     if any(n < 5 or n > 257 for n in grid_sizes):
         raise BadGrid("grid sizes must be in [5, 257]")
+    if not all(lo < hi for lo, hi in box):
+        raise BadGrid(f"every box axis needs lo < hi, got {box}")
 
     axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes))
     steps = [ax[1] - ax[0] for ax in axes]
@@ -248,7 +258,7 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
 # -- problem files ---------------------------------------------------------
 
 
-def problem_from_json(data, poly_loader=None):
+def problem_from_json(data):
     """Parse a solver problem description.
 
     Format: {"m":1,"k":1,"alpha":2,"box":[[-1,1],[-1,1]],"grid":[129,129],
@@ -262,17 +272,11 @@ def problem_from_json(data, poly_loader=None):
         boundary = data["boundary"]
         if not (isinstance(boundary, str) and boundary.startswith("poly:")):
             raise ParseError("boundary must be 'poly:<polynomial-file>'")
-        path = boundary[len("poly:"):]
-        loader = poly_loader or _load_poly_file
-        a = spec.integer_alpha()
-        poly = loader(path, spec.m, spec.k, a + 1)
+        tweight = spec.integer_alpha() + 1
+        with open(boundary[len("poly:"):], encoding="utf-8") as fh:
+            poly = Polynomial.from_json(fh.read(), m=spec.m, k=spec.k, tweight=tweight)
         return spec, box, grid, poly
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, DimensionMismatch, NonIntegerAlpha)):
             raise
         raise ParseError(f"bad problem file: {exc}") from exc
-
-
-def _load_poly_file(path, m, k, tweight):
-    with open(path, encoding="utf-8") as fh:
-        return Polynomial.from_json(fh.read(), m=m, k=k, tweight=tweight)

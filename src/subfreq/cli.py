@@ -13,8 +13,8 @@ from . import verify as verify_mod
 from .baouendi import (
     BaouendiSpec,
     fd_solve,
-    orthogonality_check,
     problem_from_json,
+    relative_orthogonality,
     solid_harmonic_quadratic,
 )
 from .errors import ParseError, SubfreqError
@@ -69,6 +69,18 @@ def _radii(args):
     return geometric_radii(args.rmin, args.rmax, args.steps)
 
 
+def _point(text):
+    """The Point of a JSON pair of number lists [[z...], [t...]]; its
+    dimensions are checked against the group where it is used."""
+    raw = json.loads(text)
+    if not (isinstance(raw, list) and len(raw) == 2
+            and all(isinstance(part, list) for part in raw)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for part in raw for x in part)):
+        raise ParseError(f"a point is a JSON pair [[z...], [t...]] of numbers, got {text}")
+    return Point(tuple(raw[0]), tuple(raw[1]))
+
+
 def _add_radius_flags(p, rmin=0.5, rmax=1.5, steps=16):
     p.add_argument("--rmin", type=float, default=rmin)
     p.add_argument("--rmax", type=float, default=rmax)
@@ -98,10 +110,7 @@ def cmd_harmonics(args):
 def cmd_frequency(args):
     g = _load_group(args.group)
     p = _load_poly(args.poly, m=g.m, k=g.k)
-    center = None
-    if args.center:
-        raw = json.loads(args.center)
-        center = Point(tuple(raw[0]), tuple(raw[1]))
+    center = _point(args.center) if args.center else None
     u = FunctionHandle.from_polynomial(g, p, center=center, label=args.poly)
     rule = build_sphere_rule(g, args.resolution)
     ref = None
@@ -167,10 +176,7 @@ def cmd_baouendi_ortho(args):
     rule = build_sphere_rule(spec, args.resolution)
     p1 = Polynomial.z_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
     pq = solid_harmonic_quadratic(spec)
-    inner = orthogonality_check(spec, p1, pq, args.radius, rule)
-    n1 = abs(orthogonality_check(spec, p1, p1, args.radius, rule)) ** 0.5
-    n2 = abs(orthogonality_check(spec, pq, pq, args.radius, rule)) ** 0.5
-    rel = abs(inner) / (n1 * n2)
+    inner, rel = relative_orthogonality(spec, p1, pq, args.radius, rule)
     if args.json:
         _emit(args, json.dumps({"inner": inner, "relative": rel}))
     else:

@@ -2,8 +2,8 @@
 
 Every functional is an integral over a gauge ball or sphere of one
 SphereRule.  For a polynomial handle the integrands |grad_H u|^2, u^2,
-(u - P)^2 and the squared discrepancy are Polynomials, integrated in
-closed form by sphere moments (finite power series in r); callables and
+(u - P)^2, the squared discrepancy and Zu E_u are Polynomials, integrated
+in closed form by sphere moments (finite power series in r); callables and
 FD handles are summed over the rule's nodes.  Either way the global
 calibration factor gamma of the rule multiplies D and H alike and cancels
 in every ratio and identity tested here.
@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
-from .polynomials import euler, left_translate
+from .groups import left_translate
+from .polynomials import euler
 from .quadrature import surface_integral, volume_integral
 
 FD_STEP = 1e-5
@@ -263,8 +264,7 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
         val = (rule.Q - 2.0) / r * d \
             + 2.0 * surface_integral(zr_sq, r, rule, weighted=True)
         if with_disc:
-            e_term = lambda z, t: (u.zu(z, t) / r) * (4.0 * u.disc.evaluate(z, t) / r ** 3)
-            val += 2.0 * surface_integral(e_term, r, rule, weighted=False)
+            val += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
         rhs.append(val)
     rhs = np.array(rhs)
     scale = np.maximum(np.abs(dp), np.maximum(np.abs(rhs), 1e-300))

@@ -28,9 +28,15 @@ from .errors import (
     OriginSingularity,
     ParseError,
 )
-from .polynomials import _jz_component, discrepancy_poly, horizontal_field
+from .polynomials import (
+    Polynomial,
+    _check_group_poly,
+    _jz_component,
+    discrepancy_poly,
+    horizontal_field,
+)
 
-METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for k > 2
+METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for m >= 8, k > 2
 METIVIER_TOL = 1e-9
 
 
@@ -176,31 +182,40 @@ def _is_htype(G):
 
 
 def _is_metivier(G):
-    """J(t) nonsingular for every t != 0.
+    """J(t) = sum_l t_l J_l nonsingular for every t != 0, where
+    det J(t) = Pf(J(t))^2 with a Pfaffian of degree m/2 in t.
 
-    Exact for k <= 2 (determinant / real-root counting on the pencil);
-    for k > 2 a documented 8,192-point (2^13) Sobol sample of the t-sphere
-    is used, which is a one-sided certificate only.
+    Exact for odd m (never), for k = 1 (det J_1), for k >= 2 with
+    m = 2 (mod 4) (never: Pf(-t) = -Pf(t), so Pf vanishes on every circle),
+    for k = 2 (real roots of the pencil det(x J_1 + J_2)) and for m = 4
+    (`_pfaffian_form_definite`).  For m >= 8, k >= 3 a 2^13-point Sobol
+    sample of the t-sphere can only find a singular J(t): False is proven,
+    True is unproven.
     """
-    if G.m % 2 == 1:
-        return False  # odd skew-symmetric matrices are singular
-    if G.k == 1:
+    m, k = G.m, G.k
+    if m % 2 == 1:
+        return False
+    if k == 1:
         return exactla.det(G.J[0]) != 0
-    if G.k == 2:
+    if m % 4 == 2:
+        return False
+    if k == 2:
         if exactla.det(G.J[0]) == 0:
             return False
         import sympy
 
         x = sympy.Symbol("x")
-        mat = sympy.Matrix(G.m, G.m, lambda i, j: sympy.Rational(G.J[0][i][j]) * x
+        mat = sympy.Matrix(m, m, lambda i, j: sympy.Rational(G.J[0][i][j]) * x
                            + sympy.Rational(G.J[1][i][j]))
         p = sympy.Poly(mat.det(method="berkowitz"), x)
         if p.is_zero:
             return False
         return p.count_roots() == 0
+    if m == 4:
+        return _pfaffian_form_definite(G)
     from scipy.stats import norm, qmc
 
-    sob = qmc.Sobol(d=G.k, scramble=False)
+    sob = qmc.Sobol(d=k, scramble=False)
     pts = sob.random_base2(METIVIER_SAMPLES_LOG2)
     pts = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(pts, axis=1)
@@ -215,9 +230,27 @@ def _is_metivier(G):
     return bool(min_sv > METIVIER_TOL)
 
 
+def _pfaffian_form_definite(G):
+    """For m = 4: whether P, with Pf(J(t)) = t^T P t, is definite.
+
+    Pf(A) = a_01 a_23 - a_02 a_13 + a_03 a_12 is a quadratic form in A, and
+    P_ll' is its polarization at (J_l, J_l').  Sylvester's criterion: P is
+    positive (negative) definite iff its leading principal minors d_j
+    satisfy d_j > 0 ((-1)^j d_j > 0) for every j."""
+
+    def pf(a, b):
+        return a[0][1] * b[2][3] - a[0][2] * b[1][3] + a[0][3] * b[1][2]
+
+    P = [[(pf(a, b) + pf(b, a)) / 2 for b in G.J] for a in G.J]
+    minors = [exactla.det([row[:j] for row in P[:j]]) for j in range(1, G.k + 1)]
+    return (all(d > 0 for d in minors)
+            or all((-1) ** j * d > 0 for j, d in enumerate(minors, 1)))
+
+
 def classify(G):
-    """Return {"is_htype": bool, "is_metivier": bool}."""
-    return {"is_htype": G.is_htype, "is_metivier": _is_metivier(G)}
+    """Return {"is_htype": bool, "is_metivier": bool}.  An H-type group is
+    Metivier by theorem: J(t)^T J(t) = |t|^2 I (Kaplan 1980)."""
+    return {"is_htype": G.is_htype, "is_metivier": G.is_htype or _is_metivier(G)}
 
 
 def _check_point(G, g):
@@ -250,6 +283,28 @@ def dilate(G, lam, g):
         raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
     _check_point(G, g)
     return Point(tuple(lam * a for a in g.z), tuple(lam * lam * a for a in g.t))
+
+
+def left_translate(G, p, g0):
+    """p composed with the left translation h -> g0 * h, exactly.
+
+    g0 must have rational (or integer) coordinates.
+    """
+    _check_group_poly(G, p)
+    _check_point(G, g0)
+    z0 = [exactla.to_fraction(x) for x in g0.z]
+    t0 = [exactla.to_fraction(x) for x in g0.t]
+    z_subs = [Polynomial.constant(G.m, G.k, z0[i]) + Polynomial.z_var(G.m, G.k, i)
+              for i in range(G.m)]
+    t_subs = []
+    for ell in range(G.k):
+        sub = Polynomial.constant(G.m, G.k, t0[ell]) + Polynomial.t_var(G.m, G.k, ell)
+        for i in range(G.m):
+            coeff = sum(G.J[ell][i][j] * z0[j] for j in range(G.m))
+            if coeff != 0:
+                sub = sub + Polynomial.z_var(G.m, G.k, i) * (coeff / 2)
+        t_subs.append(sub)
+    return p.substitute(z_subs, t_subs)
 
 
 def gauge(G, g):

@@ -360,14 +360,10 @@ def euler_Z(G, p):
 
 
 def euler(p):
-    """The Euler field of the dilation structure encoded in tweight."""
-    result = Polynomial.zero(p.m, p.k, p.tweight)
-    for i in range(p.m):
-        result = result + Polynomial.z_var(p.m, p.k, i, p.tweight) * p.diff_z(i)
-    for ell in range(p.k):
-        result = result + (Polynomial.t_var(p.m, p.k, ell, p.tweight)
-                           * p.diff_t(ell) * p.tweight)
-    return result
+    """The Euler field of the dilations encoded in tweight: it multiplies
+    z^a t^b by its degree |a| + tweight |b|."""
+    return p._like({(a, b): c * (sum(a) + p.tweight * sum(b))
+                    for (a, b), c in p.terms.items()})
 
 
 def discrepancy_poly(G, p):
@@ -381,27 +377,6 @@ def discrepancy_poly(G, p):
     for ell in range(G.k):
         result = result + Polynomial.t_var(G.m, G.k, ell) * apply_theta(G, ell, p)
     return result
-
-
-def left_translate(G, p, g0):
-    """p composed with the left translation h -> g0 * h, exactly.
-
-    g0 must have rational (or integer) coordinates.
-    """
-    _check_group_poly(G, p)
-    z0 = [exactla.to_fraction(x) for x in g0.z]
-    t0 = [exactla.to_fraction(x) for x in g0.t]
-    z_subs = [Polynomial.constant(G.m, G.k, z0[i]) + Polynomial.z_var(G.m, G.k, i)
-              for i in range(G.m)]
-    t_subs = []
-    for ell in range(G.k):
-        sub = Polynomial.constant(G.m, G.k, t0[ell]) + Polynomial.t_var(G.m, G.k, ell)
-        for i in range(G.m):
-            coeff = sum(G.J[ell][i][j] * z0[j] for j in range(G.m))
-            if coeff != 0:
-                sub = sub + Polynomial.z_var(G.m, G.k, i) * (coeff / 2)
-        t_subs.append(sub)
-    return p.substitute(z_subs, t_subs)
 
 
 # -- Baouendi operator (symbolic, integer alpha) ---------------------------

@@ -17,7 +17,7 @@ import sympy
 from subfreq.constants import Geometry, sphere_area
 from subfreq.errors import OriginSingularity
 from subfreq.fixtures import poly_t, poly_x, poly_y
-from subfreq.groups import _check_point
+from subfreq.groups import _check_point, make_group
 from subfreq.polynomials import Polynomial, sublaplacian
 
 
@@ -148,3 +148,19 @@ def dilated(p, lam):
     z = [Polynomial.z_var(p.m, p.k, i, p.tweight) * lam for i in range(p.m)]
     t = [Polynomial.t_var(p.m, p.k, j, p.tweight) * lam ** p.tweight for j in range(p.k)]
     return p.substitute(z, t)
+
+
+# left multiplication by the unit quaternions i, j, k on R^4: an H-type group
+QUATERNIONIC_J = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                  [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                  [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
+
+
+def random_skew_group(m, k, seed):
+    """The group of k seeded random integer skew-symmetric m x m matrices."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(k):
+        a = rng.integers(-3, 4, size=(m, m))
+        mats.append((a - a.T).tolist())
+    return make_group(m, k, mats)

@@ -228,6 +228,14 @@ def test_fd_solver_guards(ba112):
     with pytest.raises(BadGrid):
         sf.fd_solve(ba112, [(-1, 1)], [9, 9], lambda z, t: np.zeros(len(z)))
 
+    def boundary(z, t):
+        raise AssertionError("boundary data evaluated on a degenerate box")
+
+    # empty and reversed axes are rejected before anything is allocated
+    for box in ([(0, 0), (-1, 1)], [(1, -1), (-1, 1)], [(-1, 1), (1, 1)]):
+        with pytest.raises(BadGrid, match="lo < hi"):
+            sf.fd_solve(ba112, box, [9, 9], boundary)
+
 
 @pytest.mark.parametrize("dims, sizes", [((1, 1, 2), (33, 65)), ((2, 1, 1), (17, 33))],
                          ids=["ba112", "ba211"])

@@ -7,10 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import subfreq as sf
 from subfreq.cli import entry
 from subfreq.polynomials import Polynomial
 from subfreq.quadrature import MAX_RULE_NODES
+
+
+QUATERNIONIC = oracles.QUATERNIONIC_J
 
 
 @pytest.fixture()
@@ -42,15 +46,22 @@ def test_group_report_json(h1_file, capsys):
 
 
 def test_group_json_quaternionic(tmp_path, capsys):
-    # k = 3: the Metivier check takes its Sobol path
-    quaternionic = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
     path = tmp_path / "quaternionic.json"
-    path.write_text(json.dumps(sf.group_to_json(sf.make_group(4, 3, quaternionic))))
+    path.write_text(json.dumps(sf.group_to_json(sf.make_group(4, 3, QUATERNIONIC))))
     assert entry(["group", "--group", str(path), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"m": 4, "k": 3, "N": 7, "Q": 10, "htype": True, "metivier": True}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sf.make_group(4, 3, [QUATERNIONIC[0], QUATERNIONIC[1], QUATERNIONIC[0]]),
+    lambda: oracles.random_skew_group(6, 3, seed=6),
+], ids=["repeated-quaternion", "m6-k3"])
+def test_group_not_metivier(make, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(sf.group_to_json(make())))
+    assert entry(["group", "--group", str(path)]) == 0
+    assert "metivier=false" in capsys.readouterr().out
 
 
 def test_group_6d_report(tmp_path, capsys):
@@ -133,15 +144,31 @@ def test_frequency_with_center(h1_file, x_file, capsys):
 
 
 def test_frequency_on_h1_loads_no_sympy(h1_file, x_file):
-    # the H-type test is exact and cheap; the Metivier test (a sympy
-    # determinant for k = 1) is not needed to compute a curve
+    # the H-type test is exact and cheap, and an H-type group is Metivier by
+    # theorem, so `frequency`, `group` and `discrepancy` never need sympy
     code = ("import sys; from subfreq.cli import entry; "
             f"rc = entry(['frequency', '--group', {h1_file!r}, '--poly', {x_file!r}, "
             "'--steps', '2', '--resolution', '8']); "
+            f"rc += entry(['group', '--group', {h1_file!r}]); "
+            f"rc += entry(['discrepancy', '--group', {h1_file!r}, '--poly', {x_file!r}]); "
             "assert rc == 0; assert 'sympy' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("center, message", [
+    ("[1]", "a point is a JSON pair"),
+    ('{"a":1}', "a point is a JSON pair"),
+    ("[[1],[0]]", "point does not match group dimensions"),
+    ("[[1,2,3],[0]]", "point does not match group dimensions"),
+    ("[[1,0],[0,5]]", "point does not match group dimensions"),
+], ids=["list", "object", "short-z", "long-z", "long-t"])
+def test_frequency_bad_center_exit_2(h1_file, x_file, center, message, capsys):
+    assert entry(["frequency", "--group", h1_file, "--poly", x_file, "--center", center,
+                  "--steps", "2", "--resolution", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_discrepancy_command(h1_file, x_file, capsys):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import subfreq as sf
+from subfreq import exactla, groups
 from subfreq.errors import (
     DimensionMismatch,
     NonPositiveLambda,
@@ -19,6 +23,19 @@ from subfreq.errors import (
 )
 from subfreq.groups import Point, _is_htype
 from subfreq.polynomials import harmonic_basis, sublaplacian
+
+
+QUATERNIONIC = oracles.QUATERNIONIC_J
+
+
+def scaled(mat, c):
+    return [[c * x for x in row] for row in mat]
+
+
+def doubled_blocks(mat):
+    """block_diag(mat, mat)."""
+    n = len(mat)
+    return [row + [0] * n for row in mat] + [[0] * n + row for row in mat]
 
 
 def rational_points(m, k):
@@ -66,15 +83,77 @@ def test_metivier_example_not_htype():
 
 
 def test_quaternionic_classification_emits_no_warning():
-    # k = 3 takes the Sobol path of the Metivier check
-    quaternionic = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        info = sf.make_group(4, 3, quaternionic).classification
+        info = sf.make_group(4, 3, QUATERNIONIC).classification
     assert caught == []
     assert info == {"is_htype": True, "is_metivier": True}
+
+
+@pytest.mark.parametrize("make", [lambda: sf.heisenberg(1), lambda: sf.heisenberg(3),
+                                  sf.example_group_6d,
+                                  lambda: sf.make_group(4, 3, QUATERNIONIC)],
+                         ids=["h1", "h3", "g6", "quaternionic"])
+def test_htype_groups_are_metivier_by_theorem(make, monkeypatch):
+    def not_reached(G):
+        raise AssertionError("the Metivier check ran on an H-type group")
+
+    monkeypatch.setattr(groups, "_is_metivier", not_reached)
+    assert make().classification == {"is_htype": True, "is_metivier": True}
+
+
+def test_classifying_quaternionic_loads_neither_sympy_nor_scipy_stats():
+    code = ("import sys, subfreq; "
+            f"g = subfreq.make_group(4, 3, {QUATERNIONIC!r}); "
+            "assert g.classification == {'is_htype': True, 'is_metivier': True}; "
+            "assert 'sympy' not in sys.modules and 'scipy.stats' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_repeated_quaternion_is_not_metivier():
+    # J(t) = (t_1 + t_3) Q_1 + t_2 Q_2 vanishes at t = (1, 0, -1) / sqrt(2)
+    g = sf.make_group(4, 3, [QUATERNIONIC[0], QUATERNIONIC[1], QUATERNIONIC[0]])
+    assert g.classification == {"is_htype": False, "is_metivier": False}
+
+
+def test_m_2_mod_4_with_k_at_least_2_is_not_metivier():
+    # Pf(J(t)) is a cubic form in t, odd, so it vanishes on every circle
+    g = oracles.random_skew_group(6, 3, seed=6)
+    assert g.classification == {"is_htype": False, "is_metivier": False}
+
+
+def test_pencil_path_for_k_2():
+    j1, j2 = sf.example_group_6d().J
+    assert sf.make_group(4, 2, [j1, scaled(j2, 2)]).classification \
+        == {"is_htype": False, "is_metivier": True}
+    assert sf.make_group(4, 2, [j1, j1]).classification \
+        == {"is_htype": False, "is_metivier": False}
+
+
+def test_pfaffian_form_for_m_4():
+    # Pf(J(t)) = t_1^2 + t_2^2 + 4 t_3^2: positive definite; swapping z_1 and
+    # z_2 negates the Pfaffian, so the form becomes negative definite
+    mats = QUATERNIONIC[:2] + [scaled(QUATERNIONIC[2], 2)]
+    swapped = [[[mat[i][j] for j in (1, 0, 2, 3)] for i in (1, 0, 2, 3)] for mat in mats]
+    for J in (mats, swapped):
+        assert sf.make_group(4, 3, J).classification == {"is_htype": False, "is_metivier": True}
+
+
+def test_sobol_path_for_m_8_k_3(monkeypatch):
+    # J(t)^T J(t) = (t_1^2 + t_2^2 + 4 t_3^2) I; no exact determinant is taken
+    mats = [doubled_blocks(q) for q in QUATERNIONIC]
+    mats[2] = scaled(mats[2], 2)
+
+    def not_reached(rows):
+        raise AssertionError("an exact path ran for m = 8, k = 3")
+
+    monkeypatch.setattr(exactla, "det", not_reached)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        info = sf.make_group(8, 3, mats).classification
+    assert caught == []
+    assert info == {"is_htype": False, "is_metivier": True}
 
 
 def test_odd_horizontal_dimension_never_metivier():

@@ -269,6 +269,35 @@ def test_euler_on_homogeneous(h1):
     assert sf.euler_Z(h1, p) == p * 3
 
 
+def _euler_by_products(p):
+    """Z p = sum_i z_i d_{z_i} p + w sum_l t_l d_{t_l} p, by Polynomial products."""
+    result = Polynomial.zero(p.m, p.k, p.tweight)
+    for i in range(p.m):
+        result = result + Polynomial.z_var(p.m, p.k, i, p.tweight) * p.diff_z(i)
+    for ell in range(p.k):
+        result = result + (Polynomial.t_var(p.m, p.k, ell, p.tweight)
+                           * p.diff_t(ell) * p.tweight)
+    return result
+
+
+@pytest.mark.parametrize("m, k, tweight", [(2, 1, 2), (4, 1, 2), (4, 2, 2), (1, 1, 3)],
+                         ids=["h1", "h2", "g6", "ba112"])
+def test_euler_by_degree_matches_product_formula(m, k, tweight, monkeypatch):
+    from subfreq import fixtures
+
+    rng = np.random.default_rng(17)
+    polys = [fixtures.random_polynomial(rng, m, k, tweight=tweight) + 7 for _ in range(20)]
+    expected = [_euler_by_products(p) for p in polys]
+
+    def no_product(self, other):
+        raise AssertionError("euler multiplied Polynomials")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    for p, want in zip(polys, expected):
+        assert not want.is_zero()
+        assert sf.euler(p) == want
+
+
 def test_baouendi_apply_oracles():
     # B_a |z|^(2(a+1)) = 2(a+1)(2a+m) |z|^(2a), B_a |t|^2 = (k/2) |z|^(2a)
     spec = sf.BaouendiSpec(1, 1, 2)
