@@ -62,8 +62,9 @@ class BaouendiSpec(Geometry):
         return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
 
     def discrepancy(self, p=None):
-        """The discrepancy E_u vanishes identically for B_a: the zero numerator."""
-        return Polynomial.zero(self.m, self.k)
+        """The discrepancy E_u vanishes identically for B_a: the zero numerator,
+        in the layer weight alpha + 1 of the symbolic calculus."""
+        return Polynomial.zero(self.m, self.k, self.alpha + 1)
 
 
 def _symbolic_alpha(spec, p):
@@ -121,33 +122,35 @@ class GridSolution:
     def as_handle(self):
         """FunctionHandle evaluating by multilinear interpolation.
 
-        The partials are second-order central differences on the grid, each
-        interpolated the same way."""
+        One interpolator reads one array of channels: u and its second-order
+        central differences d_1 u, ..., filled in one axis at a time so that
+        no list of gradients is held.  Value and partials come from one call
+        per point set."""
         from scipy.interpolate import RegularGridInterpolator
 
-        def interpolator(data):
-            return RegularGridInterpolator(self.axes, data, method="linear", bounds_error=True)
-
-        value = interpolator(self.values)
-        grads = [interpolator(g) for g in np.gradient(self.values, *self.axes, edge_order=2)]
+        data = np.empty(self.values.shape + (len(self.axes) + 1,))
+        data[..., 0] = self.values
+        for axis, nodes in enumerate(self.axes):
+            data[..., axis + 1] = np.gradient(self.values, nodes, axis=axis, edge_order=2)
+        interpolator = RegularGridInterpolator(self.axes, data, method="linear",
+                                               bounds_error=True)
         m = self.spec.m
         lo, hi = np.array(self.box).T
 
-        def points(z, t):
+        def channels(z, t):
             p = np.concatenate([z, t], axis=1)
             outside = np.any((p < lo) | (p > hi), axis=1)
             if outside.any():
                 box = " x ".join(f"[{a:g}, {b:g}]" for a, b in self.box)
                 raise BadGrid(f"point {p[outside][0]} lies outside the FD solution box {box}")
-            return p
+            return interpolator(p)
 
         def partials(z, t):
-            p = points(z, t)
-            d = [f(p) for f in grads]
+            d = list(channels(z, t)[:, 1:].T)
             return d[:m], d[m:]
 
         return FunctionHandle.from_partials(
-            self.spec, lambda z, t: value(points(z, t)), partials, label="fd-solution")
+            self.spec, lambda z, t: channels(z, t)[:, 0], partials, label="fd-solution")
 
 
 def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):

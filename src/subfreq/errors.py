@@ -42,7 +42,7 @@ class ResolutionTooLarge(SubfreqError, ValueError):
 
 
 class ZeroHeight(SubfreqError, ArithmeticError):
-    """Boundary height H(r) vanished; the function is zero on the ball."""
+    """Boundary height H(r) <= 0: the function vanishes on the sphere S_r."""
 
 
 class DiscrepancyNonzero(SubfreqError, ValueError):

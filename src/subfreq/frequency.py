@@ -10,7 +10,7 @@ in every ratio and identity tested here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,11 +37,10 @@ class FunctionHandle:
     |grad_H u|^2 and Zu, which evaluate like functions and which the
     quadrature integrates in closed form; `value_sq` (u^2) and `disc_sq`
     are Polynomials too, built once per handle.  Black boxes pass central
-    differences (step FD_STEP * (1 + |g|), 2(m+k) evaluations of u) and
-    take Zu from one central difference along the Euler field (2
-    evaluations); their integrals are sums over the rule.  `disc` is the
-    discrepancy numerator from the context: exact on H-type group
-    polynomials, zero for B_a, else None.
+    differences (step FD_STEP * (1 + |g|), 2(m+k) evaluations of u); their
+    integrals are sums over the rule.  `disc` is the discrepancy numerator
+    from the context: exact on H-type group polynomials, zero for B_a, else
+    None.
     """
 
     def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label=""):
@@ -56,15 +55,14 @@ class FunctionHandle:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_partials(cls, context, value, partials, poly=None, zu=None, label=""):
+    def from_partials(cls, context, value, partials, poly=None, label=""):
         """Handle from the Euclidean partials of u: either the pair
         ([d_{z_i} poly], [d_{t_j} poly]) of Polynomials of u = poly (exact), or
         a function (z, t) -> (dz, dt) returning lists of arrays (numeric).  Zu
-        is the Euler field of the partials unless a numeric source passes its
-        own `zu`."""
+        is the Euler field of the partials."""
         if callable(partials):
             grad_sq = lambda z, t: context.horizontal_grad_sq(*partials(z, t), z)
-            zu = zu or (lambda z, t: context.geometry.euler_field(z, t, *partials(z, t)))
+            zu = lambda z, t: context.geometry.euler_field(z, t, *partials(z, t))
         else:
             grad_sq = context.horizontal_grad_sq(*partials)
             zu = euler(poly)
@@ -82,22 +80,17 @@ class FunctionHandle:
     def from_callable(cls, context, value, label=""):
         m = context.m
 
-        def derivative(g, v):
-            """Central difference of u at the points g along the vectors v."""
-            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
-            up, down = g + h[:, None] * v, g - h[:, None] * v
-            return (value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:])) / (2.0 * h)
-
         def partials(z, t):
             g = np.concatenate([z, t], axis=1)
-            d = [derivative(g, e) for e in np.eye(g.shape[1])]
+            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
+            d = []
+            for e in np.eye(g.shape[1]):
+                up, down = g + h[:, None] * e, g - h[:, None] * e
+                d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
+                         / (2.0 * h))
             return d[:m], d[m:]
 
-        def zu(z, t):
-            euler_vector = np.concatenate([z, (context.geometry.alpha + 1.0) * t], axis=1)
-            return derivative(np.concatenate([z, t], axis=1), euler_vector)
-
-        return cls.from_partials(context, value, partials, zu=zu, label=label)
+        return cls.from_partials(context, value, partials, label=label)
 
     @cached_property
     def value_sq(self):
@@ -135,19 +128,16 @@ def height(u, r, rule):
     return surface_integral(u.value_sq, r, rule, weighted=True)
 
 
-def _frequency_from(u, r, rule, d, h):
-    """r d / h for d = D(r), h = H(r); raises ZeroHeight when u vanishes on B_r."""
-    sup = float(np.max(np.abs(u.value(*rule.geometry.dilate(r, rule.z, rule.t)))))
-    floor = 1e-14 * sup ** 2 * r ** (rule.Q - 1.0) * float(np.dot(rule.weights, rule.psi))
-    if h <= floor:
-        raise ZeroHeight(f"H({r}) = {h} vanished; u is zero on the ball")
+def _frequency_from(r, d, h):
+    """r d / h for d = D(r), h = H(r); raises ZeroHeight when h <= 0."""
+    if h <= 0.0:
+        raise ZeroHeight(f"H({r}) = {h} is not positive")
     return r * d / h
 
 
 def frequency(u, r, rule):
-    """N(r) = r D(r) / H(r); raises ZeroHeight when u vanishes on B_r."""
-    return _frequency_from(u, r, rule, dirichlet(u, r, rule),
-                           height(u, r, rule))
+    """N(r) = r D(r) / H(r); raises ZeroHeight when H(r) <= 0."""
+    return _frequency_from(r, dirichlet(u, r, rule), height(u, r, rule))
 
 
 def _weiss_from(d, h, r, kappa, q):
@@ -234,15 +224,25 @@ def log_grid_derivative(values, radii):
 # -- identity checks -------------------------------------------------------
 
 
+def _identity_check(values, radii, rhs_at):
+    """Residuals of d/dr values = rhs_at(r, i) at the interior radii r = radii[i]
+    (5-point `log_grid_derivative` on the left), by one policy for every
+    identity: |lhs - rhs| / max(|lhs|, |rhs|), and 0 where both sides are
+    below 1e-12 (an identically vanishing quantity read in round-off)."""
+    r_in, lhs, inner = log_grid_derivative(values, radii)
+    rhs = np.array([rhs_at(r, i) for r, i in zip(r_in, range(len(values))[inner])])
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    residuals = np.divide(np.abs(lhs - rhs), scale, out=np.zeros_like(scale),
+                          where=scale >= 1e-12)
+    return {"radii": r_in, "lhs": lhs, "rhs": rhs, "residuals": residuals}
+
+
 def check_H_identity(u, radii, rule):
     """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r)."""
     h_vals = np.array([height(u, r, rule) for r in radii])
     d_vals = np.array([dirichlet(u, r, rule) for r in radii])
-    r_in, hp, inner = log_grid_derivative(h_vals, radii)
-    rhs = (rule.Q - 1.0) / r_in * h_vals[inner] + 2.0 * d_vals[inner]
-    scale = np.maximum(np.abs(hp), 1e-300)
-    return {"radii": r_in, "lhs": hp, "rhs": rhs,
-            "residuals": np.abs(hp - rhs) / scale}
+    return _identity_check(h_vals, radii,
+                           lambda r, i: (rule.Q - 1.0) / r * h_vals[i] + 2.0 * d_vals[i])
 
 
 def check_D_variation(u, radii, rule, include_discrepancy=True):
@@ -255,50 +255,34 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     if include_discrepancy and u.disc is None:
         raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
     with_disc = include_discrepancy and not u.disc.is_zero()
-    radii = np.asarray(radii, dtype=float)
     d_vals = np.array([dirichlet(u, r, rule) for r in radii])
-    r_in, dp, inner = log_grid_derivative(d_vals, radii)
-    rhs = []
-    for r, d in zip(r_in, d_vals[inner]):
+
+    def rhs(r, i):
         zr_sq = lambda z, t: (u.zu(z, t) / r) ** 2
-        val = (rule.Q - 2.0) / r * d \
+        val = (rule.Q - 2.0) / r * d_vals[i] \
             + 2.0 * surface_integral(zr_sq, r, rule, weighted=True)
         if with_disc:
             val += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
-        rhs.append(val)
-    rhs = np.array(rhs)
-    scale = np.maximum(np.abs(dp), np.maximum(np.abs(rhs), 1e-300))
-    res = np.abs(dp - rhs) / scale
-    both_tiny = (np.abs(dp) < 1e-12) & (np.abs(rhs) < 1e-12)
-    res[both_tiny] = 0.0
-    return {"radii": r_in, "lhs": dp, "rhs": rhs, "residuals": res}
+        return val
+
+    return _identity_check(d_vals, radii, rhs)
 
 
 def check_weiss_derivative(u, kappa, radii, rule):
     """Residuals of dW/dr = 2 r^-(Q+2k) int_{S_r} (Zu - kappa u)^2 psi dmu."""
-    radii = np.asarray(radii, dtype=float)
     w_vals = np.array([weiss(u, kappa, r, rule) for r in radii])
-    r_in, wp, inner = log_grid_derivative(w_vals, radii)
-    rhs = np.array([
+    return _identity_check(w_vals, radii, lambda r, i: (
         2.0 * r ** (-(rule.Q + 2.0 * kappa))
         * surface_integral(lambda z, t: (u.zu(z, t) - kappa * u.value(z, t)) ** 2,
-                           r, rule, weighted=True)
-        for r in r_in])
-    scale = np.maximum(np.maximum(np.abs(wp), np.abs(rhs)), 1e-300)
-    return {"radii": r_in, "lhs": wp, "rhs": rhs,
-            "residuals": np.abs(wp - rhs) / scale}
+                           r, rule, weighted=True)))
 
 
 def check_monneau_derivative(u, p_handle, kappa, radii, rule):
     """Residuals of dM/dr = (2/r) W_kappa(u, r)."""
-    radii = np.asarray(radii, dtype=float)
     diff = _monneau_difference(u, p_handle)
     m_vals = np.array([_monneau_from(diff, kappa, r, rule) for r in radii])
-    r_in, mp, inner = log_grid_derivative(m_vals, radii)
-    rhs = np.array([2.0 / r * weiss(u, kappa, r, rule) for r in r_in])
-    scale = np.maximum(np.maximum(np.abs(mp), np.abs(rhs)), 1e-300)
-    return {"radii": r_in, "lhs": mp, "rhs": rhs, "M": m_vals,
-            "residuals": np.abs(mp - rhs) / scale}
+    return {**_identity_check(m_vals, radii, lambda r, i: 2.0 / r * weiss(u, kappa, r, rule)),
+            "M": m_vals}
 
 
 def frequency_radial_exponential(eps, r, rule):
@@ -326,7 +310,6 @@ class FrequencyCurve:
     W: np.ndarray
     M: np.ndarray
     disc_norm: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self):
         lines = [CSV_HEADER]
@@ -354,7 +337,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
         d_col[i] = dirichlet(u, r, rule)
         h_col[i] = height(u, r, rule)
         try:
-            n_col[i] = _frequency_from(u, r, rule, d_col[i], h_col[i])
+            n_col[i] = _frequency_from(r, d_col[i], h_col[i])
         except ZeroHeight:
             n_col[i] = math.nan
         if kappa is not None:

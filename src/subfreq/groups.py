@@ -187,7 +187,7 @@ def _is_metivier(G):
 
     Exact for odd m (never), for k = 1 (det J_1), for k >= 2 with
     m = 2 (mod 4) (never: Pf(-t) = -Pf(t), so Pf vanishes on every circle),
-    for k = 2 (real roots of the pencil det(x J_1 + J_2)) and for m = 4
+    for k = 2 (`exactla.pencil_has_real_root` of (J_1, J_2)) and for m = 4
     (`_pfaffian_form_definite`).  For m >= 8, k >= 3 a 2^13-point Sobol
     sample of the t-sphere can only find a singular J(t): False is proven,
     True is unproven.
@@ -200,17 +200,7 @@ def _is_metivier(G):
     if m % 4 == 2:
         return False
     if k == 2:
-        if exactla.det(G.J[0]) == 0:
-            return False
-        import sympy
-
-        x = sympy.Symbol("x")
-        mat = sympy.Matrix(m, m, lambda i, j: sympy.Rational(G.J[0][i][j]) * x
-                           + sympy.Rational(G.J[1][i][j]))
-        p = sympy.Poly(mat.det(method="berkowitz"), x)
-        if p.is_zero:
-            return False
-        return p.count_roots() == 0
+        return not exactla.pencil_has_real_root(*G.J)
     if m == 4:
         return _pfaffian_form_definite(G)
     from scipy.stats import norm, qmc

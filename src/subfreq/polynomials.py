@@ -438,19 +438,11 @@ def harmonic_basis(G, kappa):
     if kappa < 0:
         raise DimensionMismatch("kappa must be >= 0")
     source = _monomials_of_degree(G.m, G.k, 2, kappa)
-    if kappa < 2:
-        return [Polynomial.monomial(G.m, G.k, a, b) for a, b in source]
-    target = _monomials_of_degree(G.m, G.k, 2, kappa - 2)
-    index = {key: r for r, key in enumerate(target)}
-    rows = [[Fraction(0)] * len(source) for _ in target]
+    rows = {}  # one sparse row {column: coefficient} per monomial of the image
     for col, (a, b) in enumerate(source):
         image = sublaplacian(G, Polynomial.monomial(G.m, G.k, a, b))
         for key, c in image.terms.items():
-            rows[index[key]][col] = c
-    kernel = exactla.kernel_basis(rows, len(source))
-    basis = []
-    for vec in kernel:
-        terms = {source[i]: c for i, c in enumerate(vec) if c != 0}
-        basis.append(Polynomial(G.m, G.k, 2, terms))
-    return basis
+            rows.setdefault(key, {})[col] = c
+    kernel = exactla.kernel_basis(list(rows.values()), len(source))
+    return [Polynomial(G.m, G.k, 2, {source[i]: c for i, c in vec.items()}) for vec in kernel]
 

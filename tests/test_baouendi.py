@@ -209,6 +209,15 @@ def test_d_variation_without_discrepancy_term(ba112, ba211, rule_ba112, rule_ba2
         assert np.max(sf.check_D_variation(u, radii, rule)["residuals"]) <= 1e-2
 
 
+def test_discrepancy_numerator_has_the_layer_weight(ba112):
+    u = FunctionHandle.from_polynomial(ba112, mixed_fixture(ba112))
+    assert (u.zu * u.disc).is_zero()
+    assert u.disc.tweight == u.poly.tweight
+    # a callable handle still builds for a non-integer alpha
+    box = FunctionHandle.from_callable(sf.BaouendiSpec(1, 1, 1.5), lambda z, t: t[:, 0])
+    assert box.disc.is_zero()
+
+
 def test_normalization_constant_estimators_agree(ba112):
     value = sf.gauge_constant(ba112.m, ba112.k, float(ba112.alpha))
     mc, mc_stderr = oracles.gauge_constant_mc(ba112.m, ba112.k, float(ba112.alpha),

@@ -13,6 +13,13 @@ from subfreq import exactla
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+def kernel(rows, ncols):
+    """`kernel_basis` of dense rows, as dense vectors."""
+    sparse = [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
+    return [[vec.get(j, Fraction(0)) for j in range(ncols)]
+            for vec in exactla.kernel_basis(sparse, ncols)]
+
+
 def test_to_fraction_forms():
     assert exactla.to_fraction(3) == Fraction(3)
     assert exactla.to_fraction("3/4") == Fraction(3, 4)
@@ -27,19 +34,19 @@ def test_rank_and_rref():
 
 def test_kernel_known():
     rows = [[Fraction(1), Fraction(1), Fraction(0)]]
-    basis = exactla.kernel_basis(rows, 3)
+    basis = kernel(rows, 3)
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
     # no rows, or only zero rows: every column is free
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert exactla.kernel_basis([], 3) == identity
-    assert exactla.kernel_basis([[Fraction(0)] * 3] * 2, 3) == identity
+    assert kernel([], 3) == identity
+    assert kernel([[Fraction(0)] * 3] * 2, 3) == identity
 
 
 def test_kernel_full_rank_empty():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert exactla.kernel_basis(rows, 2) == []
+    assert kernel(rows, 2) == []
 
 
 def test_det_known():
@@ -49,10 +56,27 @@ def test_det_known():
                         [Fraction(2), Fraction(4)]]) == 0
 
 
+def test_pencil_has_real_root():
+    one = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    rot = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+    # a singular
+    assert exactla.pencil_has_real_root([[Fraction(1), Fraction(2)],
+                                         [Fraction(2), Fraction(4)]], one)
+    # det(x rot + 2 rot) = (x + 2)^2: a double real root
+    assert exactla.pencil_has_real_root(rot, [[2 * x for x in row] for row in rot])
+    # det(x I + rot) = x^2 + 1: no real root
+    assert not exactla.pencil_has_real_root(one, rot)
+    # eigenvalues +-i and 3 of a^-1 b: one real root among complex ones
+    b = [[Fraction(int(v)) for v in row]
+         for row in ((0, -1, 0), (1, 0, 0), (0, 0, 3))]
+    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert exactla.pencil_has_real_root(eye, b)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(fracs, min_size=4, max_size=4), min_size=2, max_size=4))
 def test_kernel_vectors_annihilated(rows):
-    basis = exactla.kernel_basis([list(r) for r in rows], 4)
+    basis = kernel([list(r) for r in rows], 4)
     assert len(basis) == 4 - oracles.rank([list(r) for r in rows])
     for vec in basis:
         for row in rows:
@@ -68,7 +92,7 @@ def test_det_vanishes_iff_rank_deficient(rows):
 
 def test_kernel_vectors_integer_cleared():
     rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)]]
-    basis = exactla.kernel_basis(rows, 3)
+    basis = kernel(rows, 3)
     for vec in basis:
         assert all(c.denominator == 1 for c in vec)
 

@@ -205,6 +205,31 @@ def test_frequency_curve_csv(h1, rule_h1):
     assert text == again
 
 
+def test_polynomial_curve_evaluates_u_on_no_node(h1, rule_h1, monkeypatch):
+    # ZeroHeight is decided by H <= 0, so no column of a polynomial curve
+    # reads u at the rule's nodes
+    radii = sf.geometric_radii(0.5, 1.0, 6)
+    expected = sf.frequency_curve(handle(h1, fixtures.mixed_cylindrical(h1)), rule_h1, radii,
+                                  kappa=2, ref=handle(h1, fixtures.poly_t(h1))).to_csv()
+
+    def not_reached(*args):
+        raise AssertionError("a polynomial curve evaluated u")
+
+    monkeypatch.setattr(Polynomial, "evaluate", not_reached)
+    curve = sf.frequency_curve(handle(h1, fixtures.mixed_cylindrical(h1)), rule_h1, radii,
+                               kappa=2, ref=handle(h1, fixtures.poly_t(h1)))
+    assert curve.to_csv() == expected
+
+
+def test_identity_residual_is_zero_where_both_sides_vanish(h1, rule_h1):
+    # W_3 of a degree-3 harmonic vanishes identically, and so does
+    # (Zu - 3u)^2: both sides of the Weiss identity are round-off
+    u = handle(h1, harmonic_basis(h1, 3)[1])
+    res = sf.check_weiss_derivative(u, 3, sf.geometric_radii(0.4, 1.2, 16), rule_h1)
+    assert np.max(np.abs(res["lhs"])) < 1e-12
+    assert np.max(res["residuals"]) == 0.0
+
+
 def test_frequency_curve_zero_function(h1, rule_h1):
     u = handle(h1, Polynomial.zero(2, 1))
     curve = sf.frequency_curve(u, rule_h1, sf.geometric_radii(0.5, 1.0, 5))
