@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .constants import Geometry
@@ -113,23 +113,27 @@ class GridSolution:
     """Nodal solution of B_a u = 0 on a tensor grid over (z, t)."""
 
     spec: BaouendiSpec
-    box: tuple          # ((lo, hi), ...) per axis, z axes first
-    axes: tuple         # per-axis node arrays
-    values: np.ndarray  # full grid including boundary
-    residual: float     # |stencil(u)| / |stencil(boundary data)| at the interior nodes
-    iterations: int     # CG iterations
+    box: tuple            # ((lo, hi), ...) per axis, z axes first
+    axes: tuple           # per-axis node arrays
+    channels: np.ndarray  # (*grid, N + 1): u on the full grid, then room for d_1 u, ..., d_N u
+    residual: float       # |stencil(u)| / |stencil(boundary data)| at the interior nodes
+    iterations: int       # CG iterations
+
+    @property
+    def values(self):
+        """u on the full grid, boundary included (a view of channel 0)."""
+        return self.channels[..., 0]
 
     def as_handle(self):
         """FunctionHandle evaluating by multilinear interpolation.
 
-        One interpolator reads one array of channels: u and its second-order
-        central differences d_1 u, ..., filled in one axis at a time so that
-        no list of gradients is held.  Value and partials come from one call
-        per point set."""
+        One interpolator reads the channel array, which holds u once: this
+        fills channels 1.. with the second-order central differences
+        d_1 u, ..., one axis at a time.  Value and partials come from one
+        call per point set."""
         from scipy.interpolate import RegularGridInterpolator
 
-        data = np.empty(self.values.shape + (len(self.axes) + 1,))
-        data[..., 0] = self.values
+        data = self.channels
         for axis, nodes in enumerate(self.axes):
             data[..., axis + 1] = np.gradient(self.values, nodes, axis=axis, edge_order=2)
         interpolator = RegularGridInterpolator(self.axes, data, method="linear",
@@ -164,10 +168,14 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     The coefficient depends on z only and the t axis is uniform with
     Dirichlet ends, so an orthonormal DST-I in t diagonalises the
     t-difference (fast diagonalisation, Lynch, Rice & Thomas 1964) and
-    leaves one banded SPD system in z per t-mode.  Those solves form the
-    exact inverse, which preconditions CG: it stops after one or two
-    iterations.  Supports N = m + k in {2, 3} with at most 257 nodes per
-    axis."""
+    leaves one SPD system in z per t-mode.  Where the coefficient separates,
+    c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1), the z_2 axis is diagonalised
+    too and all z_1 systems are one tridiagonal solve
+    (`_separable_mode_solver`), refined once against the stencil when z_2
+    is diagonalised; otherwise (m = 2, alpha != 1) each mode is one banded
+    Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).  Either is the exact inverse, which
+    preconditions CG: it stops after one or two iterations.  Supports
+    N = m + k in {2, 3} with at most 257 nodes per axis."""
     from scipy.fft import dst
 
     m, k = spec.m, spec.k
@@ -187,7 +195,7 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     ni = tuple(n - 2 for n in shape)
     interior = (slice(1, -1),) * ndim
 
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = [np.broadcast_to(x, shape) for x in np.meshgrid(*axes, indexing="ij", sparse=True)]
     edge = np.ones(shape, dtype=bool)
     edge[interior] = False
     full = np.zeros(shape)  # the boundary data, evaluated on the boundary nodes only
@@ -208,28 +216,19 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
         return out
 
     # exact inverse: d2_t = S diag(lam) S with S the orthonormal DST-I, so
-    # t-mode j leaves the SPD system -lap_zz - lam_j diag(c), banded with
-    # half-bandwidth bw (the stride of z axis 0), kept in upper band storage
-    c = coeff.ravel()
-    nz, n_t = len(c), ni[-1]
-    bw = nz // ni[0]
+    # t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
+    n_t = ni[-1]
     lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
-    bands = np.zeros((bw + 1, nz))
-    bands[bw] = sum(2.0 / h ** 2 for h in steps[:m])
-    for i in range(m):
-        # -1/h_i^2 couples each node to its neighbour one stride s_i back along z_i
-        stride = math.prod(ni[i + 1:m])
-        band = bands[bw - stride].reshape(ni[:m])
-        band[(slice(None),) * i + (slice(1, None),)] = -1.0 / steps[i] ** 2
+    if m == 1 or spec.alpha == 1:
+        # c(z) = sum_i c_i(z_i) with c_i = |z_i|^(2a)/4
+        terms = [(ax[1:-1] ** 2) ** spec.alpha / 4.0 for ax in axes[:m]]
+        solve_modes = _separable_mode_solver(steps[:m], terms, lam)
+    else:
+        solve_modes = _banded_mode_solver(steps[:m], coeff[..., 0], lam)
 
-    def exact_inverse(r):
-        modes = dst(r.reshape(nz, n_t), type=1, norm="ortho", axis=1)
-        for j in range(n_t):
-            ab = bands.copy()
-            ab[bw] -= lam[j] * c
-            modes[:, j] = solveh_banded(ab, modes[:, j], overwrite_ab=True,
-                                        check_finite=False)
-        return dst(modes, type=1, norm="ortho", axis=1).ravel()
+    def inverse(r):
+        modes = dst(r.reshape(-1, n_t), type=1, norm="ortho", axis=1)
+        return dst(solve_modes(modes), type=1, norm="ortho", axis=1).ravel()
 
     work = np.zeros(shape)  # zero boundary, interior overwritten by each matvec
 
@@ -237,8 +236,16 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
         work[interior] = x.reshape(ni)
         return -stencil(work).ravel()
 
+    def refined_inverse(r):
+        # the z_2 eigenvectors are backward stable only normwise, where the
+        # Cholesky solves are componentwise: one step of iterative refinement
+        # against the stencil wins back the digits this costs on smooth data
+        x = inverse(r)
+        return x + inverse(r - negated_stencil(x))
+
     n = math.prod(ni)
     a_op = LinearOperator((n, n), matvec=negated_stencil, dtype=float)  # SPD
+    exact_inverse = refined_inverse if m == 2 and spec.alpha == 1 else inverse
     precond = LinearOperator((n, n), matvec=exact_inverse, dtype=float)
     b = stencil(full).ravel()
     iterates = []  # one entry per CG iteration
@@ -253,9 +260,79 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
             f"residual {resid:.3e}, tolerance {tol}",
             iterations=iterations, residual=resid)
 
+    channels = np.empty(shape + (ndim + 1,))
+    channels[..., 0] = full
     return GridSolution(spec=spec, box=tuple(tuple(b_) for b_ in box),
-                        axes=axes, values=full, residual=resid,
+                        axes=axes, channels=channels, residual=resid,
                         iterations=iterations)
+
+
+def _separable_mode_solver(steps, terms, lam):
+    """Exact solver of the t-modes for a separable coefficient
+    c(z) = sum_i c_i(z_i), given as the arrays c_i = terms[i] on the interior
+    z_i nodes (m = 1, or m = 2 with alpha = 1).  It maps the array of modes
+    (rows: z nodes with z_1 slowest, columns: t-modes j) to the solutions of
+    -lap_zz - lam_j diag(c).
+
+    For m = 2 the z_2 operator -d^2/h_2^2 - lam_j diag(c_2) of each mode is
+    V_j diag(e_j) V_j^T (`eigh_tridiagonal`), and one batched matmul moves
+    the modes into that basis.  Every pair (j, q) then leaves the
+    tridiagonal z_1 system -d^2/h_1^2 - lam_j diag(c_1) + e_jq; all of them
+    form one block-diagonal SPD matrix (zero couplings at the block ends),
+    solved by one banded Cholesky call with kd = 1."""
+    h1, n1 = steps[0], len(terms[0])
+    diag = (2.0 / h1 ** 2 - lam[:, None] * terms[0])[:, None, :]  # (n_t, 1, n_1)
+    vecs = None
+    if len(terms) == 2:
+        n2 = len(terms[1])
+        off = np.full(n2 - 1, -1.0 / steps[1] ** 2)
+        vecs = np.empty((len(lam), n2, n2))
+        eigenvalues = np.empty((len(lam), n2, 1))
+        for j, lam_j in enumerate(lam):
+            eigenvalues[j, :, 0], vecs[j] = eigh_tridiagonal(
+                2.0 / steps[1] ** 2 - lam_j * terms[1], off, check_finite=False)
+        diag = diag + eigenvalues  # (n_t, n_2, n_1)
+
+    def solve(modes):
+        # b views modes as (n_t, n_2 or 1, n_1); the solutions overwrite it
+        b = modes.reshape(n1, -1, len(lam)).transpose(2, 1, 0)
+        rhs = b.copy() if vecs is None else np.matmul(vecs.transpose(0, 2, 1), b)
+        ab = np.empty((2, diag.size))  # upper band storage
+        ab[0] = -1.0 / h1 ** 2
+        ab[0, ::n1] = 0.0  # no coupling across block ends
+        ab[1] = diag.ravel()
+        x = solveh_banded(ab, rhs.ravel(), overwrite_ab=True, overwrite_b=True,
+                          check_finite=False).reshape(rhs.shape)
+        b[...] = x if vecs is None else vecs @ x
+        return modes
+
+    return solve
+
+
+def _banded_mode_solver(steps, c, lam):
+    """Exact solver of the t-modes for a coefficient c that does not separate
+    (m = 2, alpha != 1), c given on the interior z nodes: per t-mode j one
+    banded Cholesky solve of -lap_zz - lam_j diag(c), whose half-bandwidth bw
+    is the stride of z axis 0, in upper band storage."""
+    nz, bw = c.size, c.size // c.shape[0]
+    bands = np.zeros((bw + 1, nz))
+    bands[bw] = sum(2.0 / h ** 2 for h in steps)
+    for i, h in enumerate(steps):
+        # -1/h_i^2 couples each node to its neighbour one stride s_i back along z_i
+        stride = math.prod(c.shape[i + 1:])
+        band = bands[bw - stride].reshape(c.shape)
+        band[(slice(None),) * i + (slice(1, None),)] = -1.0 / h ** 2
+    c = c.ravel()
+
+    def solve(modes):
+        for j, lam_j in enumerate(lam):
+            ab = bands.copy()
+            ab[bw] -= lam_j * c
+            modes[:, j] = solveh_banded(ab, modes[:, j], overwrite_ab=True,
+                                        check_finite=False)
+        return modes
+
+    return solve
 
 
 # -- problem files ---------------------------------------------------------

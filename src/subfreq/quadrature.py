@@ -70,6 +70,7 @@ from .polynomials import Polynomial
 MIN_RESOLUTION = 4
 MAX_RULE_NODES = 2 ** 24
 RADIAL_STEPS = 32  # Gauss-Jacobi radii of every volume integral
+SHELL_POINTS = 2 ** 13  # points per integrand call of volume_integral, to bound its memory
 
 
 @dataclass(frozen=True)
@@ -197,16 +198,22 @@ def _sphere_series(p, rule, weighted):
 
 def volume_integral(f, r, rule):
     """int_{B_r} f dg: in closed form for a Polynomial f (module docstring),
-    else via the polar factorization radii x sphere rule."""
+    else via the polar factorization radii x sphere rule.  A callable f is
+    called on as many radial shells at once as fit in SHELL_POINTS points
+    (at least one), the shells stacked; each shell is summed on its own."""
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted=False)
         return rule.gamma * float(np.sum(c * r ** (rule.Q + d) / (rule.Q + d)))
     v, wv = _radial_rule(rule.Q)
-    dilate = rule.geometry.dilate
+    n = len(rule)
+    per_call = max(1, SHELL_POINTS // n)
     total = 0.0
-    for vi, wi in zip(v, wv):
-        vals = f(*dilate(r * vi, rule.z, rule.t))
-        total += wi * float(np.dot(rule.weights, vals))
+    for start in range(0, RADIAL_STEPS, per_call):
+        lam = r * v[start:start + per_call, None, None]
+        z, t = rule.geometry.dilate(lam, rule.z, rule.t)
+        vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(-1, n)
+        for wi, shell in zip(wv[start:start + per_call], vals):
+            total += wi * float(np.dot(rule.weights, shell))
     return r ** rule.Q * total
 
 
@@ -233,7 +240,7 @@ def mean_value(G, u, g, r, rule):
     # psi is homogeneous of degree 0, so on every radial shell it is rule.psi
     def integrand(z, t):
         pts_z, pts_t = _translate_batch(G, g, z, t)
-        return u(pts_z, pts_t) * rule.psi
+        return (u(pts_z, pts_t).reshape(-1, len(rule)) * rule.psi).ravel()
 
     q_hom = rule.Q
     return (q_hom - 2.0) / q_hom * r ** (-q_hom) \

@@ -164,3 +164,46 @@ def random_skew_group(m, k, seed):
         a = rng.integers(-3, 4, size=(m, m))
         mats.append((a - a.T).tolist())
     return make_group(m, k, mats)
+
+
+def fd_sparse_solution(spec, box, grid_sizes, boundary_fn):
+    """Nodal solution of the centred B_a scheme (5-point in 2-D, 7-point in
+    3-D) on a tensor grid: the interior equations
+    sum_i d2_{z_i} u + |z|^(2a)/4 d2_t u = 0 are assembled entry by entry as a
+    scipy.sparse matrix, the Dirichlet data `boundary_fn(z, t)` moved to the
+    right-hand side, and solved by `spsolve`.  Returns the full-grid array."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes)]
+    shape = tuple(grid_sizes)
+    index = np.indices(shape).reshape(len(shape), -1).T  # (nodes, axes)
+    coords = np.stack([axes[a][index[:, a]] for a in range(len(shape))], axis=1)
+    on_edge = np.any((index == 0) | (index == np.array(shape) - 1), axis=1)
+    u = np.zeros(len(index))
+    u[on_edge] = boundary_fn(coords[on_edge, :spec.m], coords[on_edge, spec.m:])
+    unknown = np.full(len(index), -1)
+    inner = np.flatnonzero(~on_edge)
+    unknown[inner] = np.arange(len(inner))
+    c = np.sum(coords[inner, :spec.m] ** 2, axis=1) ** spec.alpha / 4.0
+
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(len(inner))
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    for a, stride in enumerate(strides):
+        h = axes[a][1] - axes[a][0]
+        w = np.full(len(inner), 1.0 / h ** 2) * (c if a >= spec.m else 1.0)
+        rows.append(np.arange(len(inner)))
+        cols.append(np.arange(len(inner)))
+        vals.append(-2.0 * w)
+        for neighbour in (inner - stride, inner + stride):
+            free = unknown[neighbour] >= 0
+            rows.append(np.flatnonzero(free))
+            cols.append(unknown[neighbour[free]])
+            vals.append(w[free])
+            rhs[~free] -= w[~free] * u[neighbour[~free]]
+    n = len(inner)
+    matrix = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsc()
+    u[inner] = spsolve(matrix, rhs)
+    return u.reshape(shape)

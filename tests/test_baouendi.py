@@ -317,14 +317,65 @@ def test_fd_solution_satisfies_stencil(dims, alpha, box, grid):
     assert _stencil_residual(spec, sol) <= 1e-10
 
 
-@pytest.mark.parametrize("dims, grid", [((1, 1), [257, 257]), ((2, 1), [33, 33, 65])])
+@pytest.mark.parametrize("dims, grid", [((1, 1, 2), [257, 257]), ((2, 1, 2), [33, 33, 65]),
+                                        ((2, 1, 1), [33, 33, 65])])
 def test_fd_solver_converges_in_one_or_two_iterations(dims, grid):
     # the preconditioner is the exact inverse; a wrong mode eigenvalue or
     # band shows here as extra iterations, not as a wrong solution
-    spec = sf.BaouendiSpec(*dims, 2)
+    spec = sf.BaouendiSpec(*dims)
     sol = sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
     assert sol.iterations <= 2
     assert sol.residual <= 1e-13
+
+
+@pytest.mark.parametrize("dims, box, grid", [
+    ((1, 1, 2), [(-1.0, 0.8), (-0.5, 0.7)], [33, 41]),
+    ((2, 1, 1), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
+    ((2, 1, 3), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
+], ids=["ba112", "ba211", "ba213"])
+def test_fd_solve_matches_sparse_direct_solve(dims, box, grid):
+    # non-symmetric boxes and unequal grids, against the scheme assembled as
+    # a sparse matrix and solved directly
+    spec = sf.BaouendiSpec(*dims)
+    ref = oracles.fd_sparse_solution(spec, box, grid, _generic_boundary)
+    sol = sf.fd_solve(spec, box, grid, _generic_boundary)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _band_rows_of_solves(monkeypatch, spec, grid):
+    """The number of band rows of every `solveh_banded` call of one fd_solve."""
+    from subfreq import baouendi
+
+    rows = []
+    solve = baouendi.solveh_banded
+
+    def recording(ab, b, **kwargs):
+        rows.append(len(ab))
+        return solve(ab, b, **kwargs)
+
+    monkeypatch.setattr(baouendi, "solveh_banded", recording)
+    sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
+    return rows
+
+
+def test_separable_coefficient_takes_the_tridiagonal_path(monkeypatch):
+    # alpha = 1: |z|^2/4 = z_1^2/4 + z_2^2/4, so the z_2 axis is diagonalised
+    # and every z_1 system is tridiagonal (2 band rows)
+    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 1), [13, 11, 17])
+    assert rows and max(rows) <= 2
+    # alpha = 2 does not separate: one banded Cholesky per t-mode, kd = n_2
+    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 2), [13, 11, 17])
+    assert rows and set(rows) == {11 - 2 + 1}
+
+
+def test_diagonalised_z2_path_is_refined_to_round_off():
+    # the z_2 eigenvectors are backward stable only normwise; one refinement
+    # step against the stencil brings the residual to about 6e-16 here
+    # (about 4e-15 without it), in one CG iteration
+    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33, 33, 65],
+                      _generic_boundary)
+    assert sol.iterations == 1
+    assert sol.residual <= 1.5e-15
 
 
 def test_fd_no_convergence_carries_iterations_and_residual(ba112):
@@ -345,6 +396,31 @@ def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):
         n_fd = sf.frequency(u_fd, r, rule_ba112)
         n_ex = sf.frequency(u_ex, r, rule_ba112)
         assert n_fd == pytest.approx(n_ex, rel=0.05)
+
+
+def test_grid_handle_holds_u_once():
+    # fd_solve stores u as channel 0 of the array the interpolator reads, so
+    # building the handle copies no grid: it keeps less than a tenth of one
+    # grid array and peaks at the temporaries of one np.gradient call
+    import tracemalloc
+
+    import scipy.interpolate  # noqa: F401  (imported by as_handle; not counted)
+
+    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33] * 3, _generic_boundary)
+    assert np.shares_memory(sol.values, sol.channels)
+    tracemalloc.start()
+    try:
+        u = sol.as_handle()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = sol.values.nbytes
+    assert kept <= 0.1 * grid
+    assert peak <= 3.0 * grid
+    node = (5, 7, 9)
+    z = np.array([[sol.axes[0][5], sol.axes[1][7]]])
+    t = np.array([[sol.axes[2][9]]])
+    assert u.value(z, t)[0] == pytest.approx(sol.values[node], rel=1e-12)
 
 
 def test_problem_from_json(tmp_path):

@@ -60,6 +60,33 @@ def test_calibrated_ball_volume_h1(h1, rule_h1):
         assert val == pytest.approx(math.pi * r ** 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("shells_per_call", [None, 3], ids=["one-call", "chunks-of-3"])
+def test_volume_integral_calls_a_callable_once_per_chunk(h1, monkeypatch, shells_per_call):
+    from subfreq import quadrature
+
+    rule = sf.build_sphere_rule(h1, 8)
+    steps = quadrature.RADIAL_STEPS
+    if shells_per_call is not None:
+        monkeypatch.setattr(quadrature, "SHELL_POINTS", shells_per_call * len(rule))
+    per_call = shells_per_call or steps  # the whole rule fits in one call by default
+    calls = []
+
+    def f(z, t):
+        calls.append(len(z))
+        return np.cos(z[:, 0]) * np.exp(t[:, 0]) + z[:, 1] ** 2
+
+    r = 0.8
+    v, wv = quadrature._radial_rule(rule.Q)
+    by_shell = r ** rule.Q * sum(
+        wi * float(np.dot(rule.weights, f(*rule.geometry.dilate(r * vi, rule.z, rule.t))))
+        for vi, wi in zip(v, wv))
+    calls.clear()
+    value = sf.volume_integral(f, r, rule)
+    assert len(calls) == math.ceil(steps / per_call)
+    assert sum(calls) == steps * len(rule)
+    assert abs(value - by_shell) <= 1e-14 * abs(by_shell)
+
+
 def test_weighted_ball_integral_pins_mean_value(rule_h1):
     # int_{B_r} psi = Q/(Q-2) r^Q under the calibrated measure
     alpha = rule_h1.alpha
