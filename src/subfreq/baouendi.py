@@ -24,6 +24,7 @@ from .errors import (
     NoConvergence,
     NonIntegerAlpha,
     ParseError,
+    json_int,
 )
 from .frequency import FunctionHandle
 from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic
@@ -97,8 +98,12 @@ def orthogonality_check(spec, p, p_prime, r, rule):
     return surface_integral(p * p_prime, r, rule, weighted=True)
 
 
-def relative_orthogonality(spec, p, p_prime, r, rule):
-    """(inner, |inner| / (|p| |p'|)) from `orthogonality_check`."""
+def relative_orthogonality(spec, r, rule):
+    """(inner, |inner| / (|p| |p'|)) from `orthogonality_check` for the solid
+    harmonics p = z_1 and p' = `solid_harmonic_quadratic` of degrees 1 and
+    2(alpha + 1)."""
+    p = Polynomial.z_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
+    p_prime = solid_harmonic_quadratic(spec)
     inner = orthogonality_check(spec, p, p_prime, r, rule)
     n1 = abs(orthogonality_check(spec, p, p, r, rule)) ** 0.5
     n2 = abs(orthogonality_check(spec, p_prime, p_prime, r, rule)) ** 0.5
@@ -113,8 +118,7 @@ class GridSolution:
     """Nodal solution of B_a u = 0 on a tensor grid over (z, t)."""
 
     spec: BaouendiSpec
-    box: tuple            # ((lo, hi), ...) per axis, z axes first
-    axes: tuple           # per-axis node arrays
+    axes: tuple           # per-axis node arrays, z axes first; their ends are the box
     channels: np.ndarray  # (*grid, N + 1): u on the full grid, then room for d_1 u, ..., d_N u
     residual: float       # |stencil(u)| / |stencil(boundary data)| at the interior nodes
     iterations: int       # CG iterations
@@ -139,13 +143,13 @@ class GridSolution:
         interpolator = RegularGridInterpolator(self.axes, data, method="linear",
                                                bounds_error=True)
         m = self.spec.m
-        lo, hi = np.array(self.box).T
+        lo, hi = np.array([(nodes[0], nodes[-1]) for nodes in self.axes]).T
 
         def channels(z, t):
             p = np.concatenate([z, t], axis=1)
             outside = np.any((p < lo) | (p > hi), axis=1)
             if outside.any():
-                box = " x ".join(f"[{a:g}, {b:g}]" for a, b in self.box)
+                box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(lo, hi))
                 raise BadGrid(f"point {p[outside][0]} lies outside the FD solution box {box}")
             return interpolator(p)
 
@@ -262,8 +266,7 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
 
     channels = np.empty(shape + (ndim + 1,))
     channels[..., 0] = full
-    return GridSolution(spec=spec, box=tuple(tuple(b_) for b_ in box),
-                        axes=axes, channels=channels, residual=resid,
+    return GridSolution(spec=spec, axes=axes, channels=channels, residual=resid,
                         iterations=iterations)
 
 
@@ -346,9 +349,9 @@ def problem_from_json(data):
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        spec = BaouendiSpec(int(data["m"]), int(data["k"]), data["alpha"])
+        spec = BaouendiSpec(json_int(data["m"], "m"), json_int(data["k"], "k"), data["alpha"])
         box = [tuple(float(x) for x in pair) for pair in data["box"]]
-        grid = [int(n) for n in data["grid"]]
+        grid = [json_int(n, "a grid size") for n in data["grid"]]
         boundary = data["boundary"]
         if not (isinstance(boundary, str) and boundary.startswith("poly:")):
             raise ParseError("boundary must be 'poly:<polynomial-file>'")

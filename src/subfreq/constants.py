@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OriginSingularity
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -61,13 +59,6 @@ class Geometry:
 
     def rho(self, z, t):
         return self.rho_power(z, t, 1.0)
-
-    def psi(self, z, t):
-        """Weight |grad rho|^2 = |z|^(2a) / rho^(2a); undefined at the origin."""
-        rho2a = self.rho_power(z, t, 2.0 * self.alpha)
-        if np.any(rho2a == 0.0):
-            raise OriginSingularity("psi is undefined at the origin")
-        return np.sum(np.asarray(z, dtype=float) ** 2, axis=-1) ** self.alpha / rho2a
 
     def dilate(self, lam, z, t):
         """(z, t) -> (lam z, lam^(a+1) t)."""

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `json_int`, which reads
+an integer field of an input file or raises ParseError."""
 
 
 class SubfreqError(Exception):
@@ -72,3 +73,13 @@ class BadGrid(SubfreqError, ValueError):
 
 class ParseError(SubfreqError, ValueError):
     """Input file failed to parse or validate."""
+
+
+def json_int(value, what, minimum=None):
+    """value if it is a JSON integer (not a bool, not a float) of at least
+    `minimum`; otherwise ParseError naming the field `what`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ParseError(f"{what} must be an integer{bound}, got {value!r}")
+    return value

@@ -239,10 +239,9 @@ def _identity_check(values, radii, rhs_at):
 
 def check_H_identity(u, radii, rule):
     """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r)."""
-    h_vals = np.array([height(u, r, rule) for r in radii])
-    d_vals = np.array([dirichlet(u, r, rule) for r in radii])
-    return _identity_check(h_vals, radii,
-                           lambda r, i: (rule.Q - 1.0) / r * h_vals[i] + 2.0 * d_vals[i])
+    curve = frequency_curve(u, rule, radii)
+    return _identity_check(curve.H, radii,
+                           lambda r, i: (rule.Q - 1.0) / r * curve.H[i] + 2.0 * curve.D[i])
 
 
 def check_D_variation(u, radii, rule, include_discrepancy=True):
@@ -255,7 +254,7 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     if include_discrepancy and u.disc is None:
         raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
     with_disc = include_discrepancy and not u.disc.is_zero()
-    d_vals = np.array([dirichlet(u, r, rule) for r in radii])
+    d_vals = frequency_curve(u, rule, radii).D
 
     def rhs(r, i):
         zr_sq = lambda z, t: (u.zu(z, t) / r) ** 2
@@ -270,7 +269,7 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
 
 def check_weiss_derivative(u, kappa, radii, rule):
     """Residuals of dW/dr = 2 r^-(Q+2k) int_{S_r} (Zu - kappa u)^2 psi dmu."""
-    w_vals = np.array([weiss(u, kappa, r, rule) for r in radii])
+    w_vals = frequency_curve(u, rule, radii, kappa=kappa).W
     return _identity_check(w_vals, radii, lambda r, i: (
         2.0 * r ** (-(rule.Q + 2.0 * kappa))
         * surface_integral(lambda z, t: (u.zu(z, t) - kappa * u.value(z, t)) ** 2,
@@ -278,16 +277,16 @@ def check_weiss_derivative(u, kappa, radii, rule):
 
 
 def check_monneau_derivative(u, p_handle, kappa, radii, rule):
-    """Residuals of dM/dr = (2/r) W_kappa(u, r)."""
-    diff = _monneau_difference(u, p_handle)
-    m_vals = np.array([_monneau_from(diff, kappa, r, rule) for r in radii])
-    return {**_identity_check(m_vals, radii, lambda r, i: 2.0 / r * weiss(u, kappa, r, rule)),
-            "M": m_vals}
+    """Residuals of dM/dr = (2/r) W_kappa(u, r), with M and whether it is
+    nondecreasing up to a slack of 1e-5 ("nondecreasing")."""
+    curve = frequency_curve(u, rule, radii, kappa=kappa, ref=p_handle)
+    return {**_identity_check(curve.M, radii, lambda r, i: 2.0 / r * curve.W[i]),
+            "M": curve.M, "nondecreasing": bool(np.all(np.diff(curve.M) >= -1e-5))}
 
 
 def frequency_radial_exponential(eps, r, rule):
     """N(u, r) for u = exp(-rho^-eps); analytically eps / r^eps."""
-    rho_of = rule.geometry.rho
+    rho_of = rule.rho
     u_val = lambda z, t: np.exp(-rho_of(z, t) ** (-eps))
     zu_val = lambda z, t: eps * rho_of(z, t) ** (-eps) * u_val(z, t)
     i_r = surface_integral(lambda z, t: u_val(z, t) * zu_val(z, t) / r,

@@ -11,7 +11,6 @@ homogeneous dimension is Q = m + 2k.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +26,7 @@ from .errors import (
     NotHType,
     OriginSingularity,
     ParseError,
+    json_int,
 )
 from .polynomials import (
     Polynomial,
@@ -211,12 +211,8 @@ def _is_metivier(G):
     norms = np.linalg.norm(pts, axis=1)
     good = norms > 1e-8
     pts = pts[good] / norms[good, None]
-    jf = G.J_float
-    min_sv = math.inf
-    for t in pts:
-        jt = np.tensordot(t, jf, axes=1)
-        sv = np.linalg.svd(jt, compute_uv=False)[-1]
-        min_sv = min(min_sv, sv)
+    jt = np.tensordot(pts, G.J_float, axes=1)  # (samples, m, m): J(t) per point
+    min_sv = np.linalg.svd(jt, compute_uv=False)[:, -1].min()
     return bool(min_sv > METIVIER_TOL)
 
 
@@ -249,7 +245,8 @@ def _check_point(G, g):
 
 
 def group_product(G, g, h):
-    """Group law: z'' = z + z', t''_l = t_l + t'_l + <J_l z, z'>/2."""
+    """Group law: z'' = z + z', t''_l = t_l + t'_l + <J_l z, z'>/2.  Exact on
+    rational points, and on points whose coordinates are Polynomials."""
     _check_point(G, g)
     _check_point(G, h)
     z = tuple(a + b for a, b in zip(g.z, h.z))
@@ -257,8 +254,7 @@ def group_product(G, g, h):
     for ell in range(G.k):
         jz_dot = sum(sum(G.J[ell][i][j] * g.z[j] for j in range(G.m)) * h.z[i]
                      for i in range(G.m))
-        half = jz_dot / 2 if isinstance(jz_dot, (Fraction, float)) else Fraction(jz_dot, 2)
-        t.append(g.t[ell] + h.t[ell] + half)
+        t.append(g.t[ell] + h.t[ell] + jz_dot * Fraction(1, 2))
     return Point(z, tuple(t))
 
 
@@ -282,19 +278,12 @@ def left_translate(G, p, g0):
     """
     _check_group_poly(G, p)
     _check_point(G, g0)
-    z0 = [exactla.to_fraction(x) for x in g0.z]
-    t0 = [exactla.to_fraction(x) for x in g0.t]
-    z_subs = [Polynomial.constant(G.m, G.k, z0[i]) + Polynomial.z_var(G.m, G.k, i)
-              for i in range(G.m)]
-    t_subs = []
-    for ell in range(G.k):
-        sub = Polynomial.constant(G.m, G.k, t0[ell]) + Polynomial.t_var(G.m, G.k, ell)
-        for i in range(G.m):
-            coeff = sum(G.J[ell][i][j] * z0[j] for j in range(G.m))
-            if coeff != 0:
-                sub = sub + Polynomial.z_var(G.m, G.k, i) * (coeff / 2)
-        t_subs.append(sub)
-    return p.substitute(z_subs, t_subs)
+    g0 = Point(tuple(exactla.to_fraction(x) for x in g0.z),
+               tuple(exactla.to_fraction(x) for x in g0.t))
+    h = Point(tuple(Polynomial.z_var(G.m, G.k, i) for i in range(G.m)),
+              tuple(Polynomial.t_var(G.m, G.k, ell) for ell in range(G.k)))
+    moved = group_product(G, g0, h)
+    return p.substitute(moved.z, moved.t)
 
 
 def gauge(G, g):
@@ -322,7 +311,7 @@ def group_from_json(data):
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        return make_group(data["m"], data["k"], data["J"])
+        return make_group(json_int(data["m"], "m"), json_int(data["k"], "k"), data["J"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         if isinstance(exc, (NonSkewSymmetric, DimensionMismatch)):
             raise

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     ParseError,
+    json_int,
 )
 
 
@@ -237,8 +238,8 @@ class Polynomial:
                 data = json.loads(data)
             terms = {}
             for item in data:
-                a = tuple(int(x) for x in item["z"])
-                b = tuple(int(x) for x in item["t"])
+                a = tuple(json_int(x, "a z exponent", 0) for x in item["z"])
+                b = tuple(json_int(x, "a t exponent", 0) for x in item["t"])
                 if m is None:
                     m, k = len(a), len(b)
                 if len(a) != m or len(b) != k:

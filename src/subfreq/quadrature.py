@@ -74,8 +74,9 @@ SHELL_POINTS = 2 ** 13  # points per integrand call of volume_integral, to bound
 
 
 @dataclass(frozen=True)
-class SphereRule:
-    """Nodes and weights on the unit gauge sphere S_1.
+class SphereRule(Geometry):
+    """Nodes and weights on the unit gauge sphere S_1 of a geometry
+    (m, k, alpha), which the rule is.
 
     weights approximate the calibrated polar measure gamma * dmu; psi holds
     |grad rho|^2 at the nodes.
@@ -85,10 +86,6 @@ class SphereRule:
     t: np.ndarray          # (n, k)
     weights: np.ndarray    # (n,)
     psi: np.ndarray        # (n,)
-    m: int
-    k: int
-    alpha: float
-    Q: float
     resolution: int
     gamma: float
 
@@ -101,10 +98,6 @@ class SphereRule:
         closed-form psi-weighted integrals, so that a sign error in psi
         reaches them as it reaches the node sums."""
         return math.copysign(self.gamma, float(np.dot(self.weights, self.psi)))
-
-    @property
-    def geometry(self):
-        return Geometry(self.m, self.k, self.alpha)
 
 
 @lru_cache(maxsize=64)
@@ -174,8 +167,7 @@ def build_sphere_rule(context, resolution):
 
     assert np.max(np.abs(geometry.rho(z_nodes, t_nodes) - 1.0)) <= 1e-12
 
-    return SphereRule(z=z_nodes, t=t_nodes, weights=weights, psi=psi,
-                      m=m, k=k, alpha=alpha, Q=q_hom,
+    return SphereRule(m, k, alpha, z=z_nodes, t=t_nodes, weights=weights, psi=psi,
                       resolution=resolution, gamma=gamma)
 
 
@@ -210,7 +202,7 @@ def volume_integral(f, r, rule):
     total = 0.0
     for start in range(0, RADIAL_STEPS, per_call):
         lam = r * v[start:start + per_call, None, None]
-        z, t = rule.geometry.dilate(lam, rule.z, rule.t)
+        z, t = rule.dilate(lam, rule.z, rule.t)
         vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(-1, n)
         for wi, shell in zip(wv[start:start + per_call], vals):
             total += wi * float(np.dot(rule.weights, shell))
@@ -227,7 +219,7 @@ def surface_integral(f, r, rule, weighted=True):
         d, c = _sphere_series(f, rule, weighted)
         scale = rule.psi_gamma if weighted else rule.gamma
         return scale * r ** (rule.Q - 1.0) * float(np.sum(c * r ** d))
-    vals = f(*rule.geometry.dilate(r, rule.z, rule.t))
+    vals = f(*rule.dilate(r, rule.z, rule.t))
     w = rule.weights * rule.psi if weighted else rule.weights
     return r ** (rule.Q - 1.0) * float(np.dot(w, vals))
 

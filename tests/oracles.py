@@ -3,9 +3,10 @@
 Each oracle computes a quantity that `subfreq` also computes, by a route
 that shares as little as possible with it: Monte-Carlo estimates instead
 of the polar rule and the closed-form moments, sympy's dense rank instead
-of `exactla`, psi through the structure matrices J instead of
-`Geometry.psi`, and dilations by substitution instead of the Euler
-operator.
+of `exactla`, psi at arbitrary points from the gauge formula (`psi`) and
+through the structure matrices J (`horiz_gauge_grad_sq`) where the package
+knows it only at the rule's nodes and by its closed-form moments, and
+dilations by substitution instead of the Euler operator.
 """
 
 import math
@@ -56,7 +57,7 @@ def mc_thin_shell(f, r, shell_half_width, samples, seed, rule, weighted=True):
     contrib = np.zeros(samples)
     vals = f(z[inside], t[inside])
     if weighted:
-        vals = vals * geometry.psi(z[inside], t[inside])
+        vals = vals * psi(geometry, z[inside], t[inside])
     contrib[inside] = vals
     scale = rule.gamma * box_vol / (2.0 * h)
     value = scale * float(contrib.mean())
@@ -112,6 +113,17 @@ def in_span(p, basis):
     return rank(rows) == rank(rows[:-1])
 
 
+def psi(geometry, z, t):
+    """The weight |grad rho|^2 = |z|^(2a) / rho^(2a) of the geometry at the
+    points (z, t), from the gauge formula; undefined at the origin.  The
+    package knows psi only at the rule's nodes (`SphereRule.psi`) and
+    through the closed-form moments."""
+    rho2a = geometry.rho_power(z, t, 2.0 * geometry.alpha)
+    if np.any(rho2a == 0.0):
+        raise OriginSingularity("psi is undefined at the origin")
+    return np.sum(np.asarray(z, dtype=float) ** 2, axis=-1) ** geometry.alpha / rho2a
+
+
 def horiz_gauge_grad_sq(G, g):
     """psi = |grad_H rho|^2 = (|z|^6 + 16 |J(t)z|^2) / rho^6 at the point g,
     through the structure matrices J: valid on every step-2 group, and equal
@@ -126,6 +138,20 @@ def horiz_gauge_grad_sq(G, g):
     jtz = jt @ z
     rho6 = Geometry(G.m, G.k, 1.0).rho_power(z, t, 6.0)
     return (z2 ** 3 + 16.0 * float(jtz @ jtz)) / rho6
+
+
+def sampled_min_singular_value(G, samples_log2):
+    """min over 2^samples_log2 Sobol points t of the t-sphere of the least
+    singular value of J(t), one SVD per point: the loop that the batched
+    Sobol path of `groups._is_metivier` replaced."""
+    from scipy.stats import norm, qmc
+
+    pts = qmc.Sobol(d=G.k, scramble=False).random_base2(samples_log2)
+    pts = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(pts, axis=1)
+    pts = pts[norms > 1e-8] / norms[norms > 1e-8, None]
+    return min(np.linalg.svd(np.tensordot(t, G.J_float, axes=1), compute_uv=False)[-1]
+               for t in pts)
 
 
 def harmonic_with_discrepancy(G):

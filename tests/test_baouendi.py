@@ -117,10 +117,10 @@ def test_gauge_reduces_to_group_case(h1, ba211):
 def test_psi_alpha_range_and_singularity(ba112):
     z = np.array([[0.5], [0.01]])
     t = np.array([[0.1], [0.9]])
-    psi = ba112.psi(z, t)
+    psi = oracles.psi(ba112, z, t)
     assert np.all((psi >= 0.0) & (psi <= 1.0))
     with pytest.raises(OriginSingularity):
-        ba112.psi(np.array([[0.0]]), np.array([[0.0]]))
+        oracles.psi(ba112, np.array([[0.0]]), np.array([[0.0]]))
 
 
 def test_solid_harmonic_quadratic_constants():
@@ -199,6 +199,7 @@ def test_monneau_derivative_and_monotone(ba112, rule_ba112):
         FunctionHandle.from_polynomial(ba112, t), 3, radii, rule_ba112)
     assert np.max(res["residuals"]) < 1e-2
     assert np.all(np.diff(res["M"]) >= -1e-5)
+    assert res["nondecreasing"]
 
 
 def test_d_variation_without_discrepancy_term(ba112, ba211, rule_ba112, rule_ba211):
@@ -441,3 +442,17 @@ def test_problem_from_json_errors():
         sf.problem_from_json({"m": 1, "k": 1, "alpha": 2,
                               "box": [[-1, 1], [-1, 1]], "grid": [33, 33],
                               "boundary": "notpoly"})
+
+
+@pytest.mark.parametrize("field, value", [("m", 1.7), ("m", True), ("k", 1.0),
+                                          ("grid", [33.9, 33]), ("grid", [33, True])],
+                         ids=["m-float", "m-bool", "k-float", "grid-float", "grid-bool"])
+def test_problem_from_json_rejects_non_integers(tmp_path, field, value):
+    # int() used to read m: 1.7 as 1, grid [33.9, 33] as [33, 33] and true as 1
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    data = {"m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+            "grid": [33, 33], "boundary": f"poly:{poly_file}"}
+    data[field] = value
+    with pytest.raises(ParseError, match="must be an integer"):
+        sf.problem_from_json(data)

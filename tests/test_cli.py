@@ -171,6 +171,33 @@ def test_frequency_bad_center_exit_2(h1_file, x_file, center, message, capsys):
     assert captured.out == "" and message in captured.err
 
 
+def test_frequency_ref_needs_kappa_exit_2(h1_file, x_file, capsys):
+    # the M column is M_kappa(u, ref); without --kappa it used to be all NaN
+    assert entry(["frequency", "--group", h1_file, "--poly", x_file, "--ref", x_file,
+                  "--steps", "2", "--resolution", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--ref needs --kappa" in captured.err
+
+
+def test_poly_file_exponent_is_not_truncated_exit_2(h1_file, tmp_path, capsys):
+    poly = tmp_path / "p.json"
+    poly.write_text('[{"coeff":"1","z":[1.5,0],"t":[0.9]}]')  # used to load as z1
+    assert entry(["frequency", "--group", h1_file, "--poly", str(poly),
+                  "--steps", "2", "--resolution", "8"]) == 2
+    assert "exponent must be an integer" in capsys.readouterr().err
+
+
+def test_problem_file_grid_is_not_truncated_exit_2(tmp_path, capsys):
+    bpoly = tmp_path / "b.json"
+    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({  # the grid used to be read as [33, 33]
+        "m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+        "grid": [33.9, 33], "boundary": f"poly:{bpoly}"}))
+    assert entry(["baouendi", "solve", "--problem", str(prob)]) == 2
+    assert "a grid size must be an integer" in capsys.readouterr().err
+
+
 def test_discrepancy_command(h1_file, x_file, capsys):
     assert entry(["discrepancy", "--group", h1_file, "--poly", x_file,
                   "--json"]) == 0

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,33 @@ def test_identity_residual_is_zero_where_both_sides_vanish(h1, rule_h1):
     res = sf.check_weiss_derivative(u, 3, sf.geometric_radii(0.4, 1.2, 16), rule_h1)
     assert np.max(np.abs(res["lhs"])) < 1e-12
     assert np.max(res["residuals"]) == 0.0
+
+
+def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
+    # each check computes D, H, W and M once, as one frequency_curve on its
+    # radii, and its left-hand side differentiates those columns
+    u = handle(h1, fixtures.mixed_cylindrical(h1))
+    ref = handle(h1, fixtures.poly_t(h1))
+    radii = sf.geometric_radii(0.4, 1.2, 9)
+    curve = sf.frequency_curve(u, rule_h1, radii, kappa=2, ref=ref)
+    r_in, _, inner = log_grid_derivative(curve.M, radii)
+    frequency = sys.modules["subfreq.frequency"]  # `subfreq.frequency` is the function N(r)
+    curves = []
+    monkeypatch.setattr(frequency, "frequency_curve",
+                        lambda *args, **kw: curves.append(kw) or sf.frequency_curve(*args, **kw))
+    checks = {"H": frequency.check_H_identity(u, radii, rule_h1),
+              "D": frequency.check_D_variation(u, radii, rule_h1),
+              "W": frequency.check_weiss_derivative(u, 2, radii, rule_h1),
+              "M": frequency.check_monneau_derivative(u, ref, 2, radii, rule_h1)}
+    assert len(curves) == 4
+    for column, res in checks.items():
+        np.testing.assert_array_equal(
+            res["lhs"], log_grid_derivative(getattr(curve, column), radii)[1])
+    h_rhs = (rule_h1.Q - 1.0) / r_in * curve.H[inner] + 2.0 * curve.D[inner]
+    np.testing.assert_array_equal(checks["H"]["rhs"], h_rhs)
+    np.testing.assert_array_equal(checks["M"]["rhs"], 2.0 / r_in * curve.W[inner])
+    np.testing.assert_array_equal(checks["M"]["M"], curve.M)
+    assert checks["M"]["nondecreasing"] == bool(np.all(np.diff(curve.M) >= -1e-5))
 
 
 def test_frequency_curve_zero_function(h1, rule_h1):

@@ -156,6 +156,37 @@ def test_sobol_path_for_m_8_k_3(monkeypatch):
     assert info == {"is_htype": False, "is_metivier": True}
 
 
+def test_sobol_path_finds_a_singular_j_in_one_svd_call(monkeypatch):
+    # block_diag(Q_l, 0_4): every J(t) vanishes on the last four coordinates,
+    # so the sampled minimum singular value is 0 and False is proven; every
+    # sampled J(t) goes through one batched SVD
+    mats = [[row + [0] * 4 for row in q] + [[0] * 8 for _ in range(4)] for q in QUATERNIONIC]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert sf.make_group(8, 3, mats).classification == {"is_htype": False, "is_metivier": False}
+    assert len(calls) == 1 and calls[0][1:] == (8, 8)
+    assert calls[0][0] >= 2 ** groups.METIVIER_SAMPLES_LOG2 - 1  # t = 0 is dropped
+
+
+@pytest.mark.parametrize("make", [
+    lambda: oracles.random_skew_group(8, 3, 5),
+    lambda: oracles.random_skew_group(8, 3, 11),
+    lambda: sf.make_group(8, 3, [[row + [0] * 4 for row in q] + [[0] * 8] * 4
+                                 for q in QUATERNIONIC]),
+], ids=["random-5", "random-11", "zero-block"])
+def test_sobol_path_matches_the_per_point_loop(make):
+    G = make()
+    loop = oracles.sampled_min_singular_value(G, groups.METIVIER_SAMPLES_LOG2)
+    assert groups._is_metivier(G) == (loop > groups.METIVIER_TOL)
+    assert abs(loop - groups.METIVIER_TOL) > 1e-12  # the answer is not decided by round-off
+
+
 def test_odd_horizontal_dimension_never_metivier():
     g = sf.make_group(3, 1, [[[0, -1, 0], [1, 0, 0], [0, 0, 0]]])
     assert not g.classification["is_metivier"]
@@ -217,7 +248,7 @@ def test_gauge_requires_htype():
 
 def test_psi_reduces_on_htype(h1):
     # on H-type groups |grad_H rho|^2 = |z|^2 / rho^2, and psi through J
-    # agrees with the psi of the geometry that every functional reads
+    # agrees with the gauge formula of psi for the geometry
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = Point(tuple(rng.normal(size=2)), tuple(rng.normal(size=1)))
@@ -225,7 +256,7 @@ def test_psi_reduces_on_htype(h1):
         expected = sum(x ** 2 for x in g.z) / rho ** 2
         psi_j = oracles.horiz_gauge_grad_sq(h1, g)
         assert psi_j == pytest.approx(expected, rel=1e-12)
-        assert psi_j == pytest.approx(h1.geometry.psi(g.z, g.t), rel=1e-12)
+        assert psi_j == pytest.approx(oracles.psi(h1.geometry, g.z, g.t), rel=1e-12)
 
 
 def test_psi_bounded_on_general_group():
@@ -277,6 +308,9 @@ def test_group_from_json_errors():
         sf.group_from_json({"m": 2, "k": 1})
     with pytest.raises(NonSkewSymmetric):
         sf.group_from_json({"m": 2, "k": 1, "J": [[[0, 1], [1, 0]]]})
+    for m, k in ((2.0, 1), (2, True)):
+        with pytest.raises(ParseError, match="must be an integer"):
+            sf.group_from_json({"m": m, "k": k, "J": [[[0, -1], [1, 0]]]})
 
 
 def test_htype_identity_matrix_form():

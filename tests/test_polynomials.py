@@ -252,6 +252,20 @@ def test_left_translate_matches_group_law(h1):
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+def test_left_translations_compose_exactly():
+    from subfreq import fixtures
+    # p(g0 * (g0^-1 * h)) = p(h): the group law on Polynomial coordinates is
+    # exact, here on a group with two vertical coordinates
+    G = sf.example_group_6d()
+    rng = np.random.default_rng(8)
+    g0 = Point((Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), 2), (Fraction(2, 5), -1))
+    for _ in range(3):
+        p = fixtures.random_polynomial(rng, 4, 2, max_degree=3)
+        shifted = sf.left_translate(G, p, g0)
+        assert shifted != p
+        assert sf.left_translate(G, shifted, sf.inverse(G, g0)) == p
+
+
 def test_sublaplacian_left_invariant(h1):
     from subfreq import fixtures
     rng = np.random.default_rng(6)
@@ -344,3 +358,12 @@ def test_from_json_errors():
     with pytest.raises(DimensionMismatch):
         Polynomial.from_json([{"coeff": "1", "z": [1, 0], "t": [0]},
                               {"coeff": "1", "z": [1], "t": [0]}])
+
+
+@pytest.mark.parametrize("z, t", [([1.5, 0], [0.9]), ([-1, 0], [0]), ([True, 0], [0]),
+                                  (["1", 0], [0]), ([1, 0], [1.0])],
+                         ids=["float", "negative", "bool", "string", "float-t"])
+def test_from_json_rejects_exponents_that_are_not_integers(z, t):
+    # int() used to truncate 1.5 to 1, and -1 gave a Laurent monomial
+    with pytest.raises(ParseError, match="exponent must be an integer >= 0"):
+        Polynomial.from_json([{"coeff": "1", "z": z, "t": t}])

@@ -30,6 +30,16 @@ def test_nodes_lie_on_unit_gauge_sphere(rule_h1, rule_ba112):
         assert np.max(np.abs(rho - 1.0)) < 1e-12
 
 
+def test_rule_is_its_geometry(h1, ba112, rule_h1, rule_ba112):
+    # a SphereRule is a Geometry: (m, k, alpha) once, Q and rho from it
+    for context, rule in ((h1, rule_h1), (ba112, rule_ba112)):
+        assert isinstance(rule, constants.Geometry) and rule.geometry is rule
+        assert (rule.m, rule.k, rule.alpha, rule.Q) == (
+            context.m, context.k, float(context.geometry.alpha), context.geometry.Q)
+        np.testing.assert_array_equal(rule.rho(rule.z, rule.t),
+                                      context.geometry.rho(rule.z, rule.t))
+
+
 def test_calibration_sum(rule_h1, rule_h2, rule_ba112, rule_ba211):
     for rule in (rule_h1, rule_h2, rule_ba112, rule_ba211):
         target = rule.Q ** 2 / (rule.Q - 2.0)

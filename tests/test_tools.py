@@ -1,0 +1,49 @@
+"""tools/job_digests.py: the byte-identity check of the benchmark jobs."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "job_digests.py"
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True,
+                          text=True, check=False, cwd=ROOT)
+
+
+def test_job_digests_compare(tmp_path):
+    records = tmp_path / "a.json"
+    proc = run_tool("--size", "tiny", "--out", str(records))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(records.read_text())
+    keys = sorted(data)
+    assert {key.split("/")[0] for key in keys} == {"group-exact", "fd-curves"}
+    assert {key.split("/")[1] for key in keys} == {"s1", "s2"}
+    assert any("out" in rec for rec in data.values())  # the --out arrays of `solve`
+
+    same = run_tool("--compare", str(records), str(records))
+    assert same.returncode == 0
+    assert same.stdout.strip() == f"0 of {len(keys)} jobs differ"
+
+    # move one CSV cell by a relative 1e-3 and drop one job
+    curve = next(key for key in keys if data[key]["stdout"].startswith("r,D,H,N"))
+    lines = data[curve]["stdout"].split("\n")
+    cells = lines[1].split(",")
+    cells[2] = repr(float(cells[2]) * (1 + 1e-3))
+    lines[1] = ",".join(cells)
+    data[curve]["stdout"] = "\n".join(lines)
+    dropped = keys[0] if keys[0] != curve else keys[1]
+    del data[dropped]
+    changed = tmp_path / "b.json"
+    changed.write_text(json.dumps(data))
+    diff = run_tool("--compare", str(records), str(changed))
+    assert diff.returncode == 1
+    report = diff.stdout.strip().split("\n")
+    assert f"{dropped}: only in A" in report
+    line = next(text for text in report if text.startswith(f"{curve}:"))
+    assert "differs in stdout" in line
+    assert abs(float(line.rsplit(" ", 1)[1]) - 1e-3 / (1 + 1e-3)) < 1e-6
+    assert report[-1] == f"2 of {len(keys)} jobs differ"

@@ -1,0 +1,172 @@
+"""Byte-identity check of the benchmark jobs across two checkouts.
+
+Run every `jobs.json` argv of both benchmark workloads, at seeds 1 and 2,
+through `subfreq.cli.entry` of one checkout, and write a JSON record per
+job: the sha256 of exit code + stdout + stderr, the sha256 of each file the
+job writes with `--out`, and the text outputs themselves (stdout and text
+`--out` files) so that changed CSV cells can be measured.
+
+    python3 tools/job_digests.py --checkout PARENT --out parent.json
+    python3 tools/job_digests.py --out change.json
+    python3 tools/job_digests.py --compare parent.json change.json
+
+The checkout's own `bench/gen.py` writes the inputs and its own `src/`
+provides `subfreq`, so each checkout runs in its own interpreter.  As in
+the benchmark, BLAS and OpenMP run on one thread.  `--compare` prints every
+job whose record differs, with the largest relative change of a CSV cell
+(|a - b| / max(|a|, |b|)), and exits 1 when any job differs.
+"""
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy is imported by anything below.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _out_file(argv):
+    """The path after --out in a job's argv, if any."""
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def run_jobs(checkout, size="full"):
+    """{"<workload>/s<seed>/<job id>": record} for every job of the checkout."""
+    sys.path.insert(0, os.path.join(checkout, "bench"))
+    import gen
+
+    sf = gen.import_subfreq()
+    import subfreq.cli as cli
+
+    records = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in gen.WORKLOADS:
+            for seed in SEEDS:
+                inputs = os.path.join(tmp, f"{workload}-{seed}")
+                jobs = gen.generate(sf, workload, seed, inputs, size)
+                os.chdir(inputs)
+                try:
+                    for job in jobs:
+                        records[f"{workload}/s{seed}/{job['id']}"] = _run(cli, job["argv"])
+                finally:
+                    os.chdir(cwd)
+    return records
+
+
+def _run(cli, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.entry(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    record = {"rc": rc, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    record["sha256"] = _sha(f"{rc}\n{record['stdout']}\n{record['stderr']}".encode())
+    path = _out_file(argv)
+    if path and os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        record["out"] = {"path": path, "sha256": _sha(data)}
+        if not path.endswith(".npz"):
+            record["out"]["text"] = data.decode("utf-8")
+    return record
+
+
+def _cell_change(a, b):
+    """Relative change of one CSV cell, 0 when equal, inf when not numeric."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if math.isnan(x) and math.isnan(y):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_change(text_a, text_b):
+    """Largest relative change between the cells of two CSV texts (inf when
+    their shapes or non-numeric cells differ)."""
+    rows_a, rows_b = text_a.splitlines(), text_b.splitlines()
+    if len(rows_a) != len(rows_b):
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            return math.inf
+        for a, b in zip(cells_a, cells_b):
+            worst = max(worst, _cell_change(a, b))
+    return worst
+
+
+def compare(records_a, records_b):
+    """Lines describing every job whose record differs; empty when none."""
+    lines = []
+    for key in sorted(set(records_a) | set(records_b)):
+        a, b = records_a.get(key), records_b.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: only in {'B' if a is None else 'A'}")
+            continue
+        parts = [name for name in ("rc", "stdout", "stderr") if a[name] != b[name]]
+        out_a, out_b = a.get("out", {}), b.get("out", {})
+        if out_a.get("sha256") != out_b.get("sha256"):
+            parts.append(f"out {out_a.get('path') or out_b.get('path')}")
+        if not parts:
+            continue
+        change = csv_change(a["stdout"], b["stdout"])
+        if "text" in out_a and "text" in out_b:
+            change = max(change, csv_change(out_a["text"], out_b["text"]))
+        lines.append(f"{key}: differs in {', '.join(parts)}; "
+                     f"largest relative CSV-cell change {change:.3g}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--checkout", default=ROOT,
+                        help="repository whose bench/ and src/ are run (default: this one)")
+    parser.add_argument("--out", help="write the job records to this JSON file")
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two record files instead of running jobs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        records = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                records.append(json.load(fh))
+        lines = compare(*records)
+        total = len(set(records[0]) | set(records[1]))
+        print("\n".join(lines + [f"{len(lines)} of {total} jobs differ"]))
+        return 1 if lines else 0
+    if not args.out:
+        parser.error("--out is required unless --compare is given")
+    records = run_jobs(os.path.abspath(args.checkout), args.size)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(records)} jobs -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
