@@ -25,6 +25,7 @@ from .errors import (
     NonIntegerAlpha,
     ParseError,
     json_int,
+    json_number,
 )
 from .frequency import FunctionHandle
 from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic
@@ -349,8 +350,11 @@ def problem_from_json(data):
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        spec = BaouendiSpec(json_int(data["m"], "m"), json_int(data["k"], "k"), data["alpha"])
-        box = [tuple(float(x) for x in pair) for pair in data["box"]]
+        spec = BaouendiSpec(json_int(data["m"], "m"), json_int(data["k"], "k"),
+                            json_number(data["alpha"], "alpha"))
+        box = [tuple(float(json_number(x, "a box bound")) for x in pair) for pair in data["box"]]
+        if any(len(pair) != 2 for pair in box):
+            raise ParseError(f"every box axis is a pair [lo, hi], got {data['box']}")
         grid = [json_int(n, "a grid size") for n in data["grid"]]
         boundary = data["boundary"]
         if not (isinstance(boundary, str) and boundary.startswith("poly:")):

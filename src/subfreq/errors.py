@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `json_int`, which reads
-an integer field of an input file or raises ParseError."""
+"""Exception types shared across the package, and `json_int` and
+`json_number`, which read an integer or a number field of an input file or
+raise ParseError."""
 
 
 class SubfreqError(Exception):
@@ -82,4 +83,12 @@ def json_int(value, what, minimum=None):
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ParseError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def json_number(value, what):
+    """value if it is a JSON number (an integer or a float, not a bool);
+    otherwise ParseError naming the field `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
     return value

@@ -2,25 +2,27 @@
 
 Every functional is an integral over a gauge ball or sphere of one
 SphereRule.  For a polynomial handle the integrands |grad_H u|^2, u^2,
-(u - P)^2, the squared discrepancy and Zu E_u are Polynomials, integrated
-in closed form by sphere moments (finite power series in r); callables and
-FD handles are summed over the rule's nodes.  Either way the global
-calibration factor gamma of the rule multiplies D and H alike and cancels
-in every ratio and identity tested here.
+u Zu, (Zu - kappa u)^2, (u - P)^2, the squared discrepancy and Zu E_u are
+Polynomials, integrated in closed form by sphere moments (finite power
+series in r); callables and FD handles are summed over the rule's nodes.
+Either way the global calibration factor gamma of the rule multiplies D
+and H alike and cancels in every ratio and identity tested here.  Only
+the dilation delta_r depends on r, and d/dr f(delta_r sigma) =
+Zf(delta_r sigma) / r, so each identity check compares two sphere
+integrals per radius, on any radii.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
 from .groups import left_translate
-from .polynomials import euler
+from .polynomials import Polynomial, euler
 from .quadrature import surface_integral, volume_integral
-
-FD_STEP = 1e-5
 
 
 class FunctionHandle:
@@ -35,19 +37,21 @@ class FunctionHandle:
     Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.
     Polynomials pass their exact derivatives and keep exact Polynomials for
     |grad_H u|^2 and Zu, which evaluate like functions and which the
-    quadrature integrates in closed form; `value_sq` (u^2) and `disc_sq`
-    are Polynomials too, built once per handle.  Black boxes pass central
-    differences (step FD_STEP * (1 + |g|), 2(m+k) evaluations of u); their
-    integrals are sums over the rule.  `disc` is the discrepancy numerator
+    quadrature integrates in closed form; u^2 (`value_sq`), u Zu (`value_zu`)
+    and `disc_sq` are Polynomials too, built once per handle.  FD solutions
+    (`GridSolution.as_handle`) and other black boxes pass a function of the
+    points; sums over the rule integrate them.  `disc` is the discrepancy numerator
     from the context: exact on H-type group polynomials, zero for B_a, else
     None.
     """
 
-    def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label=""):
+    def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label="",
+                 partials=None):
         self.context = context
         self.value = value            # f(z, t) -> values
         self.grad_sq = grad_sq
         self.zu = zu
+        self.partials = partials      # (z, t) -> ([d_z u], [d_t u]) arrays, if known
         self.poly = poly              # underlying Polynomial, if any
         self.disc = disc              # discrepancy numerator, if known
         self.label = label
@@ -66,8 +70,10 @@ class FunctionHandle:
         else:
             grad_sq = context.horizontal_grad_sq(*partials)
             zu = euler(poly)
+            dz, dt = partials
+            partials = lambda z, t: ([d(z, t) for d in dz], [d(z, t) for d in dt])
         return cls(context, value, grad_sq, zu, poly=poly,
-                   disc=context.discrepancy(poly), label=label)
+                   disc=context.discrepancy(poly), label=label, partials=partials)
 
     @classmethod
     def from_polynomial(cls, context, p, center=None, label=""):
@@ -75,22 +81,6 @@ class FunctionHandle:
             p = left_translate(context, p, center)
         partials = ([p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)])
         return cls.from_partials(context, p.evaluate, partials, poly=p, label=label)
-
-    @classmethod
-    def from_callable(cls, context, value, label=""):
-        m = context.m
-
-        def partials(z, t):
-            g = np.concatenate([z, t], axis=1)
-            h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
-            d = []
-            for e in np.eye(g.shape[1]):
-                up, down = g + h[:, None] * e, g - h[:, None] * e
-                d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
-                         / (2.0 * h))
-            return d[:m], d[m:]
-
-        return cls.from_partials(context, value, partials, label=label)
 
     @cached_property
     def value_sq(self):
@@ -100,19 +90,29 @@ class FunctionHandle:
         return lambda z, t: self.value(z, t) ** 2
 
     @cached_property
+    def value_zu(self):
+        """u Zu: a Polynomial when u is one, else a function."""
+        if self.poly is not None:
+            return self.poly * self.zu
+        return lambda z, t: self.value(z, t) * self.zu(z, t)
+
+    @cached_property
     def disc_sq(self):
         """(4 disc)^2, so that E_u^2 = disc_sq / rho^6 (disc must be known)."""
         return self.disc * self.disc * 16
 
     def shifted_by(self, other):
-        """Handle for u - other (used by Monneau and the Weiss identity)."""
+        """Handle for u - other (used by Monneau and the Weiss identity): exact
+        for two polynomials, else the differences of values and of partials."""
         label = f"{self.label}-{other.label}"
         if self.poly is not None and other.poly is not None:
             return FunctionHandle.from_polynomial(
                 self.context, self.poly - other.poly, label=label)
-        return FunctionHandle.from_callable(
-            self.context,
-            lambda z, t: self.value(z, t) - other.value(z, t), label=label)
+        return FunctionHandle.from_partials(
+            self.context, lambda z, t: self.value(z, t) - other.value(z, t),
+            lambda z, t: [np.subtract(a, b)
+                          for a, b in zip(self.partials(z, t), other.partials(z, t))],
+            label=label)
 
 
 # -- core functionals ------------------------------------------------------
@@ -197,102 +197,97 @@ def discrepancy_surface_norm(u, r, rule):
     return math.sqrt(max(e_sq, 0.0))
 
 
-# -- derivative estimation on geometric radius grids -----------------------
-
-
 def geometric_radii(rmin, rmax, n):
     return np.exp(np.linspace(math.log(rmin), math.log(rmax), n))
-
-
-def log_grid_derivative(values, radii):
-    """5-point central d/dr on a geometric grid (via uniform log spacing).
-
-    Returns (interior_radii, derivative, interior_slice)."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(radii) < 5:
-        raise ValueError("need at least 5 radii")
-    dx = math.log(radii[1] / radii[0])
-    steps = np.diff(np.log(radii))
-    if not np.allclose(steps, dx, rtol=1e-8):
-        raise ValueError("radius grid is not geometric")
-    inner = slice(2, len(radii) - 2)
-    dv = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dx)
-    return radii[inner], dv / radii[inner], inner
 
 
 # -- identity checks -------------------------------------------------------
 
 
-def _identity_check(values, radii, rhs_at):
-    """Residuals of d/dr values = rhs_at(r, i) at the interior radii r = radii[i]
-    (5-point `log_grid_derivative` on the left), by one policy for every
-    identity: |lhs - rhs| / max(|lhs|, |rhs|), and 0 where both sides are
-    below 1e-12 (an identically vanishing quantity read in round-off)."""
-    r_in, lhs, inner = log_grid_derivative(values, radii)
-    rhs = np.array([rhs_at(r, i) for r, i in zip(r_in, range(len(values))[inner])])
+def _sphere_column(f, radii, rule, weighted=True):
+    """surface_integral(f, r, rule, weighted) at each of the radii.  A callable
+    f is called once, on the nodes of all the spheres: on a small rule the
+    fixed cost of a call of an FD handle is most of its cost."""
+    if isinstance(f, Polynomial):
+        return np.array([surface_integral(f, r, rule, weighted) for r in radii])
+    z, t = rule.dilate(radii[:, None, None], rule.z, rule.t)
+    vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(len(radii), len(rule))
+    w = rule.weights * rule.psi if weighted else rule.weights
+    return radii ** (rule.Q - 1.0) * (vals @ w)
+
+
+def _identity_check(radii, lhs, rhs):
+    """Residuals of lhs = rhs at each radius by one policy for every identity:
+    |lhs - rhs| / max(|lhs|, |rhs|), and 0 where both sides are below 1e-12
+    (an identically vanishing quantity read in round-off)."""
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     residuals = np.divide(np.abs(lhs - rhs), scale, out=np.zeros_like(scale),
                           where=scale >= 1e-12)
-    return {"radii": r_in, "lhs": lhs, "rhs": rhs, "residuals": residuals}
+    return {"radii": radii, "lhs": lhs, "rhs": rhs, "residuals": residuals}
 
 
 def check_H_identity(u, radii, rule):
-    """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r)."""
+    """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r), with the exact
+    H' = ((Q-1) H + 2 I) / r: the Rellich identity I(r) = r D(r)."""
     curve = frequency_curve(u, rule, radii)
-    return _identity_check(curve.H, radii,
-                           lambda r, i: (rule.Q - 1.0) / r * curve.H[i] + 2.0 * curve.D[i])
+    r, q1 = curve.radii, rule.Q - 1.0
+    i_col = _sphere_column(u.value_zu, r, rule)
+    return _identity_check(r, (q1 * curve.H + 2.0 * i_col) / r, q1 / r * curve.H + 2.0 * curve.D)
 
 
 def check_D_variation(u, radii, rule, include_discrepancy=True):
     """Residuals of the first variation
     D'(r) = (Q-2)/r D + 2 int (Zu/r)^2 psi dmu + 2 int (Zu/r) E_u dmu,
-    where the last integral uses the unweighted polar measure and
-    E_u = 4 (sum t_l Theta_l u) / rho^3.  E_u vanishes identically for B_a,
-    so the term is 0 there; on a group it needs a polynomial input.  Setting
-    include_discrepancy=False drops the E_u term (negative-control variant)."""
+    where D' = int_{S_r} |grad_H u|^2 dmu and the E_u integral use the
+    unweighted polar measure and E_u = 4 (sum t_l Theta_l u) / rho^3.  E_u
+    vanishes identically for B_a, so the term is 0 there; on a group it needs
+    a polynomial input.  Setting include_discrepancy=False drops the E_u term
+    (negative-control variant)."""
     if include_discrepancy and u.disc is None:
         raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
     with_disc = include_discrepancy and not u.disc.is_zero()
-    d_vals = frequency_curve(u, rule, radii).D
-
-    def rhs(r, i):
-        zr_sq = lambda z, t: (u.zu(z, t) / r) ** 2
-        val = (rule.Q - 2.0) / r * d_vals[i] \
-            + 2.0 * surface_integral(zr_sq, r, rule, weighted=True)
-        if with_disc:
-            val += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
-        return val
-
-    return _identity_check(d_vals, radii, rhs)
+    curve = frequency_curve(u, rule, radii)
+    r = curve.radii
+    zu_sq = u.zu * u.zu if u.poly is not None else (lambda z, t: u.zu(z, t) ** 2)
+    rhs = (rule.Q - 2.0) / r * curve.D + 2.0 / r ** 2 * _sphere_column(zu_sq, r, rule)
+    if with_disc:
+        rhs += 8.0 / r ** 4 * _sphere_column(u.zu * u.disc, r, rule, weighted=False)
+    return _identity_check(r, _sphere_column(u.grad_sq, r, rule, weighted=False), rhs)
 
 
 def check_weiss_derivative(u, kappa, radii, rule):
-    """Residuals of dW/dr = 2 r^-(Q+2k) int_{S_r} (Zu - kappa u)^2 psi dmu."""
-    w_vals = frequency_curve(u, rule, radii, kappa=kappa).W
-    return _identity_check(w_vals, radii, lambda r, i: (
-        2.0 * r ** (-(rule.Q + 2.0 * kappa))
-        * surface_integral(lambda z, t: (u.zu(z, t) - kappa * u.value(z, t)) ** 2,
-                           r, rule, weighted=True)))
+    """Residuals of dW/dr = 2 r^-(Q+2k) int_{S_r} (Zu - kappa u)^2 psi dmu, with
+    the exact W' = (D' - e D/r)/r^e + 2k (k H - I)/r^(e+2), e = Q-2+2k."""
+    curve = frequency_curve(u, rule, radii, kappa=kappa)
+    r, e = curve.radii, rule.Q - 2.0 + 2.0 * kappa
+    lhs = (_sphere_column(u.grad_sq, r, rule, weighted=False) - e * curve.D / r) / r ** e \
+        + 2.0 * kappa * (kappa * curve.H - _sphere_column(u.value_zu, r, rule)) / r ** (e + 2.0)
+    if u.poly is not None:
+        defect_sq = (u.zu - u.poly * Fraction(kappa)) ** 2
+    else:
+        defect_sq = lambda z, t: (u.zu(z, t) - kappa * u.value(z, t)) ** 2
+    rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * _sphere_column(defect_sq, r, rule)
+    return _identity_check(r, lhs, rhs)
 
 
 def check_monneau_derivative(u, p_handle, kappa, radii, rule):
-    """Residuals of dM/dr = (2/r) W_kappa(u, r), with M and whether it is
+    """Residuals of dM/dr = (2/r) W_kappa(u, r), with the exact
+    M' = (2/r) (I_(u-P) / r^(Q-1+2k) - kappa M), and M and whether it is
     nondecreasing up to a slack of 1e-5 ("nondecreasing")."""
     curve = frequency_curve(u, rule, radii, kappa=kappa, ref=p_handle)
-    return {**_identity_check(curve.M, radii, lambda r, i: 2.0 / r * curve.W[i]),
+    r, diff = curve.radii, u.shifted_by(p_handle)
+    i_diff = _sphere_column(diff.value_zu, r, rule)
+    lhs = 2.0 / r * (i_diff / r ** (rule.Q - 1.0 + 2.0 * kappa) - kappa * curve.M)
+    return {**_identity_check(r, lhs, 2.0 / r * curve.W),
             "M": curve.M, "nondecreasing": bool(np.all(np.diff(curve.M) >= -1e-5))}
 
 
 def frequency_radial_exponential(eps, r, rule):
-    """N(u, r) for u = exp(-rho^-eps); analytically eps / r^eps."""
-    rho_of = rule.rho
-    u_val = lambda z, t: np.exp(-rho_of(z, t) ** (-eps))
-    zu_val = lambda z, t: eps * rho_of(z, t) ** (-eps) * u_val(z, t)
-    i_r = surface_integral(lambda z, t: u_val(z, t) * zu_val(z, t) / r,
-                           r, rule, weighted=True)
-    h_r = surface_integral(lambda z, t: u_val(z, t) ** 2, r, rule, weighted=True)
-    return r * i_r / h_r
+    """N(u, r) = I(r) / H(r) for u = exp(-rho^-eps); analytically eps / r^eps."""
+    value = lambda z, t: np.exp(-rule.rho(z, t) ** (-eps))
+    zu = lambda z, t: eps * rule.rho(z, t) ** (-eps) * value(z, t)
+    u = FunctionHandle(rule, value, None, zu)
+    return surface_integral(u.value_zu, r, rule, weighted=True) / height(u, r, rule)
 
 
 # -- curve container -------------------------------------------------------

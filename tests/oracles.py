@@ -6,7 +6,11 @@ of the polar rule and the closed-form moments, sympy's dense rank instead
 of `exactla`, psi at arbitrary points from the gauge formula (`psi`) and
 through the structure matrices J (`horiz_gauge_grad_sq`) where the package
 knows it only at the rule's nodes and by its closed-form moments, and
-dilations by substitution instead of the Euler operator.
+dilations by substitution instead of the Euler operator, radial
+derivatives by finite differences (`log_grid_derivative`) instead of the
+dilation's exact d/dr, and handles of black-box functions with
+central-difference partials (`callable_handle`) where the package builds
+every handle from exact or interpolated partials.
 """
 
 import math
@@ -18,8 +22,12 @@ import sympy
 from subfreq.constants import Geometry, sphere_area
 from subfreq.errors import OriginSingularity
 from subfreq.fixtures import poly_t, poly_x, poly_y
+from subfreq.frequency import FunctionHandle
 from subfreq.groups import _check_point, make_group
 from subfreq.polynomials import Polynomial, sublaplacian
+
+
+FD_STEP = 1e-5
 
 
 class InsufficientSamples(ValueError):
@@ -165,6 +173,42 @@ def harmonic_with_discrepancy(G):
     u = x + y * t - x * zn * Fraction(1, 8)
     assert sublaplacian(G, u).is_zero()
     return u
+
+
+def callable_handle(context, value, label=""):
+    """FunctionHandle of the black-box function value(z, t), whose partials
+    are central differences with step FD_STEP * (1 + |g|) at the point g
+    (2(m+k) evaluations of value)."""
+    m = context.m
+
+    def partials(z, t):
+        g = np.concatenate([z, t], axis=1)
+        h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
+        d = []
+        for e in np.eye(g.shape[1]):
+            up, down = g + h[:, None] * e, g - h[:, None] * e
+            d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
+                     / (2.0 * h))
+        return d[:m], d[m:]
+
+    return FunctionHandle.from_partials(context, value, partials, label=label)
+
+
+def log_grid_derivative(values, radii):
+    """5-point central d/dr on a geometric grid (via uniform log spacing).
+
+    Returns (interior_radii, derivative, interior_slice)."""
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(radii) < 5:
+        raise ValueError("need at least 5 radii")
+    dx = math.log(radii[1] / radii[0])
+    steps = np.diff(np.log(radii))
+    if not np.allclose(steps, dx, rtol=1e-8):
+        raise ValueError("radius grid is not geometric")
+    inner = slice(2, len(radii) - 2)
+    dv = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dx)
+    return radii[inner], dv / radii[inner], inner
 
 
 def dilated(p, lam):

@@ -48,7 +48,7 @@ def test_polynomial_handle_needs_integer_alpha_and_matching_weight():
     with pytest.raises(DimensionMismatch):
         FunctionHandle.from_polynomial(sf.BaouendiSpec(1, 1, 2),
                                        Polynomial.t_var(1, 1, 0, tweight=2))
-    box = FunctionHandle.from_callable(spec, lambda z, t: t[:, 0])
+    box = oracles.callable_handle(spec, lambda z, t: t[:, 0])
     assert box.grad_sq(np.array([[0.5]]), np.array([[0.0]]))[0] == pytest.approx(
         0.5 ** 3 / 4.0, rel=1e-7)
 
@@ -215,7 +215,7 @@ def test_discrepancy_numerator_has_the_layer_weight(ba112):
     assert (u.zu * u.disc).is_zero()
     assert u.disc.tweight == u.poly.tweight
     # a callable handle still builds for a non-integer alpha
-    box = FunctionHandle.from_callable(sf.BaouendiSpec(1, 1, 1.5), lambda z, t: t[:, 0])
+    box = oracles.callable_handle(sf.BaouendiSpec(1, 1, 1.5), lambda z, t: t[:, 0])
     assert box.disc.is_zero()
 
 
@@ -278,6 +278,18 @@ def test_fd_solver_3d(ba211):
     ts = mesh[2].ravel()[:, None]
     ref = exact.evaluate(zs, ts).reshape(sol.values.shape)
     assert np.max(np.abs(sol.values - ref)) < 1e-8
+
+
+def test_fd_handle_minus_polynomial_reads_the_handle_partials(ba112, rule_ba112):
+    # Zu of u - P is Zu - ZP: the FD handle's interpolated partials minus the
+    # exact partials of P, not differences of the piecewise-linear u - P
+    sol = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate)
+    u = sol.as_handle()
+    p = FunctionHandle.from_polynomial(ba112, Polynomial.t_var(1, 1, 0, tweight=3))
+    z, t = ba112.dilate(0.5, rule_ba112.z, rule_ba112.t)
+    diff = u.shifted_by(p)
+    np.testing.assert_allclose(diff.value(z, t), u.value(z, t) - p.value(z, t), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(diff.zu(z, t), u.zu(z, t) - p.zu(z, t), rtol=0, atol=1e-14)
 
 
 def _generic_boundary(z, t):
@@ -455,4 +467,23 @@ def test_problem_from_json_rejects_non_integers(tmp_path, field, value):
             "grid": [33, 33], "boundary": f"poly:{poly_file}"}
     data[field] = value
     with pytest.raises(ParseError, match="must be an integer"):
+        sf.problem_from_json(data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", True, "alpha must be a number"), ("alpha", "2", "alpha must be a number"),
+    ("box", [[True, 1], [-1, 1]], "a box bound must be a number"),
+    ("box", [[-1, 1], [-1, "0.5"]], "a box bound must be a number"),
+    ("box", [[-1, 0, 1], [-1, 1]], "every box axis is a pair")],
+    ids=["alpha-bool", "alpha-string", "box-bool", "box-string", "box-triple"])
+def test_problem_from_json_rejects_non_numbers(tmp_path, field, value, message):
+    # alpha true used to read as alpha 1 with layer weight 2, the box
+    # [[true, "0.5"], ...] as [(1.0, 0.5), ...], and a box axis of three
+    # bounds ended in an uncaught ValueError
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    data = {"m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+            "grid": [33, 33], "boundary": f"poly:{poly_file}"}
+    data[field] = value
+    with pytest.raises(ParseError, match=message):
         sf.problem_from_json(data)

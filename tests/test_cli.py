@@ -198,6 +198,17 @@ def test_problem_file_grid_is_not_truncated_exit_2(tmp_path, capsys):
     assert "a grid size must be an integer" in capsys.readouterr().err
 
 
+def test_problem_file_alpha_bool_exit_2(tmp_path, capsys):
+    bpoly = tmp_path / "b.json"
+    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({  # alpha true used to be read as alpha 1
+        "m": 1, "k": 1, "alpha": True, "box": [[-1, 1], [-1, 1]],
+        "grid": [33, 33], "boundary": f"poly:{bpoly}"}))
+    assert entry(["baouendi", "solve", "--problem", str(prob)]) == 2
+    assert "alpha must be a number, got True" in capsys.readouterr().err
+
+
 def test_discrepancy_command(h1_file, x_file, capsys):
     assert entry(["discrepancy", "--group", h1_file, "--poly", x_file,
                   "--json"]) == 0
@@ -281,6 +292,32 @@ def test_baouendi_monneau_cli(mixed_112_files, capsys):
     fields = _fields(capsys.readouterr().out)
     assert float(fields["max_residual"]) < 1e-2
     assert fields["nondecreasing"] == "true"
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+@pytest.mark.parametrize("command", ["weiss", "monneau"])
+def test_baouendi_checks_on_few_radii(mixed_112_files, command, steps, capsys):
+    # the radial derivatives are exact, so fewer than 5 radii are checked too
+    # (they used to end in an uncaught ValueError, exit 1)
+    u, t = mixed_112_files
+    argv = ["baouendi", command, "--poly", u] + (["--ref", t] if command == "monneau" else [])
+    assert entry(argv + MIXED_112_FLAGS + ["--steps", str(steps)]) == 0
+    assert float(_fields(capsys.readouterr().out)["max_residual"]) <= 1e-10
+
+
+def test_baouendi_weiss_on_one_repeated_radius(mixed_112_files, tmp_path, capsys):
+    # rmin = rmax repeats one radius: its residual is read, not a step dx = 0
+    # that printed max_residual=0 for every input
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+                                "grid": [33, 33], "boundary": f"poly:{mixed_112_files[0]}"}))
+    argv = ["baouendi", "weiss", "--problem", str(prob), "--kappa", "3",
+            "--resolution", "16", "--rmin", "0.3", "--rmax", "0.3", "--steps"]
+    assert entry(argv + ["6"]) == 0
+    repeated = capsys.readouterr().out
+    assert entry(argv + ["1"]) == 0
+    assert repeated == capsys.readouterr().out
+    assert float(_fields(repeated)["max_residual"]) > 1e-6
 
 
 def test_baouendi_missing_inputs_exit_2(capsys):

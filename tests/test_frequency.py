@@ -9,7 +9,7 @@ import oracles
 import subfreq as sf
 from subfreq import fixtures
 from subfreq.errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
-from subfreq.frequency import CSV_HEADER, FunctionHandle, log_grid_derivative
+from subfreq.frequency import CSV_HEADER, FunctionHandle
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial, harmonic_basis
 
@@ -114,7 +114,7 @@ def test_monneau_requires_vanishing_discrepancy(h1, rule_h1):
 
 
 def test_d_variation_needs_discrepancy_data(h1, rule_h1):
-    u = FunctionHandle.from_callable(h1, lambda z, t: z[:, 0])
+    u = oracles.callable_handle(h1, lambda z, t: z[:, 0])
     radii = sf.geometric_radii(0.5, 1.5, 8)
     with pytest.raises(DiscrepancyUnknown):
         sf.check_D_variation(u, radii, rule_h1)
@@ -134,7 +134,7 @@ def test_callable_handle_matches_polynomial(context, make, request):
     rule = request.getfixturevalue(f"rule_{context}")
     p = make(ctx)
     exact = handle(ctx, p)
-    box = FunctionHandle.from_callable(ctx, p.evaluate)
+    box = oracles.callable_handle(ctx, p.evaluate)
     for r in (0.5, 1.0):
         assert sf.frequency(box, r, rule) == pytest.approx(
             sf.frequency(exact, r, rule), rel=1e-7)
@@ -146,15 +146,15 @@ def test_callable_handle_matches_polynomial(context, make, request):
 def test_log_grid_derivative_accuracy():
     radii = sf.geometric_radii(0.5, 2.0, 40)
     vals = radii ** 3.5
-    r_in, dv, inner = log_grid_derivative(vals, radii)
+    r_in, dv, inner = oracles.log_grid_derivative(vals, radii)
     np.testing.assert_allclose(dv, 3.5 * r_in ** 2.5, rtol=1e-4)
 
 
 def test_log_grid_derivative_guards():
     with pytest.raises(ValueError):
-        log_grid_derivative([1.0, 2.0], [1.0, 2.0])
+        oracles.log_grid_derivative([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        log_grid_derivative(np.ones(6), np.linspace(1.0, 2.0, 6))
+        oracles.log_grid_derivative(np.ones(6), np.linspace(1.0, 2.0, 6))
 
 
 def test_h_identity_residuals_small(h1, rule_h1):
@@ -188,7 +188,7 @@ def test_discrepancy_surface_norm(h1, rule_h1):
                                        1.0, rule_h1) == 0.0
     assert sf.discrepancy_surface_norm(handle(h1, fixtures.poly_x(h1)),
                                        1.0, rule_h1) > 0.0
-    box = FunctionHandle.from_callable(h1, lambda z, t: z[:, 0])
+    box = oracles.callable_handle(h1, lambda z, t: z[:, 0])
     assert math.isnan(sf.discrepancy_surface_norm(box, 1.0, rule_h1))
 
 
@@ -233,12 +233,13 @@ def test_identity_residual_is_zero_where_both_sides_vanish(h1, rule_h1):
 
 def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
     # each check computes D, H, W and M once, as one frequency_curve on its
-    # radii, and its left-hand side differentiates those columns
+    # radii; its left-hand side is the exact radial derivative of one column,
+    # which the 5-point differences of that column match to their 1e-3 floor
+    # (on this grid; 9 radii leave them 10% off for H)
     u = handle(h1, fixtures.mixed_cylindrical(h1))
     ref = handle(h1, fixtures.poly_t(h1))
-    radii = sf.geometric_radii(0.4, 1.2, 9)
+    radii = sf.geometric_radii(0.4, 1.2, 33)
     curve = sf.frequency_curve(u, rule_h1, radii, kappa=2, ref=ref)
-    r_in, _, inner = log_grid_derivative(curve.M, radii)
     frequency = sys.modules["subfreq.frequency"]  # `subfreq.frequency` is the function N(r)
     curves = []
     monkeypatch.setattr(frequency, "frequency_curve",
@@ -249,13 +250,46 @@ def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
               "M": frequency.check_monneau_derivative(u, ref, 2, radii, rule_h1)}
     assert len(curves) == 4
     for column, res in checks.items():
-        np.testing.assert_array_equal(
-            res["lhs"], log_grid_derivative(getattr(curve, column), radii)[1])
-    h_rhs = (rule_h1.Q - 1.0) / r_in * curve.H[inner] + 2.0 * curve.D[inner]
-    np.testing.assert_array_equal(checks["H"]["rhs"], h_rhs)
-    np.testing.assert_array_equal(checks["M"]["rhs"], 2.0 / r_in * curve.W[inner])
+        np.testing.assert_array_equal(res["radii"], radii)
+        _, differences, inner = oracles.log_grid_derivative(getattr(curve, column), radii)
+        np.testing.assert_allclose(res["lhs"][inner], differences, rtol=1e-3)
+    np.testing.assert_array_equal(
+        checks["H"]["rhs"], (rule_h1.Q - 1.0) / radii * curve.H + 2.0 * curve.D)
+    np.testing.assert_array_equal(checks["M"]["rhs"], 2.0 / radii * curve.W)
     np.testing.assert_array_equal(checks["M"]["M"], curve.M)
     assert checks["M"]["nondecreasing"] == bool(np.all(np.diff(curve.M) >= -1e-5))
+
+
+@pytest.mark.parametrize("radii", [[0.7], [0.3, 0.5, 1.1, 0.9]], ids=["one", "not-geometric"])
+def test_identity_checks_on_any_radii(h1, rule_h1, radii):
+    # the derivatives are exact, so any radii do: one, or an unordered list
+    u = handle(h1, fixtures.mixed_cylindrical(h1))
+    ref = handle(h1, fixtures.poly_t(h1))
+    for res in (sf.check_H_identity(u, radii, rule_h1),
+                sf.check_D_variation(u, radii, rule_h1),
+                sf.check_weiss_derivative(u, 2, radii, rule_h1),
+                sf.check_monneau_derivative(u, ref, 2, radii, rule_h1)):
+        np.testing.assert_array_equal(res["radii"], radii)
+        assert res["residuals"].shape == (len(radii),)
+        assert np.max(res["residuals"]) <= 1e-12
+
+
+def test_identity_checks_exact_on_callable_handles(h1, rule_h1, ba112, rule_ba112):
+    # the fixtures of `verify` as callables: the central-difference partials of
+    # `callable_handle` are the only error, and the Monneau difference of a
+    # callable and a polynomial subtracts their partials
+    box = lambda ctx, p: oracles.callable_handle(ctx, p.evaluate)
+    radii = [0.4, 0.9, 1.5]
+    checks = [sf.check_H_identity(box(h1, p), radii, rule_h1)
+              for p in (fixtures.poly_x(h1), fixtures.poly_t(h1), fixtures.poly_x2_minus_y2(h1))]
+    checks += [sf.check_weiss_derivative(box(h1, p), kappa, radii, rule_h1)
+               for p, kappa in ((fixtures.one_plus_t(h1), 0), (fixtures.mixed_cylindrical(h1), 2))]
+    checks.append(sf.check_monneau_derivative(box(h1, fixtures.mixed_cylindrical(h1)),
+                                              handle(h1, fixtures.poly_t(h1)), 2, radii, rule_h1))
+    # the first variation needs the discrepancy, known to vanish on B_a
+    checks.append(sf.check_D_variation(box(ba112, _baouendi_mixed(ba112)), radii, rule_ba112))
+    worst = [float(np.max(res["residuals"])) for res in checks]
+    assert max(worst) <= 1e-8, worst
 
 
 def test_frequency_curve_zero_function(h1, rule_h1):

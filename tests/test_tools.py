@@ -1,9 +1,12 @@
 """tools/job_digests.py: the byte-identity check of the benchmark jobs."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "job_digests.py"
@@ -47,3 +50,28 @@ def test_job_digests_compare(tmp_path):
     assert "differs in stdout" in line
     assert abs(float(line.rsplit(" ", 1)[1]) - 1e-3 / (1 + 1e-3)) < 1e-6
     assert report[-1] == f"2 of {len(keys)} jobs differ"
+
+
+@pytest.mark.parametrize("stdout_a, stdout_b, change", [
+    ("max_residual=4.000000e-01\n", "max_residual=5.000000e-01\n", 0.2),
+    ('[{"detail": "max residual 2.0e-03", "passed": true}]',
+     '[{"detail": "max residual 1.0e-03", "passed": true}]', 0.5),
+    ("finite nan,-inf,1.0\n", "finite nan,-inf,2.0\n", 0.5),
+    ("N=nan\n", "N=1.0\n", math.inf),
+    ("max_residual=1e-3 nondecreasing=true\n", "max_residual=1e-3 nondecreasing=false\n",
+     math.inf),
+], ids=["residual-line", "verify-json", "words-nan-inf", "nan-to-number", "word-differs"])
+def test_job_digests_compare_reads_numbers_in_any_text(tmp_path, stdout_a, stdout_b, change):
+    # the change of a job that is not a CSV: the numbers of two texts that
+    # differ only in their numbers ("finite" is a word, not inf)
+    paths = []
+    for name, stdout in (("a", stdout_a), ("b", stdout_b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"job": {"rc": 0, "stdout": stdout, "stderr": "",
+                                            "sha256": name}}))
+        paths.append(str(path))
+    proc = run_tool("--compare", *paths)
+    assert proc.returncode == 1
+    line = proc.stdout.strip().split("\n")[0]
+    assert line.startswith("job: differs in stdout; largest relative number change ")
+    assert float(line.rsplit(" ", 1)[1]) == pytest.approx(change, rel=1e-3)

@@ -13,8 +13,9 @@ job writes with `--out`, and the text outputs themselves (stdout and text
 The checkout's own `bench/gen.py` writes the inputs and its own `src/`
 provides `subfreq`, so each checkout runs in its own interpreter.  As in
 the benchmark, BLAS and OpenMP run on one thread.  `--compare` prints every
-job whose record differs, with the largest relative change of a CSV cell
-(|a - b| / max(|a|, |b|)), and exits 1 when any job differs.
+job whose record differs, with the largest relative change of a number in
+its text outputs (|a - b| / max(|a|, |b|); inf when the texts differ in
+anything but their numbers), and exits 1 when any job differs.
 """
 
 import os
@@ -30,11 +31,14 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
+# a decimal number, or nan / inf as whole words ("finite" holds no inf)
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b))")
 
 
 def _sha(data):
@@ -89,33 +93,26 @@ def _run(cli, argv):
     return record
 
 
-def _cell_change(a, b):
-    """Relative change of one CSV cell, 0 when equal, inf when not numeric."""
-    if a == b:
+def _number_change(a, b):
+    """Relative change of two numbers written as text: 0 when equal (NaN
+    included), inf when only one is finite."""
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    try:
-        x, y = float(a), float(b)
-    except ValueError:
+    if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
-    if math.isnan(x) and math.isnan(y):
-        return 0.0
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def csv_change(text_a, text_b):
-    """Largest relative change between the cells of two CSV texts (inf when
-    their shapes or non-numeric cells differ)."""
-    rows_a, rows_b = text_a.splitlines(), text_b.splitlines()
-    if len(rows_a) != len(rows_b):
+def text_change(text_a, text_b):
+    """Largest relative change between the numbers of two texts (a CSV, a
+    `max_residual=...` line, a JSON report), or inf when the texts differ in
+    anything but their numbers."""
+    parts_a, parts_b = NUMBER.split(text_a), NUMBER.split(text_b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
         return math.inf
-    worst = 0.0
-    for row_a, row_b in zip(rows_a, rows_b):
-        cells_a, cells_b = row_a.split(","), row_b.split(",")
-        if len(cells_a) != len(cells_b):
-            return math.inf
-        for a, b in zip(cells_a, cells_b):
-            worst = max(worst, _cell_change(a, b))
-    return worst
+    return max((_number_change(a, b) for a, b in zip(parts_a[1::2], parts_b[1::2])),
+               default=0.0)
 
 
 def compare(records_a, records_b):
@@ -132,11 +129,11 @@ def compare(records_a, records_b):
             parts.append(f"out {out_a.get('path') or out_b.get('path')}")
         if not parts:
             continue
-        change = csv_change(a["stdout"], b["stdout"])
+        change = text_change(a["stdout"], b["stdout"])
         if "text" in out_a and "text" in out_b:
-            change = max(change, csv_change(out_a["text"], out_b["text"]))
+            change = max(change, text_change(out_a["text"], out_b["text"]))
         lines.append(f"{key}: differs in {', '.join(parts)}; "
-                     f"largest relative CSV-cell change {change:.3g}")
+                     f"largest relative number change {change:.3g}")
     return lines
 
 
