@@ -132,34 +132,56 @@ class GridSolution:
     def as_handle(self):
         """FunctionHandle evaluating by multilinear interpolation.
 
-        One interpolator reads the channel array, which holds u once: this
-        fills channels 1.. with the second-order central differences
-        d_1 u, ..., one axis at a time.  Value and partials come from one
-        call per point set."""
-        from scipy.interpolate import RegularGridInterpolator
-
+        The kernel (`_multilinear`) reads the channel array, which holds u
+        once: this fills channels 1.. with the second-order central
+        differences d_1 u, ..., one axis at a time.  Value and partials come
+        from one call per point set (the handle's `jet`)."""
         data = self.channels
         for axis, nodes in enumerate(self.axes):
             data[..., axis + 1] = np.gradient(self.values, nodes, axis=axis, edge_order=2)
-        interpolator = RegularGridInterpolator(self.axes, data, method="linear",
-                                               bounds_error=True)
+        flat = data.reshape(-1, data.shape[-1])  # a view: one row of channels per node
         m = self.spec.m
         lo, hi = np.array([(nodes[0], nodes[-1]) for nodes in self.axes]).T
 
-        def channels(z, t):
-            p = np.concatenate([z, t], axis=1)
-            outside = np.any((p < lo) | (p > hi), axis=1)
-            if outside.any():
+        def jet(z, t):
+            x = np.empty((len(lo), len(z)))  # one contiguous row of coordinates per axis
+            x[:m], x[m:] = z.T, t.T
+            # NaN fails both tests; initial= lets an empty point set through
+            if not ((x.min(1, initial=np.inf) >= lo).all()
+                    and (x.max(1, initial=-np.inf) <= hi).all()):
+                outside = ~np.all((x.T >= lo) & (x.T <= hi), axis=1)
                 box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(lo, hi))
-                raise BadGrid(f"point {p[outside][0]} lies outside the FD solution box {box}")
-            return interpolator(p)
+                raise BadGrid(f"point {x.T[outside][0]} lies outside the FD solution box {box}")
+            c = _multilinear(self.axes, flat, x)
+            return c[:, 0], list(c[:, 1:m + 1].T), list(c[:, m + 1:].T)
 
-        def partials(z, t):
-            d = list(channels(z, t)[:, 1:].T)
-            return d[:m], d[m:]
+        return FunctionHandle.from_jet(self.spec, jet, label="fd-solution")
 
-        return FunctionHandle.from_partials(
-            self.spec, lambda z, t: channels(z, t)[:, 0], partials, label="fd-solution")
+
+def _multilinear(axes, flat, x):
+    """Multilinear interpolation at the points with coordinates x (one row
+    per axis, inside the box of the axes) of the channels flat (one row per
+    grid node, in C order), bit for bit as scipy's
+    RegularGridInterpolator(method="linear"): the same cell (closed on the
+    right at the last node), the same fractions and weight products, and
+    the corners summed in its order (first axis slowest) from 0.  All 2^N
+    corners of all channels come from one gather."""
+    strides = [math.prod(len(ax) for ax in axes[d + 1:]) for d in range(len(axes))]
+    base = np.zeros(x.shape[1], dtype=np.intp)
+    offsets = np.zeros(1, dtype=np.intp)
+    weights = np.ones((1, x.shape[1]))
+    for ax, xd, stride in zip(axes, x, strides):
+        i = np.minimum(np.searchsorted(ax, xd, side="right") - 1, len(ax) - 2)
+        f = (xd - ax[i]) / (ax[i + 1] - ax[i])
+        base += i * stride
+        offsets = (offsets[:, None] + np.array([0, stride])).ravel()
+        weights = (weights[:, None] * np.stack([1.0 - f, f])).reshape(len(offsets), -1)
+    corners = np.take(flat, base + offsets[:, None], axis=0)  # (2^N, points, channels)
+    corners *= weights[..., None]
+    out = np.zeros(corners.shape[1:])
+    for term in corners:
+        out += term
+    return out
 
 
 def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
@@ -211,13 +233,20 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     coeff = (sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0)[..., None]
 
     def stencil(g):
-        # the centred B_a stencil of the full-grid array g at the interior nodes
+        # the centred B_a stencil of the full-grid array g at the interior
+        # nodes: per axis (g_lo - 2 g + g_hi) / h^2, in place in one temporary
         out = np.zeros(ni)
+        d2 = np.empty(ni)
         for axis, h in enumerate(steps):
             lo, hi = list(interior), list(interior)
             lo[axis], hi[axis] = slice(None, -2), slice(2, None)
-            d2 = (g[tuple(lo)] - 2.0 * g[interior] + g[tuple(hi)]) / h ** 2
-            out += coeff * d2 if axis >= m else d2
+            np.multiply(g[interior], 2.0, out=d2)
+            np.subtract(g[tuple(lo)], d2, out=d2)
+            np.add(d2, g[tuple(hi)], out=d2)
+            np.divide(d2, h ** 2, out=d2)
+            if axis >= m:
+                np.multiply(coeff, d2, out=d2)
+            out += d2
         return out
 
     # exact inverse: d2_t = S diag(lam) S with S the orthonormal DST-I, so

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -61,8 +62,8 @@ def _emit_curve(args, curve):
 
 
 def _radii(args):
-    if args.steps < 1 or args.rmin <= 0 or args.rmax < args.rmin:
-        raise ParseError("need 0 < rmin <= rmax and steps >= 1")
+    if not (args.steps >= 1 and 0 < args.rmin <= args.rmax < math.inf):
+        raise ParseError("need 0 < rmin <= rmax < inf and steps >= 1")
     if args.steps == 1:
         return np.array([args.rmin])
     return geometric_radii(args.rmin, args.rmax, args.steps)

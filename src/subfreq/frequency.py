@@ -40,7 +40,9 @@ class FunctionHandle:
     quadrature integrates in closed form; u^2 (`value_sq`), u Zu (`value_zu`)
     and `disc_sq` are Polynomials too, built once per handle.  FD solutions
     (`GridSolution.as_handle`) and other black boxes pass a function of the
-    points; sums over the rule integrate them.  `disc` is the discrepancy numerator
+    points; sums over the rule integrate them.  An FD solution gives value
+    and partials from one evaluation, its `jet`, so `value_and_zu` reads u
+    and Zu at the same points from one call.  `disc` is the discrepancy numerator
     from the context: exact on H-type group polynomials, zero for B_a, else
     None.
     """
@@ -52,6 +54,7 @@ class FunctionHandle:
         self.grad_sq = grad_sq
         self.zu = zu
         self.partials = partials      # (z, t) -> ([d_z u], [d_t u]) arrays, if known
+        self.jet = None               # (z, t) -> (u, [d_z u], [d_t u]) at once (`from_jet`)
         self.poly = poly              # underlying Polynomial, if any
         self.disc = disc              # discrepancy numerator, if known
         self.label = label
@@ -76,6 +79,15 @@ class FunctionHandle:
                    disc=context.discrepancy(poly), label=label, partials=partials)
 
     @classmethod
+    def from_jet(cls, context, jet, label=""):
+        """Numeric handle from one function (z, t) -> (u, dz, dt) that gives the
+        value and the partials of one evaluation (an FD solution)."""
+        u = cls.from_partials(context, lambda z, t: jet(z, t)[0],
+                              lambda z, t: jet(z, t)[1:], label=label)
+        u.jet = jet
+        return u
+
+    @classmethod
     def from_polynomial(cls, context, p, center=None, label=""):
         if center is not None:
             p = left_translate(context, p, center)
@@ -94,7 +106,14 @@ class FunctionHandle:
         """u Zu: a Polynomial when u is one, else a function."""
         if self.poly is not None:
             return self.poly * self.zu
-        return lambda z, t: self.value(z, t) * self.zu(z, t)
+        return lambda z, t: np.multiply(*self.value_and_zu(z, t))
+
+    def value_and_zu(self, z, t):
+        """(u, Zu) at the points: from one call of `jet` when the handle has one."""
+        if self.jet is None:
+            return self.value(z, t), self.zu(z, t)
+        u, dz, dt = self.jet(z, t)
+        return u, self.context.geometry.euler_field(z, t, dz, dt)
 
     @cached_property
     def disc_sq(self):
@@ -265,7 +284,9 @@ def check_weiss_derivative(u, kappa, radii, rule):
     if u.poly is not None:
         defect_sq = (u.zu - u.poly * Fraction(kappa)) ** 2
     else:
-        defect_sq = lambda z, t: (u.zu(z, t) - kappa * u.value(z, t)) ** 2
+        def defect_sq(z, t):
+            value, zu = u.value_and_zu(z, t)
+            return (zu - kappa * value) ** 2
     rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * _sphere_column(defect_sq, r, rule)
     return _identity_check(r, lhs, rhs)
 

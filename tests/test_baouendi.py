@@ -412,12 +412,10 @@ def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):
 
 
 def test_grid_handle_holds_u_once():
-    # fd_solve stores u as channel 0 of the array the interpolator reads, so
+    # fd_solve stores u as channel 0 of the array the kernel reads, so
     # building the handle copies no grid: it keeps less than a tenth of one
     # grid array and peaks at the temporaries of one np.gradient call
     import tracemalloc
-
-    import scipy.interpolate  # noqa: F401  (imported by as_handle; not counted)
 
     sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33] * 3, _generic_boundary)
     assert np.shares_memory(sol.values, sol.channels)
@@ -434,6 +432,62 @@ def test_grid_handle_holds_u_once():
     z = np.array([[sol.axes[0][5], sol.axes[1][7]]])
     t = np.array([[sol.axes[2][9]]])
     assert u.value(z, t)[0] == pytest.approx(sol.values[node], rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, channels", [((9, 13), 1), ((9, 13), 4),
+                                             ((7, 5, 9), 1), ((7, 5, 9), 4)])
+def test_multilinear_kernel_is_scipy_linear_bit_for_bit(shape, channels):
+    # compared as bytes with RegularGridInterpolator(method="linear"): random
+    # points, every node, points on each face of the box, and both corners,
+    # where x == hi lies in the last cell, closed on the right
+    from scipy.interpolate import RegularGridInterpolator
+
+    from subfreq.baouendi import _multilinear
+
+    rng = np.random.default_rng(10 * len(shape) + channels)
+    axes = tuple(np.linspace(-1.0, 0.5 + d, n) for d, n in enumerate(shape))
+    lo, hi = np.array([ax[0] for ax in axes]), np.array([ax[-1] for ax in axes])
+    data = rng.standard_normal(shape + (channels,))
+    inside = rng.uniform(lo, hi, (500, len(shape)))
+    nodes = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    on_face = [np.where(np.arange(len(shape)) == d, bound, inside[:50])
+               for d in range(len(shape)) for bound in (lo, hi)]
+    points = np.concatenate([inside, nodes, *on_face, hi[None], lo[None]])
+    expected = RegularGridInterpolator(axes, data, method="linear")(points)
+    got = _multilinear(axes, data.reshape(-1, channels), np.ascontiguousarray(points.T))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5],
+                         ids=["nan", "inf", "-inf", "outside"])
+def test_grid_handle_rejects_points_outside_the_box(ba112, bad):
+    # searchsorted puts NaN past the last node: unchecked, it would read
+    # the clipped last cell
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [9, 9], lambda z, t: t[:, 0]).as_handle()
+    z, t = np.array([[0.0], [0.5]]), np.array([[0.0], [bad]])
+    with pytest.raises(BadGrid, match="outside the FD solution box"):
+        u.value(z, t)
+    assert u.value(z[:1], t[:1]) == [0.0]
+    assert u.value(z[:0], t[:0]).shape == (0,)
+
+
+def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba112,
+                                                                monkeypatch):
+    # |grad_H u|^2, u Zu and (Zu - kappa u)^2 on the nodes of all the radii:
+    # one kernel call each, value and partials from the same call
+    import subfreq.baouendi as baouendi
+
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
+    kernel, sizes = baouendi._multilinear, []
+
+    def counted(axes, flat, x):
+        sizes.append(x.shape[1])
+        return kernel(axes, flat, x)
+
+    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    radii = np.array([0.3, 0.4, 0.5])
+    sf.check_weiss_derivative(u, 3, radii, rule_ba112)
+    assert sizes.count(len(radii) * len(rule_ba112)) == 3
 
 
 def test_problem_from_json(tmp_path):

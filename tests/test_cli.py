@@ -157,6 +157,28 @@ def test_frequency_on_h1_loads_no_sympy(h1_file, x_file):
                    stdout=subprocess.DEVNULL)
 
 
+@pytest.fixture()
+def t_problem_17(tmp_path):
+    """A 17^2 FD problem file on (1, 1, 2) with boundary data t."""
+    bpoly = tmp_path / "b.json"
+    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+                                "grid": [17, 17], "boundary": f"poly:{bpoly}"}))
+    return str(prob)
+
+
+def test_baouendi_frequency_on_a_problem_loads_no_scipy_interpolate(t_problem_17):
+    # the grid handle interpolates with its own kernel
+    code = ("import sys; from subfreq.cli import entry; "
+            f"assert entry(['baouendi', 'frequency', '--problem', {t_problem_17!r}, "
+            "'--steps', '2', '--resolution', '8', '--rmax', '0.9']) == 0; "
+            "assert 'scipy.interpolate' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
+
+
 @pytest.mark.parametrize("center, message", [
     ("[1]", "a point is a JSON pair"),
     ('{"a":1}', "a point is a JSON pair"),
@@ -236,17 +258,21 @@ def test_baouendi_solve_and_frequency(tmp_path, capsys):
         assert float(line.split(",")[3]) == pytest.approx(3.0, abs=0.05)
 
 
-def test_baouendi_frequency_outside_box_exit_2(tmp_path, capsys):
-    bpoly = tmp_path / "b.json"
-    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
-    prob = tmp_path / "prob.json"
-    prob.write_text(json.dumps({
-        "m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
-        "grid": [17, 17], "boundary": f"poly:{bpoly}"}))
+def test_baouendi_frequency_outside_box_exit_2(t_problem_17, capsys):
     # gauge balls of radius > 1 leave the box of the FD solution
-    assert entry(["baouendi", "frequency", "--problem", str(prob),
+    assert entry(["baouendi", "frequency", "--problem", t_problem_17,
                   "--rmin", "0.5", "--rmax", "2", "--steps", "3"]) == 2
     assert "[-1, 1] x [-1, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--rmin", "nan"), ("--rmax", "nan"),
+                                         ("--rmax", "inf")])
+def test_baouendi_frequency_non_finite_radius_exit_2(t_problem_17, flag, value, capsys):
+    # --rmin nan used to end in a scipy traceback, and --rmax inf was accepted
+    assert entry(["baouendi", "frequency", "--problem", t_problem_17, "--steps", "3",
+                  "--resolution", "8", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rmin <= rmax < inf" in captured.err
 
 
 def test_baouendi_polynomial_mode(tmp_path, capsys):
