@@ -155,7 +155,7 @@ class GridSolution:
             c = _multilinear(self.axes, flat, x)
             return c[:, 0], list(c[:, 1:m + 1].T), list(c[:, m + 1:].T)
 
-        return FunctionHandle.from_jet(self.spec, jet, label="fd-solution")
+        return FunctionHandle(self.spec, jet, label="fd-solution")
 
 
 def _multilinear(axes, flat, x):

@@ -26,73 +26,59 @@ from .quadrature import surface_integral, volume_integral
 
 
 class FunctionHandle:
-    """A function on the group (or Baouendi half-space) with the evaluators
+    """A function u on the group (or Baouendi half-space) with the evaluators
     the frequency functionals need: value, |horizontal gradient|^2, and the
     Euler derivative Zu.
 
-    Every constructor is a source of the Euclidean partials (d_z u, d_t u)
-    for `from_partials`: the context turns them into |grad_H u|^2 by its own
-    formula (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
+    Its one source is the jet (z, t) -> (u, [d_z u], [d_t u]) at the points.
+    The context turns the partials into |grad_H u|^2 by its own formula
+    (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
     `BaouendiSpec.horizontal_grad_sq`: |d_z u|^2 + |z|^(2a)/4 |d_t u|^2), and
-    Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.
-    Polynomials pass their exact derivatives and keep exact Polynomials for
-    |grad_H u|^2 and Zu, which evaluate like functions and which the
-    quadrature integrates in closed form; u^2 (`value_sq`), u Zu (`value_zu`)
-    and `disc_sq` are Polynomials too, built once per handle.  FD solutions
-    (`GridSolution.as_handle`) and other black boxes pass a function of the
-    points; sums over the rule integrate them.  An FD solution gives value
-    and partials from one evaluation, its `jet`, so `value_and_zu` reads u
-    and Zu at the same points from one call.  `disc` is the discrepancy numerator
-    from the context: exact on H-type group polynomials, zero for B_a, else
-    None.
+    Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.  A
+    polynomial handle (`from_polynomial`) also keeps u as `poly` and exact
+    Polynomials for |grad_H u|^2 and Zu, which evaluate like functions and
+    which the quadrature integrates in closed form; u^2 (`value_sq`), every
+    `integrand` f(u, Zu) and `disc_sq` are Polynomials too.  A numeric handle
+    (an FD solution, `GridSolution.as_handle`, or a black box) reads value,
+    |grad_H u|^2 and Zu from its jet, and sums over the rule integrate them.
+    `disc` is the discrepancy numerator from the context: exact on H-type
+    group polynomials, zero for B_a, else None.
     """
 
-    def __init__(self, context, value, grad_sq, zu, poly=None, disc=None, label="",
-                 partials=None):
+    def __init__(self, context, jet, poly=None, label=""):
         self.context = context
-        self.value = value            # f(z, t) -> values
-        self.grad_sq = grad_sq
-        self.zu = zu
-        self.partials = partials      # (z, t) -> ([d_z u], [d_t u]) arrays, if known
-        self.jet = None               # (z, t) -> (u, [d_z u], [d_t u]) at once (`from_jet`)
-        self.poly = poly              # underlying Polynomial, if any
-        self.disc = disc              # discrepancy numerator, if known
+        self.jet = jet                # (z, t) -> (u, [d_z u], [d_t u]) arrays at the points
+        self.poly = poly              # u itself, when u is a Polynomial
+        self.disc = context.discrepancy(poly)
         self.label = label
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_partials(cls, context, value, partials, poly=None, label=""):
-        """Handle from the Euclidean partials of u: either the pair
-        ([d_{z_i} poly], [d_{t_j} poly]) of Polynomials of u = poly (exact), or
-        a function (z, t) -> (dz, dt) returning lists of arrays (numeric).  Zu
-        is the Euler field of the partials."""
-        if callable(partials):
-            grad_sq = lambda z, t: context.horizontal_grad_sq(*partials(z, t), z)
-            zu = lambda z, t: context.geometry.euler_field(z, t, *partials(z, t))
-        else:
-            grad_sq = context.horizontal_grad_sq(*partials)
-            zu = euler(poly)
-            dz, dt = partials
-            partials = lambda z, t: ([d(z, t) for d in dz], [d(z, t) for d in dt])
-        return cls(context, value, grad_sq, zu, poly=poly,
-                   disc=context.discrepancy(poly), label=label, partials=partials)
-
-    @classmethod
-    def from_jet(cls, context, jet, label=""):
-        """Numeric handle from one function (z, t) -> (u, dz, dt) that gives the
-        value and the partials of one evaluation (an FD solution)."""
-        u = cls.from_partials(context, lambda z, t: jet(z, t)[0],
-                              lambda z, t: jet(z, t)[1:], label=label)
-        u.jet = jet
-        return u
+        if poly is None:              # from_polynomial sets the exact Polynomials
+            self.value = lambda z, t: jet(z, t)[0]
+            self.grad_sq = lambda z, t: context.horizontal_grad_sq(*jet(z, t)[1:], z)
+            self.zu = self.integrand(lambda u, zu: zu)
 
     @classmethod
     def from_polynomial(cls, context, p, center=None, label=""):
+        """Handle of the Polynomial p, left-translated to `center` when given."""
         if center is not None:
             p = left_translate(context, p, center)
-        partials = ([p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)])
-        return cls.from_partials(context, p.evaluate, partials, poly=p, label=label)
+        dz, dt = [p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)]
+        u = cls(context, lambda z, t: (p(z, t), [d(z, t) for d in dz], [d(z, t) for d in dt]),
+                poly=p, label=label)
+        u.value, u.grad_sq, u.zu = p.evaluate, context.horizontal_grad_sq(dz, dt), euler(p)
+        return u
+
+    def integrand(self, f):
+        """f(u, Zu): f of the Polynomials u and Zu when u is a Polynomial, else
+        the function of the points that applies f to u and Zu from one call
+        of the jet."""
+        if self.poly is not None:
+            return f(self.poly, self.zu)
+
+        def at(z, t):
+            u, dz, dt = self.jet(z, t)
+            return f(u, self.context.geometry.euler_field(z, t, dz, dt))
+
+        return at
 
     @cached_property
     def value_sq(self):
@@ -104,16 +90,7 @@ class FunctionHandle:
     @cached_property
     def value_zu(self):
         """u Zu: a Polynomial when u is one, else a function."""
-        if self.poly is not None:
-            return self.poly * self.zu
-        return lambda z, t: np.multiply(*self.value_and_zu(z, t))
-
-    def value_and_zu(self, z, t):
-        """(u, Zu) at the points: from one call of `jet` when the handle has one."""
-        if self.jet is None:
-            return self.value(z, t), self.zu(z, t)
-        u, dz, dt = self.jet(z, t)
-        return u, self.context.geometry.euler_field(z, t, dz, dt)
+        return self.integrand(lambda u, zu: u * zu)
 
     @cached_property
     def disc_sq(self):
@@ -122,16 +99,17 @@ class FunctionHandle:
 
     def shifted_by(self, other):
         """Handle for u - other (used by Monneau and the Weiss identity): exact
-        for two polynomials, else the differences of values and of partials."""
+        for two polynomials, else the difference of the two jets."""
         label = f"{self.label}-{other.label}"
         if self.poly is not None and other.poly is not None:
             return FunctionHandle.from_polynomial(
                 self.context, self.poly - other.poly, label=label)
-        return FunctionHandle.from_partials(
-            self.context, lambda z, t: self.value(z, t) - other.value(z, t),
-            lambda z, t: [np.subtract(a, b)
-                          for a, b in zip(self.partials(z, t), other.partials(z, t))],
-            label=label)
+
+        def jet(z, t):
+            (u, dz, dt), (v, ez, et) = self.jet(z, t), other.jet(z, t)
+            return u - v, [a - b for a, b in zip(dz, ez)], [a - b for a, b in zip(dt, et)]
+
+        return FunctionHandle(self.context, jet, label=label)
 
 
 # -- core functionals ------------------------------------------------------
@@ -267,7 +245,7 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     with_disc = include_discrepancy and not u.disc.is_zero()
     curve = frequency_curve(u, rule, radii)
     r = curve.radii
-    zu_sq = u.zu * u.zu if u.poly is not None else (lambda z, t: u.zu(z, t) ** 2)
+    zu_sq = u.integrand(lambda v, zu: zu * zu)
     rhs = (rule.Q - 2.0) / r * curve.D + 2.0 / r ** 2 * _sphere_column(zu_sq, r, rule)
     if with_disc:
         rhs += 8.0 / r ** 4 * _sphere_column(u.zu * u.disc, r, rule, weighted=False)
@@ -281,12 +259,8 @@ def check_weiss_derivative(u, kappa, radii, rule):
     r, e = curve.radii, rule.Q - 2.0 + 2.0 * kappa
     lhs = (_sphere_column(u.grad_sq, r, rule, weighted=False) - e * curve.D / r) / r ** e \
         + 2.0 * kappa * (kappa * curve.H - _sphere_column(u.value_zu, r, rule)) / r ** (e + 2.0)
-    if u.poly is not None:
-        defect_sq = (u.zu - u.poly * Fraction(kappa)) ** 2
-    else:
-        def defect_sq(z, t):
-            value, zu = u.value_and_zu(z, t)
-            return (zu - kappa * value) ** 2
+    k = Fraction(kappa) if u.poly is not None else kappa
+    defect_sq = u.integrand(lambda v, zu: (zu - k * v) ** 2)
     rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * _sphere_column(defect_sq, r, rule)
     return _identity_check(r, lhs, rhs)
 
@@ -303,12 +277,22 @@ def check_monneau_derivative(u, p_handle, kappa, radii, rule):
             "M": curve.M, "nondecreasing": bool(np.all(np.diff(curve.M) >= -1e-5))}
 
 
+def radial_exponential_integrals(eps, r, rule):
+    """(I(r), H(r)) = int_{S_r} (u Zu, u^2) psi for u = exp(-rho^-eps), whose
+    Zu = eps rho^-eps u, summed over the rule's nodes.  Both integrands are
+    constant on S_r, so I / H = eps r^-eps on any weights and psi, while
+    H(r) = exp(-2 r^-eps) r^(Q-1) sum_i w_i psi_i reads the psi mass, which
+    the calibration makes Q^2/(Q-2)."""
+    u = lambda z, t: np.exp(-rule.rho(z, t) ** (-eps))
+    zu = lambda z, t: eps * rule.rho(z, t) ** (-eps) * u(z, t)
+    return (surface_integral(lambda z, t: u(z, t) * zu(z, t), r, rule),
+            surface_integral(lambda z, t: u(z, t) ** 2, r, rule))
+
+
 def frequency_radial_exponential(eps, r, rule):
     """N(u, r) = I(r) / H(r) for u = exp(-rho^-eps); analytically eps / r^eps."""
-    value = lambda z, t: np.exp(-rule.rho(z, t) ** (-eps))
-    zu = lambda z, t: eps * rule.rho(z, t) ** (-eps) * value(z, t)
-    u = FunctionHandle(rule, value, None, zu)
-    return surface_integral(u.value_zu, r, rule, weighted=True) / height(u, r, rule)
+    i, h = radial_exponential_integrals(eps, r, rule)
+    return i / h
 
 
 # -- curve container -------------------------------------------------------

@@ -5,6 +5,7 @@ fixed seed and resolution.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -16,8 +17,8 @@ from .frequency import (
     check_H_identity,
     check_monneau_derivative,
     check_weiss_derivative,
-    frequency_radial_exponential,
     geometric_radii,
+    radial_exponential_integrals,
 )
 from .groups import example_group_6d, example_group_metivier, heisenberg
 from .polynomials import (
@@ -117,11 +118,17 @@ def run_battery(resolution=32, seed=12345, flip_psi=False):
                    + Polynomial.z_var(4, 2, 2) * Polynomial.z_var(4, 2, 3)) * (-2))
     record("six-dim-discrepancy-fixture", disc == expected, "exact")
 
-    # radial exponential fixture: N = eps / r^eps
-    eps = 0.5
-    worst_e = max(abs(frequency_radial_exponential(eps, r, rule) - eps / r ** eps)
-                  / (eps / r ** eps) for r in (0.5, 1.0, 1.5))
-    record("radial-exponential-frequency", worst_e <= 1e-3, f"max rel err {worst_e:.2e}")
+    # radial exponential fixture: N = eps / r^eps on any rule, and H against
+    # its closed form exp(-2 r^-eps) r^(Q-1) Q^2/(Q-2), which reads psi
+    eps, q = 0.5, rule.Q
+    worst_n = worst_h = 0.0
+    for r in (0.5, 1.0, 1.5):
+        i, h = radial_exponential_integrals(eps, r, rule)
+        h_exact = math.exp(-2.0 * r ** -eps) * r ** (q - 1.0) * q ** 2 / (q - 2.0)
+        worst_n = max(worst_n, abs(i / h - eps / r ** eps) / (eps / r ** eps))
+        worst_h = max(worst_h, abs(h - h_exact) / h_exact)
+    record("radial-exponential-frequency", max(worst_n, worst_h) <= 1e-3,
+           f"max rel err N {worst_n:.2e}, H {worst_h:.2e}")
 
     # the Metivier example group is not of Heisenberg type
     cls = example_group_metivier().classification

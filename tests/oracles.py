@@ -8,9 +8,9 @@ through the structure matrices J (`horiz_gauge_grad_sq`) where the package
 knows it only at the rule's nodes and by its closed-form moments, and
 dilations by substitution instead of the Euler operator, radial
 derivatives by finite differences (`log_grid_derivative`) instead of the
-dilation's exact d/dr, and handles of black-box functions with
-central-difference partials (`callable_handle`) where the package builds
-every handle from exact or interpolated partials.
+dilation's exact d/dr, and handles of black-box functions whose jet
+takes central-difference partials (`callable_handle`) where the package
+builds every handle from the jet of a polynomial or of an FD solution.
 """
 
 import math
@@ -176,12 +176,12 @@ def harmonic_with_discrepancy(G):
 
 
 def callable_handle(context, value, label=""):
-    """FunctionHandle of the black-box function value(z, t), whose partials
-    are central differences with step FD_STEP * (1 + |g|) at the point g
-    (2(m+k) evaluations of value)."""
+    """FunctionHandle of the black-box function value(z, t), whose jet takes
+    the partials as central differences with step FD_STEP * (1 + |g|) at the
+    point g (2(m+k) + 1 evaluations of value)."""
     m = context.m
 
-    def partials(z, t):
+    def jet(z, t):
         g = np.concatenate([z, t], axis=1)
         h = FD_STEP * (1.0 + np.sqrt(np.sum(g ** 2, axis=1)))
         d = []
@@ -189,9 +189,9 @@ def callable_handle(context, value, label=""):
             up, down = g + h[:, None] * e, g - h[:, None] * e
             d.append((value(up[:, :m], up[:, m:]) - value(down[:, :m], down[:, m:]))
                      / (2.0 * h))
-        return d[:m], d[m:]
+        return value(z, t), d[:m], d[m:]
 
-    return FunctionHandle.from_partials(context, value, partials, label=label)
+    return FunctionHandle(context, jet, label=label)
 
 
 def log_grid_derivative(values, radii):

@@ -292,6 +292,16 @@ def test_fd_handle_minus_polynomial_reads_the_handle_partials(ba112, rule_ba112)
     np.testing.assert_allclose(diff.zu(z, t), u.zu(z, t) - p.zu(z, t), rtol=0, atol=1e-14)
 
 
+def test_fd_handle_minus_itself_is_exactly_zero(ba112, rule_ba112):
+    # the difference of two equal jets: value, partials and so |grad_H u|^2
+    # and Zu vanish bit for bit
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
+    zero = u.shifted_by(u)
+    z, t = ba112.dilate(0.5, rule_ba112.z, rule_ba112.t)
+    for f in (zero.value, zero.grad_sq, zero.zu):
+        assert np.array_equal(f(z, t), np.zeros(len(rule_ba112)))
+
+
 def _generic_boundary(z, t):
     # not B_a-harmonic, so the interior solution is no polynomial
     return np.exp(z[:, 0] - 0.5 * z[:, -1]) + np.sin(3.0 * t[:, 0])
@@ -488,6 +498,28 @@ def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba11
     radii = np.array([0.3, 0.4, 0.5])
     sf.check_weiss_derivative(u, 3, radii, rule_ba112)
     assert sizes.count(len(radii) * len(rule_ba112)) == 3
+
+
+def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):
+    # D, H, W and M come from the curve; the check adds u Zu of u - P on the
+    # nodes of all the radii, value and partials from one kernel call
+    import subfreq.baouendi as baouendi
+
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate).as_handle()
+    p = FunctionHandle.from_polynomial(ba112, Polynomial.t_var(1, 1, 0, tweight=3))
+    kernel, calls = baouendi._multilinear, []
+
+    def counted(axes, flat, x):
+        calls.append(x.shape[1])
+        return kernel(axes, flat, x)
+
+    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    radii = np.array([0.3, 0.4, 0.5])
+    sf.frequency_curve(u, rule_ba112, radii, kappa=3, ref=p)
+    curve_calls = len(calls)
+    sf.check_monneau_derivative(u, p, 3, radii, rule_ba112)
+    assert len(calls) == 2 * curve_calls + 1
+    assert calls[-1] == len(radii) * len(rule_ba112)
 
 
 def test_problem_from_json(tmp_path):

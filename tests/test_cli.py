@@ -368,13 +368,14 @@ def test_verify_negative_control(capsys):
     assert entry(["verify", "--resolution", "12",
                   "--inject-psi-sign-error"]) == 1
     assert "FAIL" in capsys.readouterr().out
-    # the psi fault reaches exactly the checks that integrate against psi
+    # the psi fault reaches exactly the checks that integrate against psi;
+    # the radial exponential's H is summed over the nodes, with psi
     assert entry(["verify", "--resolution", "12", "--json",
                   "--inject-psi-sign-error"]) == 1
     failed = {item["name"] for item in json.loads(capsys.readouterr().out)
               if not item["passed"]}
     assert failed == {"H-prime-identity", "first-variation-full",
-                      "weiss-derivative", "monneau"}
+                      "weiss-derivative", "monneau", "radial-exponential-frequency"}
 
 
 def test_verify_json(capsys):
