@@ -6,10 +6,10 @@ u Zu, (Zu - kappa u)^2, (u - P)^2, the squared discrepancy and Zu E_u are
 Polynomials, integrated in closed form by sphere moments (finite power
 series in r); callables and FD handles are summed over the rule's nodes.
 Either way the global calibration factor gamma of the rule multiplies D
-and H alike and cancels in every ratio and identity tested here.  Only
-the dilation delta_r depends on r, and d/dr f(delta_r sigma) =
-Zf(delta_r sigma) / r, so each identity check compares two sphere
-integrals per radius, on any radii.
+and H alike and cancels in every ratio and identity tested here.  A curve
+is one integral per column of radii.  Only the dilation delta_r depends on
+r, and d/dr f(delta_r sigma) = Zf(delta_r sigma) / r, so each identity
+check compares two sphere integrals per radius, on any radii.
 """
 
 import math
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
 from .groups import left_translate
-from .polynomials import Polynomial, euler
-from .quadrature import surface_integral, volume_integral
+from .polynomials import euler
+from .quadrature import _powers, surface_integral, volume_integral
 
 
 class FunctionHandle:
@@ -125,26 +125,28 @@ def height(u, r, rule):
     return surface_integral(u.value_sq, r, rule, weighted=True)
 
 
-def _frequency_from(r, d, h):
-    """r d / h for d = D(r), h = H(r); raises ZeroHeight when h <= 0."""
-    if h <= 0.0:
-        raise ZeroHeight(f"H({r}) = {h} is not positive")
-    return r * d / h
-
-
 def frequency(u, r, rule):
-    """N(r) = r D(r) / H(r); raises ZeroHeight when H(r) <= 0."""
-    return _frequency_from(r, dirichlet(u, r, rule), height(u, r, rule))
-
-
-def _weiss_from(d, h, r, kappa, q):
-    """d/r^(Q-2+2k) - kappa h/r^(Q-1+2k) for d = D(r), h = H(r)."""
-    return d / r ** (q - 2.0 + 2.0 * kappa) - kappa * h / r ** (q - 1.0 + 2.0 * kappa)
+    """N(r) = r D(r) / H(r), the one-radius column of `frequency_curve`;
+    raises ZeroHeight when H(r) <= 0."""
+    curve = frequency_curve(u, rule, [r])
+    if curve.H[0] <= 0.0:
+        raise ZeroHeight(f"H({r}) = {curve.H[0]} is not positive")
+    return float(curve.N[0])
 
 
 def weiss(u, kappa, r, rule):
-    """W_kappa(u, r) = D/r^(Q-2+2k) - kappa H/r^(Q-1+2k)."""
-    return _weiss_from(dirichlet(u, r, rule), height(u, r, rule), r, kappa, rule.Q)
+    """W_kappa(u, r) = D/r^(Q-2+2k) - kappa H/r^(Q-1+2k), the one-radius
+    column of `frequency_curve`."""
+    return float(frequency_curve(u, rule, [r], kappa=kappa).W[0])
+
+
+def monneau(u, p_handle, kappa, r, rule):
+    """M_kappa(u, P, r) = r^-(Q-1+2k) int_{S_r} (u-P)^2 |grad_H rho| dsigma_H,
+    the one-radius M column of `frequency_curve`.
+
+    Both u and P must have vanishing discrepancy (checked exactly when it is
+    known; it vanishes for every B_a handle)."""
+    return float(_monneau_from(_monneau_difference(u, p_handle), kappa, [r], rule)[0])
 
 
 def _require_vanishing_discrepancy(handle):
@@ -162,36 +164,29 @@ def _monneau_difference(u, p_handle):
 
 
 def _monneau_from(diff, kappa, r, rule):
-    """M_kappa at r from the handle diff of u - P."""
-    return height(diff, r, rule) / r ** (rule.Q - 1.0 + 2.0 * kappa)
-
-
-def monneau(u, p_handle, kappa, r, rule):
-    """M_kappa(u, P, r) = r^-(Q-1+2k) int_{S_r} (u-P)^2 |grad_H rho| dsigma_H.
-
-    Both u and P must have vanishing discrepancy (checked exactly when it is
-    known; it vanishes for every B_a handle)."""
-    return _monneau_from(_monneau_difference(u, p_handle), kappa, r, rule)
+    """The M_kappa column on the radii r from the handle diff of u - P."""
+    return height(diff, r, rule) / _powers(r, rule.Q - 1.0 + 2.0 * kappa)
 
 
 def doubling_ratio(u, r, rule):
     """int_{B_2r} u^2 / int_{B_r} u^2."""
-    denom = volume_integral(u.value_sq, r, rule)
+    denom, numer = volume_integral(u.value_sq, np.array([r, 2.0 * r]), rule)
     if denom == 0.0:
         raise ZeroDenominator(f"int_(B_{r}) u^2 = 0")
-    return volume_integral(u.value_sq, 2.0 * r, rule) / denom
+    return float(numer / denom)
 
 
 def discrepancy_surface_norm(u, r, rule):
-    """L2 norm of the discrepancy E_u on S_r w.r.t. the polar measure.
+    """L2 norm of the discrepancy E_u on S_r w.r.t. the polar measure, at
+    one radius or at each of an array of radii.
 
     0.0 for B_a handles (the discrepancy of every function vanishes
     identically there); NaN when unknown (group callables)."""
     if u.disc is None:
-        return math.nan
+        return math.nan if np.ndim(r) == 0 else np.full(len(r), math.nan)
     # on S_r, rho = r, so E_u^2 = disc_sq / r^6
-    e_sq = surface_integral(u.disc_sq, r, rule, weighted=False) / r ** 6
-    return math.sqrt(max(e_sq, 0.0))
+    e_sq = surface_integral(u.disc_sq, r, rule, weighted=False) / _powers(r, 6)
+    return np.sqrt(np.maximum(e_sq, 0.0))
 
 
 def geometric_radii(rmin, rmax, n):
@@ -199,18 +194,6 @@ def geometric_radii(rmin, rmax, n):
 
 
 # -- identity checks -------------------------------------------------------
-
-
-def _sphere_column(f, radii, rule, weighted=True):
-    """surface_integral(f, r, rule, weighted) at each of the radii.  A callable
-    f is called once, on the nodes of all the spheres: on a small rule the
-    fixed cost of a call of an FD handle is most of its cost."""
-    if isinstance(f, Polynomial):
-        return np.array([surface_integral(f, r, rule, weighted) for r in radii])
-    z, t = rule.dilate(radii[:, None, None], rule.z, rule.t)
-    vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(len(radii), len(rule))
-    w = rule.weights * rule.psi if weighted else rule.weights
-    return radii ** (rule.Q - 1.0) * (vals @ w)
 
 
 def _identity_check(radii, lhs, rhs):
@@ -228,7 +211,7 @@ def check_H_identity(u, radii, rule):
     H' = ((Q-1) H + 2 I) / r: the Rellich identity I(r) = r D(r)."""
     curve = frequency_curve(u, rule, radii)
     r, q1 = curve.radii, rule.Q - 1.0
-    i_col = _sphere_column(u.value_zu, r, rule)
+    i_col = surface_integral(u.value_zu, r, rule)
     return _identity_check(r, (q1 * curve.H + 2.0 * i_col) / r, q1 / r * curve.H + 2.0 * curve.D)
 
 
@@ -246,10 +229,10 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     curve = frequency_curve(u, rule, radii)
     r = curve.radii
     zu_sq = u.integrand(lambda v, zu: zu * zu)
-    rhs = (rule.Q - 2.0) / r * curve.D + 2.0 / r ** 2 * _sphere_column(zu_sq, r, rule)
+    rhs = (rule.Q - 2.0) / r * curve.D + 2.0 / r ** 2 * surface_integral(zu_sq, r, rule)
     if with_disc:
-        rhs += 8.0 / r ** 4 * _sphere_column(u.zu * u.disc, r, rule, weighted=False)
-    return _identity_check(r, _sphere_column(u.grad_sq, r, rule, weighted=False), rhs)
+        rhs += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
+    return _identity_check(r, surface_integral(u.grad_sq, r, rule, weighted=False), rhs)
 
 
 def check_weiss_derivative(u, kappa, radii, rule):
@@ -257,11 +240,11 @@ def check_weiss_derivative(u, kappa, radii, rule):
     the exact W' = (D' - e D/r)/r^e + 2k (k H - I)/r^(e+2), e = Q-2+2k."""
     curve = frequency_curve(u, rule, radii, kappa=kappa)
     r, e = curve.radii, rule.Q - 2.0 + 2.0 * kappa
-    lhs = (_sphere_column(u.grad_sq, r, rule, weighted=False) - e * curve.D / r) / r ** e \
-        + 2.0 * kappa * (kappa * curve.H - _sphere_column(u.value_zu, r, rule)) / r ** (e + 2.0)
+    lhs = (surface_integral(u.grad_sq, r, rule, weighted=False) - e * curve.D / r) / r ** e \
+        + 2.0 * kappa * (kappa * curve.H - surface_integral(u.value_zu, r, rule)) / r ** (e + 2.0)
     k = Fraction(kappa) if u.poly is not None else kappa
     defect_sq = u.integrand(lambda v, zu: (zu - k * v) ** 2)
-    rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * _sphere_column(defect_sq, r, rule)
+    rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * surface_integral(defect_sq, r, rule)
     return _identity_check(r, lhs, rhs)
 
 
@@ -269,17 +252,19 @@ def check_monneau_derivative(u, p_handle, kappa, radii, rule):
     """Residuals of dM/dr = (2/r) W_kappa(u, r), with the exact
     M' = (2/r) (I_(u-P) / r^(Q-1+2k) - kappa M), and M and whether it is
     nondecreasing up to a slack of 1e-5 ("nondecreasing")."""
-    curve = frequency_curve(u, rule, radii, kappa=kappa, ref=p_handle)
-    r, diff = curve.radii, u.shifted_by(p_handle)
-    i_diff = _sphere_column(diff.value_zu, r, rule)
-    lhs = 2.0 / r * (i_diff / r ** (rule.Q - 1.0 + 2.0 * kappa) - kappa * curve.M)
+    curve = frequency_curve(u, rule, radii, kappa=kappa)
+    r, diff = curve.radii, _monneau_difference(u, p_handle)
+    m_col = _monneau_from(diff, kappa, r, rule)
+    i_diff = surface_integral(diff.value_zu, r, rule)
+    lhs = 2.0 / r * (i_diff / r ** (rule.Q - 1.0 + 2.0 * kappa) - kappa * m_col)
     return {**_identity_check(r, lhs, 2.0 / r * curve.W),
-            "M": curve.M, "nondecreasing": bool(np.all(np.diff(curve.M) >= -1e-5))}
+            "M": m_col, "nondecreasing": bool(np.all(np.diff(m_col) >= -1e-5))}
 
 
 def radial_exponential_integrals(eps, r, rule):
     """(I(r), H(r)) = int_{S_r} (u Zu, u^2) psi for u = exp(-rho^-eps), whose
-    Zu = eps rho^-eps u, summed over the rule's nodes.  Both integrands are
+    Zu = eps rho^-eps u, summed over the rule's nodes, at one radius or at
+    each of an array of radii.  Both integrands are
     constant on S_r, so I / H = eps r^-eps on any weights and psi, while
     H(r) = exp(-2 r^-eps) r^(Q-1) sum_i w_i psi_i reads the psi mass, which
     the calibration makes Q^2/(Q-2)."""
@@ -311,38 +296,24 @@ class FrequencyCurve:
     disc_norm: np.ndarray
 
     def to_csv(self):
-        lines = [CSV_HEADER]
-        for i in range(len(self.radii)):
-            row = [self.radii[i], self.D[i], self.H[i], self.N[i],
-                   self.W[i], self.M[i], self.disc_norm[i]]
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
+        rows = zip(self.radii, self.D, self.H, self.N, self.W, self.M, self.disc_norm)
+        return "\n".join([CSV_HEADER, *(",".join(f"{x:.17g}" for x in r) for r in rows), ""])
 
 
 def frequency_curve(u, rule, radii, kappa=None, ref=None):
-    """Sample D, H, N (and optionally W_kappa, M_kappa) on a radius grid.
+    """D, H, N (and optionally W_kappa, M_kappa) on a radius grid, one
+    integral per column.
 
     ZeroHeight radii yield NaN in the N column."""
-    radii = np.asarray(radii, dtype=float)
-    n = len(radii)
-    d_col = np.empty(n)
-    h_col = np.empty(n)
-    n_col = np.empty(n)
-    w_col = np.full(n, math.nan)
-    m_col = np.full(n, math.nan)
-    e_col = np.empty(n)
-    diff = _monneau_difference(u, ref) if kappa is not None and ref is not None else None
-    for i, r in enumerate(radii):
-        d_col[i] = dirichlet(u, r, rule)
-        h_col[i] = height(u, r, rule)
-        try:
-            n_col[i] = _frequency_from(r, d_col[i], h_col[i])
-        except ZeroHeight:
-            n_col[i] = math.nan
-        if kappa is not None:
-            w_col[i] = _weiss_from(d_col[i], h_col[i], r, kappa, rule.Q)
-            if diff is not None:
-                m_col[i] = _monneau_from(diff, kappa, r, rule)
-        e_col[i] = discrepancy_surface_norm(u, r, rule)
-    return FrequencyCurve(radii=radii, D=d_col, H=h_col, N=n_col,
-                          W=w_col, M=m_col, disc_norm=e_col)
+    r = np.asarray(radii, dtype=float)
+    d = volume_integral(u.grad_sq, r, rule)
+    h = height(u, r, rule)
+    w, m = np.full((2, len(r)), math.nan)
+    if kappa is not None:
+        w = d / _powers(r, rule.Q - 2.0 + 2.0 * kappa) \
+            - kappa * h / _powers(r, rule.Q - 1.0 + 2.0 * kappa)
+        if ref is not None:
+            m = _monneau_from(_monneau_difference(u, ref), kappa, r, rule)
+    return FrequencyCurve(radii=r, D=d, H=h,
+                          N=np.divide(r * d, h, out=np.full(len(r), math.nan), where=h > 0.0),
+                          W=w, M=m, disc_norm=discrepancy_surface_norm(u, r, rule))

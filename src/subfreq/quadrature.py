@@ -47,6 +47,12 @@ monomial of degree d by r^d, so
 
 with c_d from `Polynomial.sphere_series` (e = 2 alpha for the psi weight,
 e = 0 without it).  Callables and FD handles are summed over the rule.
+
+Columns.  Both integrals take one radius (a float back) or a 1-D array of
+radii (an array back).  One `sphere_series` serves every radius of a closed
+form; a callable is called on the nodes of all the spheres (or shells) at
+once.  Each entry is the one-radius float bit for bit: powers of r are
+taken one radius at a time and each sphere is summed on its own, in order.
 """
 
 import bisect
@@ -188,40 +194,62 @@ def _sphere_series(p, rule, weighted):
     return p.sphere_series(rule.alpha, 2.0 * rule.alpha if weighted else 0.0)
 
 
+def _powers(r, e):
+    """r ** e at one radius, or at each of an array of radii one radius at a
+    time: numpy's array power differs from the scalar power in the last bit
+    for about one value in twenty, and a column keeps the one-radius bits."""
+    return r ** e if np.ndim(r) == 0 else np.array([x ** e for x in r])
+
+
+def _column(r, values):
+    """values, one per radius, as a float when r is one radius."""
+    return float(values[0]) if np.ndim(r) == 0 else values
+
+
 def volume_integral(f, r, rule):
-    """int_{B_r} f dg: in closed form for a Polynomial f (module docstring),
-    else via the polar factorization radii x sphere rule.  A callable f is
-    called on as many radial shells at once as fit in SHELL_POINTS points
-    (at least one), the shells stacked; each shell is summed on its own."""
+    """int_{B_r} f dg at one radius or at each of an array of radii (module
+    docstring, Columns): in closed form for a Polynomial f, else via the
+    polar factorization radii x sphere rule.  A callable f is called on as
+    many radial shells at once as fit in SHELL_POINTS points (at least one),
+    the shells of all the radii stacked; each shell is summed on its own."""
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted=False)
-        return rule.gamma * float(np.sum(c * r ** (rule.Q + d) / (rule.Q + d)))
+        q = rule.Q + d
+        return _column(r, rule.gamma * np.array([np.sum(c * x ** q / q) for x in radii]))
     v, wv = _radial_rule(rule.Q)
     n = len(rule)
     per_call = max(1, SHELL_POINTS // n)
-    total = 0.0
-    for start in range(0, RADIAL_STEPS, per_call):
-        lam = r * v[start:start + per_call, None, None]
-        z, t = rule.dilate(lam, rule.z, rule.t)
+    lam = (radii[:, None] * v).ravel()  # the shells of every radius, in order
+    sums = np.empty(len(lam))
+    for start in range(0, len(lam), per_call):
+        z, t = rule.dilate(lam[start:start + per_call, None, None], rule.z, rule.t)
         vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(-1, n)
-        for wi, shell in zip(wv[start:start + per_call], vals):
-            total += wi * float(np.dot(rule.weights, shell))
-    return r ** rule.Q * total
+        sums[start:start + len(vals)] = [np.dot(rule.weights, shell) for shell in vals]
+    shells = wv * sums.reshape(len(radii), len(v))
+    return _column(r, _powers(radii, rule.Q) * np.add.accumulate(shells, axis=1)[:, -1])
 
 
 def surface_integral(f, r, rule, weighted=True):
     """int_{S_r} f |grad_H rho| dsigma_H (weighted=True), i.e.
-    r^(Q-1) sum_i w_i psi_i f(delta_r sigma_i); with weighted=False the
+    r^(Q-1) sum_i w_i psi_i f(delta_r sigma_i), at one radius or at each of
+    an array of radii (module docstring, Columns); with weighted=False the
     psi factor is dropped, giving the plain polar measure dH/|grad rho|.
-    A Polynomial f is integrated in closed form (module docstring), scaled
-    by `rule.psi_gamma` when weighted."""
+    A Polynomial f is integrated in closed form, scaled by `rule.psi_gamma`
+    when weighted; a callable f is called once, on the nodes of all the
+    spheres."""
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    scale = _powers(radii, rule.Q - 1.0)
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted)
-        scale = rule.psi_gamma if weighted else rule.gamma
-        return scale * r ** (rule.Q - 1.0) * float(np.sum(c * r ** d))
-    vals = f(*rule.dilate(r, rule.z, rule.t))
+        gamma = rule.psi_gamma if weighted else rule.gamma
+        return _column(r, gamma * scale * np.array([np.sum(c * x ** d) for x in radii]))
+    # delta_r of the nodes, with the scalar power r^(alpha+1) of each radius
+    z = radii[:, None, None] * rule.z
+    t = _powers(radii, rule.alpha + 1.0)[:, None, None] * rule.t
+    vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(len(radii), len(rule))
     w = rule.weights * rule.psi if weighted else rule.weights
-    return r ** (rule.Q - 1.0) * float(np.dot(w, vals))
+    return _column(r, scale * np.array([np.dot(w, row) for row in vals]))
 
 
 def mean_value(G, u, g, r, rule):

@@ -122,8 +122,8 @@ def run_battery(resolution=32, seed=12345, flip_psi=False):
     # its closed form exp(-2 r^-eps) r^(Q-1) Q^2/(Q-2), which reads psi
     eps, q = 0.5, rule.Q
     worst_n = worst_h = 0.0
-    for r in (0.5, 1.0, 1.5):
-        i, h = radial_exponential_integrals(eps, r, rule)
+    radii = (0.5, 1.0, 1.5)
+    for r, i, h in zip(radii, *radial_exponential_integrals(eps, np.array(radii), rule)):
         h_exact = math.exp(-2.0 * r ** -eps) * r ** (q - 1.0) * q ** 2 / (q - 2.0)
         worst_n = max(worst_n, abs(i / h - eps / r ** eps) / (eps / r ** eps))
         worst_h = max(worst_h, abs(h - h_exact) / h_exact)

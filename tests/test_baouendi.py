@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -483,8 +484,9 @@ def test_grid_handle_rejects_points_outside_the_box(ba112, bad):
 
 def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba112,
                                                                 monkeypatch):
-    # |grad_H u|^2, u Zu and (Zu - kappa u)^2 on the nodes of all the radii:
-    # one kernel call each, value and partials from the same call
+    # the curve's u^2 (the H column), |grad_H u|^2, u Zu and (Zu - kappa u)^2
+    # on the nodes of all the radii: one kernel call each, value and partials
+    # from the same call, and no call on the nodes of one sphere
     import subfreq.baouendi as baouendi
 
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
@@ -497,7 +499,37 @@ def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba11
     monkeypatch.setattr(baouendi, "_multilinear", counted)
     radii = np.array([0.3, 0.4, 0.5])
     sf.check_weiss_derivative(u, 3, radii, rule_ba112)
-    assert sizes.count(len(radii) * len(rule_ba112)) == 3
+    assert sizes.count(len(radii) * len(rule_ba112)) == 4
+    assert len(rule_ba112) not in sizes
+
+
+@pytest.mark.parametrize("shells_per_call", [None, 3], ids=["default", "chunks-of-3"])
+def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatch,
+                                                   shells_per_call):
+    # H is one call on the nodes of all the spheres; D stacks the radial
+    # shells of all the balls into calls of at most SHELL_POINTS points; the
+    # discrepancy of B_a vanishes in closed form
+    import subfreq.baouendi as baouendi
+    from subfreq import quadrature
+
+    if shells_per_call is not None:
+        monkeypatch.setattr(quadrature, "SHELL_POINTS", shells_per_call * len(rule_ba112))
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
+    kernel, sizes = baouendi._multilinear, []
+
+    def counted(axes, flat, x):
+        sizes.append(x.shape[1])
+        return kernel(axes, flat, x)
+
+    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    radii = np.array([0.3, 0.5, 0.4, 0.2, 0.45])
+    curve = sf.frequency_curve(u, rule_ba112, radii, kappa=3)
+    per_call = max(1, quadrature.SHELL_POINTS // len(rule_ba112))
+    shells = len(radii) * quadrature.RADIAL_STEPS
+    assert len(sizes) == 1 + math.ceil(shells / per_call)
+    assert sizes.count(len(radii) * len(rule_ba112)) == 1
+    assert sum(sizes) == (shells + len(radii)) * len(rule_ba112)
+    np.testing.assert_array_equal(curve.disc_norm, np.zeros(len(radii)))
 
 
 def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):

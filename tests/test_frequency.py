@@ -260,6 +260,34 @@ def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
     assert checks["M"]["nondecreasing"] == bool(np.all(np.diff(curve.M) >= -1e-5))
 
 
+@pytest.mark.parametrize("box", [False, True], ids=["polynomial", "callable"])
+def test_curve_rows_are_the_one_radius_functionals(h1, rule_h1, box):
+    # each row of a column is the value of the one-radius call, bit for bit
+    p = fixtures.mixed_cylindrical(h1)
+    u = oracles.callable_handle(h1, p.evaluate) if box else handle(h1, p)
+    ref = handle(h1, fixtures.poly_t(h1))
+    radii = [0.3, 1.1, 0.5, 0.9]
+    curve = sf.frequency_curve(u, rule_h1, radii, kappa=2, ref=ref)
+    for column, one in ((curve.D, lambda r: sf.dirichlet(u, r, rule_h1)),
+                        (curve.H, lambda r: sf.height(u, r, rule_h1)),
+                        (curve.N, lambda r: sf.frequency(u, r, rule_h1)),
+                        (curve.W, lambda r: sf.weiss(u, 2, r, rule_h1)),
+                        (curve.M, lambda r: sf.monneau(u, ref, 2, r, rule_h1)),
+                        (curve.disc_norm, lambda r: sf.discrepancy_surface_norm(u, r, rule_h1))):
+        np.testing.assert_array_equal(column, [one(r) for r in radii])
+
+
+def test_monneau_check_builds_the_difference_once(h1, rule_h1, monkeypatch):
+    # M and I_(u-P) come from one handle of u - P; D, H and W from the curve
+    shifted_by, calls = FunctionHandle.shifted_by, []
+    monkeypatch.setattr(FunctionHandle, "shifted_by",
+                        lambda self, other: calls.append(other) or shifted_by(self, other))
+    u = handle(h1, fixtures.mixed_cylindrical(h1))
+    ref = handle(h1, fixtures.poly_t(h1))
+    sf.check_monneau_derivative(u, ref, 2, sf.geometric_radii(0.4, 1.2, 16), rule_h1)
+    assert calls == [ref]
+
+
 @pytest.mark.parametrize("radii", [[0.7], [0.3, 0.5, 1.1, 0.9]], ids=["one", "not-geometric"])
 def test_identity_checks_on_any_radii(h1, rule_h1, radii):
     # the derivatives are exact, so any radii do: one, or an unordered list

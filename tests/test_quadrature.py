@@ -10,7 +10,7 @@ import pytest
 import oracles
 import subfreq as sf
 from oracles import InsufficientSamples
-from subfreq import constants
+from subfreq import constants, fixtures
 from subfreq.errors import (
     DimensionMismatch,
     NotHType,
@@ -95,6 +95,28 @@ def test_volume_integral_calls_a_callable_once_per_chunk(h1, monkeypatch, shells
     assert len(calls) == math.ceil(steps / per_call)
     assert sum(calls) == steps * len(rule)
     assert abs(value - by_shell) <= 1e-14 * abs(by_shell)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["rule", "psi-flipped"])
+@pytest.mark.parametrize("kind", ["polynomial", "callable"])
+@pytest.mark.parametrize("rule_name", ["rule_h1", "rule_ba112"])
+def test_integrals_on_a_radius_column_are_the_one_radius_integrals(rule_name, kind, flip,
+                                                                   request):
+    # an unordered array of radii gives, bit for bit, the one-radius floats
+    from subfreq.verify import _flip_psi
+
+    rule = request.getfixturevalue(rule_name)
+    rule = _flip_psi(rule) if flip else rule
+    p = fixtures.random_polynomial(np.random.default_rng(7), rule.m, rule.k)
+    f = p if kind == "polynomial" else p.evaluate
+    radii = [0.3, 1.1, 0.5, 0.9]
+    for integral, kw in ((sf.volume_integral, {}), (sf.surface_integral, {}),
+                         (sf.surface_integral, {"weighted": False})):
+        one = [integral(f, r, rule, **kw) for r in radii]
+        assert all(type(x) is float for x in one)
+        column = integral(f, radii, rule, **kw)
+        assert isinstance(column, np.ndarray)
+        np.testing.assert_array_equal(column, one)
 
 
 def test_weighted_ball_integral_pins_mean_value(rule_h1):
