@@ -13,7 +13,6 @@ from .baouendi import (
     fd_solve,
     orthogonality_check,
     problem_from_json,
-    solid_harmonic_quadratic,
 )
 from .constants import Geometry, gauge_constant
 from .errors import SubfreqError
@@ -57,11 +56,11 @@ from .polynomials import (
     apply_X,
     apply_theta,
     baouendi_apply,
-    cylindrical_harmonic,
     discrepancy_poly,
     euler,
     euler_Z,
     harmonic_basis,
+    solid_harmonic_quadratic,
     sublaplacian,
 )
 from .quadrature import (

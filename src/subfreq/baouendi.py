@@ -2,14 +2,15 @@
 
 The spec is a `Geometry` (gauge, weight and dilations), so the
 Almgren/Weiss/Monneau functionals of the frequency module apply to it
-unchanged, as to the group case alpha = 1.  This module adds quadratic
-solid harmonics with the symbolically derived constant, their surface
-orthogonality, and a finite-difference Dirichlet solver that produces honest
-non-polynomial solutions at desk scale.
+unchanged, as to the group case alpha = 1, and its `tweight` and
+`laplacian` give the solid harmonics of `polynomials`.  This module adds
+their surface orthogonality and a finite-difference Dirichlet solver that
+produces honest non-polynomial solutions at desk scale.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .errors import (
     json_number,
 )
 from .frequency import FunctionHandle
-from .polynomials import Polynomial, baouendi_apply, cylindrical_harmonic
+from .polynomials import Polynomial, _check_calculus, baouendi_apply, solid_harmonic_quadratic
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,18 @@ class BaouendiSpec(Geometry):
             raise DimensionMismatch("alpha must be > 0")
         super().__post_init__()
 
-    def integer_alpha(self):
+    @property
+    def tweight(self):
+        """The layer weight alpha + 1 of the symbolic calculus, which needs an
+        integer alpha (so that |z|^(2 alpha) is polynomial)."""
         a = self.alpha
-        if isinstance(a, int):
-            return a
-        if isinstance(a, float) and a.is_integer():
-            return int(a)
-        raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
+        if not (isinstance(a, int) or isinstance(a, float) and a.is_integer()):
+            raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
+        return int(a) + 1
+
+    def laplacian(self, p):
+        """B_a p (`baouendi_apply`), exactly."""
+        return baouendi_apply(self, p)
 
     def horizontal_grad_sq(self, dz, dt, z=None):
         """|grad_H u|^2 = |d_z u|^2 + |z|^(2a)/4 |d_t u|^2 from the Euclidean
@@ -57,8 +63,8 @@ class BaouendiSpec(Geometry):
         alpha + 1), numeric when they are arrays at the points z."""
         if z is None:
             p = dz[0]
-            a = _symbolic_alpha(self, p)
-            weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** a * Fraction(1, 4)
+            _check_calculus(self, p)
+            weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** (p.tweight - 1) * Fraction(1, 4)
         else:
             weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
         return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
@@ -67,23 +73,6 @@ class BaouendiSpec(Geometry):
         """The discrepancy E_u vanishes identically for B_a: the zero numerator,
         in the layer weight alpha + 1 of the symbolic calculus."""
         return Polynomial.zero(self.m, self.k, self.alpha + 1)
-
-
-def _symbolic_alpha(spec, p):
-    """The integer alpha of spec, after checking that the Polynomial p belongs
-    to its symbolic calculus: the same (m, k) and layer weight alpha + 1."""
-    a = spec.integer_alpha()
-    if (p.m, p.k, p.tweight) != (spec.m, spec.k, a + 1):
-        raise DimensionMismatch("polynomial does not match the Baouendi spec")
-    return a
-
-
-def solid_harmonic_quadratic(spec):
-    """P = |z|^(2(a+1)) - A |t|^2 with A derived from B_a P = 0
-    (`cylindrical_harmonic`)."""
-    a = spec.integer_alpha()
-    lead = Polynomial.z_norm_sq(spec.m, spec.k, a + 1) ** (a + 1)
-    return cylindrical_harmonic(lambda q: baouendi_apply(spec, q), lead)
 
 
 def orthogonality_check(spec, p, p_prime, r, rule):
@@ -95,7 +84,7 @@ def orthogonality_check(spec, p, p_prime, r, rule):
     from .quadrature import surface_integral
 
     for q in (p, p_prime):
-        _symbolic_alpha(spec, q)
+        _check_calculus(spec, q)
     return surface_integral(p * p_prime, r, rule, weighted=True)
 
 
@@ -103,7 +92,7 @@ def relative_orthogonality(spec, r, rule):
     """(inner, |inner| / (|p| |p'|)) from `orthogonality_check` for the solid
     harmonics p = z_1 and p' = `solid_harmonic_quadratic` of degrees 1 and
     2(alpha + 1)."""
-    p = Polynomial.z_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
+    p = Polynomial.z_var(spec.m, spec.k, 0, tweight=spec.tweight)
     p_prime = solid_harmonic_quadratic(spec)
     inner = orthogonality_check(spec, p, p_prime, r, rule)
     n1 = abs(orthogonality_check(spec, p, p, r, rule)) ** 0.5
@@ -371,11 +360,12 @@ def _banded_mode_solver(steps, c, lam):
 # -- problem files ---------------------------------------------------------
 
 
-def problem_from_json(data):
+def problem_from_json(data, directory=""):
     """Parse a solver problem description.
 
     Format: {"m":1,"k":1,"alpha":2,"box":[[-1,1],[-1,1]],"grid":[129,129],
-    "boundary":"poly:<polynomial-file>"}."""
+    "boundary":"poly:<polynomial-file>"}, a relative polynomial file being
+    read from `directory` (that of the problem file)."""
     try:
         if isinstance(data, str):
             data = json.loads(data)
@@ -388,9 +378,8 @@ def problem_from_json(data):
         boundary = data["boundary"]
         if not (isinstance(boundary, str) and boundary.startswith("poly:")):
             raise ParseError("boundary must be 'poly:<polynomial-file>'")
-        tweight = spec.integer_alpha() + 1
-        with open(boundary[len("poly:"):], encoding="utf-8") as fh:
-            poly = Polynomial.from_json(fh.read(), m=spec.m, k=spec.k, tweight=tweight)
+        with open(os.path.join(directory, boundary[len("poly:"):]), encoding="utf-8") as fh:
+            poly = Polynomial.from_json(fh.read(), spec.m, spec.k, spec.tweight)
         return spec, box, grid, poly
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, DimensionMismatch, NonIntegerAlpha)):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,8 +43,8 @@ def _load_group(path):
     return group_from_json(_read(path))
 
 
-def _load_poly(path, m=None, k=None, tweight=2):
-    return Polynomial.from_json(_read(path), m=m, k=k, tweight=tweight)
+def _load_poly(path, context):
+    return Polynomial.from_json(_read(path), context.m, context.k, context.tweight)
 
 
 def _emit(args, text):
@@ -70,14 +71,15 @@ def _radii(args):
 
 
 def _point(text):
-    """The Point of a JSON pair of number lists [[z...], [t...]]; its
+    """The Point of a JSON pair of finite number lists [[z...], [t...]]; its
     dimensions are checked against the group where it is used."""
     raw = json.loads(text)
     if not (isinstance(raw, list) and len(raw) == 2
             and all(isinstance(part, list) for part in raw)
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    or isinstance(x, float) and math.isfinite(x)
                     for part in raw for x in part)):
-        raise ParseError(f"a point is a JSON pair [[z...], [t...]] of numbers, got {text}")
+        raise ParseError(f"a point is a JSON pair [[z...], [t...]] of finite numbers, got {text}")
     return Point(tuple(raw[0]), tuple(raw[1]))
 
 
@@ -111,14 +113,13 @@ def cmd_frequency(args):
     if args.ref and args.kappa is None:
         raise ParseError("--ref needs --kappa: the M column is M_kappa(u, ref)")
     g = _load_group(args.group)
-    p = _load_poly(args.poly, m=g.m, k=g.k)
+    p = _load_poly(args.poly, g)
     center = _point(args.center) if args.center else None
     u = FunctionHandle.from_polynomial(g, p, center=center, label=args.poly)
     rule = build_sphere_rule(g, args.resolution)
     ref = None
     if args.ref:
-        ref = FunctionHandle.from_polynomial(
-            g, _load_poly(args.ref, m=g.m, k=g.k), label=args.ref)
+        ref = FunctionHandle.from_polynomial(g, _load_poly(args.ref, g), label=args.ref)
     curve = frequency_curve(u, rule, _radii(args), kappa=args.kappa, ref=ref)
     return _emit_curve(args, curve)
 
@@ -126,7 +127,7 @@ def cmd_frequency(args):
 def cmd_discrepancy(args):
     g = _load_group(args.group)
     g.require_htype("discrepancy")
-    p = _load_poly(args.poly, m=g.m, k=g.k)
+    p = _load_poly(args.poly, g)
     disc = discrepancy_poly(g, p)
     if args.json:
         _emit(args, json.dumps({"vanishes": disc.is_zero(),
@@ -139,7 +140,7 @@ def cmd_discrepancy(args):
 
 def _solve_problem(path):
     """Read a problem file and solve it; returns (spec, grid, solution)."""
-    spec, box, grid, poly = problem_from_json(_read(path))
+    spec, box, grid, poly = problem_from_json(_read(path), os.path.dirname(path))
     return spec, grid, fd_solve(spec, box, grid, poly.evaluate)
 
 
@@ -152,8 +153,7 @@ def _baouendi_input(args):
     if not (args.poly and args.m and args.k and args.alpha is not None):
         raise ParseError("need --problem, or --poly with --m --k --alpha")
     spec = BaouendiSpec(args.m, args.k, args.alpha)
-    p = _load_poly(args.poly, m=spec.m, k=spec.k,
-                   tweight=spec.integer_alpha() + 1)
+    p = _load_poly(args.poly, spec)
     return spec, FunctionHandle.from_polynomial(spec, p, label=args.poly)
 
 
@@ -195,9 +195,7 @@ def cmd_baouendi_weiss(args):
 
 def cmd_baouendi_monneau(args):
     spec, u = _baouendi_input(args)
-    ref = _load_poly(args.ref, m=spec.m, k=spec.k,
-                     tweight=spec.integer_alpha() + 1)
-    ref = FunctionHandle.from_polynomial(spec, ref, label=args.ref)
+    ref = FunctionHandle.from_polynomial(spec, _load_poly(args.ref, spec), label=args.ref)
     rule = build_sphere_rule(spec, args.resolution)
     res = check_monneau_derivative(u, ref, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from .polynomials import Polynomial, cylindrical_harmonic, sublaplacian
+from .polynomials import Polynomial, solid_harmonic_quadratic
 
 
 def poly_x(G):
@@ -23,13 +23,9 @@ def poly_x2_minus_y2(G):
     return x * x - y * y
 
 
-def quartic_cylindrical(G):
-    """|z|^4 - A |t|^2 with A derived so the polynomial is harmonic
-    (`cylindrical_harmonic`).
-
-    Cylindrically symmetric, hence has vanishing discrepancy."""
-    lead = Polynomial.z_norm_sq(G.m, G.k) ** 2
-    return cylindrical_harmonic(lambda q: sublaplacian(G, q), lead)
+# |z|^4 - A |t|^2 on a group: harmonic, cylindrically symmetric, hence with
+# vanishing discrepancy
+quartic_cylindrical = solid_harmonic_quadratic
 
 
 def one_plus_t(G):

@@ -117,11 +117,13 @@ class FunctionHandle:
 
 def dirichlet(u, r, rule):
     """D(r) = int_{B_r} |grad_H u|^2 dg."""
+    rule.require(u.context)
     return volume_integral(u.grad_sq, r, rule)
 
 
 def height(u, r, rule):
     """H(r) = int_{S_r} u^2 |grad_H rho| dsigma_H."""
+    rule.require(u.context)
     return surface_integral(u.value_sq, r, rule, weighted=True)
 
 
@@ -170,6 +172,7 @@ def _monneau_from(diff, kappa, r, rule):
 
 def doubling_ratio(u, r, rule):
     """int_{B_2r} u^2 / int_{B_r} u^2."""
+    rule.require(u.context)
     denom, numer = volume_integral(u.value_sq, np.array([r, 2.0 * r]), rule)
     if denom == 0.0:
         raise ZeroDenominator(f"int_(B_{r}) u^2 = 0")
@@ -305,6 +308,7 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
     integral per column.
 
     ZeroHeight radii yield NaN in the N column."""
+    rule.require(u.context)
     r = np.asarray(radii, dtype=float)
     d = volume_integral(u.grad_sq, r, rule)
     h = height(u, r, rule)

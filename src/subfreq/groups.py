@@ -34,6 +34,7 @@ from .polynomials import (
     _jz_component,
     discrepancy_poly,
     horizontal_field,
+    sublaplacian,
 )
 
 METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for m >= 8, k > 2
@@ -57,6 +58,7 @@ class GroupSpec:
     J: tuple  # k-tuple of m x m tuples of Fraction
     N: int = field(init=False)
     Q: int = field(init=False)
+    tweight = 2  # layer weight of the polynomial calculus: t scales as lam^2
 
     def __post_init__(self):
         object.__setattr__(self, "N", self.m + self.k)
@@ -89,6 +91,10 @@ class GroupSpec:
 
     def identity(self):
         return Point((0,) * self.m, (0,) * self.k)
+
+    def laplacian(self, p):
+        """The sub-Laplacian Delta_H p (`sublaplacian`), exactly."""
+        return sublaplacian(self, p)
 
     def horizontal_grad_sq(self, dz, dt, z=None):
         """|grad_H u|^2 = sum_i (X_i u)^2 (see `horizontal_field`) from the

@@ -3,7 +3,9 @@
 Monomials are indexed by multi-indices (a, b) with a over the z variables
 and b over the t variables.  The stratified degree of a monomial is
 |a| + w|b| where the layer weight w is 2 for step-2 groups and alpha+1 for
-the symbolic (integer-alpha) Baouendi calculus.
+the symbolic (integer-alpha) Baouendi calculus.  A context (`GroupSpec`,
+`BaouendiSpec`) owns its calculus, `tweight` and `laplacian` (Delta_H, B_a),
+and the solid harmonics of both operators are built from these two.
 """
 
 import json
@@ -267,14 +269,19 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def _check_calculus(context, p):
+    """DimensionMismatch unless p has the context's (m, k) and `tweight`."""
+    if (p.m, p.k, p.tweight) != (context.m, context.k, context.tweight):
+        raise DimensionMismatch(f"polynomial does not match the {type(context).__name__}")
+
+
 # -- group vector fields ---------------------------------------------------
 
 
 def _check_group_poly(G, p):
     if not hasattr(G, "J"):
         raise DimensionMismatch(f"{type(G).__name__} has no group law")
-    if p.m != G.m or p.k != G.k or p.tweight != 2:
-        raise DimensionMismatch("polynomial does not match the group")
+    _check_calculus(G, p)
 
 
 def _jz_component(G, ell, i):
@@ -327,31 +334,7 @@ def apply_theta(G, ell, p):
 def sublaplacian(G, p):
     """Delta_H = sum_i X_i^2, exactly."""
     _check_group_poly(G, p)
-    result = Polynomial.zero(G.m, G.k, 2)
-    for i in range(G.m):
-        result = result + apply_X(G, i, apply_X(G, i, p))
-    return result
-
-
-def cylindrical_harmonic(apply, lead):
-    """lead - A |t|^2, annihilated by the linear operator `apply`.
-
-    A is the exact ratio of the images apply(lead) and apply(|t|^2), so it
-    is derived, not hard-coded; lead is a cylindrical leading part such as
-    |z|^4 for Delta_H or |z|^(2(a+1)) for B_a.  Raises ArithmeticError when
-    the two images are not proportional or the result is not annihilated.
-    """
-    tnorm = Polynomial.t_norm_sq(lead.m, lead.k, lead.tweight)
-    img_lead, img_t = apply(lead), apply(tnorm)
-    if img_lead.terms.keys() != img_t.terms.keys():
-        raise ArithmeticError("images of the lead and of |t|^2 have different monomials")
-    ratios = {c / img_t.terms[key] for key, c in img_lead.terms.items()}
-    if len(ratios) != 1:
-        raise ArithmeticError("images of the lead and of |t|^2 are not proportional")
-    p = lead - tnorm * ratios.pop()
-    if not apply(p).is_zero():
-        raise ArithmeticError("lead - A |t|^2 is not annihilated")
-    return p
+    return sum(apply_X(G, i, apply_X(G, i, p)) for i in range(G.m))
 
 
 def euler_Z(G, p):
@@ -386,20 +369,14 @@ def discrepancy_poly(G, p):
 def baouendi_apply(spec, p):
     """B_alpha p = Delta_z p + (|z|^(2 alpha) / 4) Delta_t p, exact.
 
-    Requires an integer alpha (`BaouendiSpec.integer_alpha`) so that
+    Requires an integer alpha (`BaouendiSpec.tweight`) so that
     |z|^(2 alpha) is polynomial.
     """
-    alpha = spec.integer_alpha()
-    if p.m != spec.m or p.k != spec.k or p.tweight != alpha + 1:
-        raise DimensionMismatch("polynomial does not match the Baouendi spec")
-    result = Polynomial.zero(p.m, p.k, p.tweight)
-    for i in range(p.m):
-        result = result + p.diff_z(i).diff_z(i)
-    lap_t = Polynomial.zero(p.m, p.k, p.tweight)
-    for ell in range(p.k):
-        lap_t = lap_t + p.diff_t(ell).diff_t(ell)
+    _check_calculus(spec, p)
+    result = sum(p.diff_z(i).diff_z(i) for i in range(p.m))
+    lap_t = sum(p.diff_t(ell).diff_t(ell) for ell in range(p.k))
     if not lap_t.is_zero():
-        weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** alpha
+        weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** (p.tweight - 1)
         result = result + weight * lap_t * Fraction(1, 4)
     return result
 
@@ -429,21 +406,43 @@ def _monomials_of_degree(m, k, tweight, kappa):
     return sorted(result)
 
 
-def harmonic_basis(G, kappa):
-    """Exact basis of delta-homogeneous degree-kappa polynomials with
-    Delta_H p = 0, via rational kernel computation.
+def solid_harmonic_quadratic(context):
+    """|z|^(2w) - A |t|^2 with w = context.tweight, annihilated by
+    context.laplacian (|z|^4 - A |t|^2 for Delta_H).  A is the exact ratio of
+    the images of |z|^(2w) and |t|^2, derived, not hard-coded.  Raises
+    ArithmeticError when they are not proportional or p is not annihilated.
+    """
+    w = context.tweight
+    lead = Polynomial.z_norm_sq(context.m, context.k, w) ** w
+    tnorm = Polynomial.t_norm_sq(context.m, context.k, w)
+    img_lead, img_t = context.laplacian(lead), context.laplacian(tnorm)
+    if img_lead.terms.keys() != img_t.terms.keys():
+        raise ArithmeticError("images of the lead and of |t|^2 have different monomials")
+    ratios = {c / img_t.terms[key] for key, c in img_lead.terms.items()}
+    if len(ratios) != 1:
+        raise ArithmeticError("images of the lead and of |t|^2 are not proportional")
+    p = lead - tnorm * ratios.pop()
+    if not context.laplacian(p).is_zero():
+        raise ArithmeticError("lead - A |t|^2 is not annihilated")
+    return p
+
+
+def harmonic_basis(context, kappa):
+    """Exact basis of delta-homogeneous degree-kappa polynomials p with
+    context.laplacian p = 0 (Delta_H, or B_a of integer alpha), via rational
+    kernel computation.
 
     Basis vectors have integer-cleared coefficients and a deterministic
     order (one vector per free column of the reduced operator matrix).
     """
     if kappa < 0:
         raise DimensionMismatch("kappa must be >= 0")
-    source = _monomials_of_degree(G.m, G.k, 2, kappa)
+    m, k, w = context.m, context.k, context.tweight
+    source = _monomials_of_degree(m, k, w, kappa)
     rows = {}  # one sparse row {column: coefficient} per monomial of the image
     for col, (a, b) in enumerate(source):
-        image = sublaplacian(G, Polynomial.monomial(G.m, G.k, a, b))
+        image = context.laplacian(Polynomial.monomial(m, k, a, b, tweight=w))
         for key, c in image.terms.items():
             rows.setdefault(key, {})[col] = c
     kernel = exactla.kernel_basis(list(rows.values()), len(source))
-    return [Polynomial(G.m, G.k, 2, {source[i]: c for i, c in vec.items()}) for vec in kernel]
-
+    return [Polynomial(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]

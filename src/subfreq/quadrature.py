@@ -98,6 +98,12 @@ class SphereRule(Geometry):
     def __len__(self):
         return len(self.weights)
 
+    def require(self, context):
+        """DimensionMismatch unless the context has the rule's (m, k, alpha)."""
+        g, own = context.geometry, (self.m, self.k, self.alpha)
+        if (g.m, g.k, g.alpha) != own:
+            raise DimensionMismatch(f"a function on {(g.m, g.k, g.alpha)} read on a rule of {own}")
+
     @cached_property
     def psi_gamma(self):
         """gamma with the sign of the psi mass sum_i w_i psi_i: the scale of
@@ -256,6 +262,7 @@ def mean_value(G, u, g, r, rule):
     """Solid mean value M_r u(g) = (Q-2)/Q r^-Q int_{B_r} u(g.h) psi(h) dh."""
     if not isinstance(G, GroupSpec):
         raise NotHType("mean_value is a group-side operation")
+    rule.require(G)
 
     # psi is homogeneous of degree 0, so on every radial shell it is rule.psi
     def integrand(z, t):

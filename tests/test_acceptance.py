@@ -99,7 +99,7 @@ def test_criterion_04_frequency_monotonicity(h1, rule_h1, ba112, rule_ba112,
         details.append(f"group {name}: {'ok' if good else 'violated'}")
 
     radii_b = sf.geometric_radii(0.3, 1.0, 20)
-    tweight = ba112.integer_alpha() + 1
+    tweight = ba112.tweight
     bfix = [(Polynomial.z_var(1, 1, 0, tweight=tweight), "z"),
             (Polynomial.t_var(1, 1, 0, tweight=tweight), "t"),
             (sf.solid_harmonic_quadratic(ba112), "P6"),
@@ -175,7 +175,7 @@ def test_criterion_06_monneau(h1, rule_h1, ba112, rule_ba112, ba112_mixed):
 def test_criterion_07_orthogonality(ba211, rule_ba211, ba112, rule_ba112):
     worst = 0.0
     for spec, rule in ((ba211, rule_ba211), (ba112, rule_ba112)):
-        tweight = spec.integer_alpha() + 1
+        tweight = spec.tweight
         p1 = Polynomial.z_var(spec.m, spec.k, 0, tweight=tweight)
         pq = sf.solid_harmonic_quadratic(spec)
         inner = sf.orthogonality_check(spec, p1, pq, 1.0, rule)

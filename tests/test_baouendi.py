@@ -20,7 +20,7 @@ from subfreq.polynomials import Polynomial
 
 
 def mixed_fixture(spec):
-    t = Polynomial.t_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
+    t = Polynomial.t_var(spec.m, spec.k, 0, tweight=spec.tweight)
     return t + sf.solid_harmonic_quadratic(spec) * Fraction(1, 10)
 
 
@@ -35,9 +35,9 @@ def test_spec_validation():
 
 
 def test_integer_alpha_gate():
-    assert sf.BaouendiSpec(1, 1, 2.0).integer_alpha() == 2
+    assert sf.BaouendiSpec(1, 1, 2.0).tweight == 3
     with pytest.raises(NonIntegerAlpha):
-        sf.BaouendiSpec(1, 1, 1.5).integer_alpha()
+        sf.BaouendiSpec(1, 1, 1.5).tweight
 
 
 def test_polynomial_handle_needs_integer_alpha_and_matching_weight():
@@ -59,7 +59,7 @@ def test_polynomial_handle_center_needs_group_law(dims):
     # B_a has no group law, so there is no left translation to a center
     from subfreq.groups import Point
     spec = sf.BaouendiSpec(*dims)
-    p = Polynomial.z_var(spec.m, 1, 0, tweight=spec.integer_alpha() + 1)
+    p = Polynomial.z_var(spec.m, 1, 0, tweight=spec.tweight)
     with pytest.raises(DimensionMismatch, match="no group law"):
         FunctionHandle.from_polynomial(spec, p, center=Point((0,) * spec.m, (1,)))
 
@@ -137,7 +137,7 @@ def test_solid_harmonic_quadratic_constants():
 def test_solid_harmonic_annihilated(ba112):
     p = sf.solid_harmonic_quadratic(ba112)
     assert sf.baouendi_apply(ba112, p).is_zero()
-    assert sf.euler(p) == p * (2 * (ba112.integer_alpha() + 1))
+    assert sf.euler(p) == p * (2 * ba112.tweight)
 
 
 def test_alpha_one_matches_group_quartic(h1, ba211):

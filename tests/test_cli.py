@@ -185,7 +185,11 @@ def test_baouendi_frequency_on_a_problem_loads_no_scipy_interpolate(t_problem_17
     ("[[1],[0]]", "point does not match group dimensions"),
     ("[[1,2,3],[0]]", "point does not match group dimensions"),
     ("[[1,0],[0,5]]", "point does not match group dimensions"),
-], ids=["list", "object", "short-z", "long-z", "long-t"])
+    # non-finite coordinates used to crash in to_fraction with exit 1
+    ("[[NaN,0],[0]]", "of finite numbers"),
+    ("[[0,Infinity],[0]]", "of finite numbers"),
+    ("[[1e400,0],[0]]", "of finite numbers"),
+], ids=["list", "object", "short-z", "long-z", "long-t", "nan", "infinity", "overflow"])
 def test_frequency_bad_center_exit_2(h1_file, x_file, center, message, capsys):
     assert entry(["frequency", "--group", h1_file, "--poly", x_file, "--center", center,
                   "--steps", "2", "--resolution", "8"]) == 2
@@ -218,6 +222,22 @@ def test_problem_file_grid_is_not_truncated_exit_2(tmp_path, capsys):
         "grid": [33.9, 33], "boundary": f"poly:{bpoly}"}))
     assert entry(["baouendi", "solve", "--problem", str(prob)]) == 2
     assert "a grid size must be an integer" in capsys.readouterr().err
+
+
+def test_problem_file_reads_its_polynomial_next_to_it(tmp_path, monkeypatch, capsys):
+    # a relative "poly:" path is read from the problem file's directory; it
+    # used to be read from the current one, so this exited 2
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "b.json").write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    (inputs / "prob.json").write_text(json.dumps({
+        "m": 1, "k": 1, "alpha": 2, "box": [[-1, 1], [-1, 1]],
+        "grid": [17, 17], "boundary": "poly:b.json"}))
+    monkeypatch.chdir(tmp_path)
+    assert entry(["baouendi", "solve", "--problem", str(inputs / "prob.json")]) == 0
+    assert entry(["baouendi", "frequency", "--problem", os.path.join("inputs", "prob.json"),
+                  "--steps", "2", "--resolution", "8", "--rmax", "0.9"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_problem_file_alpha_bool_exit_2(tmp_path, capsys):

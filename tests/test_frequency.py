@@ -8,7 +8,13 @@ import pytest
 import oracles
 import subfreq as sf
 from subfreq import fixtures
-from subfreq.errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
+from subfreq.errors import (
+    DimensionMismatch,
+    DiscrepancyNonzero,
+    DiscrepancyUnknown,
+    ZeroDenominator,
+    ZeroHeight,
+)
 from subfreq.frequency import CSV_HEADER, FunctionHandle
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial, harmonic_basis
@@ -16,6 +22,29 @@ from subfreq.polynomials import Polynomial, harmonic_basis
 
 def handle(h1, p, **kw):
     return FunctionHandle.from_polynomial(h1, p, **kw)
+
+
+@pytest.mark.parametrize("context, p, other", [
+    # t on B_a(1,1,2) read on a (1,1,1) rule used to give N(0.5) = 0.2605
+    (sf.BaouendiSpec(1, 1, 2), Polynomial.t_var(1, 1, 0, tweight=3), sf.BaouendiSpec(1, 1, 1)),
+    # t on H^1 read on a (2,1,2) rule used to give N(0.5) = 19.96
+    (sf.heisenberg(1), Polynomial.t_var(2, 1, 0), sf.BaouendiSpec(2, 1, 2)),
+], ids=["ba112-on-111", "h1-on-212"])
+def test_functionals_reject_a_rule_of_another_geometry(context, p, other):
+    own, rule = sf.build_sphere_rule(context, 8), sf.build_sphere_rule(other, 8)
+    u = handle(context, p)
+    assert sf.frequency(u, 0.5, own) == pytest.approx(context.tweight)  # t has degree w
+    box = oracles.callable_handle(context, p.evaluate)
+    for v in (u, box):
+        with pytest.raises(DimensionMismatch, match="read on a rule of"):
+            sf.frequency_curve(v, rule, [0.5, 1.0], kappa=1.0, ref=v)
+        for functional in (sf.frequency, sf.dirichlet, sf.height, sf.doubling_ratio):
+            with pytest.raises(DimensionMismatch):
+                functional(v, 0.5, rule)
+        with pytest.raises(DimensionMismatch):
+            sf.monneau(u, v, 1.0, 0.5, rule)
+    # a bare Polynomial integrates on any rule
+    assert sf.surface_integral(p * p, 0.5, rule) > 0.0
 
 
 def test_height_of_constant(h1, rule_h1):
@@ -121,7 +150,7 @@ def test_d_variation_needs_discrepancy_data(h1, rule_h1):
 
 
 def _baouendi_mixed(spec):
-    t = Polynomial.t_var(spec.m, spec.k, 0, tweight=spec.integer_alpha() + 1)
+    t = Polynomial.t_var(spec.m, spec.k, 0, tweight=spec.tweight)
     return t + sf.solid_harmonic_quadratic(spec) * Fraction(1, 10)
 
 

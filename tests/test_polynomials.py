@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -173,9 +175,48 @@ def test_quartic_cylindrical_needs_proportional_images():
 
 
 def test_cylindrical_harmonic_needs_matching_monomials():
-    lead = Polynomial.z_norm_sq(2, 1) ** 2
-    with pytest.raises(ArithmeticError):
-        sf.cylindrical_harmonic(lambda q: q, lead)
+    # the identity maps |z|^4 and |t|^2 to themselves: different monomials
+    stub = types.SimpleNamespace(m=2, k=1, tweight=2, laplacian=lambda q: q)
+    with pytest.raises(ArithmeticError, match="different monomials"):
+        sf.solid_harmonic_quadratic(stub)
+
+
+def test_quartic_cylindrical_is_the_group_quadratic_harmonic(h1):
+    from subfreq import fixtures
+    assert sf.solid_harmonic_quadratic(h1) == fixtures.quartic_cylindrical(h1)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1)])
+def test_harmonic_basis_of_baouendi_spec(dims):
+    # the kernel of B_a in each degree kappa: every element is annihilated
+    # and homogeneous, and the dimension is the number of monomials of degree
+    # kappa minus the dense sympy rank of their images
+    spec = sf.BaouendiSpec(*dims)
+    m, k, w = spec.m, spec.k, dims[2] + 1
+    dims_found = []
+    for kappa in range(9):
+        basis = sf.harmonic_basis(spec, kappa)
+        for p in basis:
+            assert (p.m, p.k, p.tweight) == (m, k, w)
+            assert sf.baouendi_apply(spec, p).is_zero()
+            assert sf.euler(p) == p * kappa
+        source = [(a, b) for a in itertools.product(range(kappa + 1), repeat=m)
+                  for b in itertools.product(range(kappa // w + 1), repeat=k)
+                  if sum(a) + w * sum(b) == kappa]
+        images = [sf.baouendi_apply(spec, Polynomial.monomial(m, k, a, b, tweight=w))
+                  for a, b in source]
+        keys = sorted({key for q in images for key in q.terms})
+        rows = [[q.terms.get(key, Fraction(0)) for q in images] for key in keys]
+        assert len(basis) == len(source) - oracles.rank(rows)
+        dims_found.append(len(basis))
+    if dims == (1, 1, 2):
+        assert dims_found == [1, 1, 0, 1, 1, 0, 1, 1, 0]
+    assert oracles.in_span(sf.solid_harmonic_quadratic(spec), sf.harmonic_basis(spec, 2 * w))
+
+
+def test_harmonic_basis_of_baouendi_spec_needs_integer_alpha():
+    with pytest.raises(NonIntegerAlpha):
+        sf.harmonic_basis(sf.BaouendiSpec(1, 1, 1.5), 3)
 
 
 def test_harmonic_basis_dimensions(h1):

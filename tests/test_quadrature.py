@@ -151,6 +151,15 @@ def test_mean_value_of_harmonic_polynomial(h1, rule_h1):
         assert val == pytest.approx(expected, rel=1e-10)
 
 
+def test_mean_value_rejects_a_rule_of_another_geometry(h1):
+    # the quartic harmonic at ((0.3, 0.1), (0.2)) is -1.27; read on a
+    # (2, 1, 2) rule its mean value used to be -1.2464, with no error
+    q = fixtures.quartic_cylindrical(h1)
+    with pytest.raises(DimensionMismatch, match="read on a rule of"):
+        sf.mean_value(h1, q.evaluate, Point((0.3, 0.1), (0.2,)), 0.5,
+                      sf.build_sphere_rule(sf.BaouendiSpec(2, 1, 2), 8))
+
+
 def test_mean_value_of_fundamental_solution(h1, rule_h1):
     # Gamma is harmonic away from its pole, so its solid average over a
     # ball avoiding the pole reproduces the center value
