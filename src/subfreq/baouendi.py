@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
@@ -52,6 +53,12 @@ class BaouendiSpec(Geometry):
             raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
         return int(a) + 1
 
+    @cached_property
+    def t_coefficient(self):
+        """The coefficient |z|^(2 alpha) / 4 of Delta_t as a Polynomial, built once."""
+        w = self.tweight
+        return Polynomial.z_norm_sq(self.m, self.k, w) ** (w - 1) * Fraction(1, 4)
+
     def laplacian(self, p):
         """B_a p (`baouendi_apply`), exactly."""
         return baouendi_apply(self, p)
@@ -62,9 +69,8 @@ class BaouendiSpec(Geometry):
         Polynomials (z unused; alpha must be an integer and their layer weight
         alpha + 1), numeric when they are arrays at the points z."""
         if z is None:
-            p = dz[0]
-            _check_calculus(self, p)
-            weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** (p.tweight - 1) * Fraction(1, 4)
+            _check_calculus(self, dz[0])
+            weight = self.t_coefficient
         else:
             weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
         return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
@@ -365,7 +371,9 @@ def problem_from_json(data, directory=""):
 
     Format: {"m":1,"k":1,"alpha":2,"box":[[-1,1],[-1,1]],"grid":[129,129],
     "boundary":"poly:<polynomial-file>"}, a relative polynomial file being
-    read from `directory` (that of the problem file)."""
+    read from `directory` (that of the problem file).  The boundary
+    polynomial, of layer weight alpha + 1 for any alpha > 0, is only
+    evaluated (by `fd_solve`): no exact operation runs on it."""
     try:
         if isinstance(data, str):
             data = json.loads(data)
@@ -379,9 +387,9 @@ def problem_from_json(data, directory=""):
         if not (isinstance(boundary, str) and boundary.startswith("poly:")):
             raise ParseError("boundary must be 'poly:<polynomial-file>'")
         with open(os.path.join(directory, boundary[len("poly:"):]), encoding="utf-8") as fh:
-            poly = Polynomial.from_json(fh.read(), spec.m, spec.k, spec.tweight)
+            poly = Polynomial.from_json(fh.read(), spec.m, spec.k, spec.alpha + 1)
         return spec, box, grid, poly
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (ParseError, DimensionMismatch, NonIntegerAlpha)):
+        if isinstance(exc, (ParseError, DimensionMismatch)):
             raise
         raise ParseError(f"bad problem file: {exc}") from exc

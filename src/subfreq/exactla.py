@@ -11,15 +11,14 @@ from math import gcd
 
 
 def to_fraction(x):
-    """Convert ints, Fractions, "p/q" strings, and floats to Fraction."""
+    """Convert ints, Fractions, "p/q" strings, and floats to Fraction; a float
+    reads as the decimal it prints as (0.1 is 1/10, 1e-13 is 1/10^13)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12) if not x.is_integer() else Fraction(int(x))
+        return Fraction(repr(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
 
 

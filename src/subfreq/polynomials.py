@@ -1,15 +1,15 @@
 """Exact rational polynomial calculus in exponential coordinates (z, t).
 
-Monomials are indexed by multi-indices (a, b) with a over the z variables
-and b over the t variables.  The stratified degree of a monomial is
-|a| + w|b| where the layer weight w is 2 for step-2 groups and alpha+1 for
-the symbolic (integer-alpha) Baouendi calculus.  A context (`GroupSpec`,
-`BaouendiSpec`) owns its calculus, `tweight` and `laplacian` (Delta_H, B_a),
-and the solid harmonics of both operators are built from these two.
+A monomial z^a t^b has the stratified degree |a| + w|b|, where the layer
+weight w is 2 for step-2 groups and alpha+1 for the symbolic (integer-alpha)
+Baouendi calculus.  A context (`GroupSpec`, `BaouendiSpec`) owns its
+calculus, `tweight` and `laplacian` (Delta_H, B_a), and the solid harmonics
+of both operators are built from these two.
 """
 
 import json
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -23,29 +23,56 @@ from .errors import (
 )
 
 
+def _unit(n, j, power=1):
+    """The exponent tuple of length n with `power` at j and 0 elsewhere."""
+    return (0,) * j + (power,) + (0,) * (n - j - 1)
+
+
+def _index(i, n, offset, layer):
+    """The flat variable index offset + i of variable i of a layer of n."""
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"{layer} index {i} outside 0..{n - 1}")
+    return offset + i
+
+
 class Polynomial:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with exact rational coefficients.
+
+    `terms` maps one exponent tuple, the m z-exponents then the k
+    t-exponents, to a nonzero Fraction.  That format is private to this
+    module: the constructor, `monomial`, `constant` and `from_json` read and
+    validate (a, b) pairs, and `_make` builds every computed result."""
 
     __slots__ = ("m", "k", "tweight", "terms", "_series")
 
     def __init__(self, m, k, tweight, terms=None):
-        self.m = m
-        self.k = k
-        self.tweight = tweight
-        self._series = {}
-        clean = {}
-        for key, coeff in (terms or {}).items():
+        self.m, self.k, self.tweight, self._series, self.terms = m, k, tweight, {}, {}
+        for (a, b), coeff in (terms or {}).items():
+            if len(a) != m or len(b) != k:
+                raise DimensionMismatch(f"exponents {a}, {b} are not {m} z and {k} t exponents")
             coeff = exactla.to_fraction(coeff)
             if coeff != 0:
-                a, b = key
-                clean[(tuple(a), tuple(b))] = coeff
-        self.terms = clean
+                self.terms[tuple(a) + tuple(b)] = coeff
+
+    @classmethod
+    def _make(cls, m, k, tweight, terms):
+        """The Polynomial of the terms {exponent tuple: Fraction}, unchecked, zeros dropped."""
+        p = cls.__new__(cls)
+        p.m, p.k, p.tweight, p._series = m, k, tweight, {}
+        p.terms = {key: c for key, c in terms.items() if c}
+        return p
+
+    def _like(self, terms):
+        return Polynomial._make(self.m, self.k, self.tweight, terms)
+
+    def _constant(self, c):
+        return self._like({(0,) * (self.m + self.k): c})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, m, k, tweight=2):
-        return cls(m, k, tweight, {})
+        return cls._make(m, k, tweight, {})
 
     @classmethod
     def constant(cls, m, k, c, tweight=2):
@@ -56,39 +83,27 @@ class Polynomial:
         return cls(m, k, tweight, {(tuple(a), tuple(b)): coeff})
 
     @classmethod
+    def _power_sum(cls, m, k, tweight, variables, power):
+        """sum_j x_j^power over the flat variable indices j (z first, then t)."""
+        return cls._make(m, k, tweight, {_unit(m + k, j, power): Fraction(1) for j in variables})
+
+    @classmethod
     def z_var(cls, m, k, i, tweight=2):
-        a = [0] * m
-        a[i] = 1
-        return cls.monomial(m, k, a, (0,) * k, 1, tweight)
+        return cls._power_sum(m, k, tweight, [_index(i, m, 0, "z")], 1)
 
     @classmethod
     def t_var(cls, m, k, ell, tweight=2):
-        b = [0] * k
-        b[ell] = 1
-        return cls.monomial(m, k, (0,) * m, b, 1, tweight)
+        return cls._power_sum(m, k, tweight, [_index(ell, k, m, "t")], 1)
 
     @classmethod
     def z_norm_sq(cls, m, k, tweight=2):
-        terms = {}
-        for i in range(m):
-            a = [0] * m
-            a[i] = 2
-            terms[(tuple(a), (0,) * k)] = Fraction(1)
-        return cls(m, k, tweight, terms)
+        return cls._power_sum(m, k, tweight, range(m), 2)
 
     @classmethod
     def t_norm_sq(cls, m, k, tweight=2):
-        terms = {}
-        for ell in range(k):
-            b = [0] * k
-            b[ell] = 2
-            terms[((0,) * m, tuple(b))] = Fraction(1)
-        return cls(m, k, tweight, terms)
+        return cls._power_sum(m, k, tweight, range(m, m + k), 2)
 
     # -- basic algebra -----------------------------------------------------
-
-    def _like(self, terms):
-        return Polynomial(self.m, self.k, self.tweight, terms)
 
     def _check(self, other):
         if (self.m, self.k, self.tweight) != (other.m, other.k, other.tweight):
@@ -96,11 +111,11 @@ class Polynomial:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.m, self.k, other, self.tweight)
+            other = self._constant(exactla.to_fraction(other))
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms[key] + c if key in terms else c
         return self._like(terms)
 
     __radd__ = __add__
@@ -117,11 +132,10 @@ class Polynomial:
             return self._like({key: c * other for key, c in self.terms.items()})
         self._check(other)
         terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+        for key1, c1 in self.terms.items():
+            for key2, c2 in other.terms.items():
+                key = tuple(map(add, key1, key2))
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
         return self._like(terms)
 
     __rmul__ = __mul__
@@ -129,7 +143,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.m, self.k, 1, self.tweight)
+        result = self._constant(Fraction(1))
         for _ in range(n):
             result = result * self
         return result
@@ -149,44 +163,28 @@ class Polynomial:
     # -- calculus ----------------------------------------------------------
 
     def diff_z(self, i):
-        if not 0 <= i < self.m:
-            raise IndexOutOfRange(f"z index {i} outside 0..{self.m - 1}")
-        terms = {}
-        for (a, b), c in self.terms.items():
-            if a[i] > 0:
-                na = list(a)
-                na[i] -= 1
-                key = (tuple(na), b)
-                terms[key] = terms.get(key, Fraction(0)) + c * a[i]
-        return self._like(terms)
+        return self._diff(_index(i, self.m, 0, "z"))
 
     def diff_t(self, ell):
-        if not 0 <= ell < self.k:
-            raise IndexOutOfRange(f"t index {ell} outside 0..{self.k - 1}")
-        terms = {}
-        for (a, b), c in self.terms.items():
-            if b[ell] > 0:
-                nb = list(b)
-                nb[ell] -= 1
-                key = (a, tuple(nb))
-                terms[key] = terms.get(key, Fraction(0)) + c * b[ell]
-        return self._like(terms)
+        return self._diff(_index(ell, self.k, self.m, "t"))
+
+    def _diff(self, j):
+        """d/dx_j, x_j the flat variable j (distinct keys stay distinct)."""
+        return self._like({key[:j] + (key[j] - 1,) + key[j + 1:]: c * key[j]
+                           for key, c in self.terms.items() if key[j]})
 
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, z, t):
         """Evaluate at points; z has shape (..., m), t shape (..., k)."""
-        z = np.asarray(z, dtype=float)
-        t = np.asarray(t, dtype=float)
+        z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
+        xs = [z[..., i] for i in range(self.m)] + [t[..., ell] for ell in range(self.k)]
         out = np.zeros(z.shape[:-1], dtype=float)
-        for (a, b), c in self.terms.items():
+        for key, c in self.terms.items():
             term = np.full(z.shape[:-1], float(c))
-            for i, p in enumerate(a):
+            for x, p in zip(xs, key):
                 if p:
-                    term = term * z[..., i] ** p
-            for ell, p in enumerate(b):
-                if p:
-                    term = term * t[..., ell] ** p
+                    term = term * x ** p
             out += term
         return out
 
@@ -202,7 +200,8 @@ class Polynomial:
         key = (alpha, e)
         if key not in self._series:
             sums = {}
-            for (a, b), c in self.terms.items():
+            for exps, c in self.terms.items():
+                a, b = exps[:self.m], exps[self.m:]
                 moment = polar_moment(self.m, self.k, alpha, e, a, b)
                 if moment:
                     d = sum(a) + (alpha + 1.0) * sum(b)
@@ -213,25 +212,21 @@ class Polynomial:
 
     def substitute(self, z_subs, t_subs):
         """Substitute polynomials for each variable."""
-        result = Polynomial.zero(self.m, self.k, self.tweight)
-        one = Polynomial.constant(self.m, self.k, 1, self.tweight)
-        for (a, b), c in self.terms.items():
-            prod = one * c
-            for i, p in enumerate(a):
+        subs = list(z_subs) + list(t_subs)
+        result = self._like({})
+        for key, c in self.terms.items():
+            prod = self._constant(c)
+            for s, p in zip(subs, key):
                 if p:
-                    prod = prod * (z_subs[i] ** p)
-            for ell, p in enumerate(b):
-                if p:
-                    prod = prod * (t_subs[ell] ** p)
+                    prod = prod * (s ** p)
             result = result + prod
         return result
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        items = sorted(self.terms.items())
-        return [{"coeff": str(c), "z": list(a), "t": list(b)}
-                for (a, b), c in items]
+        return [{"coeff": str(c), "z": list(key[:self.m]), "t": list(key[self.m:])}
+                for key, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data, m=None, k=None, tweight=2):
@@ -244,10 +239,7 @@ class Polynomial:
                 b = tuple(json_int(x, "a t exponent", 0) for x in item["t"])
                 if m is None:
                     m, k = len(a), len(b)
-                if len(a) != m or len(b) != k:
-                    raise DimensionMismatch("inconsistent multi-index lengths")
-                key = (a, b)
-                terms[key] = terms.get(key, Fraction(0)) + Fraction(item["coeff"])
+                terms[a, b] = terms.get((a, b), Fraction(0)) + Fraction(item["coeff"])
             if m is None:
                 raise ParseError("empty polynomial file needs explicit dimensions")
             return cls(m, k, tweight, terms)
@@ -259,12 +251,10 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
+        names = [f"z{i + 1}" for i in range(self.m)] + [f"t{l + 1}" for l in range(self.k)]
         bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            vars_ = "".join(f"z{i + 1}^{p}" if p != 1 else f"z{i + 1}"
-                            for i, p in enumerate(a) if p)
-            vars_ += "".join(f"t{l + 1}^{p}" if p != 1 else f"t{l + 1}"
-                             for l, p in enumerate(b) if p)
+        for key, c in sorted(self.terms.items()):
+            vars_ = "".join(f"{x}^{p}" if p != 1 else x for x, p in zip(names, key) if p)
             bits.append(f"{c}{'*' if vars_ else ''}{vars_}")
         return "Polynomial(" + " + ".join(bits) + ")"
 
@@ -286,14 +276,7 @@ def _check_group_poly(G, p):
 
 def _jz_component(G, ell, i):
     """<J_l z, e_i> as a polynomial (degree 1 in z)."""
-    terms = {}
-    for j in range(G.m):
-        c = G.J[ell][i][j]
-        if c != 0:
-            a = [0] * G.m
-            a[j] = 1
-            terms[(tuple(a), (0,) * G.k)] = c
-    return Polynomial(G.m, G.k, 2, terms)
+    return Polynomial._make(G.m, G.k, 2, {_unit(G.N, j): c for j, c in enumerate(G.J[ell][i])})
 
 
 def horizontal_field(G, i, dz_i, dt, z=None):
@@ -325,10 +308,8 @@ def apply_theta(G, ell, p):
     _check_group_poly(G, p)
     if not 0 <= ell < G.k:
         raise IndexOutOfRange(f"layer index {ell} outside 0..{G.k - 1}")
-    result = Polynomial.zero(G.m, G.k, 2)
-    for i in range(G.m):
-        result = result + _jz_component(G, ell, i) * p.diff_z(i)
-    return result
+    return sum((_jz_component(G, ell, i) * p.diff_z(i) for i in range(G.m)),
+               Polynomial.zero(G.m, G.k, 2))
 
 
 def sublaplacian(G, p):
@@ -345,9 +326,9 @@ def euler_Z(G, p):
 
 def euler(p):
     """The Euler field of the dilations encoded in tweight: it multiplies
-    z^a t^b by its degree |a| + tweight |b|."""
-    return p._like({(a, b): c * (sum(a) + p.tweight * sum(b))
-                    for (a, b), c in p.terms.items()})
+    z^a t^b by its degree |a| + tweight |b| (a Fraction for a real tweight)."""
+    m, w = p.m, exactla.to_fraction(p.tweight)
+    return p._like({key: c * (sum(key[:m]) + w * sum(key[m:])) for key, c in p.terms.items()})
 
 
 def discrepancy_poly(G, p):
@@ -357,10 +338,8 @@ def discrepancy_poly(G, p):
     """
     G.require_htype("discrepancy_poly")
     _check_group_poly(G, p)
-    result = Polynomial.zero(G.m, G.k, 2)
-    for ell in range(G.k):
-        result = result + Polynomial.t_var(G.m, G.k, ell) * apply_theta(G, ell, p)
-    return result
+    return sum((Polynomial.t_var(G.m, G.k, ell) * apply_theta(G, ell, p) for ell in range(G.k)),
+               Polynomial.zero(G.m, G.k, 2))
 
 
 # -- Baouendi operator (symbolic, integer alpha) ---------------------------
@@ -370,14 +349,13 @@ def baouendi_apply(spec, p):
     """B_alpha p = Delta_z p + (|z|^(2 alpha) / 4) Delta_t p, exact.
 
     Requires an integer alpha (`BaouendiSpec.tweight`) so that
-    |z|^(2 alpha) is polynomial.
+    |z|^(2 alpha) / 4 (`BaouendiSpec.t_coefficient`) is polynomial.
     """
     _check_calculus(spec, p)
     result = sum(p.diff_z(i).diff_z(i) for i in range(p.m))
     lap_t = sum(p.diff_t(ell).diff_t(ell) for ell in range(p.k))
     if not lap_t.is_zero():
-        weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** (p.tweight - 1)
-        result = result + weight * lap_t * Fraction(1, 4)
+        result = result + spec.t_coefficient * lap_t
     return result
 
 
@@ -438,11 +416,11 @@ def harmonic_basis(context, kappa):
     if kappa < 0:
         raise DimensionMismatch("kappa must be >= 0")
     m, k, w = context.m, context.k, context.tweight
-    source = _monomials_of_degree(m, k, w, kappa)
+    source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
     rows = {}  # one sparse row {column: coefficient} per monomial of the image
-    for col, (a, b) in enumerate(source):
-        image = context.laplacian(Polynomial.monomial(m, k, a, b, tweight=w))
-        for key, c in image.terms.items():
-            rows.setdefault(key, {})[col] = c
+    for col, key in enumerate(source):
+        image = context.laplacian(Polynomial._make(m, k, w, {key: Fraction(1)}))
+        for image_key, c in image.terms.items():
+            rows.setdefault(image_key, {})[col] = c
     kernel = exactla.kernel_basis(list(rows.values()), len(source))
-    return [Polynomial(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]
+    return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]

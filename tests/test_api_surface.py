@@ -61,3 +61,18 @@ def test_both_contexts_provide_the_calculus_protocol():
 
 def test_toolkit_api_names_are_exported():
     assert toolkit_api() <= exported_names()
+
+
+def test_the_monomial_format_stays_in_polynomials():
+    # Polynomial.terms is keyed by a private exponent-tuple format, and
+    # _make / _like build results from it without checks: no other module
+    # reads the one or calls the others
+    private = {"terms", "_make", "_like"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"the monomial format is used outside polynomials.py: {found}"

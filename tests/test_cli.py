@@ -251,6 +251,27 @@ def test_problem_file_alpha_bool_exit_2(tmp_path, capsys):
     assert "alpha must be a number, got True" in capsys.readouterr().err
 
 
+def test_problem_file_at_non_integer_alpha(tmp_path, capsys):
+    # the boundary polynomial used to be read in the integer-alpha calculus,
+    # so alpha 1.5 exited 2 although the FD solver supports it
+    bpoly = tmp_path / "b.json"
+    bpoly.write_text('[{"coeff":"1","z":[0],"t":[1]}]')
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"m": 1, "k": 1, "alpha": 1.5, "box": [[-1, 1], [-1, 1]],
+                                "grid": [33, 33], "boundary": f"poly:{bpoly}"}))
+    assert entry(["baouendi", "solve", "--problem", str(prob)]) == 0
+    assert "alpha=1.5" in capsys.readouterr().out
+    assert entry(["baouendi", "frequency", "--problem", str(prob),
+                  "--rmin", "0.2", "--rmax", "0.5", "--steps", "3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    for line in lines[1:]:
+        # t is a solid harmonic of degree alpha + 1 = 2.5
+        assert float(line.split(",")[3]) == pytest.approx(2.5, abs=1e-5)
+    assert entry(["baouendi", "weiss", "--problem", str(prob), "--kappa", "2.5",
+                  "--rmin", "0.2", "--rmax", "0.5", "--steps", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_discrepancy_command(h1_file, x_file, capsys):
     assert entry(["discrepancy", "--group", h1_file, "--poly", x_file,
                   "--json"]) == 0

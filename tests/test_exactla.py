@@ -27,6 +27,13 @@ def test_to_fraction_forms():
     assert exactla.to_fraction(0.25) == Fraction(1, 4)
 
 
+def test_to_fraction_reads_a_float_as_the_decimal_it_prints_as():
+    # limit_denominator(10**12) used to round 1e-13 to 0
+    assert exactla.to_fraction(1e-13) == Fraction(1, 10 ** 13)
+    assert exactla.to_fraction(0.1) == Fraction(1, 10)
+    assert exactla.to_fraction(-2.5e-7) == Fraction(-1, 4_000_000)
+
+
 def test_rank_and_rref():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert oracles.rank(rows) == 1

@@ -82,6 +82,14 @@ def test_metivier_example_not_htype():
     assert g.classification["is_metivier"]
 
 
+def test_tiny_float_entries_keep_their_value():
+    # float entries used to be rounded to denominators <= 10^12, which
+    # stored this nonsingular J as the zero matrix: not Metivier
+    g = sf.make_group(2, 1, [[[0, -1e-13], [1e-13, 0]]])
+    assert g.J[0][1][0] == Fraction(1, 10 ** 13)
+    assert g.classification == {"is_htype": False, "is_metivier": True}
+
+
 def test_quaternionic_classification_emits_no_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

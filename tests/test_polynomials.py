@@ -45,6 +45,11 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p - p).is_zero()
+    # results are built without the constructor's checks, so each must be
+    # what reading it back from its file gives: nonzero Fraction coefficients
+    for res in (p + q, p * q, p - q, p.diff_z(0), p.diff_t(0), p ** 2, sf.euler(p)):
+        assert (res == Polynomial.from_json(json.dumps(res.to_json()), 2, 1, 2)
+                and all(type(c) is Fraction and c != 0 for c in res.terms.values()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,6 +91,9 @@ def test_degree_structure():
     assert sf.euler(p) == p * 2
     assert all(sf.euler(p + x) != (p + x) * kappa for kappa in range(4))
     assert sf.euler(p + x) - (p + x) * 2 == -x
+    # a real layer weight (the boundary data of a B_a problem) keeps exact coefficients
+    t_real = Polynomial.t_var(1, 1, 0, tweight=2.5)
+    assert sf.euler(t_real).to_json() == [{"coeff": "5/2", "z": [0], "t": [1]}]
 
 
 def test_compose_dilation_homogeneity():
