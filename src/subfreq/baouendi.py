@@ -150,7 +150,9 @@ class GridSolution:
             c = _multilinear(self.axes, flat, x)
             return c[:, 0], list(c[:, 1:m + 1].T), list(c[:, m + 1:].T)
 
-        return FunctionHandle(self.spec, jet, label="fd-solution")
+        u = FunctionHandle(self.spec, jet, label="fd-solution")
+        u._rellich = True  # B_a u = 0 on the grid, so curves read D = I / r
+        return u
 
 
 def _multilinear(axes, flat, x):

@@ -7,9 +7,12 @@ Polynomials, integrated in closed form by sphere moments (finite power
 series in r); callables and FD handles are summed over the rule's nodes.
 Either way the global calibration factor gamma of the rule multiplies D
 and H alike and cancels in every ratio and identity tested here.  A curve
-is one integral per column of radii.  Only the dilation delta_r depends on
-r, and d/dr f(delta_r sigma) = Zf(delta_r sigma) / r, so each identity
-check compares two sphere integrals per radius, on any radii.
+is one integral per column of radii.  An FD solution solves B_a u = 0, so
+its curve reads D = I / r, I = int_{S_r} u Zu psi (the Rellich identity),
+and no ball; `dirichlet` and `check_H_identity` keep the ball D, the
+definition.  Only the dilation delta_r depends on r, and d/dr f(delta_r
+sigma) = Zf(delta_r sigma) / r, so each identity check compares two sphere
+integrals per radius, on any radii.
 """
 
 import math
@@ -42,8 +45,10 @@ class FunctionHandle:
     (an FD solution, `GridSolution.as_handle`, or a black box) reads value,
     |grad_H u|^2 and Zu from its jet, and sums over the rule integrate them.
     `disc` is the discrepancy numerator from the context: exact on H-type
-    group polynomials, zero for B_a, else None.
+    group polynomials, zero for B_a, else None.  `_rellich` marks a handle
+    with B_a u = 0 by construction (an FD solution): curves read D = I / r.
     """
+    _rellich = False
 
     def __init__(self, context, jet, poly=None, label=""):
         self.context = context
@@ -144,24 +149,17 @@ def weiss(u, kappa, r, rule):
 
 def monneau(u, p_handle, kappa, r, rule):
     """M_kappa(u, P, r) = r^-(Q-1+2k) int_{S_r} (u-P)^2 |grad_H rho| dsigma_H,
-    the one-radius M column of `frequency_curve`.
-
-    Both u and P must have vanishing discrepancy (checked exactly when it is
-    known; it vanishes for every B_a handle)."""
+    the one-radius M column of `frequency_curve`; u and P must have
+    vanishing discrepancy (`_monneau_difference`)."""
     return float(_monneau_from(_monneau_difference(u, p_handle), kappa, [r], rule)[0])
-
-
-def _require_vanishing_discrepancy(handle):
-    if handle.disc is not None and not handle.disc.is_zero():
-        raise DiscrepancyNonzero(
-            f"function {handle.label or handle.poly} has nonzero discrepancy")
 
 
 def _monneau_difference(u, p_handle):
     """The handle of u - P, after checking that both have vanishing
     discrepancy (exactly when it is known; it vanishes for every B_a handle)."""
-    _require_vanishing_discrepancy(u)
-    _require_vanishing_discrepancy(p_handle)
+    for f in (u, p_handle):
+        if f.disc is not None and not f.disc.is_zero():
+            raise DiscrepancyNonzero(f"function {f.label or f.poly} has nonzero discrepancy")
     return u.shifted_by(p_handle)
 
 
@@ -210,12 +208,12 @@ def _identity_check(radii, lhs, rhs):
 
 
 def check_H_identity(u, radii, rule):
-    """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r), with the exact
-    H' = ((Q-1) H + 2 I) / r: the Rellich identity I(r) = r D(r)."""
-    curve = frequency_curve(u, rule, radii)
-    r, q1 = curve.radii, rule.Q - 1.0
-    i_col = surface_integral(u.value_zu, r, rule)
-    return _identity_check(r, (q1 * curve.H + 2.0 * i_col) / r, q1 / r * curve.H + 2.0 * curve.D)
+    """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r), with the exact H' =
+    ((Q-1) H + 2 I) / r: the Rellich identity I = r D, D the ball integral."""
+    r, q1 = np.asarray(radii, dtype=float), rule.Q - 1.0
+    h, d = height(u, r, rule), volume_integral(u.grad_sq, r, rule)
+    lhs = (q1 * h + 2.0 * surface_integral(u.value_zu, r, rule)) / r
+    return _identity_check(r, lhs, q1 / r * h + 2.0 * d)
 
 
 def check_D_variation(u, radii, rule, include_discrepancy=True):
@@ -243,8 +241,9 @@ def check_weiss_derivative(u, kappa, radii, rule):
     the exact W' = (D' - e D/r)/r^e + 2k (k H - I)/r^(e+2), e = Q-2+2k."""
     curve = frequency_curve(u, rule, radii, kappa=kappa)
     r, e = curve.radii, rule.Q - 2.0 + 2.0 * kappa
+    i_col = r * curve.D if u._rellich else surface_integral(u.value_zu, r, rule)
     lhs = (surface_integral(u.grad_sq, r, rule, weighted=False) - e * curve.D / r) / r ** e \
-        + 2.0 * kappa * (kappa * curve.H - surface_integral(u.value_zu, r, rule)) / r ** (e + 2.0)
+        + 2.0 * kappa * (kappa * curve.H - i_col) / r ** (e + 2.0)
     k = Fraction(kappa) if u.poly is not None else kappa
     defect_sq = u.integrand(lambda v, zu: (zu - k * v) ** 2)
     rhs = 2.0 * r ** (-(rule.Q + 2.0 * kappa)) * surface_integral(defect_sq, r, rule)
@@ -267,10 +266,9 @@ def check_monneau_derivative(u, p_handle, kappa, radii, rule):
 def radial_exponential_integrals(eps, r, rule):
     """(I(r), H(r)) = int_{S_r} (u Zu, u^2) psi for u = exp(-rho^-eps), whose
     Zu = eps rho^-eps u, summed over the rule's nodes, at one radius or at
-    each of an array of radii.  Both integrands are
-    constant on S_r, so I / H = eps r^-eps on any weights and psi, while
-    H(r) = exp(-2 r^-eps) r^(Q-1) sum_i w_i psi_i reads the psi mass, which
-    the calibration makes Q^2/(Q-2)."""
+    each of an array of radii.  Both integrands are constant on S_r, so I / H
+    = eps r^-eps on any weights and psi, while H(r) = exp(-2 r^-eps) r^(Q-1)
+    sum_i w_i psi_i reads the psi mass, which the calibration makes Q^2/(Q-2)."""
     u = lambda z, t: np.exp(-rule.rho(z, t) ** (-eps))
     zu = lambda z, t: eps * rule.rho(z, t) ** (-eps) * u(z, t)
     return (surface_integral(lambda z, t: u(z, t) * zu(z, t), r, rule),
@@ -305,12 +303,14 @@ class FrequencyCurve:
 
 def frequency_curve(u, rule, radii, kappa=None, ref=None):
     """D, H, N (and optionally W_kappa, M_kappa) on a radius grid, one
-    integral per column.
+    integral per column.  D is the ball integral, or I / r on the spheres
+    for a handle that solves B_a u = 0 by construction (an FD solution).
 
     ZeroHeight radii yield NaN in the N column."""
     rule.require(u.context)
     r = np.asarray(radii, dtype=float)
-    d = volume_integral(u.grad_sq, r, rule)
+    d = (surface_integral(u.value_zu, r, rule) / r if u._rellich
+         else volume_integral(u.grad_sq, r, rule))
     h = height(u, r, rule)
     w, m = np.full((2, len(r)), math.nan)
     if kappa is not None:

@@ -239,7 +239,7 @@ class Polynomial:
                 b = tuple(json_int(x, "a t exponent", 0) for x in item["t"])
                 if m is None:
                     m, k = len(a), len(b)
-                terms[a, b] = terms.get((a, b), Fraction(0)) + Fraction(item["coeff"])
+                terms[a, b] = terms.get((a, b), Fraction(0)) + exactla.to_fraction(item["coeff"])
             if m is None:
                 raise ParseError("empty polynomial file needs explicit dimensions")
             return cls(m, k, tweight, terms)

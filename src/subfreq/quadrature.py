@@ -187,9 +187,7 @@ def build_sphere_rule(context, resolution):
 def _radial_rule(q_hom):
     """Nodes/weights for int_0^1 g(v) v^(Q-1) dv (Jacobi weight, exact in Q)."""
     x, w = roots_jacobi(RADIAL_STEPS, 0.0, q_hom - 1.0)
-    v = 0.5 * (x + 1.0)
-    wv = w * 2.0 ** (-q_hom)
-    return v, wv
+    return 0.5 * (x + 1.0), w * 2.0 ** (-q_hom)
 
 
 def _sphere_series(p, rule, weighted):

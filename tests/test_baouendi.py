@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +421,21 @@ def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):
         assert n_fd == pytest.approx(n_ex, rel=0.05)
 
 
+def test_fd_curve_frequency_from_spheres_is_closer_than_from_the_ball(ba112, rule_ba112):
+    # on the benchmark's 129^2 (1,1,2) problem and radii, N = I / H (the
+    # curve of a grid solution) is nowhere farther from the closed form than
+    # N = r D / H with the ball D of `dirichlet` (2.8e-2 against 3.7e-2 at
+    # r = 0.25); in 3-D one radius of the 65^3 problem gets worse
+    exact = Polynomial.t_var(1, 1, 0, tweight=3) \
+        + sf.solid_harmonic_quadratic(ba112) * Fraction(1, 3)
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [129, 129], exact.evaluate).as_handle()
+    radii = sf.geometric_radii(0.25, 0.7, 5)
+    n_exact = sf.frequency_curve(FunctionHandle.from_polynomial(ba112, exact), rule_ba112, radii).N
+    curve = sf.frequency_curve(u, rule_ba112, radii)
+    n_ball = radii * sf.dirichlet(u, radii, rule_ba112) / curve.H
+    assert np.all(np.abs(curve.N - n_exact) <= np.abs(n_ball - n_exact))
+
+
 def test_grid_handle_holds_u_once():
     # fd_solve stores u as channel 0 of the array the kernel reads, so
     # building the handle copies no grid: it keeps less than a tenth of one
@@ -506,8 +520,9 @@ def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba11
 @pytest.mark.parametrize("shells_per_call", [None, 3], ids=["default", "chunks-of-3"])
 def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatch,
                                                    shells_per_call):
-    # H is one call on the nodes of all the spheres; D stacks the radial
-    # shells of all the balls into calls of at most SHELL_POINTS points; the
+    # an FD solution solves B_a u = 0, so its curve reads D = I / r: H and
+    # I = int u Zu psi are one call each on the nodes of all the spheres, and
+    # no radial shell of a ball is read, whatever SHELL_POINTS is; the
     # discrepancy of B_a vanishes in closed form
     import subfreq.baouendi as baouendi
     from subfreq import quadrature
@@ -524,12 +539,28 @@ def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatc
     monkeypatch.setattr(baouendi, "_multilinear", counted)
     radii = np.array([0.3, 0.5, 0.4, 0.2, 0.45])
     curve = sf.frequency_curve(u, rule_ba112, radii, kappa=3)
-    per_call = max(1, quadrature.SHELL_POINTS // len(rule_ba112))
-    shells = len(radii) * quadrature.RADIAL_STEPS
-    assert len(sizes) == 1 + math.ceil(shells / per_call)
-    assert sizes.count(len(radii) * len(rule_ba112)) == 1
-    assert sum(sizes) == (shells + len(radii)) * len(rule_ba112)
+    assert sizes == [len(radii) * len(rule_ba112)] * 2
+    i_col = sf.surface_integral(u.value_zu, radii, rule_ba112)
+    np.testing.assert_array_equal(curve.D, i_col / radii)
     np.testing.assert_array_equal(curve.disc_norm, np.zeros(len(radii)))
+
+
+def test_fd_h_identity_still_reads_the_ball(ba112, rule_ba112):
+    # the curve's D = I / r would make the Rellich check read 0; it compares
+    # the ball D of `dirichlet` with I instead, so on the linear grid handle
+    # it reads the mismatch between interpolated values and partials
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate).as_handle()
+    radii = np.array([0.3, 0.4, 0.5])
+    res = sf.check_H_identity(u, radii, rule_ba112)
+    h = sf.height(u, radii, rule_ba112)
+    i_col = sf.surface_integral(u.value_zu, radii, rule_ba112)
+    q1 = rule_ba112.Q - 1.0
+    ball = q1 / radii * h + 2.0 * sf.dirichlet(u, radii, rule_ba112)
+    np.testing.assert_array_equal(res["rhs"], ball)
+    np.testing.assert_array_equal(res["lhs"], (q1 * h + 2.0 * i_col) / radii)
+    expected = np.abs(res["lhs"] - ball) / np.maximum(np.abs(res["lhs"]), np.abs(ball))
+    np.testing.assert_array_equal(res["residuals"], expected)
+    assert np.all(res["residuals"] > 1e-6)
 
 
 def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):

@@ -409,6 +409,19 @@ def test_from_json_errors():
                               {"coeff": "1", "z": [1], "t": [0]}])
 
 
+def test_from_json_reads_a_float_coefficient_as_its_decimal():
+    # as a group J entry or a --center coordinate reads (exactla.to_fraction):
+    # 0.1 is 1/10, not the binary 3602879701896397/36028797018963968
+    from subfreq.exactla import to_fraction
+
+    p = Polynomial.from_json(json.dumps([{"coeff": 0.1, "z": [1], "t": [0]},
+                                         {"coeff": 2.5e-13, "z": [0], "t": [1]},
+                                         {"coeff": 3, "z": [0], "t": [0]}]))
+    assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): Fraction(1, 4 * 10 ** 12),
+                       (0, 0): Fraction(3)}
+    assert p.terms[1, 0] == to_fraction(0.1) != Fraction(0.1)
+
+
 @pytest.mark.parametrize("z, t", [([1.5, 0], [0.9]), ([-1, 0], [0]), ([True, 0], [0]),
                                   (["1", 0], [0]), ([1, 0], [1.0])],
                          ids=["float", "negative", "bool", "string", "float-t"])
