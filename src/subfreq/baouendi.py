@@ -30,7 +30,13 @@ from .errors import (
     json_number,
 )
 from .frequency import FunctionHandle
-from .polynomials import Polynomial, _check_calculus, baouendi_apply, solid_harmonic_quadratic
+from .polynomials import (
+    Polynomial,
+    _baouendi_operator,
+    _check_calculus,
+    baouendi_apply,
+    solid_harmonic_quadratic,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,11 @@ class BaouendiSpec(Geometry):
         """The coefficient |z|^(2 alpha) / 4 of Delta_t as a Polynomial, built once."""
         w = self.tweight
         return Polynomial.z_norm_sq(self.m, self.k, w) ** (w - 1) * Fraction(1, 4)
+
+    @cached_property
+    def laplacian_operator(self):
+        """B_a as an exact operator, built once (`polynomials._baouendi_operator`)."""
+        return _baouendi_operator(self)
 
     def laplacian(self, p):
         """B_a p (`baouendi_apply`), exactly."""

@@ -204,7 +204,7 @@ def cmd_baouendi_monneau(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run_battery(resolution=args.resolution, seed=args.seed,
+    results = verify_mod.run_battery(resolution=args.resolution,
                                      flip_psi=args.inject_psi_sign_error)
     failed = [r for r in results if not r["passed"]]
     if args.json:
@@ -303,7 +303,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the identity battery")
     p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.add_argument("--inject-psi-sign-error", action="store_true",

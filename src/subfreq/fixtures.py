@@ -36,16 +36,3 @@ def mixed_cylindrical(G, c=Fraction(1, 10)):
     """t + c * (quartic cylindrical harmonic): non-homogeneous, harmonic,
     vanishing discrepancy."""
     return poly_t(G) + quartic_cylindrical(G) * c
-
-
-def random_polynomial(rng, m, k, tweight=2, max_degree=5, n_terms=6):
-    """Random sparse polynomial with small integer coefficients."""
-    terms = {}
-    for _ in range(n_terms):
-        a = tuple(int(rng.integers(0, max_degree + 1)) for _ in range(m))
-        b = tuple(int(rng.integers(0, max_degree // tweight + 1)) for _ in range(k))
-        coeff = int(rng.integers(-9, 10))
-        if coeff:
-            terms[(a, b)] = terms.get((a, b), 0) + coeff
-    return Polynomial(m, k, tweight, terms)
-

@@ -9,7 +9,7 @@ Either way the global calibration factor gamma of the rule multiplies D
 and H alike and cancels in every ratio and identity tested here.  A curve
 is one integral per column of radii.  An FD solution solves B_a u = 0, so
 its curve reads D = I / r, I = int_{S_r} u Zu psi (the Rellich identity),
-and no ball; `dirichlet` and `check_H_identity` keep the ball D, the
+and no ball; `dirichlet` and the H and D identity checks keep the ball D, the
 definition.  Only the dilation delta_r depends on r, and d/dr f(delta_r
 sigma) = Zf(delta_r sigma) / r, so each identity check compares two sphere
 integrals per radius, on any radii.
@@ -219,18 +219,19 @@ def check_H_identity(u, radii, rule):
 def check_D_variation(u, radii, rule, include_discrepancy=True):
     """Residuals of the first variation
     D'(r) = (Q-2)/r D + 2 int (Zu/r)^2 psi dmu + 2 int (Zu/r) E_u dmu,
-    where D' = int_{S_r} |grad_H u|^2 dmu and the E_u integral use the
-    unweighted polar measure and E_u = 4 (sum t_l Theta_l u) / rho^3.  E_u
-    vanishes identically for B_a, so the term is 0 there; on a group it needs
-    a polynomial input.  Setting include_discrepancy=False drops the E_u term
+    where D is the ball integral (as in `dirichlet`; an FD curve reads
+    D = I / r instead), D' = int_{S_r} |grad_H u|^2 dmu and the E_u
+    integral use the unweighted polar measure and E_u = 4 (sum t_l Theta_l
+    u) / rho^3.  E_u vanishes identically for B_a, so the term is 0 there;
+    on a group it needs a polynomial input.  Setting include_discrepancy=False drops the E_u term
     (negative-control variant)."""
     if include_discrepancy and u.disc is None:
         raise DiscrepancyUnknown("discrepancy term needs a group polynomial input")
     with_disc = include_discrepancy and not u.disc.is_zero()
-    curve = frequency_curve(u, rule, radii)
-    r = curve.radii
-    zu_sq = u.integrand(lambda v, zu: zu * zu)
-    rhs = (rule.Q - 2.0) / r * curve.D + 2.0 / r ** 2 * surface_integral(zu_sq, r, rule)
+    rule.require(u.context)
+    r = np.asarray(radii, dtype=float)
+    zu_sq = surface_integral(u.integrand(lambda v, zu: zu * zu), r, rule)
+    rhs = (rule.Q - 2.0) / r * volume_integral(u.grad_sq, r, rule) + 2.0 / r ** 2 * zu_sq
     if with_disc:
         rhs += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
     return _identity_check(r, surface_integral(u.grad_sq, r, rule, weighted=False), rhs)

@@ -31,7 +31,9 @@ from .errors import (
 from .polynomials import (
     Polynomial,
     _check_group_poly,
+    _group_operators,
     _jz_component,
+    _sum_of_squares,
     discrepancy_poly,
     horizontal_field,
     sublaplacian,
@@ -74,6 +76,17 @@ class GroupSpec:
         [l][i], built once per group."""
         return tuple(tuple(_jz_component(self, ell, i) * Fraction(1, 2) for i in range(self.m))
                      for ell in range(self.k))
+
+    @cached_property
+    def operators(self):
+        """X_i, Theta_l, Z and the discrepancy numerator as exact operators,
+        built once (`polynomials._group_operators`)."""
+        return _group_operators(self)
+
+    @cached_property
+    def laplacian_operator(self):
+        """Delta_H = sum_i X_i X_i as an exact operator, composed once."""
+        return _sum_of_squares(self.operators.X)
 
     @cached_property
     def is_htype(self):

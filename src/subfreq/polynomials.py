@@ -8,8 +8,11 @@ of both operators are built from these two.
 """
 
 import json
+from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from itertools import product
+from math import comb, perm, prod
+from operator import add, sub
 
 import numpy as np
 
@@ -265,6 +268,98 @@ def _check_calculus(context, p):
         raise DimensionMismatch(f"polynomial does not match the {type(context).__name__}")
 
 
+# -- operators as data ------------------------------------------------------
+#
+# A linear differential operator with polynomial coefficients is a dict
+# {(a, b): c} of its terms c x^a d^b: a and b are exponent tuples of the flat
+# variables (z first, then t) and c is a nonzero Fraction.  The x^a d^b are a
+# basis of these operators, so two operators are equal exactly when their
+# dicts are.  A context builds its operators once, on first use
+# (`laplacian_operator`, and a group's `operators`).
+
+_Operators = namedtuple("_Operators", "X theta Z discrepancy")
+
+
+def _op_sum(ops):
+    """The sum of the operators, zero terms dropped."""
+    terms = {}
+    for op in ops:
+        for key, c in op.items():
+            terms[key] = terms[key] + c if key in terms else c
+    return {key: c for key, c in terms.items() if c}
+
+
+def _compose(p, q):
+    """The composition p q (q applied first), by Leibniz:
+    d^b x^a = sum_{g <= b} C(b, g) a!/(a-g)! x^(a-g) d^(b-g)."""
+    terms = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            a, b, c12 = tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), c1 * c2
+            for g in product(*[range(min(x, y) + 1) for x, y in zip(b1, a2)]):
+                c = c12 * (prod(map(comb, b1, g)) * prod(map(perm, a2, g)))
+                key = (tuple(map(sub, a, g)), tuple(map(sub, b, g)))
+                terms[key] = terms[key] + c if key in terms else c
+    return {key: c for key, c in terms.items() if c}
+
+
+def _apply(op, p):
+    """op p in closed form: c x^a d^b maps the monomial x^e to
+    c e!/(e-b)! x^(e-b+a), with the falling factorials `math.perm`.  The
+    result lists its terms term by term of op, as a sum of Polynomial
+    products over the terms of op would."""
+    terms = {}
+    for (a, b), c in op.items():
+        for e, ce in p.terms.items():
+            f = prod(map(perm, e, b))
+            if f:
+                key = tuple(map(add, map(sub, e, b), a))
+                terms[key] = terms[key] + c * ce * f if key in terms else c * ce * f
+    return p._like(terms)
+
+
+def _group_operators(G):
+    """The operators of G: X_i = d_{z_i} + (1/2) sum_l <J_l z, e_i> d_{t_l},
+    Theta_l = sum_i <J_l z, e_i> d_{z_i}, Z = sum_i z_i d_{z_i}
+    + 2 sum_l t_l d_{t_l} and the discrepancy numerator sum_l t_l Theta_l."""
+    n, m, k = G.N, G.m, G.k
+    X = [{((0,) * n, _unit(n, i)): Fraction(1)}
+         | {(a, _unit(n, m + ell)): c
+            for ell in range(k) for a, c in G.half_jz[ell][i].terms.items()}
+         for i in range(m)]
+    theta = [{(a, _unit(n, i)): c
+              for i in range(m) for a, c in _jz_component(G, ell, i).terms.items()}
+             for ell in range(k)]
+    Z = {(_unit(n, j), _unit(n, j)): Fraction(1 if j < m else G.tweight) for j in range(n)}
+    disc = {(tuple(map(add, a, _unit(n, m + ell))), b): c
+            for ell in range(k) for (a, b), c in theta[ell].items()}
+    return _Operators(X, theta, Z, disc)
+
+
+def _sum_of_squares(fields):
+    """sum_i X_i X_i of the operators X_i: Delta_H of a group's fields."""
+    return _op_sum(_compose(x, x) for x in fields)
+
+
+def commutator_identities(G):
+    """Whether the operators of G satisfy [X_i, Z] = X_i, [Delta_H, Z] =
+    2 Delta_H and [X_i, X_j] = sum_l <J_l e_i, e_j> d_{t_l}: identities of
+    operators, so they hold for every polynomial at once."""
+    ops, lap, n, m = G.operators, G.laplacian_operator, G.N, G.m
+
+    def bracket(p, q):
+        return _op_sum([_compose(p, q), {key: -c for key, c in _compose(q, p).items()}])
+
+    def centre(i, j):
+        return {((0,) * n, _unit(n, m + ell)): mat[j][i]
+                for ell, mat in enumerate(G.J) if mat[j][i]}
+
+    return (all(bracket(x, ops.Z) == x for x in ops.X)
+            and bracket(lap, ops.Z) == {key: 2 * c for key, c in lap.items()}
+            and all(bracket(ops.X[i], ops.X[j]) == centre(i, j)
+                    for i in range(m) for j in range(i + 1, m)))
+
+
 # -- group vector fields ---------------------------------------------------
 
 
@@ -296,11 +391,11 @@ def horizontal_field(G, i, dz_i, dt, z=None):
 
 
 def apply_X(G, i, p):
-    """X_i p, exactly (see `horizontal_field`)."""
+    """X_i p, exactly (G's operator X_i)."""
     _check_group_poly(G, p)
     if not 0 <= i < G.m:
         raise IndexOutOfRange(f"field index {i} outside 0..{G.m - 1}")
-    return horizontal_field(G, i, p.diff_z(i), [p.diff_t(ell) for ell in range(G.k)])
+    return _apply(G.operators.X[i], p)
 
 
 def apply_theta(G, ell, p):
@@ -308,20 +403,19 @@ def apply_theta(G, ell, p):
     _check_group_poly(G, p)
     if not 0 <= ell < G.k:
         raise IndexOutOfRange(f"layer index {ell} outside 0..{G.k - 1}")
-    return sum((_jz_component(G, ell, i) * p.diff_z(i) for i in range(G.m)),
-               Polynomial.zero(G.m, G.k, 2))
+    return _apply(G.operators.theta[ell], p)
 
 
 def sublaplacian(G, p):
     """Delta_H = sum_i X_i^2, exactly."""
     _check_group_poly(G, p)
-    return sum(apply_X(G, i, apply_X(G, i, p)) for i in range(G.m))
+    return _apply(G.laplacian_operator, p)
 
 
 def euler_Z(G, p):
     """Z = sum z_i d_{z_i} + 2 sum t_l d_{t_l}."""
     _check_group_poly(G, p)
-    return euler(p)
+    return _apply(G.operators.Z, p)
 
 
 def euler(p):
@@ -338,11 +432,18 @@ def discrepancy_poly(G, p):
     """
     G.require_htype("discrepancy_poly")
     _check_group_poly(G, p)
-    return sum((Polynomial.t_var(G.m, G.k, ell) * apply_theta(G, ell, p) for ell in range(G.k)),
-               Polynomial.zero(G.m, G.k, 2))
+    return _apply(G.operators.discrepancy, p)
 
 
 # -- Baouendi operator (symbolic, integer alpha) ---------------------------
+
+
+def _baouendi_operator(spec):
+    """B_a = sum_i d_{z_i}^2 + (|z|^(2 alpha) / 4) sum_l d_{t_l}^2 as an
+    operator (`BaouendiSpec.t_coefficient`)."""
+    n, m, terms = spec.N, spec.m, spec.t_coefficient.terms.items()
+    return ({((0,) * n, _unit(n, i, 2)): Fraction(1) for i in range(m)}
+            | {(a, _unit(n, m + ell, 2)): c for ell in range(spec.k) for a, c in terms})
 
 
 def baouendi_apply(spec, p):
@@ -352,11 +453,7 @@ def baouendi_apply(spec, p):
     |z|^(2 alpha) / 4 (`BaouendiSpec.t_coefficient`) is polynomial.
     """
     _check_calculus(spec, p)
-    result = sum(p.diff_z(i).diff_z(i) for i in range(p.m))
-    lap_t = sum(p.diff_t(ell).diff_t(ell) for ell in range(p.k))
-    if not lap_t.is_zero():
-        result = result + spec.t_coefficient * lap_t
-    return result
+    return _apply(spec.laplacian_operator, p)
 
 
 # -- solid harmonic bases --------------------------------------------------
@@ -417,9 +514,10 @@ def harmonic_basis(context, kappa):
         raise DimensionMismatch("kappa must be >= 0")
     m, k, w = context.m, context.k, context.tweight
     source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
+    op = context.laplacian_operator
     rows = {}  # one sparse row {column: coefficient} per monomial of the image
     for col, key in enumerate(source):
-        image = context.laplacian(Polynomial._make(m, k, w, {key: Fraction(1)}))
+        image = _apply(op, Polynomial._make(m, k, w, {key: Fraction(1)}))
         for image_key, c in image.terms.items():
             rows.setdefault(image_key, {})[col] = c
     kernel = exactla.kernel_basis(list(rows.values()), len(source))

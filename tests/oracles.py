@@ -6,7 +6,10 @@ of the polar rule and the closed-form moments, sympy's dense rank instead
 of `exactla`, psi at arbitrary points from the gauge formula (`psi`) and
 through the structure matrices J (`horiz_gauge_grad_sq`) where the package
 knows it only at the rule's nodes and by its closed-form moments, and
-dilations by substitution instead of the Euler operator, radial
+dilations by substitution instead of the Euler operator, the
+sub-Laplacian, `B_a` and the discrepancy by Polynomial products
+(`sublaplacian_by_contraction`, `baouendi_by_products`,
+`discrepancy_by_products`) instead of the cached operators, radial
 derivatives by finite differences (`log_grid_derivative`) instead of the
 dilation's exact d/dr, and handles of black-box functions whose jet
 takes central-difference partials (`callable_handle`) where the package
@@ -160,6 +163,62 @@ def sampled_min_singular_value(G, samples_log2):
     pts = pts[norms > 1e-8] / norms[norms > 1e-8, None]
     return min(np.linalg.svd(np.tensordot(t, G.J_float, axes=1), compute_uv=False)[-1]
                for t in pts)
+
+
+def random_polynomial(rng, m, k, tweight=2, max_degree=5, n_terms=6):
+    """Random sparse polynomial with small integer coefficients."""
+    terms = {}
+    for _ in range(n_terms):
+        a = tuple(int(rng.integers(0, max_degree + 1)) for _ in range(m))
+        b = tuple(int(rng.integers(0, max_degree // tweight + 1)) for _ in range(k))
+        coeff = int(rng.integers(-9, 10))
+        if coeff:
+            terms[(a, b)] = terms.get((a, b), 0) + coeff
+    return Polynomial(m, k, tweight, terms)
+
+
+def _jz(G):
+    """The polynomials <J_l z, e_i>, indexed [l][i]."""
+    zero = Polynomial.zero(G.m, G.k)
+    return [[sum((Polynomial.z_var(G.m, G.k, j) * Fraction(G.J[ell][i][j])
+                  for j in range(G.m)), zero) for i in range(G.m)] for ell in range(G.k)]
+
+
+def sublaplacian_by_contraction(G, p):
+    """Delta_z + (1/4) sum <J_l z, J_l' z> d_{t_l} d_{t_l'} + sum d_{t_l} Theta_l,
+    with Theta_l = sum_i <J_l z, e_i> d_{z_i}: Delta_H expanded by hand."""
+    zero = Polynomial.zero(G.m, G.k)
+    jz = _jz(G)
+    result = sum((p.diff_z(i).diff_z(i) for i in range(G.m)), zero)
+    for l1 in range(G.k):
+        for l2 in range(G.k):
+            inner = sum((jz[l1][i] * jz[l2][i] for i in range(G.m)), zero)
+            result = result + inner * p.diff_t(l1).diff_t(l2) * Fraction(1, 4)
+        result = result + sum((jz[l1][i] * p.diff_t(l1).diff_z(i) for i in range(G.m)), zero)
+    return result
+
+
+def baouendi_by_products(alpha, p):
+    """Delta_z p + (|z|^(2 alpha) / 4) Delta_t p for an integer alpha, by
+    Polynomial products."""
+    zero = Polynomial.zero(p.m, p.k, p.tweight)
+    zn = Polynomial.z_norm_sq(p.m, p.k, p.tweight)
+    lap_z = sum((p.diff_z(i).diff_z(i) for i in range(p.m)), zero)
+    lap_t = sum((p.diff_t(ell).diff_t(ell) for ell in range(p.k)), zero)
+    return lap_z + zn ** alpha * lap_t * Fraction(1, 4)
+
+
+def theta_by_products(G, ell, p):
+    """Theta_l p = sum_i <J_l z, e_i> d_{z_i} p, by Polynomial products."""
+    jz = _jz(G)
+    return sum((jz[ell][i] * p.diff_z(i) for i in range(G.m)), Polynomial.zero(G.m, G.k))
+
+
+def discrepancy_by_products(G, p):
+    """sum_l t_l Theta_l p, by Polynomial products summed in the order
+    (l, i) of the operator's terms."""
+    return sum((Polynomial.t_var(G.m, G.k, ell) * theta_by_products(G, ell, p)
+                for ell in range(G.k)), Polynomial.zero(G.m, G.k))
 
 
 def harmonic_with_discrepancy(G):

@@ -193,7 +193,7 @@ def test_criterion_08_symbolic_suite(h1, h2):
     # Lemma-style Euler identities on 100 random polynomials, exact
     zprop_ok = True
     for _ in range(100):
-        p = fixtures.random_polynomial(rng, 2, 1)
+        p = oracles.random_polynomial(rng, 2, 1)
         for i in range(2):
             comm = (sf.apply_X(h1, i, sf.euler_Z(h1, p))
                     - sf.euler_Z(h1, sf.apply_X(h1, i, p)))

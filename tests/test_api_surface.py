@@ -51,8 +51,8 @@ def test_every_export_has_a_caller_or_is_toolkit_api():
 
 def test_both_contexts_provide_the_calculus_protocol():
     # what the functionals and the symbolic calculus read from a context
-    protocol = ("m", "k", "tweight", "laplacian", "horizontal_grad_sq", "discrepancy",
-                "geometry")
+    protocol = ("m", "k", "tweight", "laplacian", "laplacian_operator", "horizontal_grad_sq",
+                "discrepancy", "geometry")
     for context in (sf.heisenberg(1), sf.BaouendiSpec(1, 1, 2)):
         missing = [name for name in protocol if not hasattr(context, name)]
         assert not missing, f"{type(context).__name__} lacks {missing}"

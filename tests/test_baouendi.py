@@ -71,8 +71,8 @@ def test_horizontal_grad_sq_is_carre_du_champ(dims):
     rng = np.random.default_rng(5)
     z, t = rng.uniform(-1.0, 1.0, (16, spec.m)), rng.uniform(-1.0, 1.0, (16, spec.k))
     for _ in range(4):
-        p = fixtures.random_polynomial(rng, spec.m, spec.k, tweight=spec.alpha + 1,
-                                       max_degree=4, n_terms=4)
+        p = oracles.random_polynomial(rng, spec.m, spec.k, tweight=spec.alpha + 1,
+                                      max_degree=4, n_terms=4)
         assert not sf.baouendi_apply(spec, p).is_zero()
         dz = [p.diff_z(i) for i in range(spec.m)]
         dt = [p.diff_t(j) for j in range(spec.k)]
@@ -561,6 +561,20 @@ def test_fd_h_identity_still_reads_the_ball(ba112, rule_ba112):
     expected = np.abs(res["lhs"] - ball) / np.maximum(np.abs(res["lhs"]), np.abs(ball))
     np.testing.assert_array_equal(res["residuals"], expected)
     assert np.all(res["residuals"] > 1e-6)
+
+
+def test_fd_d_variation_reads_the_ball(ba112, rule_ba112):
+    # D' is the exact derivative of the ball D, so the right side must read
+    # the ball D too: with the curve's D = I / r it read 3.9e-3 here
+    p = Polynomial.t_var(1, 1, 0, tweight=3) + sf.solid_harmonic_quadratic(ba112) * Fraction(1, 3)
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [129, 129], p.evaluate).as_handle()
+    radii = sf.geometric_radii(0.25, 0.7, 5)
+    res = sf.check_D_variation(u, radii, rule_ba112)
+    zu_sq = sf.surface_integral(u.integrand(lambda v, zu: zu * zu), radii, rule_ba112)
+    ball = ((rule_ba112.Q - 2.0) / radii * sf.dirichlet(u, radii, rule_ba112)
+            + 2.0 / radii ** 2 * zu_sq)
+    np.testing.assert_array_equal(res["rhs"], ball)
+    assert np.max(res["residuals"]) <= 2e-4
 
 
 def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):

@@ -419,6 +419,46 @@ def test_verify_negative_control(capsys):
                       "weiss-derivative", "monneau", "radial-exponential-frequency"}
 
 
+def _flip_j_term(ops, which=0):
+    """The fields of ops with the sign of X_0's J term number `which` flipped:
+    the terms whose coefficient holds a z, (1/2) <J_l z, e_0> d_{t_l}."""
+    x0 = dict(ops.X[0])
+    key = [key for key in x0 if sum(key[0])][which]
+    x0[key] = -x0[key]
+    return [x0] + list(ops.X[1:])
+
+
+@pytest.mark.parametrize("fault", ["Z-tweight-1", "X0-J-sign"])
+def test_verify_fails_a_wrong_operator(capsys, monkeypatch, fault):
+    # homogeneity alone ([X_i, Z] = X_i, [Delta_H, Z] = 2 Delta_H) misses a J
+    # sign error, which the brackets [X_i, X_j] = sum_l <J_l e_i, e_j> d_{t_l}
+    # catch; every other check reads no operator but the discrepancy's
+    import subfreq.verify as verify
+    from subfreq.polynomials import _sum_of_squares
+
+    g = sf.heisenberg(1)
+    ops = g.operators
+    if fault == "Z-tweight-1":
+        vars(g)["operators"] = ops._replace(Z={key: Fraction(1) for key in ops.Z})
+    else:  # Delta_H composed from the wrong fields
+        vars(g)["operators"] = ops._replace(X=_flip_j_term(ops))
+        vars(g)["laplacian_operator"] = _sum_of_squares(g.operators.X)
+    monkeypatch.setattr(verify, "heisenberg", lambda n: g)
+    assert entry(["verify", "--resolution", "12", "--json"]) == 1
+    failed = {item["name"] for item in json.loads(capsys.readouterr().out)
+              if not item["passed"]}
+    assert failed == {"euler-commutator-identities"}
+
+
+def test_commutator_identities_catch_one_flipped_j_term():
+    # X_0 of the 6-d group has two J terms; flipping either one breaks a bracket
+    assert sf.polynomials.commutator_identities(sf.example_group_6d())
+    for which in range(2):
+        g = sf.example_group_6d()
+        vars(g)["operators"] = g.operators._replace(X=_flip_j_term(g.operators, which))
+        assert not sf.polynomials.commutator_identities(g)
+
+
 def test_verify_json(capsys):
     assert entry(["verify", "--resolution", "12", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

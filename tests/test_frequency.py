@@ -261,8 +261,8 @@ def test_identity_residual_is_zero_where_both_sides_vanish(h1, rule_h1):
 
 
 def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
-    # each check computes D, H, W and M once: the D, W and M checks as one
-    # frequency_curve on their radii, the H check from `height` and the ball
+    # each check computes D, H, W and M once: the W and M checks as one
+    # frequency_curve on their radii, the H and D checks from the ball
     # `dirichlet` (the definition of D on every handle); its left-hand side is
     # the exact radial derivative of one column, which the 5-point
     # differences of that column match to their 1e-3 floor (on this grid; 9
@@ -279,7 +279,7 @@ def test_identity_checks_read_the_curve_columns(h1, rule_h1, monkeypatch):
               "D": frequency.check_D_variation(u, radii, rule_h1),
               "W": frequency.check_weiss_derivative(u, 2, radii, rule_h1),
               "M": frequency.check_monneau_derivative(u, ref, 2, radii, rule_h1)}
-    assert len(curves) == 3
+    assert len(curves) == 2
     for column, res in checks.items():
         np.testing.assert_array_equal(res["radii"], radii)
         _, differences, inner = oracles.log_grid_derivative(getattr(curve, column), radii)

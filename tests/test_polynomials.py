@@ -117,9 +117,8 @@ def test_horizontal_fields_h1(h1):
 def test_field_commutator_gives_center(h1):
     # [X_1, X_2] p = d_t p for all polynomials
     rng = np.random.default_rng(3)
-    from subfreq import fixtures
     for _ in range(10):
-        p = fixtures.random_polynomial(rng, 2, 1)
+        p = oracles.random_polynomial(rng, 2, 1)
         comm = (sf.apply_X(h1, 0, sf.apply_X(h1, 1, p))
                 - sf.apply_X(h1, 1, sf.apply_X(h1, 0, p)))
         assert comm == p.diff_t(0)
@@ -130,32 +129,78 @@ QUATERNIONIC = [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
                 [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]]
 
 
-def sublaplacian_by_contraction(G, p):
-    """Delta_z + (1/4) sum <J_l z, J_l' z> d_{t_l} d_{t_l'} + sum d_{t_l} Theta_l,
-    with Theta_l = sum_i <J_l z, e_i> d_{z_i}: Delta_H expanded by hand."""
-    zero = Polynomial.zero(G.m, G.k)
-    jz = [[sum((Polynomial.z_var(G.m, G.k, j) * Fraction(G.J[ell][i][j])
-                for j in range(G.m)), zero) for i in range(G.m)] for ell in range(G.k)]
-    result = sum((p.diff_z(i).diff_z(i) for i in range(G.m)), zero)
-    for l1 in range(G.k):
-        for l2 in range(G.k):
-            inner = sum((jz[l1][i] * jz[l2][i] for i in range(G.m)), zero)
-            result = result + inner * p.diff_t(l1).diff_t(l2) * Fraction(1, 4)
-        result = result + sum((jz[l1][i] * p.diff_t(l1).diff_z(i) for i in range(G.m)), zero)
-    return result
-
-
 def test_sublaplacian_as_sum_of_squares():
-    # sum_i X_i^2 against the J-contraction formula, on every monomial of
-    # stratified degree <= 5
+    # the image of every monomial under the cached operator sum_i X_i X_i
+    # against the J-contraction formula, up to each group's degree
     from subfreq.polynomials import _monomials_of_degree
-    groups = (sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d(),
-              sf.example_group_metivier(), sf.make_group(4, 3, QUATERNIONIC))
-    for G in groups:
-        for kappa in range(6):
+    groups = ((sf.heisenberg(1), 6), (sf.heisenberg(2), 8), (sf.heisenberg(3), 6),
+              (sf.example_group_6d(), 6), (sf.example_group_metivier(), 6),
+              (sf.make_group(4, 3, QUATERNIONIC), 5))
+    for G, kappa_max in groups:
+        for kappa in range(kappa_max + 1):
             for a, b in _monomials_of_degree(G.m, G.k, 2, kappa):
                 p = Polynomial.monomial(G.m, G.k, a, b)
-                assert sf.sublaplacian(G, p) == sublaplacian_by_contraction(G, p)
+                assert sf.sublaplacian(G, p) == oracles.sublaplacian_by_contraction(G, p)
+
+
+def test_composed_operators_apply_as_their_factors():
+    # (P Q) f = P (Q f) for the Leibniz composition, on operators whose
+    # coefficients the second factor differentiates
+    from subfreq.polynomials import _apply, _compose
+    G = sf.example_group_6d()
+    ops = G.operators
+    pairs = [(ops.X[0], ops.X[1]), (ops.X[2], ops.Z), (ops.Z, ops.theta[1]),
+             (ops.discrepancy, ops.X[3]), (G.laplacian_operator, ops.discrepancy)]
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        f = oracles.random_polynomial(rng, G.m, G.k, max_degree=4)
+        for p, q in pairs:
+            assert _apply(_compose(p, q), f) == _apply(p, _apply(q, f))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 1, 1), (1, 1, 3)],
+                         ids=["ba112", "ba211", "ba113"])
+def test_baouendi_images_match_the_product_formula(dims):
+    # B_a of every monomial up to degree 2(a+1) + 4 against
+    # Delta_z + |z|^(2a)/4 Delta_t by Polynomial products
+    from subfreq.polynomials import _monomials_of_degree
+    spec = sf.BaouendiSpec(*dims)
+    m, k, w = spec.m, spec.k, spec.tweight
+    for kappa in range(2 * w + 5):
+        for a, b in _monomials_of_degree(m, k, w, kappa):
+            p = Polynomial.monomial(m, k, a, b, tweight=w)
+            assert sf.baouendi_apply(spec, p) == oracles.baouendi_by_products(dims[2], p)
+
+
+@pytest.mark.parametrize("G", [sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d(),
+                               sf.example_group_metivier()],
+                         ids=["h1", "h2", "g6", "metivier"])
+def test_field_operators_match_the_polynomial_products(G):
+    # X_i, Theta_l and Z as cached operators against the Polynomial
+    # arithmetic of `horizontal_field`, of <J_l z, e_i> d_{z_i} and of `euler`
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        p = oracles.random_polynomial(rng, G.m, G.k, max_degree=4)
+        dt = [p.diff_t(ell) for ell in range(G.k)]
+        for i in range(G.m):
+            assert sf.apply_X(G, i, p) == sf.polynomials.horizontal_field(G, i, p.diff_z(i), dt)
+        for ell in range(G.k):
+            assert sf.apply_theta(G, ell, p) == oracles.theta_by_products(G, ell, p)
+        assert sf.euler_Z(G, p) == sf.euler(p)
+
+
+@pytest.mark.parametrize("G", [sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d(),
+                               sf.make_group(4, 3, QUATERNIONIC)],
+                         ids=["h1", "h2", "g6", "quaternionic"])
+def test_discrepancy_keeps_the_term_order_of_the_products(G):
+    # the numerator's term order is the order of its float sums (`evaluate`,
+    # the sphere series of the discrepancy_norm column), so the operator
+    # lists its terms as the Polynomial products did
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        p = oracles.random_polynomial(rng, G.m, G.k, max_degree=4, n_terms=12)
+        want = oracles.discrepancy_by_products(G, p)
+        assert list(sf.discrepancy_poly(G, p).terms.items()) == list(want.terms.items())
 
 
 def test_known_harmonic_polynomials(h1):
@@ -286,11 +331,10 @@ def test_six_dim_discrepancy_fixture():
 
 
 def test_left_translate_matches_group_law(h1):
-    from subfreq import fixtures
     rng = np.random.default_rng(5)
     g0 = Point((Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 5),))
     for _ in range(5):
-        p = fixtures.random_polynomial(rng, 2, 1)
+        p = oracles.random_polynomial(rng, 2, 1)
         shifted = sf.left_translate(h1, p, g0)
         for _ in range(5):
             h = Point(tuple(rng.normal(size=2)), tuple(rng.normal(size=1)))
@@ -302,25 +346,23 @@ def test_left_translate_matches_group_law(h1):
 
 
 def test_left_translations_compose_exactly():
-    from subfreq import fixtures
     # p(g0 * (g0^-1 * h)) = p(h): the group law on Polynomial coordinates is
     # exact, here on a group with two vertical coordinates
     G = sf.example_group_6d()
     rng = np.random.default_rng(8)
     g0 = Point((Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), 2), (Fraction(2, 5), -1))
     for _ in range(3):
-        p = fixtures.random_polynomial(rng, 4, 2, max_degree=3)
+        p = oracles.random_polynomial(rng, 4, 2, max_degree=3)
         shifted = sf.left_translate(G, p, g0)
         assert shifted != p
         assert sf.left_translate(G, shifted, sf.inverse(G, g0)) == p
 
 
 def test_sublaplacian_left_invariant(h1):
-    from subfreq import fixtures
     rng = np.random.default_rng(6)
     g0 = Point((Fraction(1), Fraction(2)), (Fraction(-1, 2),))
     for _ in range(5):
-        p = fixtures.random_polynomial(rng, 2, 1)
+        p = oracles.random_polynomial(rng, 2, 1)
         lhs = sf.sublaplacian(h1, sf.left_translate(h1, p, g0))
         rhs = sf.left_translate(h1, sf.sublaplacian(h1, p), g0)
         assert lhs == rhs
@@ -346,10 +388,8 @@ def _euler_by_products(p):
 @pytest.mark.parametrize("m, k, tweight", [(2, 1, 2), (4, 1, 2), (4, 2, 2), (1, 1, 3)],
                          ids=["h1", "h2", "g6", "ba112"])
 def test_euler_by_degree_matches_product_formula(m, k, tweight, monkeypatch):
-    from subfreq import fixtures
-
     rng = np.random.default_rng(17)
-    polys = [fixtures.random_polynomial(rng, m, k, tweight=tweight) + 7 for _ in range(20)]
+    polys = [oracles.random_polynomial(rng, m, k, tweight=tweight) + 7 for _ in range(20)]
     expected = [_euler_by_products(p) for p in polys]
 
     def no_product(self, other):

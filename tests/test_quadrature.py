@@ -107,7 +107,7 @@ def test_integrals_on_a_radius_column_are_the_one_radius_integrals(rule_name, ki
 
     rule = request.getfixturevalue(rule_name)
     rule = _flip_psi(rule) if flip else rule
-    p = fixtures.random_polynomial(np.random.default_rng(7), rule.m, rule.k)
+    p = oracles.random_polynomial(np.random.default_rng(7), rule.m, rule.k)
     f = p if kind == "polynomial" else p.evaluate
     radii = [0.3, 1.1, 0.5, 0.9]
     for integral, kw in ((sf.volume_integral, {}), (sf.surface_integral, {}),
