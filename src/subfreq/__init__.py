@@ -56,6 +56,7 @@ from .polynomials import (
     apply_X,
     apply_theta,
     baouendi_apply,
+    carre_du_champ,
     discrepancy_poly,
     euler,
     euler_Z,

@@ -12,7 +12,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -60,12 +59,6 @@ class BaouendiSpec(Geometry):
         return int(a) + 1
 
     @cached_property
-    def t_coefficient(self):
-        """The coefficient |z|^(2 alpha) / 4 of Delta_t as a Polynomial, built once."""
-        w = self.tweight
-        return Polynomial.z_norm_sq(self.m, self.k, w) ** (w - 1) * Fraction(1, 4)
-
-    @cached_property
     def laplacian_operator(self):
         """B_a as an exact operator, built once (`polynomials._baouendi_operator`)."""
         return _baouendi_operator(self)
@@ -74,16 +67,12 @@ class BaouendiSpec(Geometry):
         """B_a p (`baouendi_apply`), exactly."""
         return baouendi_apply(self, p)
 
-    def horizontal_grad_sq(self, dz, dt, z=None):
-        """|grad_H u|^2 = |d_z u|^2 + |z|^(2a)/4 |d_t u|^2 from the Euclidean
-        partials dz = [d_{z_i} u] and dt = [d_{t_j} u].  Exact when they are
-        Polynomials (z unused; alpha must be an integer and their layer weight
-        alpha + 1), numeric when they are arrays at the points z."""
-        if z is None:
-            _check_calculus(self, dz[0])
-            weight = self.t_coefficient
-        else:
-            weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
+    def horizontal_grad_sq(self, dz, dt, z):
+        """|grad_H u|^2 = |d_z u|^2 + |z|^(2a)/4 |d_t u|^2 at the points z
+        from the arrays of Euclidean partials dz = [d_{z_i} u] and
+        dt = [d_{t_j} u] there.  The exact form of a Polynomial is
+        `carre_du_champ`."""
+        weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
         return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
 
     def discrepancy(self, p=None):

@@ -25,6 +25,7 @@ from .frequency import (
     check_weiss_derivative,
     frequency_curve,
     geometric_radii,
+    polynomial_jet,
 )
 from .groups import Point, group_from_json
 from .polynomials import Polynomial, discrepancy_poly, harmonic_basis
@@ -195,7 +196,10 @@ def cmd_baouendi_weiss(args):
 
 def cmd_baouendi_monneau(args):
     spec, u = _baouendi_input(args)
-    ref = FunctionHandle.from_polynomial(spec, _load_poly(args.ref, spec), label=args.ref)
+    # layer weight alpha + 1, as for a problem boundary; an FD u takes its jet at any alpha
+    ref = Polynomial.from_json(_read(args.ref), spec.m, spec.k, spec.alpha + 1)
+    ref = (FunctionHandle.from_polynomial(spec, ref, label=args.ref) if u.poly is not None
+           else FunctionHandle(spec, polynomial_jet(ref), label=args.ref))
     rule = build_sphere_rule(spec, args.resolution)
     res = check_monneau_derivative(u, ref, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
 from .groups import left_translate
-from .polynomials import euler
+from .polynomials import carre_du_champ, euler
 from .quadrature import _powers, surface_integral, volume_integral
 
 
@@ -34,13 +34,14 @@ class FunctionHandle:
     Euler derivative Zu.
 
     Its one source is the jet (z, t) -> (u, [d_z u], [d_t u]) at the points.
-    The context turns the partials into |grad_H u|^2 by its own formula
-    (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
+    The context turns the partials into |grad_H u|^2 by its own numeric
+    formula (`GroupSpec.horizontal_grad_sq`: sum_i (X_i u)^2;
     `BaouendiSpec.horizontal_grad_sq`: |d_z u|^2 + |z|^(2a)/4 |d_t u|^2), and
     Zu is the Euler field z . d_z u + (a+1) t . d_t u of the geometry.  A
     polynomial handle (`from_polynomial`) also keeps u as `poly` and exact
-    Polynomials for |grad_H u|^2 and Zu, which evaluate like functions and
-    which the quadrature integrates in closed form; u^2 (`value_sq`), every
+    Polynomials for |grad_H u|^2 (`carre_du_champ` of the context's
+    `laplacian`) and Zu, which evaluate like functions and which the
+    quadrature integrates in closed form; u^2 (`value_sq`), every
     `integrand` f(u, Zu) and `disc_sq` are Polynomials too.  A numeric handle
     (an FD solution, `GridSolution.as_handle`, or a black box) reads value,
     |grad_H u|^2 and Zu from its jet, and sums over the rule integrate them.
@@ -66,10 +67,8 @@ class FunctionHandle:
         """Handle of the Polynomial p, left-translated to `center` when given."""
         if center is not None:
             p = left_translate(context, p, center)
-        dz, dt = [p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)]
-        u = cls(context, lambda z, t: (p(z, t), [d(z, t) for d in dz], [d(z, t) for d in dt]),
-                poly=p, label=label)
-        u.value, u.grad_sq, u.zu = p.evaluate, context.horizontal_grad_sq(dz, dt), euler(p)
+        u = cls(context, polynomial_jet(p), poly=p, label=label)
+        u.value, u.grad_sq, u.zu = p.evaluate, carre_du_champ(context, p), euler(p)
         return u
 
     def integrand(self, f):
@@ -115,6 +114,12 @@ class FunctionHandle:
             return u - v, [a - b for a, b in zip(dz, ez)], [a - b for a, b in zip(dt, et)]
 
         return FunctionHandle(self.context, jet, label=label)
+
+
+def polynomial_jet(p):
+    """The jet (z, t) -> (p, [d_z p], [d_t p]) of the Polynomial p at the points."""
+    dz, dt = [p.diff_z(i) for i in range(p.m)], [p.diff_t(j) for j in range(p.k)]
+    return lambda z, t: (p(z, t), [d(z, t) for d in dz], [d(z, t) for d in dt])
 
 
 # -- core functionals ------------------------------------------------------

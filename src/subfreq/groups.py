@@ -32,10 +32,8 @@ from .polynomials import (
     Polynomial,
     _check_group_poly,
     _group_operators,
-    _jz_component,
     _sum_of_squares,
     discrepancy_poly,
-    horizontal_field,
     sublaplacian,
 )
 
@@ -71,13 +69,6 @@ class GroupSpec:
         return np.array(self.J, dtype=float)
 
     @cached_property
-    def half_jz(self):
-        """The polynomials (1/2) <J_l z, e_i> of `horizontal_field`, indexed
-        [l][i], built once per group."""
-        return tuple(tuple(_jz_component(self, ell, i) * Fraction(1, 2) for i in range(self.m))
-                     for ell in range(self.k))
-
-    @cached_property
     def operators(self):
         """X_i, Theta_l, Z and the discrepancy numerator as exact operators,
         built once (`polynomials._group_operators`)."""
@@ -109,14 +100,16 @@ class GroupSpec:
         """The sub-Laplacian Delta_H p (`sublaplacian`), exactly."""
         return sublaplacian(self, p)
 
-    def horizontal_grad_sq(self, dz, dt, z=None):
-        """|grad_H u|^2 = sum_i (X_i u)^2 (see `horizontal_field`) from the
-        Euclidean partials dz = [d_{z_i} u] and dt = [d_{t_l} u].  Exact when
-        they are Polynomials (z unused), numeric when they are arrays at the
-        points z."""
+    def horizontal_grad_sq(self, dz, dt, z):
+        """|grad_H u|^2 = sum_i (X_i u)^2 at the points z from the arrays of
+        Euclidean partials dz = [d_{z_i} u] and dt = [d_{t_l} u] there, with
+        X_i u = d_{z_i} u + (1/2) sum_l <J_l z, e_i> d_{t_l} u.  The exact
+        form of a Polynomial is `carre_du_champ`."""
         total = 0
         for i in range(self.m):
-            x_i = horizontal_field(self, i, dz[i], dt, z)
+            x_i = dz[i]
+            for ell in range(self.k):
+                x_i = x_i + 0.5 * (z @ self.J_float[ell, i]) * dt[ell]
             total = total + x_i * x_i
         return total
 

@@ -11,7 +11,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import comb, perm, prod
+from math import comb, fsum, perm, prod
 from operator import add, sub
 
 import numpy as np
@@ -108,16 +108,21 @@ class Polynomial:
 
     # -- basic algebra -----------------------------------------------------
 
-    def _check(self, other):
+    def _operand(self, other):
+        """other as a Polynomial of this context: an int, Fraction or float
+        (read by `exactla.to_fraction`, so 0.1 is 1/10) is a constant, and
+        any other operand but a Polynomial raises TypeError."""
+        if isinstance(other, (int, Fraction, float)):
+            return self._constant(exactla.to_fraction(other))
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"cannot combine a Polynomial with a {type(other).__name__}")
         if (self.m, self.k, self.tweight) != (other.m, other.k, other.tweight):
             raise DimensionMismatch("polynomial contexts differ")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._constant(exactla.to_fraction(other))
-        self._check(other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
+        for key, c in self._operand(other).terms.items():
             terms[key] = terms[key] + c if key in terms else c
         return self._like(terms)
 
@@ -127,14 +132,10 @@ class Polynomial:
         return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
+        return self + -self._operand(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = exactla.to_fraction(other)
-            return self._like({key: c * other for key, c in self.terms.items()})
-        self._check(other)
-        terms = {}
+        other, terms = self._operand(other), {}
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
                 key = tuple(map(add, key1, key2))
@@ -199,18 +200,20 @@ class Polynomial:
         int_{S_1} p(lam z, lam^(alpha+1) t) s^e dmu = sum_d c_d lam^d for the
         raw polar measure dmu of the geometry (m, k, alpha): each monomial
         z^a t^b has dilation degree |a| + (alpha+1)|b| and moment
-        `polar_moment(m, k, alpha, e, a, b)`.  Built once per (alpha, e)."""
+        `polar_moment(m, k, alpha, e, a, b)`.  Each c_d is a correctly rounded
+        `math.fsum` and the d come sorted, so equal Polynomials give equal
+        floats whatever their term order.  Built once per (alpha, e)."""
         key = (alpha, e)
         if key not in self._series:
-            sums = {}
+            parts = {}
             for exps, c in self.terms.items():
                 a, b = exps[:self.m], exps[self.m:]
                 moment = polar_moment(self.m, self.k, alpha, e, a, b)
                 if moment:
-                    d = sum(a) + (alpha + 1.0) * sum(b)
-                    sums[d] = sums.get(d, 0.0) + float(c) * moment
-            self._series[key] = (np.array(list(sums), dtype=float),
-                                 np.array(list(sums.values()), dtype=float))
+                    parts.setdefault(sum(a) + (alpha + 1.0) * sum(b), []).append(float(c) * moment)
+            degrees = sorted(parts)
+            self._series[key] = (np.array(degrees, dtype=float),
+                                 np.array([fsum(parts[d]) for d in degrees], dtype=float))
         return self._series[key]
 
     def substitute(self, z_subs, t_subs):
@@ -305,9 +308,7 @@ def _compose(p, q):
 
 def _apply(op, p):
     """op p in closed form: c x^a d^b maps the monomial x^e to
-    c e!/(e-b)! x^(e-b+a), with the falling factorials `math.perm`.  The
-    result lists its terms term by term of op, as a sum of Polynomial
-    products over the terms of op would."""
+    c e!/(e-b)! x^(e-b+a), with the falling factorials `math.perm`."""
     terms = {}
     for (a, b), c in op.items():
         for e, ce in p.terms.items():
@@ -324,8 +325,8 @@ def _group_operators(G):
     + 2 sum_l t_l d_{t_l} and the discrepancy numerator sum_l t_l Theta_l."""
     n, m, k = G.N, G.m, G.k
     X = [{((0,) * n, _unit(n, i)): Fraction(1)}
-         | {(a, _unit(n, m + ell)): c
-            for ell in range(k) for a, c in G.half_jz[ell][i].terms.items()}
+         | {(a, _unit(n, m + ell)): c / 2
+            for ell in range(k) for a, c in _jz_component(G, ell, i).terms.items()}
          for i in range(m)]
     theta = [{(a, _unit(n, i)): c
               for i in range(m) for a, c in _jz_component(G, ell, i).terms.items()}
@@ -372,22 +373,6 @@ def _check_group_poly(G, p):
 def _jz_component(G, ell, i):
     """<J_l z, e_i> as a polynomial (degree 1 in z)."""
     return Polynomial._make(G.m, G.k, 2, {_unit(G.N, j): c for j, c in enumerate(G.J[ell][i])})
-
-
-def horizontal_field(G, i, dz_i, dt, z=None):
-    """X_i u = d_{z_i} u + (1/2) sum_l <J_l z, e_i> d_{t_l} u from the Euclidean
-    partials dz_i = d_{z_i} u and dt = [d_{t_l} u]: exact when they are
-    Polynomials (z omitted), numeric when they are arrays at the points z."""
-    if z is None:
-        _check_group_poly(G, dz_i)
-    result = dz_i
-    for ell in range(G.k):
-        if z is None:
-            half_jz = G.half_jz[ell][i]
-        else:
-            half_jz = 0.5 * (z @ G.J_float[ell, i])
-        result = result + half_jz * dt[ell]
-    return result
 
 
 def apply_X(G, i, p):
@@ -440,20 +425,28 @@ def discrepancy_poly(G, p):
 
 def _baouendi_operator(spec):
     """B_a = sum_i d_{z_i}^2 + (|z|^(2 alpha) / 4) sum_l d_{t_l}^2 as an
-    operator (`BaouendiSpec.t_coefficient`)."""
-    n, m, terms = spec.N, spec.m, spec.t_coefficient.terms.items()
+    operator, for an integer alpha = w - 1 (`BaouendiSpec.tweight`)."""
+    n, m, k, w = spec.N, spec.m, spec.k, spec.tweight
+    terms = (Polynomial.z_norm_sq(m, k, w) ** (w - 1) * Fraction(1, 4)).terms.items()
     return ({((0,) * n, _unit(n, i, 2)): Fraction(1) for i in range(m)}
-            | {(a, _unit(n, m + ell, 2)): c for ell in range(spec.k) for a, c in terms})
+            | {(a, _unit(n, m + ell, 2)): c for ell in range(k) for a, c in terms})
 
 
 def baouendi_apply(spec, p):
     """B_alpha p = Delta_z p + (|z|^(2 alpha) / 4) Delta_t p, exact.
 
     Requires an integer alpha (`BaouendiSpec.tweight`) so that
-    |z|^(2 alpha) / 4 (`BaouendiSpec.t_coefficient`) is polynomial.
+    |z|^(2 alpha) / 4 is polynomial.
     """
     _check_calculus(spec, p)
     return _apply(spec.laplacian_operator, p)
+
+
+def carre_du_champ(context, p):
+    """|grad_H p|^2 = (L(p^2) - 2 p L p) / 2 with L = context.laplacian, the
+    carre du champ of a sum of squares: sum_i (X_i p)^2 for Delta_H =
+    sum_i X_i^2, |d_z p|^2 + (|z|^(2 alpha) / 4) |d_t p|^2 for B_a."""
+    return (context.laplacian(p * p) - p * context.laplacian(p) * 2) * Fraction(1, 2)
 
 
 # -- solid harmonic bases --------------------------------------------------

@@ -1,7 +1,7 @@
 """Self-contained verification battery behind `subfreq verify`.
 
-Each check returns (passed, detail); the battery is deterministic for a
-fixed seed and resolution.
+Each check returns (passed, detail); the battery has no random input, so
+it is deterministic for a fixed resolution.
 """
 
 import dataclasses

@@ -7,9 +7,12 @@ of `exactla`, psi at arbitrary points from the gauge formula (`psi`) and
 through the structure matrices J (`horiz_gauge_grad_sq`) where the package
 knows it only at the rule's nodes and by its closed-form moments, and
 dilations by substitution instead of the Euler operator, the
-sub-Laplacian, `B_a` and the discrepancy by Polynomial products
-(`sublaplacian_by_contraction`, `baouendi_by_products`,
-`discrepancy_by_products`) instead of the cached operators, radial
+sub-Laplacian, `B_a`, the fields `X_i` and the discrepancy by Polynomial
+products (`sublaplacian_by_contraction`, `baouendi_by_products`,
+`horizontal_field_by_products`, `discrepancy_by_products`) instead of the
+cached operators, |grad_H p|^2 from the fields or the partials
+(`grad_sq_by_fields`, `grad_sq_by_partials`) instead of the carre du champ
+of the operator, radial
 derivatives by finite differences (`log_grid_derivative`) instead of the
 dilation's exact d/dr, and handles of black-box functions whose jet
 takes central-difference partials (`callable_handle`) where the package
@@ -27,7 +30,7 @@ from subfreq.errors import OriginSingularity
 from subfreq.fixtures import poly_t, poly_x, poly_y
 from subfreq.frequency import FunctionHandle
 from subfreq.groups import _check_point, make_group
-from subfreq.polynomials import Polynomial, sublaplacian
+from subfreq.polynomials import Polynomial, apply_X, sublaplacian
 
 
 FD_STEP = 1e-5
@@ -208,6 +211,29 @@ def baouendi_by_products(alpha, p):
     return lap_z + zn ** alpha * lap_t * Fraction(1, 4)
 
 
+def horizontal_field_by_products(G, i, p):
+    """X_i p = d_{z_i} p + (1/2) sum_l <J_l z, e_i> d_{t_l} p, by Polynomial
+    products."""
+    jz = _jz(G)
+    return p.diff_z(i) + sum((jz[ell][i] * p.diff_t(ell) for ell in range(G.k)),
+                             Polynomial.zero(G.m, G.k)) * Fraction(1, 2)
+
+
+def grad_sq_by_fields(G, p):
+    """|grad_H p|^2 = sum_i (X_i p)^2 on the group G, from the fields
+    (`apply_X`) instead of the sub-Laplacian."""
+    return sum((apply_X(G, i, p) ** 2 for i in range(G.m)), Polynomial.zero(G.m, G.k))
+
+
+def grad_sq_by_partials(spec, p):
+    """|grad_H p|^2 = |d_z p|^2 + (|z|^(2 alpha) / 4) |d_t p|^2 for B_a of an
+    integer alpha, from the partials instead of the operator."""
+    zero = Polynomial.zero(p.m, p.k, p.tweight)
+    weight = Polynomial.z_norm_sq(p.m, p.k, p.tweight) ** int(spec.alpha) * Fraction(1, 4)
+    return (sum((p.diff_z(i) ** 2 for i in range(p.m)), zero)
+            + weight * sum((p.diff_t(j) ** 2 for j in range(p.k)), zero))
+
+
 def theta_by_products(G, ell, p):
     """Theta_l p = sum_i <J_l z, e_i> d_{z_i} p, by Polynomial products."""
     jz = _jz(G)
@@ -215,8 +241,7 @@ def theta_by_products(G, ell, p):
 
 
 def discrepancy_by_products(G, p):
-    """sum_l t_l Theta_l p, by Polynomial products summed in the order
-    (l, i) of the operator's terms."""
+    """sum_l t_l Theta_l p, by Polynomial products."""
     return sum((Polynomial.t_var(G.m, G.k, ell) * theta_by_products(G, ell, p)
                 for ell in range(G.k)), Polynomial.zero(G.m, G.k))
 

@@ -65,8 +65,8 @@ def test_polynomial_handle_center_needs_group_law(dims):
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1)])
 def test_horizontal_grad_sq_is_carre_du_champ(dims):
-    # B_a(p^2) = 2 p B_a p + 2 |grad_H p|^2, exactly, on non-harmonic p; the
-    # numeric form of the same formula agrees with the exact one
+    # (B_a(p^2) - 2 p B_a p) / 2 = |d_z p|^2 + |z|^(2a)/4 |d_t p|^2, exactly,
+    # on non-harmonic p; the numeric horizontal_grad_sq agrees with it
     spec = sf.BaouendiSpec(*dims)
     rng = np.random.default_rng(5)
     z, t = rng.uniform(-1.0, 1.0, (16, spec.m)), rng.uniform(-1.0, 1.0, (16, spec.k))
@@ -74,13 +74,11 @@ def test_horizontal_grad_sq_is_carre_du_champ(dims):
         p = oracles.random_polynomial(rng, spec.m, spec.k, tweight=spec.alpha + 1,
                                       max_degree=4, n_terms=4)
         assert not sf.baouendi_apply(spec, p).is_zero()
-        dz = [p.diff_z(i) for i in range(spec.m)]
-        dt = [p.diff_t(j) for j in range(spec.k)]
-        grad_sq = spec.horizontal_grad_sq(dz, dt)
-        assert (sf.baouendi_apply(spec, p * p)
-                == p * sf.baouendi_apply(spec, p) * 2 + grad_sq * 2)
-        numeric = spec.horizontal_grad_sq([d.evaluate(z, t) for d in dz],
-                                          [d.evaluate(z, t) for d in dt], z)
+        grad_sq = sf.carre_du_champ(spec, p)
+        assert grad_sq == oracles.grad_sq_by_partials(spec, p)
+        numeric = spec.horizontal_grad_sq([p.diff_z(i).evaluate(z, t) for i in range(spec.m)],
+                                          [p.diff_t(j).evaluate(z, t) for j in range(spec.k)],
+                                          z)
         np.testing.assert_allclose(numeric, grad_sq.evaluate(z, t), rtol=1e-12, atol=1e-12)
 
 

@@ -270,6 +270,11 @@ def test_problem_file_at_non_integer_alpha(tmp_path, capsys):
     assert entry(["baouendi", "weiss", "--problem", str(prob), "--kappa", "2.5",
                   "--rmin", "0.2", "--rmax", "0.5", "--steps", "3"]) == 0
     assert capsys.readouterr().err == ""
+    # the reference is read in the same layer weight and enters by its jet
+    assert entry(["baouendi", "monneau", "--problem", str(prob), "--ref", str(bpoly),
+                  "--kappa", "2.5", "--rmin", "0.2", "--rmax", "0.5", "--steps", "3"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.startswith("max_residual=")
 
 
 def test_discrepancy_command(h1_file, x_file, capsys):

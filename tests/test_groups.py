@@ -22,7 +22,7 @@ from subfreq.errors import (
     OriginSingularity,
 )
 from subfreq.groups import Point, _is_htype
-from subfreq.polynomials import harmonic_basis, sublaplacian
+from subfreq.polynomials import harmonic_basis
 
 
 QUATERNIONIC = oracles.QUATERNIONIC_J
@@ -338,17 +338,18 @@ def test_htype_identity_matrix_form():
                                              (sf.example_group_6d, 2)],
                          ids=["h1", "h2", "g6"])
 def test_horizontal_grad_sq_is_carre_du_champ(make, max_kappa):
-    # Delta_H(p^2) = 2 p Delta_H p + 2 |grad_H p|^2, exactly; the numeric
-    # form of the same formula agrees with the exact one at sample points
+    # (Delta_H(p^2) - 2 p Delta_H p) / 2 = sum_i (X_i p)^2, exactly, on
+    # harmonic and non-harmonic p; the numeric horizontal_grad_sq agrees
+    # with it at sample points
     G = make()
     rng = np.random.default_rng(3)
     z, t = rng.uniform(-1.0, 1.0, (16, G.m)), rng.uniform(-1.0, 1.0, (16, G.k))
     for kappa in range(1, max_kappa + 1):
-        for p in harmonic_basis(G, kappa):
-            dz = [p.diff_z(i) for i in range(G.m)]
-            dt = [p.diff_t(ell) for ell in range(G.k)]
-            grad_sq = G.horizontal_grad_sq(dz, dt)
-            assert sublaplacian(G, p * p) == p * sublaplacian(G, p) * 2 + grad_sq * 2
-            numeric = G.horizontal_grad_sq([d.evaluate(z, t) for d in dz],
-                                           [d.evaluate(z, t) for d in dt], z)
+        other = oracles.random_polynomial(rng, G.m, G.k, max_degree=kappa + 1, n_terms=4)
+        for p in harmonic_basis(G, kappa) + [other]:
+            grad_sq = sf.carre_du_champ(G, p)
+            assert grad_sq == oracles.grad_sq_by_fields(G, p)
+            numeric = G.horizontal_grad_sq([p.diff_z(i).evaluate(z, t) for i in range(G.m)],
+                                           [p.diff_t(ell).evaluate(z, t) for ell in range(G.k)],
+                                           z)
             np.testing.assert_allclose(numeric, grad_sq.evaluate(z, t), rtol=1e-12, atol=1e-12)

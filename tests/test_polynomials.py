@@ -177,13 +177,13 @@ def test_baouendi_images_match_the_product_formula(dims):
                          ids=["h1", "h2", "g6", "metivier"])
 def test_field_operators_match_the_polynomial_products(G):
     # X_i, Theta_l and Z as cached operators against the Polynomial
-    # arithmetic of `horizontal_field`, of <J_l z, e_i> d_{z_i} and of `euler`
+    # arithmetic of d_{z_i} + (1/2) <J_l z, e_i> d_{t_l}, of
+    # <J_l z, e_i> d_{z_i} and of `euler`
     rng = np.random.default_rng(23)
     for _ in range(10):
         p = oracles.random_polynomial(rng, G.m, G.k, max_degree=4)
-        dt = [p.diff_t(ell) for ell in range(G.k)]
         for i in range(G.m):
-            assert sf.apply_X(G, i, p) == sf.polynomials.horizontal_field(G, i, p.diff_z(i), dt)
+            assert sf.apply_X(G, i, p) == oracles.horizontal_field_by_products(G, i, p)
         for ell in range(G.k):
             assert sf.apply_theta(G, ell, p) == oracles.theta_by_products(G, ell, p)
         assert sf.euler_Z(G, p) == sf.euler(p)
@@ -193,14 +193,27 @@ def test_field_operators_match_the_polynomial_products(G):
                                sf.make_group(4, 3, QUATERNIONIC)],
                          ids=["h1", "h2", "g6", "quaternionic"])
 def test_discrepancy_keeps_the_term_order_of_the_products(G):
-    # the numerator's term order is the order of its float sums (`evaluate`,
-    # the sphere series of the discrepancy_norm column), so the operator
-    # lists its terms as the Polynomial products did
+    # the numerator equals the Polynomial products as a value; its term
+    # order is free, since the closed forms read a polynomial's value
     rng = np.random.default_rng(29)
     for _ in range(50):
         p = oracles.random_polynomial(rng, G.m, G.k, max_degree=4, n_terms=12)
-        want = oracles.discrepancy_by_products(G, p)
-        assert list(sf.discrepancy_poly(G, p).terms.items()) == list(want.terms.items())
+        assert sf.discrepancy_poly(G, p) == oracles.discrepancy_by_products(G, p)
+
+
+def test_scalars_read_as_their_decimals_and_other_operands_raise():
+    # int, Fraction and float operands are one coercion (0.1 is 1/10)
+    p = Polynomial.z_var(1, 1, 0)
+    tenth = Polynomial.constant(1, 1, Fraction(1, 10))
+    assert p - 0.1 == p + -0.1 == p - tenth
+    assert p + 0.1 == 0.1 + p == p + tenth
+    assert p * 0.5 == 0.5 * p == p * Fraction(1, 2)
+    assert p + 1 == 1 + p == p + Fraction(1)
+    assert p * 0 == p * 0.0 == Polynomial.zero(1, 1)
+    for other in ("1", [1], None, np.array([1.0])):
+        for op in (lambda q: q + other, lambda q: q - other, lambda q: q * other):
+            with pytest.raises(TypeError):
+                op(p)
 
 
 def test_known_harmonic_polynomials(h1):

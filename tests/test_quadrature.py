@@ -119,6 +119,23 @@ def test_integrals_on_a_radius_column_are_the_one_radius_integrals(rule_name, ki
         np.testing.assert_array_equal(column, one)
 
 
+def test_equal_polynomials_integrate_to_equal_floats(h1, rule_h1):
+    # the closed forms read a polynomial's value, not its term order: a
+    # curve's integrands rebuilt with their terms reversed give the same
+    # floats on every radius
+    radii = sf.geometric_radii(0.25, 2.0, 32)
+    inputs = [p for kappa in (2, 3, 4) for p in sf.harmonic_basis(h1, kappa)]
+    for p in inputs + [fixtures.mixed_cylindrical(h1)]:
+        u = sf.FunctionHandle.from_polynomial(h1, p)
+        for f in (u.grad_sq, u.value_sq, u.value_zu):
+            g = Polynomial(f.m, f.k, f.tweight, {(key[:f.m], key[f.m:]): c
+                                                 for key, c in reversed(f.terms.items())})
+            assert g == f
+            for integral in (sf.volume_integral, sf.surface_integral):
+                np.testing.assert_array_equal(integral(g, radii, rule_h1),
+                                              integral(f, radii, rule_h1))
+
+
 def test_weighted_ball_integral_pins_mean_value(rule_h1):
     # int_{B_r} psi = Q/(Q-2) r^Q under the calibrated measure
     alpha = rule_h1.alpha

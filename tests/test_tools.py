@@ -48,7 +48,13 @@ def test_job_digests_compare(tmp_path):
     assert f"{dropped}: only in A" in report
     line = next(text for text in report if text.startswith(f"{curve}:"))
     assert "differs in stdout" in line
-    assert abs(float(line.rsplit(" ", 1)[1]) - 1e-3 / (1 + 1e-3)) < 1e-6
+    # a CSV names the column of the largest change and its absolute change
+    relative, where = line.split("largest relative number change ")[1].split(" (")
+    assert abs(float(relative) - 1e-3 / (1 + 1e-3)) < 1e-6
+    column, absolute = where.rstrip(")").split(", absolute ")
+    assert column == "H"
+    assert float(absolute) == pytest.approx(float(cells[2]) - float(cells[2]) / (1 + 1e-3),
+                                            rel=1e-2)
     assert report[-1] == f"2 of {len(keys)} jobs differ"
 
 

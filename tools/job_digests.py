@@ -15,7 +15,8 @@ provides `subfreq`, so each checkout runs in its own interpreter.  As in
 the benchmark, BLAS and OpenMP run on one thread.  `--compare` prints every
 job whose record differs, with the largest relative change of a number in
 its text outputs (|a - b| / max(|a|, |b|); inf when the texts differ in
-anything but their numbers), and exits 1 when any job differs.
+anything but their numbers), followed for a CSV by the column of that
+number and its absolute change, and exits 1 when any job differs.
 """
 
 import os
@@ -104,15 +105,36 @@ def _number_change(a, b):
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _columns(text):
+    """The column name of each number of a CSV text (a header of names, then
+    rows of one number per cell), in order; None for any other text."""
+    lines = text.strip().split("\n")
+    names = lines[0].split(",")
+    if len(lines) < 2 or len(names) < 2 or NUMBER.search(lines[0]):
+        return None
+    cells = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(names) or not all(NUMBER.fullmatch(c) for c in row) for row in cells):
+        return None
+    return names * len(cells)
+
+
 def text_change(text_a, text_b):
-    """Largest relative change between the numbers of two texts (a CSV, a
-    `max_residual=...` line, a JSON report), or inf when the texts differ in
-    anything but their numbers."""
+    """(relative, absolute, column) of the largest relative change between the
+    numbers of two texts (a CSV, a `max_residual=...` line, a JSON report):
+    column is the CSV column of that number, None for other texts or when no
+    number changed; (inf, inf, None) when the texts differ in anything but
+    their numbers."""
     parts_a, parts_b = NUMBER.split(text_a), NUMBER.split(text_b)
     if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
-        return math.inf
-    return max((_number_change(a, b) for a, b in zip(parts_a[1::2], parts_b[1::2])),
-               default=0.0)
+        return math.inf, math.inf, None
+    changes = [(_number_change(a, b), i) for i, (a, b) in
+               enumerate(zip(parts_a[1::2], parts_b[1::2]))]
+    relative, i = max(changes, default=(0.0, None))
+    if not relative:
+        return 0.0, 0.0, None
+    absolute = abs(float(parts_a[2 * i + 1]) - float(parts_b[2 * i + 1]))
+    columns = _columns(text_a)
+    return relative, absolute, columns[i] if columns else None
 
 
 def compare(records_a, records_b):
@@ -129,11 +151,13 @@ def compare(records_a, records_b):
             parts.append(f"out {out_a.get('path') or out_b.get('path')}")
         if not parts:
             continue
-        change = text_change(a["stdout"], b["stdout"])
+        changes = [text_change(a["stdout"], b["stdout"])]
         if "text" in out_a and "text" in out_b:
-            change = max(change, text_change(out_a["text"], out_b["text"]))
+            changes.append(text_change(out_a["text"], out_b["text"]))
+        relative, absolute, column = max(changes, key=lambda change: change[0])
+        where = f" ({column}, absolute {absolute:.3g})" if column else ""
         lines.append(f"{key}: differs in {', '.join(parts)}; "
-                     f"largest relative number change {change:.3g}")
+                     f"largest relative number change {relative:.3g}{where}")
     return lines
 
 
