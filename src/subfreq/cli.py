@@ -197,9 +197,9 @@ def cmd_baouendi_weiss(args):
 def cmd_baouendi_monneau(args):
     spec, u = _baouendi_input(args)
     # layer weight alpha + 1, as for a problem boundary; an FD u takes its jet at any alpha
-    ref = Polynomial.from_json(_read(args.ref), spec.m, spec.k, spec.alpha + 1)
-    ref = (FunctionHandle.from_polynomial(spec, ref, label=args.ref) if u.poly is not None
-           else FunctionHandle(spec, polynomial_jet(ref), label=args.ref))
+    p = Polynomial.from_json(_read(args.ref), spec.m, spec.k, spec.alpha + 1)
+    ref = (FunctionHandle.from_polynomial(spec, p, label=args.ref) if u.poly is not None
+           else FunctionHandle(spec, polynomial_jet(p), label=args.ref))
     rule = build_sphere_rule(spec, args.resolution)
     res = check_monneau_derivative(u, ref, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))
