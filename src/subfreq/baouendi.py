@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .constants import Geometry
 from .errors import (
@@ -181,6 +179,13 @@ def _multilinear(axes, flat, x):
     return out
 
 
+def cg(*args, **kwargs):
+    """scipy's conjugate gradients, imported on the first call so that the
+    package imports no scipy; `fd_solve` calls it by this module name."""
+    from scipy.sparse.linalg import cg as scipy_cg
+    return scipy_cg(*args, **kwargs)
+
+
 def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     """Solve B_a u = 0 with Dirichlet data, by preconditioned conjugate gradients.
 
@@ -201,6 +206,7 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     preconditions CG: it stops after one or two iterations.  Supports
     N = m + k in {2, 3} with at most 257 nodes per axis."""
     from scipy.fft import dst
+    from scipy.sparse.linalg import LinearOperator
 
     m, k = spec.m, spec.k
     ndim = m + k
@@ -310,6 +316,7 @@ def _separable_mode_solver(steps, terms, lam):
     tridiagonal z_1 system -d^2/h_1^2 - lam_j diag(c_1) + e_jq; all of them
     form one block-diagonal SPD matrix (zero couplings at the block ends),
     solved by one banded Cholesky call with kd = 1."""
+    from scipy.linalg import eigh_tridiagonal, solveh_banded
     h1, n1 = steps[0], len(terms[0])
     diag = (2.0 / h1 ** 2 - lam[:, None] * terms[0])[:, None, :]  # (n_t, 1, n_1)
     vecs = None
@@ -344,6 +351,7 @@ def _banded_mode_solver(steps, c, lam):
     (m = 2, alpha != 1), c given on the interior z nodes: per t-mode j one
     banded Cholesky solve of -lap_zz - lam_j diag(c), whose half-bandwidth bw
     is the stride of z axis 0, in upper band storage."""
+    from scipy.linalg import solveh_banded
     nz, bw = c.size, c.size // c.shape[0]
     bands = np.zeros((bw + 1, nz))
     bands[bw] = sum(2.0 / h ** 2 for h in steps)

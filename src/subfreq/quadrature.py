@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .constants import Geometry, polar_moment
 from .errors import (
@@ -113,6 +112,47 @@ class SphereRule(Geometry):
 
 
 @lru_cache(maxsize=64)
+def _gauss_jacobi(n, a, b):
+    """Read-only Gauss-Jacobi nodes (ascending) and weights of n points for
+    the weight (1 - x)^a (1 + x)^b on [-1, 1].
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    Jacobi matrix, polished by one Newton step on P_n.  The weights are
+    1 / ((1 - x^2) P_n'(x)^2) at the polished nodes (Gautschi, Orthogonal
+    Polynomials, 2004), scaled to the mass mu0 = 2^(a+b+1) B(a+1, b+1);
+    at a = b = -1/2 they are Chebyshev's pi / n.  A rule with a = b is
+    symmetrised, so x = -x[::-1] and w = w[::-1] bit for bit."""
+    def slope(x):  # P_n(x) and (1 - x^2) P_n'(x), from P_n and P_(n-1) by recurrence
+        prev, p = np.ones_like(x), 0.5 * (a - b + (a + b + 2.0) * x)
+        for j in range(2, n + 1):
+            c = 2 * j + a + b
+            prev, p = p, ((c - 1) * (c * (c - 2) * x + a * a - b * b) * p
+                          - 2 * (j + a - 1) * (j + b - 1) * c * prev) / (2 * j * (j + a + b) * (c - 2))
+        c = 2 * n + a + b
+        return p, (n * (a - b - c * x) * p + 2 * (n + a) * (n + b) * prev) / c
+
+    s = 2.0 * np.arange(n) + a + b
+    diag = np.full(n, (b - a) / (a + b + 2.0))
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    # squared off-diagonal; the first with (1 + a + b) cancelled, 0/0 at a + b = -1
+    off = np.empty(n - 1)
+    off[:1] = 4.0 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    i, c = np.arange(2, n), s[2:]
+    off[1:] = 4.0 * i * (i + a) * (i + b) * (i + a + b) / (c ** 2 * (c + 1.0) * (c - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off), -1))
+    p, d = slope(x)
+    x = x - p * (1.0 - x) * (1.0 + x) / d
+    w = (1.0 - x) * (1.0 + x) / slope(x)[1] ** 2
+    if a == b:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    mu0 = 2.0 ** (a + b + 1) * math.exp(math.lgamma(a + 1) + math.lgamma(b + 1)
+                                        - math.lgamma(a + b + 2))
+    w = np.full(n, math.pi / n) if a == b == -0.5 else w * (mu0 / math.fsum(w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=64)
 def unit_sphere_rule(d, resolution):
     """Nodes/weights on the Euclidean sphere S^(d-1), weights sum to its area.
 
@@ -126,7 +166,7 @@ def unit_sphere_rule(d, resolution):
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     sub, w_sub = unit_sphere_rule(d - 1, resolution)
-    x, wx = roots_jacobi(resolution // 2 + 1, (d - 3) / 2.0, (d - 3) / 2.0)
+    x, wx = _gauss_jacobi(resolution // 2 + 1, (d - 3) / 2.0, (d - 3) / 2.0)
     pts = np.column_stack([np.kron(np.sqrt(1.0 - x ** 2)[:, None], sub),
                            np.repeat(x, len(sub))])
     return pts, np.kron(wx, w_sub)
@@ -154,7 +194,7 @@ def build_sphere_rule(context, resolution):
     a1 = alpha + 1.0
 
     # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)
-    xj, wj = roots_jacobi(resolution, (k - 2) / 2.0, m / 2.0 - 1.0)
+    xj, wj = _gauss_jacobi(resolution, (k - 2) / 2.0, m / 2.0 - 1.0)
     u = 0.5 * (xj + 1.0)
     wu = wj * 2.0 ** (-((k - 2) / 2.0 + (m / 2.0 - 1.0) + 1.0))
     s = np.sqrt(u)
@@ -186,7 +226,7 @@ def build_sphere_rule(context, resolution):
 @lru_cache(maxsize=64)
 def _radial_rule(q_hom):
     """Nodes/weights for int_0^1 g(v) v^(Q-1) dv (Jacobi weight, exact in Q)."""
-    x, w = roots_jacobi(RADIAL_STEPS, 0.0, q_hom - 1.0)
+    x, w = _gauss_jacobi(RADIAL_STEPS, 0.0, q_hom - 1.0)
     return 0.5 * (x + 1.0), w * 2.0 ** (-q_hom)
 
 

@@ -364,17 +364,18 @@ def test_fd_solve_matches_sparse_direct_solve(dims, box, grid):
 
 
 def _band_rows_of_solves(monkeypatch, spec, grid):
-    """The number of band rows of every `solveh_banded` call of one fd_solve."""
-    from subfreq import baouendi
+    """The number of band rows of every `solveh_banded` call of one fd_solve
+    (the mode solvers import it from scipy.linalg when they are built)."""
+    import scipy.linalg
 
     rows = []
-    solve = baouendi.solveh_banded
+    solve = scipy.linalg.solveh_banded
 
     def recording(ab, b, **kwargs):
         rows.append(len(ab))
         return solve(ab, b, **kwargs)
 
-    monkeypatch.setattr(baouendi, "solveh_banded", recording)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", recording)
     sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
     return rows
 
@@ -397,6 +398,31 @@ def test_diagonalised_z2_path_is_refined_to_round_off():
                       _generic_boundary)
     assert sol.iterations == 1
     assert sol.residual <= 1.5e-15
+
+
+@pytest.mark.parametrize("dims, grid", [((1, 1, 2), [33, 17]), ((2, 1, 2), [13, 11, 17])])
+def test_fd_solve_calls_cg_by_its_module_name(monkeypatch, dims, grid):
+    # the benchmark's tracer counts CG iterations by rebinding `baouendi.cg`
+    # and counting the callback, so fd_solve must look the name up per call
+    from subfreq import baouendi
+
+    calls, callbacks = [], []
+    original = baouendi.cg
+
+    def counting(*args, callback, **kwargs):
+        calls.append(1)
+
+        def count(xk):
+            callbacks.append(1)
+            callback(xk)
+
+        return original(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(baouendi, "cg", counting)
+    sol = sf.fd_solve(sf.BaouendiSpec(*dims), [(-1.0, 1.0)] * len(grid), grid,
+                      _generic_boundary)
+    assert len(calls) == 1
+    assert len(callbacks) == sol.iterations >= 1
 
 
 def test_fd_no_convergence_carries_iterations_and_residual(ba112):

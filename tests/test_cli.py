@@ -145,13 +145,16 @@ def test_frequency_with_center(h1_file, x_file, capsys):
 
 def test_frequency_on_h1_loads_no_sympy(h1_file, x_file):
     # the H-type test is exact and cheap, and an H-type group is Metivier by
-    # theorem, so `frequency`, `group` and `discrepancy` never need sympy
+    # theorem, so `frequency`, `group` and `discrepancy` never need sympy;
+    # the rules are numpy's and only fd_solve imports scipy, so neither
+    # needs scipy
     code = ("import sys; from subfreq.cli import entry; "
             f"rc = entry(['frequency', '--group', {h1_file!r}, '--poly', {x_file!r}, "
             "'--steps', '2', '--resolution', '8']); "
             f"rc += entry(['group', '--group', {h1_file!r}]); "
             f"rc += entry(['discrepancy', '--group', {h1_file!r}, '--poly', {x_file!r}]); "
-            "assert rc == 0; assert 'sympy' not in sys.modules")
+            "assert rc == 0; assert 'sympy' not in sys.modules; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    stdout=subprocess.DEVNULL)

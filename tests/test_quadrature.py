@@ -4,13 +4,14 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
 import subfreq as sf
 from oracles import InsufficientSamples
-from subfreq import constants, fixtures
+from subfreq import constants, fixtures, quadrature
 from subfreq.errors import (
     DimensionMismatch,
     NotHType,
@@ -72,8 +73,6 @@ def test_calibrated_ball_volume_h1(h1, rule_h1):
 
 @pytest.mark.parametrize("shells_per_call", [None, 3], ids=["one-call", "chunks-of-3"])
 def test_volume_integral_calls_a_callable_once_per_chunk(h1, monkeypatch, shells_per_call):
-    from subfreq import quadrature
-
     rule = sf.build_sphere_rule(h1, 8)
     steps = quadrature.RADIAL_STEPS
     if shells_per_call is not None:
@@ -289,6 +288,45 @@ def test_sphere_rules_antipodally_symmetric():
         assert w.sum() == pytest.approx(constants.sphere_area(d), rel=1e-12)
         # first moment cancels exactly by symmetry of the node set
         assert np.max(np.abs(pts.T @ w)) < 1e-12
+
+
+# (a, b) of every family of Gauss-Jacobi rules the package builds: the sphere
+# factors ((d-3)/2, (d-3)/2) for d = 2, 3, 4, 6; the radial-angular factor
+# ((k-2)/2, m/2-1) for (m, k) = (1, 1), (2, 1), (2, 2), (1, 2), (1, 3), (4, 1);
+# the radii (0, Q-1) for Q = 3, 3.5, 4, 8
+GAUSS_JACOBI_PAIRS = [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (1.5, 1.5),
+                      (-0.5, 0.0), (0.0, -0.5), (0.5, -0.5), (-0.5, 1.0),
+                      (0.0, 2.0), (0.0, 2.5), (0.0, 3.0), (0.0, 7.0)]
+
+
+@pytest.mark.parametrize("n, a, b", [(n, a, b) for n in (1, 2, 17, 32, 64)
+                                     for a, b in GAUSS_JACOBI_PAIRS]
+                         + [(257, 0.5, -0.5), (257, 0.0, 7.0)])
+def test_gauss_jacobi_rule_matches_a_40_digit_reference(n, a, b):
+    x, w = quadrature._gauss_jacobi(n, a, b)
+    x_sp, w_sp = oracles.gauss_jacobi_scipy(n, a, b)
+    x_mp, w_mp = oracles.gauss_jacobi_mp(n, a, b, x_sp)
+
+    def errors(x, w):
+        """Largest absolute node error and relative weight error."""
+        return (max(abs(mpmath.mpf(xi) - ref) for xi, ref in zip(x, x_mp)),
+                max(abs(mpmath.mpf(wi) / ref - 1) for wi, ref in zip(w, w_mp)))
+
+    node_err, weight_err = errors(x, w)
+    assert node_err <= 4.4e-16
+    if n <= 64:
+        assert weight_err <= 1e-13
+    # never further off than scipy's rule, up to a floor of 16 ulp: at n <= 2
+    # both weights are the rounded mass 2^(a+b+1) B(a+1, b+1)
+    assert weight_err <= max(errors(x_sp, w_sp)[1], 16 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.5])
+def test_symmetric_gauss_jacobi_rule_is_symmetric_bit_for_bit(n, a):
+    x, w = quadrature._gauss_jacobi(n, a, a)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_gauge_constant_h1_oracle():
