@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,7 +222,9 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="subfreq",
         description="Frequency functions on step-2 Carnot groups and for "

@@ -78,9 +78,12 @@ class FunctionHandle:
         if self.poly is not None:
             return f(self.poly, self.zu)
 
+        # not self: a handle holding a closure over itself waits for the cyclic GC
+        jet, euler_field = self.jet, self.context.geometry.euler_field
+
         def at(z, t):
-            u, dz, dt = self.jet(z, t)
-            return f(u, self.context.geometry.euler_field(z, t, dz, dt))
+            u, dz, dt = jet(z, t)
+            return f(u, euler_field(z, t, dz, dt))
 
         return at
 
@@ -89,7 +92,8 @@ class FunctionHandle:
         """u^2: a Polynomial when u is one, else a function."""
         if self.poly is not None:
             return self.poly * self.poly
-        return lambda z, t: self.value(z, t) ** 2
+        value = self.value
+        return lambda z, t: value(z, t) ** 2
 
     @cached_property
     def value_zu(self):

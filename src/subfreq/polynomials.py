@@ -452,24 +452,26 @@ def carre_du_champ(context, p):
 # -- solid harmonic bases --------------------------------------------------
 
 
+def _compositions(total, parts):
+    """Every tuple of `parts` non-negative integers summing to `total`, first
+    entry descending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _monomials_of_degree(m, k, tweight, kappa):
     """All multi-indices (a, b) with |a| + tweight*|b| = kappa, lex sorted."""
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     result = []
     for tdeg in range(kappa // tweight + 1):
         zdeg = kappa - tweight * tdeg
         if zdeg < 0:
             continue
-        for a in compositions(zdeg, m):
-            for b in compositions(tdeg, k):
+        for a in _compositions(zdeg, m):
+            for b in _compositions(tdeg, k):
                 result.append((a, b))
     return sorted(result)
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -674,3 +676,21 @@ def test_problem_from_json_rejects_non_numbers(tmp_path, field, value, message):
     data[field] = value
     with pytest.raises(ParseError, match=message):
         sf.problem_from_json(data)
+
+
+def test_fd_handle_is_freed_by_reference_counting(ba112):
+    # the handle's closures hold its jet, not the handle: no cycle keeps the
+    # solution's channel array alive until the cyclic GC runs
+    sol = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate)
+    u = sol.as_handle()
+    z, t = np.array([[0.25], [-0.5]]), np.array([[0.5], [0.125]])
+    assert all(np.all(np.isfinite(f(z, t))) for f in (u.zu, u.value_zu, u.value_sq))
+    handle, solution = weakref.ref(u), weakref.ref(sol)
+    gc.disable()
+    try:
+        del u
+        assert handle() is None
+        del sol
+        assert solution() is None
+    finally:
+        gc.enable()

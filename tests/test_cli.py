@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 import oracles
 import subfreq as sf
+from subfreq import cli
 from subfreq.cli import entry
 from subfreq.polynomials import Polynomial
 from subfreq.quadrature import MAX_RULE_NODES
@@ -471,3 +474,76 @@ def test_verify_json(capsys):
     assert entry(["verify", "--resolution", "12", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert all(item["passed"] for item in data)
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(h1_file, x_file, tmp_path,
+                                                         monkeypatch, capsys):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    # --json, then none: JSON, then text
+    assert entry(["group", "--group", h1_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 2
+    assert entry(["group", "--group", h1_file]) == 0
+    assert capsys.readouterr().out.startswith("m=2")
+    # --out, then none: the file, then stdout
+    out = tmp_path / "group.txt"
+    assert entry(["group", "--group", h1_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text().startswith("m=2")
+    assert entry(["group", "--group", h1_file]) == 0
+    assert capsys.readouterr().out.startswith("m=2")
+    # an argparse error, then a valid call
+    with pytest.raises(SystemExit) as exc:
+        entry(["group"])
+    assert exc.value.code == 2
+    assert entry(["group", "--group", h1_file]) == 0
+    # --resolution 8, then the default 32
+    resolutions = []
+    build = cli.build_sphere_rule
+    monkeypatch.setattr(cli, "build_sphere_rule",
+                        lambda context, res: resolutions.append(res) or build(context, res))
+    argv = ["frequency", "--group", h1_file, "--poly", x_file, "--steps", "2"]
+    assert entry(argv + ["--resolution", "8"]) == 0
+    assert entry(argv) == 0
+    assert resolutions == [8, 32]
+    # two identical calls, identical output
+    capsys.readouterr()
+    outputs = []
+    for _ in range(2):
+        assert entry(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+    assert builds.count("subfreq") == 1
+
+
+def test_jobs_leave_no_cyclic_garbage(h1_file, x_file, t_problem_17, capsys):
+    # a job's arrays (an FD solution's channels among them) are freed when it
+    # returns, by reference counting, not at the cyclic GC's next collection
+    radii = ["--steps", "2", "--resolution", "8", "--rmax", "0.9"]
+    jobs = [["group", "--group", h1_file],
+            # --json: the indented text goes through the standard library's
+            # pure-Python JSON encoder, whose nested closures form a cycle
+            ["harmonics", "--group", h1_file, "--degree", "3", "--json"],
+            ["frequency", "--group", h1_file, "--poly", x_file, "--steps", "2",
+             "--resolution", "8"],
+            ["discrepancy", "--group", h1_file, "--poly", x_file],
+            ["baouendi", "solve", "--problem", t_problem_17],
+            ["baouendi", "frequency", "--problem", t_problem_17, *radii],
+            ["baouendi", "weiss", "--problem", t_problem_17, "--kappa", "3", *radii]]
+    for argv in jobs:  # the first calls import modules and fill the rule caches
+        assert entry(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in jobs:
+            assert entry(argv) == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    assert capsys.readouterr().err == ""
