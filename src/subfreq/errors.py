@@ -72,6 +72,14 @@ class BadGrid(SubfreqError, ValueError):
     """Grid shape or box unsuitable for the finite-difference solver."""
 
 
+class IntegerOverflow(SubfreqError, OverflowError):
+    """An exact integer matrix does not fit the int64 arithmetic of the kernel."""
+
+
+class PrimesExhausted(SubfreqError, ArithmeticError):
+    """The modular kernel ran out of primes before its result was certified."""
+
+
 class ParseError(SubfreqError, ValueError):
     """Input file failed to parse or validate."""
 

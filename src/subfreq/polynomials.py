@@ -11,7 +11,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import comb, fsum, perm, prod
+from math import comb, fsum, lcm, perm, prod
 from operator import add, sub
 
 import numpy as np
@@ -21,6 +21,7 @@ from .constants import polar_moment
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    IntegerOverflow,
     ParseError,
     json_int,
 )
@@ -497,10 +498,36 @@ def solid_harmonic_quadratic(context):
     return p
 
 
+def _operator_matrix(op, source):
+    """The int64 matrix of scale * op on the monomials x^e, e the rows of
+    `source`, and its rows' exponents (sorted) and scale, the lcm of op's
+    denominators: c x^a d^b adds c scale e!/(e-b)! at the row of x^(e-b+a).
+    Raises IntegerOverflow when an entry could leave int64."""
+    scale = lcm(*(c.denominator for c in op.values()))
+    top = source.max(axis=0, initial=0).tolist()
+    if sum(abs(c * scale) * prod(map(perm, top, b)) for (_, b), c in op.items()) >= 2 ** 62:
+        raise IntegerOverflow("the operator matrix has entries beyond int64")
+    keys, cols, values = [], [], []
+    for (a, b), c in op.items():
+        value = np.full(len(source), int(c * scale), dtype=np.int64)
+        for j, power in enumerate(b):
+            for i in range(power):
+                value *= source[:, j] - i
+        hit = np.flatnonzero(value)
+        keys.append(source[hit] + (np.array(a) - b))
+        cols.append(hit)
+        values.append(value[hit])
+    targets, rows = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    matrix = np.zeros((len(targets), len(source)), dtype=np.int64)
+    np.add.at(matrix, (rows.ravel(), np.concatenate(cols)), np.concatenate(values))
+    return matrix, targets, scale
+
+
 def harmonic_basis(context, kappa):
     """Exact basis of delta-homogeneous degree-kappa polynomials p with
-    context.laplacian p = 0 (Delta_H, or B_a of integer alpha), via rational
-    kernel computation.
+    context.laplacian p = 0 (Delta_H, or B_a of integer alpha): the
+    certified modular kernel (`exactla.kernel_basis`) of the integer matrix
+    of context.laplacian_operator on the monomials of degree kappa.
 
     Basis vectors have integer-cleared coefficients and a deterministic
     order (one vector per free column of the reduced operator matrix).
@@ -509,11 +536,6 @@ def harmonic_basis(context, kappa):
         raise DimensionMismatch("kappa must be >= 0")
     m, k, w = context.m, context.k, context.tweight
     source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
-    op = context.laplacian_operator
-    rows = {}  # one sparse row {column: coefficient} per monomial of the image
-    for col, key in enumerate(source):
-        image = _apply(op, Polynomial._make(m, k, w, {key: Fraction(1)}))
-        for image_key, c in image.terms.items():
-            rows.setdefault(image_key, {})[col] = c
-    kernel = exactla.kernel_basis(list(rows.values()), len(source))
+    matrix, _, _ = _operator_matrix(context.laplacian_operator, np.array(source, dtype=np.int64))
+    kernel = exactla.kernel_basis(matrix, len(source))
     return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]

@@ -2,10 +2,12 @@
 
 Each oracle computes a quantity that `subfreq` also computes, by a route
 that shares as little as possible with it: Monte-Carlo estimates instead
-of the polar rule and the closed-form moments, sympy's dense rank instead
-of `exactla`, psi at arbitrary points from the gauge formula (`psi`) and
-through the structure matrices J (`horiz_gauge_grad_sq`) where the package
-knows it only at the rule's nodes and by its closed-form moments, and
+of the polar rule and the closed-form moments, sympy's dense rank and
+sympy's null space (`kernel_basis_sympy`, and `harmonic_basis_sympy` from
+one `_apply` per monomial) instead of `exactla`'s modular kernel, psi at
+arbitrary points from the gauge formula (`psi`) and through the structure
+matrices J (`horiz_gauge_grad_sq`) where the package knows it only at the
+rule's nodes and by its closed-form moments, and
 dilations by substitution instead of the Euler operator, the
 sub-Laplacian, `B_a`, the fields `X_i` and the discrepancy by Polynomial
 products (`sublaplacian_by_contraction`, `baouendi_by_products`,
@@ -23,17 +25,26 @@ scipy (`gauss_jacobi_scipy`) instead of the package's numpy rule.
 
 import math
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import numpy as np
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from subfreq.constants import Geometry, sphere_area
 from subfreq.errors import OriginSingularity
 from subfreq.fixtures import poly_t, poly_x, poly_y
 from subfreq.frequency import FunctionHandle
 from subfreq.groups import _check_point, make_group
-from subfreq.polynomials import Polynomial, apply_X, sublaplacian
+from subfreq.polynomials import (
+    Polynomial,
+    _apply,
+    _monomials_of_degree,
+    apply_X,
+    sublaplacian,
+)
 
 
 FD_STEP = 1e-5
@@ -115,6 +126,38 @@ def gauge_constant_mc(m, k, alpha=1.0, samples=200_000, seed=0):
 def rank(rows):
     """Exact rank of a list of rational rows, by sympy's dense Matrix."""
     return sympy.Matrix(rows).rank() if rows else 0
+
+
+def kernel_basis_sympy(rows, ncols):
+    """`exactla.kernel_basis` by sympy: the null space over ZZ of the sparse
+    rational rows {column: entry}, each cleared of denominators, as sparse
+    primitive integer vectors {column: Fraction}, one per free column in
+    increasing order, each with its first nonzero entry positive."""
+    elements = {i: {j: QQ(x.numerator, x.denominator) for j, x in row.items() if x}
+                for i, row in enumerate(rows)}
+    matrix = DomainMatrix({i: row for i, row in elements.items() if row},
+                          (max(len(rows), 1), ncols), QQ)
+    _, numerators = matrix.clear_denoms_rowwise(convert=True)
+    basis = []
+    for _, vec in sorted(numerators.nullspace().to_sdm().items()):
+        entries = sorted((j, int(x)) for j, x in vec.items())
+        g = gcd(*(x for _, x in entries)) * (1 if entries[0][1] > 0 else -1)
+        basis.append({j: Fraction(x // g) for j, x in entries})
+    return basis
+
+
+def harmonic_basis_sympy(context, kappa):
+    """`harmonic_basis` with the operator applied to one monomial at a time
+    (`_apply`) and sympy's kernel (`kernel_basis_sympy`)."""
+    m, k, w = context.m, context.k, context.tweight
+    source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
+    rows = {}
+    for col, key in enumerate(source):
+        image = _apply(context.laplacian_operator, Polynomial._make(m, k, w, {key: Fraction(1)}))
+        for image_key, c in image.terms.items():
+            rows.setdefault(image_key, {})[col] = c
+    kernel = kernel_basis_sympy(list(rows.values()), len(source))
+    return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]
 
 
 def in_span(p, basis):

@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -161,6 +162,29 @@ def test_frequency_on_h1_loads_no_sympy(h1_file, x_file):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env,
                    stdout=subprocess.DEVNULL)
+
+
+def test_harmonics_and_exact_group_checks_load_no_sympy(h1_file, tmp_path):
+    # the kernel of `harmonics` is modular elimination in numpy, and the
+    # determinant (the Metivier example, k = 1) and the k = 2 pencil (J_2
+    # doubled, so not H-type) are Fractions; the 6-d group is H-type
+    j1, j2 = sf.example_group_6d().J
+    groups = {"g6": sf.example_group_6d(), "metivier": sf.example_group_metivier(),
+              "pencil": sf.make_group(4, 2, [j1, [[2 * x for x in row] for row in j2]])}
+    paths = [str(tmp_path / f"{name}.json") for name in groups]
+    for path, group in zip(paths, groups.values()):
+        pathlib.Path(path).write_text(json.dumps(sf.group_to_json(group)))
+    code = ("import sys; from subfreq.cli import entry; "
+            f"rc = entry(['harmonics', '--group', {h1_file!r}, '--degree', '4', '--json']); "
+            + "".join(f"rc += entry(['group', '--group', {path!r}]); " for path in paths)
+            + "assert rc == 0; assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(json.loads(out[0])) == 5
+    assert out[1:] == ["m=4 k=2 N=6 Q=8 htype=true metivier=true",
+                       "m=4 k=1 N=5 Q=6 htype=false metivier=true",
+                       "m=4 k=2 N=6 Q=8 htype=false metivier=true"]
 
 
 @pytest.fixture()

@@ -319,6 +319,54 @@ def test_harmonic_basis_pinned(group, kappa, digest):
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
+CONTEXTS = {"h1": lambda: sf.heisenberg(1), "h2": lambda: sf.heisenberg(2),
+            "g6": sf.example_group_6d, "metivier": sf.example_group_metivier,
+            "ba211": lambda: sf.BaouendiSpec(2, 1, 1), "ba212": lambda: sf.BaouendiSpec(2, 1, 2),
+            "ba121": lambda: sf.BaouendiSpec(1, 2, 1)}
+
+
+@pytest.mark.parametrize("name, kappa", [
+    ("h1", 4), ("h1", 8), ("h1", 12), ("h2", 6), ("h2", 7), ("h2", 8), ("g6", 4), ("g6", 6),
+    ("metivier", 6), ("ba211", 8), ("ba212", 9), ("ba121", 8)],
+    ids=lambda x: str(x))
+def test_harmonic_basis_is_sympys_bit_for_bit(name, kappa):
+    # the modular kernel against sympy's null space of the same operator,
+    # applied one monomial at a time: same vectors, order, scale and sign
+    context = CONTEXTS[name]()
+    basis = sf.harmonic_basis(context, kappa)
+    expected = oracles.harmonic_basis_sympy(context, kappa)
+    assert [p.to_json() for p in basis] == [p.to_json() for p in expected]
+    assert all(c.denominator == 1 for p in basis for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name, kappa", [("h1", 6), ("h2", 5), ("g6", 4), ("ba212", 9)])
+def test_operator_matrix_columns_are_the_scaled_images(name, kappa):
+    from subfreq.polynomials import _apply, _monomials_of_degree, _operator_matrix
+
+    context = CONTEXTS[name]()
+    m, k, w = context.m, context.k, context.tweight
+    op = context.laplacian_operator
+    source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
+    matrix, targets, scale = _operator_matrix(op, np.array(source))
+    assert scale == np.lcm.reduce([c.denominator for c in op.values()]) and matrix.dtype == np.int64
+    assert len({tuple(t) for t in targets.tolist()}) == len(targets) == len(matrix)
+    for col, key in enumerate(source):
+        image = _apply(op, Polynomial._make(m, k, w, {key: Fraction(1)}))
+        column = {tuple(t): int(x) for t, x in zip(targets.tolist(), matrix[:, col]) if x}
+        assert column == {key: c * scale for key, c in image.terms.items()}
+
+
+def test_operator_matrix_refuses_entries_beyond_int64():
+    from subfreq.errors import IntegerOverflow
+    from subfreq.polynomials import _operator_matrix
+
+    # d^2 / 3 times 2^60: x^2 -> 2^61, x^3 -> 3 2^61 x
+    op = {((0,), (2,)): Fraction(2 ** 60, 3)}
+    assert _operator_matrix(op, np.array([[1], [2]]))[0].tolist() == [[0, 2 ** 61]]
+    with pytest.raises(IntegerOverflow):
+        _operator_matrix(op, np.array([[2], [3]]))
+
+
 def test_discrepancy_fixtures(h1):
     x, y, t = x_y_t()
     assert sf.discrepancy_poly(h1, x) == -(t * y)
