@@ -104,10 +104,8 @@ def cmd_group(args):
 
 
 def cmd_harmonics(args):
-    g = _load_group(args.group)
-    basis = harmonic_basis(g, args.degree)
-    payload = [p.to_json() for p in basis]
-    _emit(args, json.dumps(payload, indent=None if args.json else 1))
+    payload = [p.to_json() for p in harmonic_basis(_load_group(args.group), args.degree)]
+    _emit(args, json.dumps(payload) if args.json else "\n".join(map(json.dumps, payload)))
     return 0
 
 
@@ -235,14 +233,12 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("harmonics", help="solid harmonic basis of a degree")
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_harmonics)
 
     p = sub.add_parser("frequency", help="frequency curve CSV for a polynomial")
     p.add_argument("--group", required=True)
@@ -253,14 +249,12 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=32)
     _add_radius_flags(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_frequency)
 
     p = sub.add_parser("discrepancy", help="symbolic discrepancy of a polynomial")
     p.add_argument("--group", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_discrepancy)
 
     bp = sub.add_parser("baouendi", help="Baouendi operator tools")
     bsub = bp.add_subparsers(dest="subcommand", required=True)
@@ -277,13 +271,11 @@ def build_parser():
     p = bsub.add_parser("solve", help="finite-difference Dirichlet solve")
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_baouendi_solve)
 
     p = bsub.add_parser("frequency", help="frequency curve CSV")
     common_b(p)
     p.add_argument("--kappa", type=float)
     _add_radius_flags(p, rmin=0.05, rmax=0.4)
-    p.set_defaults(func=cmd_baouendi_frequency)
 
     p = bsub.add_parser("ortho", help="orthogonality of solid harmonics")
     p.add_argument("--m", type=int, required=True)
@@ -293,20 +285,17 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=32)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_baouendi_ortho)
 
     p = bsub.add_parser("weiss", help="Weiss derivative identity check")
     common_b(p)
     p.add_argument("--kappa", type=float, required=True)
     _add_radius_flags(p, rmin=0.05, rmax=0.4)
-    p.set_defaults(func=cmd_baouendi_weiss)
 
     p = bsub.add_parser("monneau", help="Monneau derivative identity check")
     common_b(p)
     p.add_argument("--ref", required=True)
     p.add_argument("--kappa", type=float, required=True)
     _add_radius_flags(p, rmin=0.05, rmax=0.4)
-    p.set_defaults(func=cmd_baouendi_monneau)
 
     p = sub.add_parser("verify", help="run the identity battery")
     p.add_argument("--resolution", type=int, default=32)
@@ -314,16 +303,17 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--inject-psi-sign-error", action="store_true",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def entry(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: `cmd_<command>[_<subcommand>]`, looked up by name
+    when called, so a rebound module attribute is the one that runs."""
+    args = build_parser().parse_args(argv)
+    sub = getattr(args, "subcommand", None)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}_{sub}" if sub else f"cmd_{args.command}"](args)
     except (SubfreqError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@
 primes by the Chinese remainder theorem, reads the rationals back by
 rational reconstruction (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, 3rd ed. 2013, section 5.10) and certifies A V = 0 exactly.
-`det` (Bareiss) and `pencil_has_real_root` (a Sturm count) use Fractions.
+`det` (Bareiss), `count_real_roots` (a Sturm chain) and `pfaffian_form`
+(Pf(sum_l t_l J_l) as a form in t) use Fractions.
 """
 
 from fractions import Fraction
@@ -166,7 +167,7 @@ def det(rows):
     return sign * a[-1][-1] if a else Fraction(1)
 
 
-def _count_real_roots(f):
+def count_real_roots(f):
     """The number of distinct real roots of f (coefficients highest degree
     first, f[0] != 0), by Sturm's theorem: the sign changes of the chain
     f, f', -rem(f, f'), ... at -inf minus those at +inf."""
@@ -181,24 +182,29 @@ def _count_real_roots(f):
     return sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
 
 
-def pencil_has_real_root(a, b):
-    """Whether det(x a + b) = 0 for some real x, or a is singular, for square
-    matrices a and b: true exactly when a is singular or m = a^-1 b (by
-    Gauss-Jordan) has a real eigenvalue (the roots are x = -lambda).  The
-    characteristic polynomial of m is Faddeev-LeVerrier's:
-    M_j = m M_(j-1) + c_(j-1) I, c_j = -tr(m M_j) / j."""
-    n, m = len(a), [[to_fraction(x) for x in (*ra, *rb)] for ra, rb in zip(a, b)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return True
-        m[pivot], m[c] = m[c], [x / m[pivot][c] for x in m[pivot]]
-        m = [row if i == c or not row[c] else [x - row[c] * y for x, y in zip(row, m[c])]
-             for i, row in enumerate(m)]
-    m = [row[n:] for row in m]
-    coeffs, power = [Fraction(1)], [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        power = [[sum(m[i][s] * power[s][c] for s in range(n)) + (coeffs[-1] if i == c else 0)
-                  for c in range(n)] for i in range(n)]
-        coeffs.append(-sum(m[i][s] * power[s][i] for i in range(n) for s in range(n)) / j)
-    return _count_real_roots(coeffs) > 0
+def pfaffian_form(mats):
+    """Pf(J(t)) for J(t) = sum_l t_l mats[l], skew-symmetric m x m matrices
+    of Fractions, as the form {exponents of t: Fraction} of degree m/2; {}
+    when it vanishes identically, as for every odd m.  det J(t) = Pf(J(t))^2."""
+    return _pfaffian(mats, tuple(range(len(mats[0]))), {})
+
+
+def _pfaffian(mats, index, memo):
+    """The form of the block on `index`, expanded along its first row:
+    Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j),
+    memoised on the remaining indices."""
+    if not index:
+        return {(0,) * len(mats): Fraction(1)}
+    if index not in memo:
+        first, rest, total = index[0], index[1:], {}
+        for pos, j in enumerate(rest):
+            minor = _pfaffian(mats, rest[:pos] + rest[pos + 1:], memo)
+            for l, mat in enumerate(mats):
+                c = -mat[first][j] if pos % 2 else mat[first][j]
+                if not c:
+                    continue
+                for e, v in minor.items():
+                    e = e[:l] + (e[l] + 1,) + e[l + 1:]
+                    total[e] = total.get(e, 0) + c * v
+        memo[index] = {e: v for e, v in total.items() if v}
+    return memo[index]

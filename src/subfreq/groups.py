@@ -13,7 +13,9 @@ homogeneous dimension is Q = m + 2k.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations, islice, product
+from math import prod
 
 import numpy as np
 
@@ -37,8 +39,7 @@ from .polynomials import (
     sublaplacian,
 )
 
-METIVIER_SAMPLES_LOG2 = 13  # 2^13 Sobol points on the t-sphere for m >= 8, k > 2
-METIVIER_TOL = 1e-9
+METIVIER_SAMPLES_LOG2 = 13  # at most 2^13 integer points t in the sign test of Pf(J(t))
 
 
 @dataclass(frozen=True)
@@ -194,55 +195,57 @@ def _is_htype(G):
 
 
 def _is_metivier(G):
-    """J(t) = sum_l t_l J_l nonsingular for every t != 0, where
-    det J(t) = Pf(J(t))^2 with a Pfaffian of degree m/2 in t.
-
-    Exact for odd m (never), for k = 1 (det J_1), for k >= 2 with
-    m = 2 (mod 4) (never: Pf(-t) = -Pf(t), so Pf vanishes on every circle),
-    for k = 2 (`exactla.pencil_has_real_root` of (J_1, J_2)) and for m = 4
-    (`_pfaffian_form_definite`).  For m >= 8, k >= 3 a 2^13-point Sobol
-    sample of the t-sphere can only find a singular J(t): False is proven,
-    True is unproven.
-    """
-    m, k = G.m, G.k
-    if m % 2 == 1:
-        return False
-    if k == 1:
-        return exactla.det(G.J[0]) != 0
-    if m % 4 == 2:
-        return False
+    """J(t) = sum_l t_l J_l nonsingular for every t != 0, read off the form
+    Pf(J(t)) of degree m/2 in t (det J(t) = Pf(J(t))^2).  Exact when Pf = 0
+    (always for odd m), for k = 1, for k = 2 (Pf(1, 0) != 0 and a Sturm count
+    of the real roots of Pf(x, 1), which an odd form always has) and for
+    m = 4 (Sylvester's criterion on P, Pf = t^T P t).  Else a zero or both
+    signs among Pf's values at the integer `_witness_points`, checked exactly
+    at the least and the greatest, prove False; one sign answers True,
+    unproven."""
+    form, k, m = exactla.pfaffian_form(G.J), G.k, G.m
+    if not form or k == 1:
+        return bool(form)
     if k == 2:
-        return not exactla.pencil_has_real_root(*G.J)
+        f = [form.get((i, m // 2 - i), Fraction(0)) for i in range(m // 2, -1, -1)]
+        return f[0] != 0 and exactla.count_real_roots(f) == 0
     if m == 4:
-        return _pfaffian_form_definite(G)
-    from scipy.stats import norm, qmc
-
-    sob = qmc.Sobol(d=k, scramble=False)
-    pts = sob.random_base2(METIVIER_SAMPLES_LOG2)
-    pts = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(pts, axis=1)
-    good = norms > 1e-8
-    pts = pts[good] / norms[good, None]
-    jt = np.tensordot(pts, G.J_float, axes=1)  # (samples, m, m): J(t) per point
-    min_sv = np.linalg.svd(jt, compute_uv=False)[:, -1].min()
-    return bool(min_sv > METIVIER_TOL)
+        P = [[form.get(tuple((i == a) + (i == b) for i in range(k)), Fraction(0)) / (1 + (a != b))
+              for b in range(k)] for a in range(k)]
+        minors = [exactla.det([row[:j] for row in P[:j]]) for j in range(1, k + 1)]
+        return (all(d > 0 for d in minors)
+                or all((-1) ** j * d > 0 for j, d in enumerate(minors, 1)))
+    low, high = (sum(c * prod(map(pow, t, e)) for e, c in form.items())
+                 for t in _sign_witnesses(form, k))
+    return low * high > 0
 
 
-def _pfaffian_form_definite(G):
-    """For m = 4: whether P, with Pf(J(t)) = t^T P t, is definite.
+def _sign_witnesses(form, k):
+    """The integer points of least and greatest value of `form`, evaluated
+    in floats, among `_witness_points(k)`."""
+    points = _witness_points(k)
+    values = sum(float(c) * prod(points[:, l] ** p for l, p in enumerate(e) if p)
+                 for e, c in form.items())
+    return [[int(x) for x in points[i]] for i in (values.argmin(), values.argmax())]
 
-    Pf(A) = a_01 a_23 - a_02 a_13 + a_03 a_12 is a quadratic form in A, and
-    P_ll' is its polarization at (J_l, J_l').  Sylvester's criterion: P is
-    positive (negative) definite iff its leading principal minors d_j
-    satisfy d_j > 0 ((-1)^j d_j > 0) for every j."""
 
-    def pf(a, b):
-        return a[0][1] * b[2][3] - a[0][2] * b[1][3] + a[0][3] * b[1][2]
-
-    P = [[(pf(a, b) + pf(b, a)) / 2 for b in G.J] for a in G.J]
-    minors = [exactla.det([row[:j] for row in P[:j]]) for j in range(1, G.k + 1)]
-    return (all(d > 0 for d in minors)
-            or all((-1) ** j * d > 0 for j, d in enumerate(minors, 1)))
+@cache
+def _witness_points(k):
+    """The first 2^METIVIER_SAMPLES_LOG2 nonzero points of {-r, ..., r}^k in
+    order of their number of nonzero entries, r >= 1 the largest radius whose
+    cube has at most that many: {-9, ..., 9}^3 for k = 3, {-1, 0, 1}^k for
+    6 <= k <= 8, and for k = 12 all points with at most three nonzero
+    entries and some with four.  Read-only floats."""
+    r = 1
+    while (2 * r + 3) ** k <= 2 ** METIVIER_SAMPLES_LOG2 + 1:
+        r += 1
+    nonzero = [v for v in range(-r, r + 1) if v]
+    points = ([dict(zip(support, vals)).get(l, 0) for l in range(k)]
+              for n in range(1, k + 1) for support in combinations(range(k), n)
+              for vals in product(nonzero, repeat=n))
+    points = np.array(list(islice(points, 2 ** METIVIER_SAMPLES_LOG2)), dtype=float)
+    points.flags.writeable = False
+    return points
 
 
 def classify(G):

@@ -4,7 +4,10 @@ Each oracle computes a quantity that `subfreq` also computes, by a route
 that shares as little as possible with it: Monte-Carlo estimates instead
 of the polar rule and the closed-form moments, sympy's dense rank and
 sympy's null space (`kernel_basis_sympy`, and `harmonic_basis_sympy` from
-one `_apply` per monomial) instead of `exactla`'s modular kernel, psi at
+one `_apply` per monomial) and the Cauchy-data recursion with no kernel at
+all (`harmonic_basis_by_cauchy_data`) instead of `exactla`'s modular
+kernel, Pfaffians summed over perfect matchings (`pfaffian_at`) instead of
+`exactla.pfaffian_form`'s memoised row expansion, psi at
 arbitrary points from the gauge formula (`psi`) and through the structure
 matrices J (`horiz_gauge_grad_sq`) where the package knows it only at the
 rule's nodes and by its closed-form moments, and
@@ -160,6 +163,58 @@ def harmonic_basis_sympy(context, kappa):
     return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]
 
 
+def harmonic_basis_by_cauchy_data(context, kappa):
+    """`harmonic_basis` without a kernel.  With s the last z-coordinate, the
+    operator L (Delta_H or B_a) is d_{z_s}^2 plus terms that lower the power
+    of z_s by at most one, so a harmonic p = sum_j z_s^j p_j of degree kappa
+    is fixed by its Cauchy data p_0, p_1: starting from one monomial of the
+    data, the lowest power z_s^j of L p is cancelled by adding
+    -z_s^(j+2) / ((j+1)(j+2)) times its coefficient, until L p = 0.  These
+    harmonics are reduced from the right (Gauss-Jordan, pivots from the
+    last monomial of degree kappa down), which leaves the unique basis whose
+    vectors end at distinct monomials that vanish in the others: the
+    kernel's vectors, one per free column.  Each is scaled to coprime
+    integers with its first entry positive, in increasing pivot order."""
+    m, k, w, s = context.m, context.k, context.tweight, context.m - 1
+    source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
+    column = {key: j for j, key in enumerate(source)}
+    rows = []
+    for key in source:
+        if key[s] > 1:
+            continue
+        p = {key: Fraction(1)}
+        while image := context.laplacian(Polynomial._make(m, k, w, p)).terms:
+            j = min(e[s] for e in image)
+            for e, c in image.items():
+                if e[s] == j:
+                    up = e[:s] + (j + 2,) + e[s + 1:]
+                    p[up] = p.get(up, 0) - c / ((j + 1) * (j + 2))
+        rows.append({column[e]: c for e, c in p.items() if c})
+    reduced = {}
+    for col in reversed(range(len(source))):
+        pivot = next((row for row in rows if col in row), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = {j: c / pivot[col] for j, c in pivot.items()}
+        for row in rows + list(reduced.values()):
+            if col in row:
+                factor = row[col]
+                for j, c in pivot.items():
+                    row[j] = row.get(j, 0) - factor * c
+                    if not row[j]:
+                        del row[j]
+        reduced[col] = pivot
+    basis = []
+    for col in sorted(reduced):
+        vec = sorted(reduced[col].items())
+        scale = math.lcm(*(c.denominator for _, c in vec))
+        ints = [(j, int(c * scale)) for j, c in vec]
+        g = gcd(*(x for _, x in ints)) * (1 if ints[0][1] > 0 else -1)
+        basis.append(Polynomial._make(m, k, w, {source[j]: Fraction(x // g) for j, x in ints}))
+    return basis
+
+
 def in_span(p, basis):
     """Exact membership of the Polynomial p in the rational span of basis."""
     keys = sorted({key for q in basis for key in q.terms} | set(p.terms))
@@ -200,18 +255,25 @@ def horiz_gauge_grad_sq(G, g):
     return (z2 ** 3 + 16.0 * float(jtz @ jtz)) / rho6
 
 
-def sampled_min_singular_value(G, samples_log2):
-    """min over 2^samples_log2 Sobol points t of the t-sphere of the least
-    singular value of J(t), one SVD per point: the loop that the batched
-    Sobol path of `groups._is_metivier` replaced."""
-    from scipy.stats import norm, qmc
+def pfaffian_at(G, t):
+    """Pf(J(t)) at a rational point t from its definition: the sum over the
+    perfect matchings M of {0, ..., m-1} of (-1)^(crossings of M) times
+    prod_{(i, j) in M} J(t)_ij, with no form in t and no alternating signs."""
+    a = [[sum(Fraction(x) * mat[i][j] for x, mat in zip(t, G.J)) for j in range(G.m)]
+         for i in range(G.m)]
+    total = Fraction(0)
+    for match in _perfect_matchings(tuple(range(G.m))):
+        crossings = sum(i < p < j < q for i, j in match for p, q in match)
+        total += (-1) ** crossings * math.prod(a[i][j] for i, j in match)
+    return total
 
-    pts = qmc.Sobol(d=G.k, scramble=False).random_base2(samples_log2)
-    pts = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(pts, axis=1)
-    pts = pts[norms > 1e-8] / norms[norms > 1e-8, None]
-    return min(np.linalg.svd(np.tensordot(t, G.J_float, axes=1), compute_uv=False)[-1]
-               for t in pts)
+
+def _perfect_matchings(free):
+    if not free:
+        yield ()
+    for j in free[1:]:
+        for rest in _perfect_matchings(tuple(x for x in free[1:] if x != j)):
+            yield ((free[0], j),) + rest
 
 
 def random_polynomial(rng, m, k, tweight=2, max_degree=5, n_terms=6):

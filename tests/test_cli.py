@@ -139,6 +139,27 @@ def test_frequency_zero_polynomial(h1_file, tmp_path, capsys):
         assert line.split(",")[3] == "nan"
 
 
+def test_harmonics_text_is_one_polynomial_a_line(h1_file, capsys):
+    argv = ["harmonics", "--group", h1_file, "--degree", "3"]
+    assert entry(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert entry(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in lines] == payload
+    assert lines == [json.dumps(data) for data in payload] and len(lines) == 4
+
+
+def test_entry_finds_the_command_by_name_when_called(h1_file, monkeypatch, capsys):
+    # a command rebound after the parser is built (as a tracer rebinds it) runs
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_group", lambda args: calls.append(args.group) or 0)
+    monkeypatch.setattr(cli, "cmd_baouendi_ortho", lambda args: calls.append(args.m) or 0)
+    assert entry(["group", "--group", h1_file]) == 0
+    assert entry(["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "1"]) == 0
+    assert calls == [h1_file, 1] and capsys.readouterr().out == ""
+
+
 def test_frequency_with_center(h1_file, x_file, capsys):
     assert entry(["frequency", "--group", h1_file, "--poly", x_file,
                   "--center", "[[0.5, 0.25], [0.125]]",
@@ -551,9 +572,8 @@ def test_jobs_leave_no_cyclic_garbage(h1_file, x_file, t_problem_17, capsys):
     # returns, by reference counting, not at the cyclic GC's next collection
     radii = ["--steps", "2", "--resolution", "8", "--rmax", "0.9"]
     jobs = [["group", "--group", h1_file],
-            # --json: the indented text goes through the standard library's
-            # pure-Python JSON encoder, whose nested closures form a cycle
             ["harmonics", "--group", h1_file, "--degree", "3", "--json"],
+            ["harmonics", "--group", h1_file, "--degree", "3"],
             ["frequency", "--group", h1_file, "--poly", x_file, "--steps", "2",
              "--resolution", "8"],
             ["discrepancy", "--group", h1_file, "--poly", x_file],

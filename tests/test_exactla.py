@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -80,20 +80,25 @@ def test_det_known():
 
 
 def test_pencil_has_real_root():
-    one = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    # a pencil x J_1 + J_2 of skew matrices is singular at a real x exactly
+    # when Pf(x J_1 + J_2), a polynomial of degree m/2, has a real root
     rot = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
-    # a singular
-    assert exactla.pencil_has_real_root([[Fraction(1), Fraction(2)],
-                                         [Fraction(2), Fraction(4)]], one)
-    # det(x rot + 2 rot) = (x + 2)^2: a double real root
-    assert exactla.pencil_has_real_root(rot, [[2 * x for x in row] for row in rot])
-    # det(x I + rot) = x^2 + 1: no real root
-    assert not exactla.pencil_has_real_root(one, rot)
-    # eigenvalues +-i and 3 of a^-1 b: one real root among complex ones
-    b = [[Fraction(int(v)) for v in row]
-         for row in ((0, -1, 0), (1, 0, 0), (0, 0, 3))]
-    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert exactla.pencil_has_real_root(eye, b)
+    j1, j2 = ([[Fraction(v) for v in row] for row in mat] for mat in (
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]))
+    # -(x + 2); x^2 + 1 for the 6-d H-type pair; (x + 1)^2, one double root
+    for a, b, f, roots in [(rot, [[2 * x for x in row] for row in rot], [-1, -2], 1),
+                           (j1, j2, [1, 0, 1], 0), (j1, j1, [1, 2, 1], 1)]:
+        assert pencil_pfaffian(a, b) == f
+        assert exactla.count_real_roots(pencil_pfaffian(a, b)) == roots
+    # x (x^2 + 1) (x - 3): two real roots among complex ones
+    assert exactla.count_real_roots([Fraction(c) for c in (1, -3, 1, -3, 0)]) == 2
+
+
+def pencil_pfaffian(a, b):
+    """The coefficients of Pf(x a + b), highest degree first."""
+    form = exactla.pfaffian_form([a, b])
+    return [form.get((i, len(a) // 2 - i), 0) for i in range(len(a) // 2, -1, -1)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -178,11 +183,48 @@ def square_pairs(n):
 @given(st.integers(1, 4).flatmap(square_pairs))
 def test_det_and_pencil_match_sympy(pair):
     a, b = pair
-    det_a = sympy.Matrix(a).det()
-    assert exactla.det(a) == Fraction(str(det_a))
-    # det(x a + b) = det(a) det(x I + a^-1 b)
-    real = det_a == 0 or sympy.Matrix(a).LUsolve(sympy.Matrix(b)).charpoly().count_roots() > 0
-    assert exactla.pencil_has_real_root(a, b) == real
+    assert exactla.det(a) == Fraction(str(sympy.Matrix(a).det()))
+    # the skew pencil x A + B of the pair: Pf^2 is sympy's determinant at
+    # n + 1 points x, so as polynomials of degree <= n, and the Sturm count
+    # is sympy's count of the distinct real roots
+    A, B = ([[x - y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))] for m in pair)
+    f = pencil_pfaffian(A, B)
+    for x in range(len(A) + 1):
+        pf = sum(c * x ** i for i, c in enumerate(reversed(f)))
+        det = sympy.Matrix([[str(x * p + q) for p, q in zip(*rows)] for rows in zip(A, B)]).det()
+        assert pf ** 2 == Fraction(str(det))
+    if f[0]:
+        x = sympy.Symbol("x")
+        assert exactla.count_real_roots(f) \
+            == sympy.Poly([sympy.Rational(str(c)) for c in f], x).count_roots()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fracs, min_size=2, max_size=7).filter(lambda f: f[0] != 0))
+def test_count_real_roots_matches_sympy(f):
+    x = sympy.Symbol("x")
+    assert exactla.count_real_roots(f) \
+        == sympy.Poly([sympy.Rational(str(c)) for c in f], x).count_roots()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_pfaffian_form_squares_to_the_determinant(m, k):
+    # Pf(J(t))^2 = det J(t) at random rational t, for seeded random skew J_l
+    rng = np.random.default_rng(10 * m + k)
+    mats = []
+    for _ in range(k):
+        a = rng.integers(-3, 4, size=(m, m))
+        mats.append([[Fraction(int(x), 2) for x in row] for row in a - a.T])
+    form = exactla.pfaffian_form(mats)
+    assert all(sum(e) == m // 2 for e in form)
+    for _ in range(5):
+        t = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, k),
+                                                      rng.integers(1, 10, k))]
+        pf = sum(c * prod(map(pow, t, e)) for e, c in form.items())
+        jt = sympy.Matrix(m, m, lambda i, j: sympy.Rational(str(sum(
+            x * mat[i][j] for x, mat in zip(t, mats)))))
+        assert pf ** 2 == Fraction(str(jt.det()))
 
 
 def test_kernel_vectors_integer_cleared():

@@ -111,10 +111,18 @@ def test_htype_groups_are_metivier_by_theorem(make, monkeypatch):
 
 
 def test_classifying_quaternionic_loads_neither_sympy_nor_scipy_stats():
+    # nor any scipy module, also off H-type: a k = 2 pencil (Q_2 doubled) and
+    # a random m = 8, k = 3 group read the Pfaffian form in Fractions and numpy
+    specs = [sf.group_to_json(sf.make_group(4, 3, QUATERNIONIC)),
+             sf.group_to_json(sf.make_group(4, 2, [QUATERNIONIC[0],
+                                                   scaled(QUATERNIONIC[1], 2)])),
+             sf.group_to_json(oracles.random_skew_group(8, 3, 5))]
     code = ("import sys, subfreq; "
-            f"g = subfreq.make_group(4, 3, {QUATERNIONIC!r}); "
-            "assert g.classification == {'is_htype': True, 'is_metivier': True}; "
-            "assert 'sympy' not in sys.modules and 'scipy.stats' not in sys.modules")
+            f"info = [subfreq.group_from_json(s).classification for s in {specs!r}]; "
+            "assert [(i['is_htype'], i['is_metivier']) for i in info] "
+            "== [(True, True), (False, True), (False, False)]; "
+            "assert 'sympy' not in sys.modules; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -126,9 +134,12 @@ def test_repeated_quaternion_is_not_metivier():
 
 
 def test_m_2_mod_4_with_k_at_least_2_is_not_metivier():
-    # Pf(J(t)) is a cubic form in t, odd, so it vanishes on every circle
+    # Pf(J(t)) is a cubic form in t, odd, so it vanishes on every circle; the
+    # witness points come in pairs t, -t, so the sign test sees both signs
     g = oracles.random_skew_group(6, 3, seed=6)
     assert g.classification == {"is_htype": False, "is_metivier": False}
+    low, high = groups._sign_witnesses(exactla.pfaffian_form(g.J), g.k)
+    assert oracles.pfaffian_at(g, low) < 0 < oracles.pfaffian_at(g, high)
 
 
 def test_pencil_path_for_k_2():
@@ -148,13 +159,14 @@ def test_pfaffian_form_for_m_4():
         assert sf.make_group(4, 3, J).classification == {"is_htype": False, "is_metivier": True}
 
 
-def test_sobol_path_for_m_8_k_3(monkeypatch):
-    # J(t)^T J(t) = (t_1^2 + t_2^2 + 4 t_3^2) I; no exact determinant is taken
+def test_one_sign_answers_true_for_m_8_k_3(monkeypatch):
+    # Pf(J(t)) = (t_1^2 + t_2^2 + 4 t_3^2)^2 is positive at every witness
+    # point; no determinant is taken and no warning raised
     mats = [doubled_blocks(q) for q in QUATERNIONIC]
     mats[2] = scaled(mats[2], 2)
 
     def not_reached(rows):
-        raise AssertionError("an exact path ran for m = 8, k = 3")
+        raise AssertionError("a determinant was taken for m = 8, k = 3")
 
     monkeypatch.setattr(exactla, "det", not_reached)
     with warnings.catch_warnings(record=True) as caught:
@@ -164,35 +176,52 @@ def test_sobol_path_for_m_8_k_3(monkeypatch):
     assert info == {"is_htype": False, "is_metivier": True}
 
 
-def test_sobol_path_finds_a_singular_j_in_one_svd_call(monkeypatch):
+def test_a_vanishing_pfaffian_answers_false_before_any_evaluation(monkeypatch):
     # block_diag(Q_l, 0_4): every J(t) vanishes on the last four coordinates,
-    # so the sampled minimum singular value is 0 and False is proven; every
-    # sampled J(t) goes through one batched SVD
+    # so Pf(J(t)) = 0 identically and no point is evaluated
     mats = [[row + [0] * 4 for row in q] + [[0] * 8 for _ in range(4)] for q in QUATERNIONIC]
-    calls = []
-    svd = np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def not_reached(form, k):
+        raise AssertionError("a vanishing Pfaffian was evaluated")
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    assert sf.make_group(8, 3, mats).classification == {"is_htype": False, "is_metivier": False}
-    assert len(calls) == 1 and calls[0][1:] == (8, 8)
-    assert calls[0][0] >= 2 ** groups.METIVIER_SAMPLES_LOG2 - 1  # t = 0 is dropped
+    monkeypatch.setattr(groups, "_sign_witnesses", not_reached)
+    G = sf.make_group(8, 3, mats)
+    assert exactla.pfaffian_form(G.J) == {}
+    assert G.classification == {"is_htype": False, "is_metivier": False}
 
 
 @pytest.mark.parametrize("make", [
-    lambda: oracles.random_skew_group(8, 3, 5),
-    lambda: oracles.random_skew_group(8, 3, 11),
-    lambda: sf.make_group(8, 3, [[row + [0] * 4 for row in q] + [[0] * 8] * 4
-                                 for q in QUATERNIONIC]),
-], ids=["random-5", "random-11", "zero-block"])
-def test_sobol_path_matches_the_per_point_loop(make):
+    *[lambda s=s: oracles.random_skew_group(8, 3, s) for s in (1, 2, 3, 5, 11)],
+    lambda: sf.make_group(8, 3, [doubled_blocks(q) for q in (QUATERNIONIC[0], QUATERNIONIC[1],
+                                                             QUATERNIONIC[0])]),
+    lambda: oracles.random_skew_group(12, 3, 1),
+], ids=["random-1", "random-2", "random-3", "random-5", "random-11", "repeated-doubled",
+        "random-m12"])
+def test_sign_change_proves_not_metivier(make):
+    # two integer points t != 0 where Pf(J(t)), summed over perfect matchings
+    # without the form, vanishes or takes both signs: t != 0 is connected for
+    # k >= 2, so J(t) is singular at some t != 0
     G = make()
-    loop = oracles.sampled_min_singular_value(G, groups.METIVIER_SAMPLES_LOG2)
-    assert groups._is_metivier(G) == (loop > groups.METIVIER_TOL)
-    assert abs(loop - groups.METIVIER_TOL) > 1e-12  # the answer is not decided by round-off
+    low, high = groups._sign_witnesses(exactla.pfaffian_form(G.J), G.k)
+    assert all(isinstance(x, int) for x in low + high) and any(low) and any(high)
+    assert oracles.pfaffian_at(G, low) <= 0 <= oracles.pfaffian_at(G, high)
+    assert G.classification == {"is_htype": False, "is_metivier": False}
+
+
+def test_witness_points_stay_within_the_budget():
+    # the whole cube {-1, 0, 1}^k fits up to k = 8; past it the points with
+    # the fewest nonzero entries come first, and m = 8, k = 12 classifies
+    budget = 2 ** groups.METIVIER_SAMPLES_LOG2
+    for k in range(1, 13):
+        points = groups._witness_points(k)
+        assert len(points) <= budget and np.array_equal(points, np.round(points))
+        assert np.abs(points).max(axis=1).min() == 1  # no t = 0
+        assert len(np.unique(points, axis=0)) == len(points)
+        in_cube = np.abs(points).max(axis=1) == 1
+        assert in_cube.sum() == (3 ** k - 1 if k <= 8 else budget)
+    assert np.count_nonzero(groups._witness_points(12), axis=1).max() == 4
+    assert oracles.random_skew_group(8, 12, 1).classification \
+        == {"is_htype": False, "is_metivier": False}
 
 
 def test_odd_horizontal_dimension_never_metivier():

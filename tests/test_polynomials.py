@@ -339,6 +339,17 @@ def test_harmonic_basis_is_sympys_bit_for_bit(name, kappa):
     assert all(c.denominator == 1 for p in basis for c in p.terms.values())
 
 
+@pytest.mark.parametrize("name, kappas", [("h1", range(9)), ("h2", range(7)), ("ba211", [6])],
+                         ids=["h1", "h2", "ba211"])
+def test_harmonic_basis_is_the_cauchy_data_recursion_bit_for_bit(name, kappas):
+    # no kernel at all: one harmonic per monomial of the Cauchy data on
+    # z_s = 0, reduced from the right to the kernel's free-column shape
+    context = CONTEXTS[name]()
+    for kappa in kappas:
+        assert [p.to_json() for p in sf.harmonic_basis(context, kappa)] \
+            == [p.to_json() for p in oracles.harmonic_basis_by_cauchy_data(context, kappa)]
+
+
 @pytest.mark.parametrize("name, kappa", [("h1", 6), ("h2", 5), ("g6", 4), ("ba212", 9)])
 def test_operator_matrix_columns_are_the_scaled_images(name, kappa):
     from subfreq.polynomials import _apply, _monomials_of_degree, _operator_matrix
