@@ -191,6 +191,23 @@ def test_a_vanishing_pfaffian_answers_false_before_any_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
+    lambda: oracles.random_skew_group(8, 3, 5),
+    lambda: oracles.random_skew_group(8, 3, 11),
+    lambda: sf.make_group(8, 3, [[row + [0] * 4 for row in q] + [[0] * 8] * 4
+                                 for q in QUATERNIONIC]),
+], ids=["random-5", "random-11", "zero-block"])
+def test_pfaffian_form_matches_the_matching_sum(make):
+    # the memoised form, evaluated at integer witness points, against Pf(J(t))
+    # summed over perfect matchings at each point
+    G = make()
+    form = exactla.pfaffian_form(G.J)
+    for t in groups._witness_points(G.k)[::97]:
+        t = [int(x) for x in t]
+        assert sum(c * math.prod(map(pow, t, e)) for e, c in form.items()) \
+            == oracles.pfaffian_at(G, t)
+
+
+@pytest.mark.parametrize("make", [
     *[lambda s=s: oracles.random_skew_group(8, 3, s) for s in (1, 2, 3, 5, 11)],
     lambda: sf.make_group(8, 3, [doubled_blocks(q) for q in (QUATERNIONIC[0], QUATERNIONIC[1],
                                                              QUATERNIONIC[0])]),
