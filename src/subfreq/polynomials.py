@@ -181,11 +181,12 @@ class Polynomial:
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, z, t):
-        """Evaluate at points; z has shape (..., m), t shape (..., k)."""
+        """Evaluate at points; z has shape (..., m), t shape (..., k).  Terms
+        are summed in key order, so equal Polynomials give equal floats."""
         z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
         xs = [z[..., i] for i in range(self.m)] + [t[..., ell] for ell in range(self.k)]
         out = np.zeros(z.shape[:-1], dtype=float)
-        for key, c in self.terms.items():
+        for key, c in sorted(self.terms.items()):
             term = np.full(z.shape[:-1], float(c))
             for x, p in zip(xs, key):
                 if p:

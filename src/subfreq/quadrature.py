@@ -26,9 +26,9 @@ Resolution.  At resolution R both sphere factors omega and tau come from
 `unit_sphere_rule`, which is exact for every polynomial of degree <= R on
 every sphere S^(d-1), and the u factor has R Gauss-Jacobi nodes.  The rule
 has 4 R (R // 2 + 1)^(m+k-2) nodes, so it exists for every (m, k), H^n for
-every n included; above MAX_RULE_NODES `build_sphere_rule` raises
-ResolutionTooLarge before allocating anything, naming the largest
-resolution within the limit for that (m, k).
+every n included.  A rule builds its nodes on first access, and above
+MAX_RULE_NODES that access raises ResolutionTooLarge before allocating
+anything, naming the largest resolution within the limit for that (m, k).
 
 Normalization.  All weights carry one global factor gamma fixed by the
 mean-value calibration sum_i w_i psi(sigma_i) = Q^2/(Q-2), equivalently
@@ -46,7 +46,7 @@ monomial of degree d by r^d, so
     int_{S_r} p psi = gamma r^(Q-1) sum_d c_d r^d,
 
 with c_d from `Polynomial.sphere_series` (e = 2 alpha for the psi weight,
-e = 0 without it).  Callables and FD handles are summed over the rule.
+e = 0 without it), and no node.  Callables and FD handles use the nodes.
 
 Columns.  Both integrals take one radius (a float back) or a 1-D array of
 radii (an array back).  One `sphere_series` serves every radius of a closed
@@ -57,7 +57,7 @@ taken one radius at a time and each sphere is summed on its own, in order.
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -78,24 +78,35 @@ RADIAL_STEPS = 32  # Gauss-Jacobi radii of every volume integral
 SHELL_POINTS = 2 ** 13  # points per integrand call of volume_integral, to bound its memory
 
 
+def _rule_size(m, k, resolution):
+    """Node count: resolution radial nodes times the two sphere factors."""
+    return 4 * resolution * (resolution // 2 + 1) ** (m + k - 2)
+
+
 @dataclass(frozen=True)
 class SphereRule(Geometry):
-    """Nodes and weights on the unit gauge sphere S_1 of a geometry
-    (m, k, alpha), which the rule is.
+    """The calibrated polar measure gamma * dmu on the unit gauge sphere S_1
+    of a geometry (m, k, alpha), which the rule is.  Closed forms read only
+    the geometry, gamma and psi_sign (-1 under `verify._flip_psi`).  The
+    nodes z, t, weights and psi = psi_sign |grad rho|^2 are built on first
+    access."""
 
-    weights approximate the calibrated polar measure gamma * dmu; psi holds
-    |grad rho|^2 at the nodes.
-    """
-
-    z: np.ndarray          # (n, m)
-    t: np.ndarray          # (n, k)
-    weights: np.ndarray    # (n,)
-    psi: np.ndarray        # (n,)
     resolution: int
-    gamma: float
+    psi_sign: float = 1.0
+    gamma: float = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "gamma", self.Q ** 2 / (self.Q - 2.0)
+                           / polar_moment(self.m, self.k, self.alpha, 2 * self.alpha))
 
     def __len__(self):
-        return len(self.weights)
+        return _rule_size(self.m, self.k, self.resolution)
+
+    z = property(lambda self: self._nodes[0], doc="(n, m) z-coordinates of the nodes")
+    t = property(lambda self: self._nodes[1], doc="(n, k) t-coordinates of the nodes")
+    weights = property(lambda self: self._nodes[2], doc="(n,) weights of gamma * dmu")
+    psi = property(lambda self: self._nodes[3], doc="(n,) psi_sign |grad rho|^2 at the nodes")
 
     def require(self, context):
         """DimensionMismatch unless the context has the rule's (m, k, alpha)."""
@@ -104,11 +115,44 @@ class SphereRule(Geometry):
             raise DimensionMismatch(f"a function on {(g.m, g.k, g.alpha)} read on a rule of {own}")
 
     @cached_property
-    def psi_gamma(self):
-        """gamma with the sign of the psi mass sum_i w_i psi_i: the scale of
-        closed-form psi-weighted integrals, so that a sign error in psi
-        reaches them as it reaches the node sums."""
-        return math.copysign(self.gamma, float(np.dot(self.weights, self.psi)))
+    def _nodes(self):
+        """(z, t, weights, psi), built once; ResolutionTooLarge before
+        allocating anything when the rule exceeds MAX_RULE_NODES."""
+        m, k, alpha, resolution = self.m, self.k, self.alpha, self.resolution
+        if len(self) > MAX_RULE_NODES:
+            # _rule_size grows with res, so the resolutions within the limit are a prefix
+            fit = bisect.bisect_right(range(MIN_RESOLUTION, resolution), MAX_RULE_NODES,
+                                      key=lambda res: _rule_size(m, k, res))
+            largest = (f"the largest resolution within it is {MIN_RESOLUTION + fit - 1}"
+                       if fit else f"no resolution >= {MIN_RESOLUTION} is within it")
+            raise ResolutionTooLarge(
+                f"resolution {resolution} needs {len(self)} nodes for "
+                f"(m, k) = ({m}, {k}); the limit is {MAX_RULE_NODES}; {largest}")
+        a1 = alpha + 1.0
+
+        # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)
+        xj, wj = _gauss_jacobi(resolution, (k - 2) / 2.0, m / 2.0 - 1.0)
+        u = 0.5 * (xj + 1.0)
+        wu = wj * 2.0 ** (-((k - 2) / 2.0 + (m / 2.0 - 1.0) + 1.0))
+        s = np.sqrt(u)
+        # smooth leftover factor: ((1-u^(a1)) / (1-u))^((k-2)/2), times the
+        # constant 1/(2 * (2 a1)^(k-1)) of the polar measure, and the 1/2 from
+        # s^(m-1) ds = (1/2) u^(m/2-1) du
+        smooth = ((1.0 - u ** a1) / (1.0 - u)) ** ((k - 2) / 2.0)
+        wu = wu * smooth * 0.5 / (2.0 * (2.0 * a1) ** (k - 1))
+
+        omega, w_omega = unit_sphere_rule(m, resolution)
+        tau, w_tau = unit_sphere_rule(k, resolution)
+
+        qs = np.sqrt(1.0 - u ** a1) / (2.0 * a1)
+        n_omega, n_tau = len(omega), len(tau)
+        z_nodes = np.kron(s[:, None], np.repeat(omega, n_tau, axis=0))
+        t_nodes = np.kron(qs[:, None], np.tile(tau, (n_omega, 1)))
+        weights = np.kron(np.kron(wu, w_omega), w_tau) * self.gamma
+        psi = self.psi_sign * np.repeat(u ** alpha, n_omega * n_tau)
+
+        assert np.max(np.abs(self.rho(z_nodes, t_nodes) - 1.0)) <= 1e-12
+        return z_nodes, t_nodes, weights, psi
 
 
 @lru_cache(maxsize=64)
@@ -173,54 +217,11 @@ def unit_sphere_rule(d, resolution):
 
 
 def build_sphere_rule(context, resolution):
-    """Quadrature rule for the calibrated polar measure on S_1."""
+    """The sphere rule of the context's geometry; its nodes come on first access."""
     if resolution < MIN_RESOLUTION:
         raise ResolutionTooSmall(f"resolution must be >= {MIN_RESOLUTION}")
     geometry = context.geometry
-    m, k, alpha, q_hom = geometry.m, geometry.k, float(geometry.alpha), float(geometry.Q)
-    # resolution radial nodes times the two sphere factors
-    def n_nodes(res):
-        return 4 * res * (res // 2 + 1) ** (m + k - 2)
-
-    if n_nodes(resolution) > MAX_RULE_NODES:
-        # n_nodes grows with res, so the resolutions within the limit are a prefix
-        fit = bisect.bisect_right(range(MIN_RESOLUTION, resolution), MAX_RULE_NODES,
-                                  key=n_nodes)
-        largest = (f"the largest resolution within it is {MIN_RESOLUTION + fit - 1}"
-                   if fit else f"no resolution >= {MIN_RESOLUTION} is within it")
-        raise ResolutionTooLarge(
-            f"resolution {resolution} needs {n_nodes(resolution)} nodes for "
-            f"(m, k) = ({m}, {k}); the limit is {MAX_RULE_NODES}; {largest}")
-    a1 = alpha + 1.0
-
-    # radial-angular nodes: u = s^2 with Jacobi weight u^(m/2-1)(1-u)^((k-2)/2)
-    xj, wj = _gauss_jacobi(resolution, (k - 2) / 2.0, m / 2.0 - 1.0)
-    u = 0.5 * (xj + 1.0)
-    wu = wj * 2.0 ** (-((k - 2) / 2.0 + (m / 2.0 - 1.0) + 1.0))
-    s = np.sqrt(u)
-    # smooth leftover factor: ((1-u^(a1)) / (1-u))^((k-2)/2), times the
-    # constant 1/(2 * (2 a1)^(k-1)) of the polar measure, and the 1/2 from
-    # s^(m-1) ds = (1/2) u^(m/2-1) du
-    smooth = ((1.0 - u ** a1) / (1.0 - u)) ** ((k - 2) / 2.0)
-    wu = wu * smooth * 0.5 / (2.0 * (2.0 * a1) ** (k - 1))
-
-    omega, w_omega = unit_sphere_rule(m, resolution)
-    tau, w_tau = unit_sphere_rule(k, resolution)
-
-    qs = np.sqrt(1.0 - u ** a1) / (2.0 * a1)
-    n_omega, n_tau = len(omega), len(tau)
-    z_nodes = np.kron(s[:, None], np.repeat(omega, n_tau, axis=0))
-    t_nodes = np.kron(qs[:, None], np.tile(tau, (n_omega, 1)))
-    weights = np.kron(np.kron(wu, w_omega), w_tau)
-    psi = np.repeat(u ** alpha, n_omega * n_tau)
-
-    gamma = (q_hom ** 2 / (q_hom - 2.0)) / polar_moment(m, k, alpha, 2 * alpha)
-    weights = weights * gamma
-
-    assert np.max(np.abs(geometry.rho(z_nodes, t_nodes) - 1.0)) <= 1e-12
-
-    return SphereRule(m, k, alpha, z=z_nodes, t=t_nodes, weights=weights, psi=psi,
-                      resolution=resolution, gamma=gamma)
+    return SphereRule(geometry.m, geometry.k, float(geometry.alpha), resolution)
 
 
 @lru_cache(maxsize=64)
@@ -279,14 +280,14 @@ def surface_integral(f, r, rule, weighted=True):
     r^(Q-1) sum_i w_i psi_i f(delta_r sigma_i), at one radius or at each of
     an array of radii (module docstring, Columns); with weighted=False the
     psi factor is dropped, giving the plain polar measure dH/|grad rho|.
-    A Polynomial f is integrated in closed form, scaled by `rule.psi_gamma`
-    when weighted; a callable f is called once, on the nodes of all the
-    spheres."""
+    A Polynomial f is integrated in closed form, scaled by psi_sign * gamma
+    when weighted, so that a sign error in psi reaches it; a callable f is
+    called once, on the nodes of all the spheres."""
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     scale = _powers(radii, rule.Q - 1.0)
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted)
-        gamma = rule.psi_gamma if weighted else rule.gamma
+        gamma = rule.psi_sign * rule.gamma if weighted else rule.gamma
         return _column(r, gamma * scale * np.array([np.sum(c * x ** d) for x in radii]))
     # delta_r of the nodes, with the scalar power r^(alpha+1) of each radius
     z = radii[:, None, None] * rule.z

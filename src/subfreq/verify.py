@@ -27,7 +27,7 @@ from .quadrature import build_sphere_rule, mean_value
 
 def _flip_psi(rule):
     """Negative-control hook: inject a sign error into the psi weight."""
-    return dataclasses.replace(rule, psi=-rule.psi)
+    return dataclasses.replace(rule, psi_sign=-rule.psi_sign)
 
 
 def run_battery(resolution=32, flip_psi=False):

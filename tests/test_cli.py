@@ -117,13 +117,26 @@ def test_frequency_csv(h1_file, x_file, tmp_path, capsys):
     assert out.read_text() == first
 
 
-def test_frequency_resolution_too_large_exit_2(tmp_path, capsys):
-    group = tmp_path / "h3.json"
-    group.write_text(json.dumps(sf.group_to_json(sf.heisenberg(3))))
-    poly = tmp_path / "x.json"
-    poly.write_text('[{"coeff":"1","z":[1,0,0,0,0,0],"t":[0]}]')
-    # the default resolution 32 needs about 182M nodes on H^3
-    assert entry(["frequency", "--group", str(group), "--poly", str(poly)]) == 2
+@pytest.mark.parametrize("make", [lambda: sf.heisenberg(3), lambda: sf.heisenberg(4),
+                                  lambda: sf.make_group(4, 3, QUATERNIONIC)],
+                         ids=["h3", "h4", "quaternionic"])
+def test_closed_form_frequency_runs_at_the_default_resolution(tmp_path, capsys, make):
+    # a polynomial curve reads no node, so the default resolution 32 runs on
+    # groups whose rule exceeds the node limit there (about 182M nodes on H^3)
+    g = make()
+    assert len(sf.build_sphere_rule(g, 32)) > MAX_RULE_NODES
+    group, poly = tmp_path / "group.json", tmp_path / "p.json"
+    group.write_text(json.dumps(sf.group_to_json(g)))
+    poly.write_text(json.dumps(sf.harmonic_basis(g, 4)[0].to_json()))
+    assert entry(["frequency", "--group", str(group), "--poly", str(poly)]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rows and all(abs(float(row.split(",")[3]) - 4.0) <= 1e-13 for row in rows)
+
+
+def test_verify_resolution_too_large_exit_2(capsys):
+    # verify sums over the nodes of the H^1 rule, 4 * 3000 * 1501 > 2^24 of them
+    assert 4 * 3000 * 1501 > MAX_RULE_NODES
+    assert entry(["verify", "--resolution", "3000"]) == 2
     err = capsys.readouterr().err
     assert "error" in err and f"the limit is {MAX_RULE_NODES}" in err
 

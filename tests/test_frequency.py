@@ -87,6 +87,18 @@ def test_frequency_h3_harmonics():
             assert sf.frequency(u, r, rule) == pytest.approx(kappa, abs=1e-12)
 
 
+def test_polynomial_curve_builds_no_nodes(h1):
+    # D, H, N, the W and M columns and the discrepancy norm of a polynomial
+    # are closed forms: they read the rule's geometry and gamma, never a node
+    rule = sf.build_sphere_rule(h1, 32)
+    u = handle(h1, fixtures.mixed_cylindrical(h1))
+    ref = handle(h1, fixtures.poly_t(h1))
+    curve = sf.frequency_curve(u, rule, sf.geometric_radii(0.4, 1.2, 8), kappa=2, ref=ref)
+    assert np.all(np.isfinite(curve.W)) and np.all(np.isfinite(curve.M))
+    assert "_nodes" not in vars(rule)
+    assert len(rule.psi) == len(rule)  # built on the first node access
+
+
 def test_frequency_scaling_exact(h1, rule_h1):
     p = fixtures.mixed_cylindrical(h1)
     u = handle(h1, p)

@@ -65,6 +65,19 @@ def test_evaluate_is_ring_hom(p, q):
                                rtol=1e-10, atol=1e-10)
 
 
+def test_equal_polynomials_evaluate_to_equal_floats(h1, rule_h1):
+    # evaluate sums the terms in key order, not insertion order: the |grad_H p|^2
+    # of H^1 degree-4 harmonics and their reversed-term copies agree bit for
+    # bit on every node of the res-32 rule
+    for p in sf.harmonic_basis(h1, 4):
+        f = sf.FunctionHandle.from_polynomial(h1, p).grad_sq
+        g = Polynomial(f.m, f.k, f.tweight, {(key[:f.m], key[f.m:]): c
+                                             for key, c in reversed(f.terms.items())})
+        assert g == f and list(g.terms) != list(f.terms)
+        np.testing.assert_array_equal(g.evaluate(rule_h1.z, rule_h1.t),
+                                      f.evaluate(rule_h1.z, rule_h1.t))
+
+
 def test_diff_product_rule():
     x, y, t = x_y_t()
     p = x * x * y + t * x

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -39,6 +38,20 @@ def test_rule_is_its_geometry(h1, ba112, rule_h1, rule_ba112):
             context.m, context.k, float(context.geometry.alpha), context.geometry.Q)
         np.testing.assert_array_equal(rule.rho(rule.z, rule.t),
                                       context.geometry.rho(rule.z, rule.t))
+
+
+@pytest.mark.parametrize("resolution", [4, 8, 13])
+@pytest.mark.parametrize("context", [sf.heisenberg(1), sf.heisenberg(2), sf.example_group_6d(),
+                                     sf.BaouendiSpec(1, 1, 2), sf.BaouendiSpec(2, 1, 1)],
+                         ids=["h1", "h2", "g6", "ba112", "ba211"])
+def test_rule_length_is_its_node_count(context, resolution):
+    # len(rule) is the count 4 R (R // 2 + 1)^(m+k-2), known before any node
+    rule = sf.build_sphere_rule(context, resolution)
+    n = len(rule)
+    assert n == 4 * resolution * (resolution // 2 + 1) ** (rule.m + rule.k - 2)
+    assert "_nodes" not in vars(rule)
+    assert rule.z.shape == (n, rule.m) and rule.t.shape == (n, rule.k)
+    assert rule.weights.shape == rule.psi.shape == (n,)
 
 
 def test_calibration_sum(rule_h1, rule_h2, rule_ba112, rule_ba211):
@@ -233,12 +246,14 @@ def test_non_htype_group_rejected():
 
 
 def test_resolution_too_large_raises_before_allocating():
-    # H^3 at res 32 needs 4 * 32 * 17^5 (about 182M) nodes
+    # H^3 at res 32 needs 4 * 32 * 17^5 (about 182M) nodes; the first node
+    # access raises
     assert 4 * 32 * 17 ** 5 > MAX_RULE_NODES
     tracemalloc.start()
     try:
+        rule = sf.build_sphere_rule(sf.heisenberg(3), 32)
         with pytest.raises(ResolutionTooLarge):
-            sf.build_sphere_rule(sf.heisenberg(3), 32)
+            rule.z
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,14 +265,14 @@ def test_resolution_too_large_names_largest_fitting_resolution():
         return 4 * res * (res // 2 + 1) ** (m + k - 2)
 
     with pytest.raises(ResolutionTooLarge) as exc:
-        sf.build_sphere_rule(sf.heisenberg(3), 32)
+        sf.build_sphere_rule(sf.heisenberg(3), 32).weights
     match = re.search(r"largest resolution within it is (\d+)", str(exc.value))
     assert match is not None
     best = int(match.group(1))
     assert n_nodes(6, 1, best) <= MAX_RULE_NODES < n_nodes(6, 1, best + 1)
     # H^7: even the smallest resolution needs 16 * 3^13 nodes
     with pytest.raises(ResolutionTooLarge, match="no resolution >= 4"):
-        sf.build_sphere_rule(sf.heisenberg(7), 32)
+        sf.build_sphere_rule(sf.heisenberg(7), 32).psi
 
 
 def _folland_moment(a, d):
@@ -473,7 +488,10 @@ def test_polar_moment_against_radial_quadrature():
 
 
 def test_psi_sign_reaches_closed_form(rule_h1):
-    flipped = dataclasses.replace(rule_h1, psi=-rule_h1.psi)
+    from subfreq.verify import _flip_psi
+
+    flipped = _flip_psi(rule_h1)
+    np.testing.assert_array_equal(flipped.psi, -rule_h1.psi)
     p = Polynomial.monomial(2, 1, (2, 0), (2,)) + Polynomial.constant(2, 1, 1)
     assert sf.surface_integral(p, 0.9, flipped) == -sf.surface_integral(p, 0.9, rule_h1)
     assert sf.surface_integral(p, 0.9, flipped, weighted=False) \

@@ -1,5 +1,6 @@
 """tools/job_digests.py: the byte-identity check of the benchmark jobs."""
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -10,6 +11,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "job_digests.py"
+_spec = importlib.util.spec_from_file_location("job_digests", TOOL)
+job_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(job_digests)
 
 
 def run_tool(*args):
@@ -26,10 +30,16 @@ def test_job_digests_compare(tmp_path):
     assert {key.split("/")[0] for key in keys} == {"group-exact", "fd-curves"}
     assert {key.split("/")[1] for key in keys} == {"s1", "s2"}
     assert any("out" in rec for rec in data.values())  # the --out arrays of `solve`
+    assert all(rec["seconds"] > 0.0 for rec in data.values())
 
     same = run_tool("--compare", str(records), str(records))
     assert same.returncode == 0
-    assert same.stdout.strip() == f"0 of {len(keys)} jobs differ"
+    report = same.stdout.strip().split("\n")
+    assert report[0] == f"0 of {len(keys)} jobs differ"
+    # then the timing of each workload and seed
+    assert [line.split(":")[0] for line in report[1:]] == [
+        f"{w}/s{s}" for w in ("fd-curves", "group-exact") for s in (1, 2)]
+    assert all(line.endswith("B/A 1.000") for line in report[1:])
 
     # move one CSV cell by a relative 1e-3 and drop one job
     curve = next(key for key in keys if data[key]["stdout"].startswith("r,D,H,N"))
@@ -55,7 +65,40 @@ def test_job_digests_compare(tmp_path):
     assert column == "H"
     assert float(absolute) == pytest.approx(float(cells[2]) - float(cells[2]) / (1 + 1e-3),
                                             rel=1e-2)
-    assert report[-1] == f"2 of {len(keys)} jobs differ"
+    assert report[-5] == f"2 of {len(keys)} jobs differ"
+
+
+def _record(stdout, seconds):
+    return {"rc": 0, "stdout": stdout, "stderr": "", "sha256": stdout, "seconds": seconds}
+
+
+def test_compare_ignores_seconds_and_timing_sums_them():
+    a = {"w/s1/x": _record("1\n", 0.25), "w/s1/y": _record("2\n", 0.5),
+         "w/s2/x": _record("1\n", 0.125)}
+    b = {"w/s1/x": _record("1\n", 0.5), "w/s1/y": _record("2\n", 0.25),
+         "w/s2/x": _record("3\n", 0.375)}
+    lines = job_digests.compare(a, b)
+    assert len(lines) == 1 and lines[0].startswith("w/s2/x: differs in stdout")
+    assert job_digests.timing(a, b) == ["w/s1: A 0.7500 s, B 0.7500 s, B/A 1.000",
+                                        "w/s2: A 0.1250 s, B 0.3750 s, B/A 3.000"]
+    del a["w/s1/y"]["seconds"]  # a record from before the timing reads nan
+    assert job_digests.timing(a, b)[0] == "w/s1: A nan s, B 0.7500 s, B/A nan"
+
+
+def test_a_job_whose_repeat_differs_exits_naming_it():
+    class Counter:
+        calls = 0
+
+        def entry(self, argv):
+            self.calls += 1
+            print(self.calls if self.calls == job_digests.REPEATS else 0)
+            return 0
+
+    with pytest.raises(SystemExit, match=f"^w/s1/x: run {job_digests.REPEATS} of "):
+        job_digests._repeat(Counter(), "w/s1/x", ["frequency"])
+    record = job_digests._repeat(type("Steady", (), {"entry": lambda self, argv: 0})(),
+                                 "w/s1/x", ["group"])
+    assert record["rc"] == 0 and record["seconds"] >= 0.0
 
 
 @pytest.mark.parametrize("stdout_a, stdout_b, change", [

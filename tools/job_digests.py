@@ -4,7 +4,10 @@ Run every `jobs.json` argv of both benchmark workloads, at seeds 1 and 2,
 through `subfreq.cli.entry` of one checkout, and write a JSON record per
 job: the sha256 of exit code + stdout + stderr, the sha256 of each file the
 job writes with `--out`, and the text outputs themselves (stdout and text
-`--out` files) so that changed CSV cells can be measured.
+`--out` files) so that changed CSV cells can be measured.  Each job runs
+REPEATS times in a row; its record holds `seconds`, the least time of
+`entry` over those runs, and the tool exits 1 naming the first job whose
+repeat differs from its first run.
 
     python3 tools/job_digests.py --checkout PARENT --out parent.json
     python3 tools/job_digests.py --out change.json
@@ -16,7 +19,9 @@ the benchmark, BLAS and OpenMP run on one thread.  `--compare` prints every
 job whose record differs, with the largest relative change of a number in
 its text outputs (|a - b| / max(|a|, |b|); inf when the texts differ in
 anything but their numbers), followed for a CSV by the column of that
-number and its absolute change, and exits 1 when any job differs.
+number and its absolute change, and exits 1 when any job differs.  It
+ignores `seconds`, and ends with one line per workload and seed: the sum of
+the job `seconds` of A and of B, and their ratio B / A.
 """
 
 import os
@@ -35,9 +40,11 @@ import math  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
+REPEATS = 5  # in-process runs of each job; its seconds is their minimum
 # a decimal number, or nan / inf as whole words ("finite" holds no inf)
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b))")
 
@@ -69,20 +76,35 @@ def run_jobs(checkout, size="full"):
                 os.chdir(inputs)
                 try:
                     for job in jobs:
-                        records[f"{workload}/s{seed}/{job['id']}"] = _run(cli, job["argv"])
+                        key = f"{workload}/s{seed}/{job['id']}"
+                        records[key] = _repeat(cli, key, job["argv"])
                 finally:
                     os.chdir(cwd)
     return records
 
 
+def _repeat(cli, key, argv):
+    """The record of the job's first run, with `seconds` the least of REPEATS
+    runs; exits 1 naming the job when a run's record differs from the first."""
+    runs = [_run(cli, argv) for _ in range(REPEATS)]
+    seconds = [run.pop("seconds") for run in runs]
+    for i, run in enumerate(runs[1:], 2):
+        if run != runs[0]:
+            raise SystemExit(f"{key}: run {i} of {REPEATS} differs from the first run")
+    return {**runs[0], "seconds": min(seconds)}
+
+
 def _run(cli, argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        start = time.perf_counter()
         try:
             rc = cli.entry(list(argv))
         except SystemExit as exc:
             rc = exc.code
-    record = {"rc": rc, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+        seconds = time.perf_counter() - start
+    record = {"rc": rc, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+              "seconds": seconds}
     record["sha256"] = _sha(f"{rc}\n{record['stdout']}\n{record['stderr']}".encode())
     path = _out_file(argv)
     if path and os.path.exists(path):
@@ -161,6 +183,18 @@ def compare(records_a, records_b):
     return lines
 
 
+def timing(records_a, records_b):
+    """One line per workload and seed: the sums of the job `seconds` of A and
+    of B and their ratio B / A (nan where a record has no `seconds`)."""
+    sums = {}
+    for side, records in enumerate((records_a, records_b)):
+        for key, record in records.items():
+            group = sums.setdefault(key.rsplit("/", 1)[0], [0.0, 0.0])
+            group[side] += record.get("seconds", math.nan)
+    return [f"{group}: A {a:.4f} s, B {b:.4f} s, B/A {b / a if a else math.nan:.3f}"
+            for group, (a, b) in sorted(sums.items())]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", default=ROOT,
@@ -177,7 +211,8 @@ def main(argv=None):
                 records.append(json.load(fh))
         lines = compare(*records)
         total = len(set(records[0]) | set(records[1]))
-        print("\n".join(lines + [f"{len(lines)} of {total} jobs differ"]))
+        print("\n".join(lines + [f"{len(lines)} of {total} jobs differ"]
+                        + timing(*records)))
         return 1 if lines else 0
     if not args.out:
         parser.error("--out is required unless --compare is given")
