@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     json_int,
     json_number,
+    parsing,
 )
 from .frequency import FunctionHandle
 from .polynomials import (
@@ -43,8 +44,8 @@ class BaouendiSpec(Geometry):
     def __post_init__(self):
         if self.m < 1 or self.k < 1:
             raise DimensionMismatch("m and k must be positive")
-        if not self.alpha > 0:
-            raise DimensionMismatch("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise DimensionMismatch(f"alpha must be finite and > 0, got {self.alpha}")
         super().__post_init__()
 
     @property
@@ -384,7 +385,7 @@ def problem_from_json(data, directory=""):
     read from `directory` (that of the problem file).  The boundary
     polynomial, of layer weight alpha + 1 for any alpha > 0, is only
     evaluated (by `fd_solve`): no exact operation runs on it."""
-    try:
+    with parsing("problem file"):
         if isinstance(data, str):
             data = json.loads(data)
         spec = BaouendiSpec(json_int(data["m"], "m"), json_int(data["k"], "k"),
@@ -399,7 +400,3 @@ def problem_from_json(data, directory=""):
         with open(os.path.join(directory, boundary[len("poly:"):]), encoding="utf-8") as fh:
             poly = Polynomial.from_json(fh.read(), spec.m, spec.k, spec.alpha + 1)
         return spec, box, grid, poly
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (ParseError, DimensionMismatch)):
-            raise
-        raise ParseError(f"bad problem file: {exc}") from exc

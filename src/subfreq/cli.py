@@ -65,8 +65,8 @@ def _emit_curve(args, curve):
 
 
 def _radii(args):
-    if not (args.steps >= 1 and 0 < args.rmin <= args.rmax < math.inf):
-        raise ParseError("need 0 < rmin <= rmax < inf and steps >= 1")
+    if not (args.steps >= 1 and 0 < args.rmin <= args.rmax):
+        raise ParseError("need 0 < rmin <= rmax and steps >= 1")
     if args.steps == 1:
         return np.array([args.rmin])
     return geometric_radii(args.rmin, args.rmax, args.steps)
@@ -174,6 +174,8 @@ def cmd_baouendi_frequency(args):
 
 
 def cmd_baouendi_ortho(args):
+    if not args.radius > 0:
+        raise ParseError(f"--radius must be > 0, got {args.radius}")
     spec = BaouendiSpec(args.m, args.k, args.alpha)
     rule = build_sphere_rule(spec, args.resolution)
     inner, rel = relative_orthogonality(spec, args.radius, rule)
@@ -309,10 +311,14 @@ def build_parser():
 
 def entry(argv=None):
     """Run one command: `cmd_<command>[_<subcommand>]`, looked up by name
-    when called, so a rebound module attribute is the one that runs."""
+    when called, so a rebound module attribute is the one that runs, once
+    every float flag is checked finite."""
     args = build_parser().parse_args(argv)
     sub = getattr(args, "subcommand", None)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParseError(f"--{name} must be finite, got {value}")
         return globals()[f"cmd_{args.command}_{sub}" if sub else f"cmd_{args.command}"](args)
     except (SubfreqError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

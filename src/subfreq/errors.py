@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and `json_int` and
-`json_number`, which read an integer or a number field of an input file or
-raise ParseError."""
+"""Exception types shared across the package; `json_int` and `json_number`,
+which read an integer or a finite number field of an input file or raise
+ParseError, and `parsing`, the one error path of the input-file readers."""
+
+import math
+from contextlib import contextmanager
 
 
 class SubfreqError(Exception):
@@ -95,8 +98,23 @@ def json_int(value, what, minimum=None):
 
 
 def json_number(value, what):
-    """value if it is a JSON number (an integer or a float, not a bool);
-    otherwise ParseError naming the field `what`."""
+    """value if it is a finite JSON number (an integer or a float, not a
+    bool); otherwise ParseError naming the field `what`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value!r}")
     return value
+
+
+@contextmanager
+def parsing(what):
+    """Read an input file inside the block: a malformed value (KeyError,
+    TypeError, ValueError, or ZeroDivisionError from a "p/0" entry) raises
+    ParseError("bad <what>: ..."), and a typed SubfreqError passes unchanged."""
+    try:
+        yield
+    except SubfreqError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {what}: {exc}") from exc

@@ -1,11 +1,12 @@
-"""Exact linear algebra over the rationals, in numpy and Fractions.
+"""Exact linear algebra over the rationals, in numpy and Python ints.
 
 `kernel_basis` eliminates modulo primes below 2^31 in int64, combines the
 primes by the Chinese remainder theorem, reads the rationals back by
 rational reconstruction (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, 3rd ed. 2013, section 5.10) and certifies A V = 0 exactly.
-`det` (Bareiss), `count_real_roots` (a Sturm chain) and `pfaffian_form`
-(Pf(sum_l t_l J_l) as a form in t) use Fractions.
+`det` (Bareiss) and `pfaffian_form` (Pf(sum_l t_l J_l) as a form in t)
+compute on the integers of `cleared`; `count_real_roots` (a Sturm chain)
+divides, in Fractions.
 """
 
 from fractions import Fraction
@@ -27,6 +28,14 @@ def to_fraction(x):
     if isinstance(x, float):
         return Fraction(repr(x))
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+def cleared(rows):
+    """(d, d A): the least common denominator d of the entries of the matrix
+    A = rows (as read by `to_fraction`) and d A, as lists of Python ints."""
+    rows = [[to_fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 # The largest primes below 2^31, so that a product of two residues stays
@@ -87,25 +96,16 @@ def _primitive(num, den):
 
 def _certified(a, v):
     """Whether a v = 0, summed over the nonzero entries of a row by row
-    (no BLAS, so no thread start-up): exact in int64 while the bound
-    max|a| max|v| ncols is below 2^62, else modulo primes below 2^20
-    (products below 2^40) until their product exceeds twice the bound."""
+    (no BLAS, so no thread start-up): in int64 while the bound
+    max|a| max|v| ncols is below 2^62, else in Python ints."""
     i, j = np.nonzero(a)
     if not i.size:
         return True
     starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
     bound = int(np.abs(a).max()) * int(np.abs(v).max(initial=0)) * a.shape[1]
-    if bound < 2 ** 62:
-        return not np.add.reduceat(a[i, j, None] * v[j].astype(np.int64), starts).any()
-    modulus = 1
-    for q in range(2 ** 20 - 1, 2, -2):
-        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
-            w = (v % q).astype(np.int64)[j]
-            if (np.add.reduceat(a[i, j, None] % q * w, starts) % q).any():
-                return False
-            modulus *= q
-            if modulus > 2 * bound:
-                return True
+    dtype = np.int64 if bound < 2 ** 62 else object
+    return not np.add.reduceat(a[i, j, None].astype(dtype, copy=False)
+                               * v[j].astype(dtype, copy=False), starts).any()
 
 
 def kernel_basis(rows, ncols):
@@ -152,9 +152,10 @@ def kernel_basis(rows, ncols):
 
 
 def det(rows):
-    """Exact determinant of a square matrix, by Bareiss's elimination: each
-    step divides exactly by the previous pivot."""
-    a, sign, previous = [[to_fraction(x) for x in row] for row in rows], 1, Fraction(1)
+    """Exact determinant det(d A) / d^n of a square matrix A (d A from
+    `cleared`), by Bareiss's elimination: each step divides exactly by the
+    previous pivot."""
+    (d, a), sign, previous = cleared(rows), 1, 1
     for k in range(len(a) - 1):
         swap = next((i for i in range(k, len(a)) if a[i][k]), None)
         if swap is None:
@@ -162,9 +163,9 @@ def det(rows):
         if swap != k:
             a[k], a[swap], sign = a[swap], a[k], -sign
         for i in range(k + 1, len(a)):
-            a[i] = [(x * a[k][k] - a[i][k] * y) / previous for x, y in zip(a[i], a[k])]
+            a[i] = [(x * a[k][k] - a[i][k] * y) // previous for x, y in zip(a[i], a[k])]
         previous = a[k][k]
-    return sign * a[-1][-1] if a else Fraction(1)
+    return Fraction(sign * a[-1][-1] if a else 1, d ** len(a))
 
 
 def count_real_roots(f):
@@ -183,28 +184,33 @@ def count_real_roots(f):
 
 
 def pfaffian_form(mats):
-    """Pf(J(t)) for J(t) = sum_l t_l mats[l], skew-symmetric m x m matrices
-    of Fractions, as the form {exponents of t: Fraction} of degree m/2; {}
-    when it vanishes identically, as for every odd m.  det J(t) = Pf(J(t))^2."""
-    return _pfaffian(mats, tuple(range(len(mats[0]))), {})
+    """Pf(J(t)) for J(t) = sum_l t_l mats[l], skew-symmetric m x m rational
+    matrices, as the form {exponents of t: Fraction} of degree m/2; {} when
+    it vanishes identically, as for every odd m.  det J(t) = Pf(J(t))^2.
+    Expanded in the integers d J_l of `cleared`: Pf(d J) = d^(m/2) Pf(J)."""
+    (d, rows), m = cleared([row for mat in mats for row in mat]), len(mats[0])
+    steps = [(m // 2 + 1) ** l for l in range(len(mats))]  # t^e is keyed sum_l e_l steps[l]
+    form = _pfaffian([(rows[m * l:m * l + m], step) for l, step in enumerate(steps)],
+                     tuple(range(m)), {})
+    return {tuple(e // step % (m // 2 + 1) for step in steps): Fraction(v, d ** (m // 2))
+            for e, v in form.items()}
 
 
 def _pfaffian(mats, index, memo):
     """The form of the block on `index`, expanded along its first row:
     Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns 0 and j),
-    memoised on the remaining indices."""
+    memoised on the remaining indices; `mats` pairs each J_l with its step."""
     if not index:
-        return {(0,) * len(mats): Fraction(1)}
+        return {0: 1}
     if index not in memo:
         first, rest, total = index[0], index[1:], {}
         for pos, j in enumerate(rest):
             minor = _pfaffian(mats, rest[:pos] + rest[pos + 1:], memo)
-            for l, mat in enumerate(mats):
+            for mat, step in mats:
                 c = -mat[first][j] if pos % 2 else mat[first][j]
                 if not c:
                     continue
                 for e, v in minor.items():
-                    e = e[:l] + (e[l] + 1,) + e[l + 1:]
-                    total[e] = total.get(e, 0) + c * v
+                    total[e + step] = total.get(e + step, 0) + c * v
         memo[index] = {e: v for e, v in total.items() if v}
     return memo[index]

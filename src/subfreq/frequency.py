@@ -208,11 +208,14 @@ def geometric_radii(rmin, rmax, n):
 
 def _identity_check(radii, lhs, rhs):
     """Residuals of lhs = rhs at each radius by one policy for every identity:
-    |lhs - rhs| / max(|lhs|, |rhs|), and 0 where both sides are below 1e-12
-    (an identically vanishing quantity read in round-off)."""
+    |lhs - rhs| / max(|lhs|, |rhs|), 0 where both sides are below 1e-12 (an
+    identically vanishing quantity read in round-off), and NaN where a side
+    is not finite."""
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    residuals = np.divide(np.abs(lhs - rhs), scale, out=np.zeros_like(scale),
-                          where=scale >= 1e-12)
+    finite = np.isfinite(scale)
+    diff = np.subtract(lhs, rhs, out=np.zeros_like(scale), where=finite)
+    residuals = np.divide(np.abs(diff), scale, out=np.where(finite, 0.0, np.nan),
+                          where=finite & (scale >= 1e-12))
     return {"radii": radii, "lhs": lhs, "rhs": rhs, "residuals": residuals}
 
 

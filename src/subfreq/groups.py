@@ -27,8 +27,8 @@ from .errors import (
     NonSkewSymmetric,
     NotHType,
     OriginSingularity,
-    ParseError,
     json_int,
+    parsing,
 )
 from .polynomials import (
     Polynomial,
@@ -179,19 +179,13 @@ def example_group_metivier():
 
 
 def _is_htype(G):
-    """Exact check of J_l^T J_l' + J_l'^T J_l = 2 delta_{ll'} I."""
-    m, k = G.m, G.k
-    for l1 in range(k):
-        for l2 in range(l1, k):
-            target = Fraction(2) if l1 == l2 else Fraction(0)
-            for i in range(m):
-                for j in range(m):
-                    s = sum(G.J[l1][r][i] * G.J[l2][r][j] + G.J[l2][r][i] * G.J[l1][r][j]
-                            for r in range(m))
-                    want = target if i == j else Fraction(0)
-                    if s != want:
-                        return False
-    return True
+    """Exact check of J_l^T J_l' + J_l'^T J_l = 2 delta_{ll'} I on the Python
+    ints d J_l of `exactla.cleared`, where the right side is 2 d^2 delta_{ll'} I."""
+    d, rows = exactla.cleared([row for mat in G.J for row in mat])
+    J = np.array(rows, dtype=object).reshape(G.k, G.m, G.m)
+    P = J.transpose(0, 2, 1)[:, None] @ J[None, :]  # P[l, l'] = J_l^T J_l'
+    target = np.multiply.outer(np.eye(G.k, dtype=object), np.eye(G.m, dtype=object))
+    return bool((P + P.transpose(1, 0, 2, 3) == 2 * d * d * target).all())
 
 
 def _is_metivier(G):
@@ -323,11 +317,7 @@ def group_to_json(G):
 
 
 def group_from_json(data):
-    try:
+    with parsing("group spec"):
         if isinstance(data, str):
             data = json.loads(data)
         return make_group(json_int(data["m"], "m"), json_int(data["k"], "k"), data["J"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        if isinstance(exc, (NonSkewSymmetric, DimensionMismatch)):
-            raise
-        raise ParseError(f"bad group spec: {exc}") from exc

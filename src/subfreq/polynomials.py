@@ -24,6 +24,7 @@ from .errors import (
     IntegerOverflow,
     ParseError,
     json_int,
+    parsing,
 )
 
 
@@ -238,7 +239,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data, m=None, k=None, tweight=2):
-        try:
+        with parsing("polynomial data"):
             if isinstance(data, str):
                 data = json.loads(data)
             terms = {}
@@ -251,10 +252,6 @@ class Polynomial:
             if m is None:
                 raise ParseError("empty polynomial file needs explicit dimensions")
             return cls(m, k, tweight, terms)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, DimensionMismatch):
-                raise
-            raise ParseError(f"bad polynomial data: {exc}") from exc
 
     def __repr__(self):
         if not self.terms:

@@ -663,8 +663,12 @@ def test_problem_from_json_rejects_non_integers(tmp_path, field, value):
     ("alpha", True, "alpha must be a number"), ("alpha", "2", "alpha must be a number"),
     ("box", [[True, 1], [-1, 1]], "a box bound must be a number"),
     ("box", [[-1, 1], [-1, "0.5"]], "a box bound must be a number"),
-    ("box", [[-1, 0, 1], [-1, 1]], "every box axis is a pair")],
-    ids=["alpha-bool", "alpha-string", "box-bool", "box-string", "box-triple"])
+    ("box", [[-1, 0, 1], [-1, 1]], "every box axis is a pair"),
+    ("alpha", float("inf"), "alpha must be finite"),
+    ("box", [[-1, 1], [float("-inf"), 1]], "a box bound must be finite"),
+    ("box", [[-1, float("nan")], [-1, 1]], "a box bound must be finite")],
+    ids=["alpha-bool", "alpha-string", "box-bool", "box-string", "box-triple", "alpha-inf",
+         "box-inf", "box-nan"])
 def test_problem_from_json_rejects_non_numbers(tmp_path, field, value, message):
     # alpha true used to read as alpha 1 with layer weight 2, the box
     # [[true, "0.5"], ...] as [(1.0, 0.5), ...], and a box axis of three
@@ -676,6 +680,12 @@ def test_problem_from_json_rejects_non_numbers(tmp_path, field, value, message):
     data[field] = value
     with pytest.raises(ParseError, match=message):
         sf.problem_from_json(data)
+
+
+@pytest.mark.parametrize("alpha", [0, -1, float("inf"), float("nan")])
+def test_spec_needs_a_finite_positive_alpha(alpha):
+    with pytest.raises(DimensionMismatch, match="alpha must be finite and > 0"):
+        sf.BaouendiSpec(1, 1, alpha)
 
 
 def test_fd_handle_is_freed_by_reference_counting(ba112):

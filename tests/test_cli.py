@@ -5,6 +5,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -382,7 +384,62 @@ def test_baouendi_frequency_non_finite_radius_exit_2(t_problem_17, flag, value, 
     assert entry(["baouendi", "frequency", "--problem", t_problem_17, "--steps", "3",
                   "--resolution", "8", flag, value]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "rmin <= rmax < inf" in captured.err
+    assert captured.out == "" and f"{flag} must be finite" in captured.err
+
+
+BAD_INPUTS = {
+    "frequency-kappa-nan": (["frequency", "--group", "{h1}", "--poly", "{x}", "--kappa", "nan"],
+                            "--kappa must be finite"),
+    "weiss-kappa-nan": (["baouendi", "weiss", "--problem", "{problem}", "--kappa", "nan"],
+                        "--kappa must be finite"),
+    "weiss-kappa-inf": (["baouendi", "weiss", "--problem", "{problem}", "--kappa", "inf"],
+                        "--kappa must be finite"),
+    "monneau-kappa-nan": (["baouendi", "monneau", "--poly", "{u}", "--ref", "{t}", "--m", "1",
+                           "--k", "1", "--alpha", "2", "--kappa", "nan"],
+                          "--kappa must be finite"),
+    "frequency-alpha-inf": (["baouendi", "frequency", "--poly", "{u}", "--m", "1", "--k", "1",
+                             "--alpha", "inf"], "--alpha must be finite"),
+    **{f"ortho-radius-{value}": (["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "2",
+                                  "--radius", value], message)
+       for value, message in (("0", "--radius must be > 0"), ("-1", "--radius must be > 0"),
+                              ("inf", "--radius must be finite"),
+                              ("nan", "--radius must be finite"))},
+    "group-zero-denominator": (["group", "--group", "{zero_group}"], "bad group spec"),
+    "poly-zero-denominator": (["frequency", "--group", "{h1}", "--poly", "{zero_poly}"],
+                              "bad polynomial data"),
+    "solve-alpha-infinity": (["baouendi", "solve", "--problem", "{inf_alpha}"],
+                             "alpha must be finite"),
+    "frequency-alpha-infinity": (["baouendi", "frequency", "--problem", "{inf_alpha}"],
+                                 "alpha must be finite"),
+    "solve-box-infinity": (["baouendi", "solve", "--problem", "{inf_box}"],
+                           "a box bound must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_non_finite_flags_and_malformed_files_exit_2(case, h1_file, x_file, mixed_112_files,
+                                                     t_problem_17, tmp_path, capsys):
+    # each used to exit 0 with NaN output, exit 1 with a traceback, or (the
+    # infinite box) run CG to its iteration cap first
+    files = {"h1": h1_file, "x": x_file, "u": mixed_112_files[0], "t": mixed_112_files[1],
+             "problem": t_problem_17}
+    contents = {"zero_group": {"m": 2, "k": 1, "J": [[[0, "-1/0"], ["1/0", 0]]]},
+                "zero_poly": [{"coeff": "1/0", "z": [1, 0], "t": [0]}]}
+    problem = json.loads(pathlib.Path(t_problem_17).read_text())
+    contents["inf_alpha"] = {**problem, "alpha": float("inf")}
+    contents["inf_box"] = {**problem, "box": [[-float("inf"), 1], [-1, 1]]}
+    for name, data in contents.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(files[name]).write_text(json.dumps(data))  # inf as Infinity
+    argv, message = BAD_INPUTS[case]
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert entry([arg.format(**files) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_baouendi_polynomial_mode(tmp_path, capsys):
@@ -486,6 +543,28 @@ def test_verify_negative_control(capsys):
               if not item["passed"]}
     assert failed == {"H-prime-identity", "first-variation-full",
                       "weiss-derivative", "monneau", "radial-exponential-frequency"}
+
+
+@pytest.mark.parametrize("check, name", [
+    ("check_H_identity", "H-prime-identity"), ("check_weiss_derivative", "weiss-derivative"),
+    ("radial_exponential_integrals", "radial-exponential-frequency")])
+def test_verify_fails_a_nan_residual(check, name, monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so a NaN residual used to pass; each
+    # fold now keeps it
+    inner = getattr(cli.verify_mod, check)
+
+    def nan_at_the_last_radius(*args):
+        result = inner(*args)
+        if isinstance(result, dict):
+            result["residuals"] = np.r_[result["residuals"][:-1], np.nan]
+        else:
+            result[1][-1] = np.nan
+        return result
+
+    monkeypatch.setattr(cli.verify_mod, check, nan_at_the_last_radius)
+    results = {r["name"]: r for r in cli.verify_mod.run_battery(resolution=12)}
+    assert [r for r in results if not results[r]["passed"]] == [name]
+    assert "nan" in results[name]["detail"]
 
 
 def _flip_j_term(ops, which=0):

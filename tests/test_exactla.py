@@ -166,12 +166,44 @@ def test_entries_outside_int64_raise():
         exactla.kernel_basis([[2 ** 70, 1]], 2)
 
 
-def test_kernel_with_many_primes_and_a_modular_certificate():
+def test_kernel_with_many_primes_and_a_python_int_certificate():
     # entries of about 2^30 give null vectors of about 2^87: several primes,
-    # Python-int residues and a certificate modulo primes below 2^20
+    # Python-int residues and a certificate in Python ints, past the int64
+    # bound, which rejects the basis with one entry changed
     big = [2 ** 30 + 3, 2 ** 30 - 35, 2 ** 29 + 11]
     rows = [[big[0], big[1], 0, 7], [0, big[2], big[0], 1], [5, 0, big[1], big[2]]]
     assert kernel(rows, 4) == sympy_kernel(rows, 4)
+    a = np.array(rows)
+    v = np.array([[int(vec.get(j, 0)) for vec in exactla.kernel_basis(rows, 4)]
+                  for j in range(4)], dtype=object)
+    assert int(np.abs(a).max()) * int(np.abs(v).max()) * 4 >= 2 ** 62
+    assert exactla._certified(a, v)
+    v[2, 0] += 1
+    assert not exactla._certified(a, v)
+
+
+def test_cleared_is_the_least_common_denominator_times_the_matrix():
+    d, rows = exactla.cleared([[Fraction(1, 2), "2/3", 0], [3, 0.25, Fraction(-5, 6)]])
+    assert (d, rows) == (12, [[6, 8, 0], [36, 3, -10]])
+    assert all(type(x) is int for row in rows for x in row)
+    assert exactla.cleared([]) == (1, [])
+
+
+def test_det_and_pfaffian_compute_on_cleared_integers(monkeypatch):
+    # each clears the denominators once; Bareiss and the expansion see only
+    # Python ints, and the results are rescaled exactly
+    seen, inner = [], exactla.cleared
+
+    def spy(rows):
+        d, ints = inner(rows)
+        seen.append(ints)
+        return d, ints
+
+    monkeypatch.setattr(exactla, "cleared", spy)
+    half = Fraction(1, 2)
+    assert exactla.det([[half, 1], [Fraction(1, 3), 2]]) == Fraction(2, 3)
+    assert exactla.pfaffian_form([[[0, half], [-half, 0]]]) == {(1,): half}
+    assert len(seen) == 2 and all(type(x) is int for ints in seen for row in ints for x in row)
 
 
 def square_pairs(n):

@@ -15,7 +15,7 @@ from subfreq.errors import (
     ZeroDenominator,
     ZeroHeight,
 )
-from subfreq.frequency import CSV_HEADER, FunctionHandle
+from subfreq.frequency import CSV_HEADER, FunctionHandle, _identity_check
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial, harmonic_basis
 
@@ -361,6 +361,15 @@ def test_identity_checks_exact_on_callable_handles(h1, rule_h1, ba112, rule_ba11
     checks.append(sf.check_D_variation(box(ba112, _baouendi_mixed(ba112)), radii, rule_ba112))
     worst = [float(np.max(res["residuals"])) for res in checks]
     assert max(worst) <= 1e-8, worst
+
+
+def test_identity_residual_is_nan_where_a_side_is_not_finite():
+    # a NaN or infinite side used to read as residual 0, as both sides below
+    # 1e-12 do; no RuntimeWarning is raised
+    lhs = np.array([1.0, 0.0, 1e-13, np.inf, 1.0, np.nan, 2.0])
+    rhs = np.array([np.nan, 0.0, -1e-13, np.inf, -np.inf, 0.0, 1.5])
+    np.testing.assert_array_equal(_identity_check(lhs, lhs, rhs)["residuals"],
+                                  [np.nan, 0.0, 0.0, np.nan, np.nan, np.nan, 0.25])
 
 
 def test_frequency_curve_zero_function(h1, rule_h1):

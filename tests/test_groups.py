@@ -38,6 +38,17 @@ def doubled_blocks(mat):
     return [row + [0] * n for row in mat] + [[0] * n + row for row in mat]
 
 
+def fractional_skew_group(m, k, seed):
+    """k seeded random skew-symmetric m x m matrices of fractions p/q, q <= 6."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(k):
+        a = [[Fraction(int(p), int(q)) for p, q in zip(*rows)]
+             for rows in zip(rng.integers(-3, 4, (m, m)), rng.integers(1, 7, (m, m)))]
+        mats.append([[a[i][j] - a[j][i] for j in range(m)] for i in range(m)])
+    return sf.make_group(m, k, mats)
+
+
 def rational_points(m, k):
     frac = st.fractions(min_value=-3, max_value=3,
                         max_denominator=8)
@@ -80,6 +91,30 @@ def test_metivier_example_not_htype():
     g = sf.example_group_metivier()
     assert not g.classification["is_htype"]
     assert g.classification["is_metivier"]
+
+
+def test_htype_over_a_common_denominator(monkeypatch):
+    # O^T J O for H^2 and the orthogonal O that turns the planes (z_1, z_3)
+    # and (z_2, z_4) by R = [[3/5, -4/5], [4/5, 3/5]] and R^T: H-type, with
+    # common denominator 25; the same J halved is not.  Both the H-type test
+    # and the Pfaffian clear the denominators first
+    r = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+    o = [[Fraction(0)] * 4 for _ in range(4)]
+    for plane, rot in (((0, 2), r), ((1, 3), [list(col) for col in zip(*r)])):
+        for a, i in enumerate(plane):
+            for b, j in enumerate(plane):
+                o[i][j] = rot[a][b]
+    (j,) = sf.heisenberg(2).J
+    turned = [[sum(o[a][i] * j[a][b] * o[b][c] for a in range(4) for b in range(4))
+               for c in range(4)] for i in range(4)]
+    assert exactla.cleared(turned)[0] == 25
+    seen, inner = [], exactla.cleared
+    monkeypatch.setattr(exactla, "cleared", lambda rows: seen.append(rows) or inner(rows))
+    assert sf.make_group(4, 1, [turned]).classification == {"is_htype": True,
+                                                            "is_metivier": True}
+    assert sf.make_group(4, 1, [scaled(turned, Fraction(1, 2))]).classification \
+        == {"is_htype": False, "is_metivier": True}
+    assert len(seen) == 3  # _is_htype twice, the Pfaffian of the halved J once
 
 
 def test_tiny_float_entries_keep_their_value():
@@ -195,12 +230,22 @@ def test_a_vanishing_pfaffian_answers_false_before_any_evaluation(monkeypatch):
     lambda: oracles.random_skew_group(8, 3, 11),
     lambda: sf.make_group(8, 3, [[row + [0] * 4 for row in q] + [[0] * 8] * 4
                                  for q in QUATERNIONIC]),
-], ids=["random-5", "random-11", "zero-block"])
-def test_pfaffian_form_matches_the_matching_sum(make):
+    lambda: fractional_skew_group(8, 3, 4),
+], ids=["random-5", "random-11", "zero-block", "fractional"])
+def test_pfaffian_form_matches_the_matching_sum(make, monkeypatch):
     # the memoised form, evaluated at integer witness points, against Pf(J(t))
-    # summed over perfect matchings at each point
+    # summed over perfect matchings at each point; the expansion holds only
+    # the Python ints of the cleared J_l
+    results, inner = [], exactla._pfaffian
+
+    def spy(mats, index, memo):
+        results.append(inner(mats, index, memo))
+        return results[-1]
+
+    monkeypatch.setattr(exactla, "_pfaffian", spy)
     G = make()
     form = exactla.pfaffian_form(G.J)
+    assert all(type(v) is int for minor in results for v in minor.values())
     for t in groups._witness_points(G.k)[::97]:
         t = [int(x) for x in t]
         assert sum(c * math.prod(map(pow, t, e)) for e, c in form.items()) \
@@ -365,6 +410,11 @@ def test_group_from_json_errors():
     for m, k in ((2.0, 1), (2, True)):
         with pytest.raises(ParseError, match="must be an integer"):
             sf.group_from_json({"m": m, "k": k, "J": [[[0, -1], [1, 0]]]})
+    # a "p/0" entry raised ZeroDivisionError, which no reader caught
+    with pytest.raises(ParseError, match="bad group spec"):
+        sf.group_from_json({"m": 2, "k": 1, "J": [[[0, "-1/0"], ["1/0", 0]]]})
+    with pytest.raises(ParseError, match="bad polynomial data"):
+        sf.Polynomial.from_json([{"coeff": "1/0", "z": [1, 0], "t": [0]}])
 
 
 def test_htype_identity_matrix_form():

@@ -86,19 +86,28 @@ def test_compare_ignores_seconds_and_timing_sums_them():
 
 
 def test_a_job_whose_repeat_differs_exits_naming_it():
-    class Counter:
-        calls = 0
+    # the runs of a job arrive one pass apart; each keeps the least time
+    records = {}
+    for repeat, seconds in enumerate([0.5, 0.25, 0.75]):
+        job_digests._fold(records, "w/s1/x", _record("1\n", seconds), repeat)
+        job_digests._fold(records, "w/s1/y", _record("2\n", 1.0 - seconds), repeat)
+    assert records == {"w/s1/x": _record("1\n", 0.25), "w/s1/y": _record("2\n", 0.25)}
+    with pytest.raises(SystemExit, match=f"^w/s1/x: run 4 of {job_digests.REPEATS} differs"):
+        job_digests._fold(records, "w/s1/x", _record("0\n", 0.125), 3)
 
-        def entry(self, argv):
-            self.calls += 1
-            print(self.calls if self.calls == job_digests.REPEATS else 0)
-            return 0
 
-    with pytest.raises(SystemExit, match=f"^w/s1/x: run {job_digests.REPEATS} of "):
-        job_digests._repeat(Counter(), "w/s1/x", ["frequency"])
-    record = job_digests._repeat(type("Steady", (), {"entry": lambda self, argv: 0})(),
-                                 "w/s1/x", ["group"])
-    assert record["rc"] == 0 and record["seconds"] >= 0.0
+def test_run_jobs_interleaves_the_repeats(monkeypatch):
+    # one pass over the whole job list per repeat, not REPEATS runs in a row
+    order = []
+    monkeypatch.setattr(job_digests, "_run",
+                        lambda cli, argv: order.append(tuple(argv)) or _record("", 0.5))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run_jobs puts bench/ on it
+    records = job_digests.run_jobs(str(ROOT), "tiny")
+    sys.modules.pop("gen")
+    jobs = len(records)
+    assert len(order) == job_digests.REPEATS * jobs
+    assert all(order[i] == order[i % jobs] for i in range(len(order)))
+    assert all(record["seconds"] == 0.5 for record in records.values())
 
 
 @pytest.mark.parametrize("stdout_a, stdout_b, change", [

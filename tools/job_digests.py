@@ -4,10 +4,11 @@ Run every `jobs.json` argv of both benchmark workloads, at seeds 1 and 2,
 through `subfreq.cli.entry` of one checkout, and write a JSON record per
 job: the sha256 of exit code + stdout + stderr, the sha256 of each file the
 job writes with `--out`, and the text outputs themselves (stdout and text
-`--out` files) so that changed CSV cells can be measured.  Each job runs
-REPEATS times in a row; its record holds `seconds`, the least time of
-`entry` over those runs, and the tool exits 1 naming the first job whose
-repeat differs from its first run.
+`--out` files) so that changed CSV cells can be measured.  The whole job
+list runs REPEATS times, one pass after the other, so a job's runs are
+spread over the run; its record holds `seconds`, the least time of `entry`
+over those runs, and the tool exits 1 naming the first job whose repeat
+differs from its first run.
 
     python3 tools/job_digests.py --checkout PARENT --out parent.json
     python3 tools/job_digests.py --out change.json
@@ -44,7 +45,7 @@ import time  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
-REPEATS = 5  # in-process runs of each job; its seconds is their minimum
+REPEATS = 5  # passes over the job list; a job's seconds is the least of its runs
 # a decimal number, or nan / inf as whole words ("finite" holds no inf)
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b))")
 
@@ -59,7 +60,9 @@ def _out_file(argv):
 
 
 def run_jobs(checkout, size="full"):
-    """{"<workload>/s<seed>/<job id>": record} for every job of the checkout."""
+    """{"<workload>/s<seed>/<job id>": record} for every job of the checkout:
+    REPEATS passes over the whole job list, so that the repeats of a job are
+    spread over the run rather than back to back."""
     sys.path.insert(0, os.path.join(checkout, "bench"))
     import gen
 
@@ -69,29 +72,33 @@ def run_jobs(checkout, size="full"):
     records = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        batches = []
         for workload in gen.WORKLOADS:
             for seed in SEEDS:
                 inputs = os.path.join(tmp, f"{workload}-{seed}")
                 jobs = gen.generate(sf, workload, seed, inputs, size)
+                batches.append((inputs, [(f"{workload}/s{seed}/{job['id']}", job["argv"])
+                                         for job in jobs]))
+        for repeat in range(REPEATS):
+            for inputs, jobs in batches:
                 os.chdir(inputs)
                 try:
-                    for job in jobs:
-                        key = f"{workload}/s{seed}/{job['id']}"
-                        records[key] = _repeat(cli, key, job["argv"])
+                    for key, argv in jobs:
+                        _fold(records, key, _run(cli, argv), repeat)
                 finally:
                     os.chdir(cwd)
     return records
 
 
-def _repeat(cli, key, argv):
-    """The record of the job's first run, with `seconds` the least of REPEATS
-    runs; exits 1 naming the job when a run's record differs from the first."""
-    runs = [_run(cli, argv) for _ in range(REPEATS)]
-    seconds = [run.pop("seconds") for run in runs]
-    for i, run in enumerate(runs[1:], 2):
-        if run != runs[0]:
-            raise SystemExit(f"{key}: run {i} of {REPEATS} differs from the first run")
-    return {**runs[0], "seconds": min(seconds)}
+def _fold(records, key, run, repeat):
+    """Fold run number `repeat` (from 0) of a job into its record: the first
+    run's record, with `seconds` the least time so far; exits 1 naming the
+    job when the run's record differs from the first."""
+    seconds = run.pop("seconds")
+    first = records.setdefault(key, {**run, "seconds": seconds})
+    if {**run, "seconds": first["seconds"]} != first:
+        raise SystemExit(f"{key}: run {repeat + 1} of {REPEATS} differs from the first run")
+    first["seconds"] = min(first["seconds"], seconds)
 
 
 def _run(cli, argv):
