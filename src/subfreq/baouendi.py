@@ -4,8 +4,9 @@ The spec is a `Geometry` (gauge, weight and dilations), so the
 Almgren/Weiss/Monneau functionals of the frequency module apply to it
 unchanged, as to the group case alpha = 1, and its `tweight` and
 `laplacian` give the solid harmonics of `polynomials`.  This module adds
-their surface orthogonality and a finite-difference Dirichlet solver that
-produces honest non-polynomial solutions at desk scale.
+their surface orthogonality and a Dirichlet solver (Chebyshev collocation
+at integer alpha, finite differences otherwise) that produces honest
+non-polynomial solutions at desk scale.
 """
 
 import json
@@ -47,6 +48,8 @@ class BaouendiSpec(Geometry):
         if not 0 < self.alpha < math.inf:
             raise DimensionMismatch(f"alpha must be finite and > 0, got {self.alpha}")
         super().__post_init__()
+        if not math.isfinite(self.Q * self.Q):  # a sphere rule's gamma is Q^2 / (Q - 2)
+            raise DimensionMismatch(f"alpha = {self.alpha} makes Q^2 overflow a float")
 
     @property
     def tweight(self):
@@ -105,7 +108,12 @@ def relative_orthogonality(spec, r, rule):
     return inner, abs(inner) / (n1 * n2)
 
 
-# -- finite-difference Dirichlet solver ------------------------------------
+# -- Dirichlet solvers: Chebyshev collocation and finite differences -------
+
+# The largest total size in bytes of the z-system matrices of one batched
+# collocation solve (`_system_bytes`).  It caps n before anything is
+# allocated; the solve holds about twice this at its peak.
+COLLOCATION_BYTES = 2 ** 27
 
 
 @dataclass
@@ -113,10 +121,11 @@ class GridSolution:
     """Nodal solution of B_a u = 0 on a tensor grid over (z, t)."""
 
     spec: BaouendiSpec
-    axes: tuple           # per-axis node arrays, z axes first; their ends are the box
-    channels: np.ndarray  # (*grid, N + 1): u on the full grid, then room for d_1 u, ..., d_N u
-    residual: float       # |stencil(u)| / |stencil(boundary data)| at the interior nodes
-    iterations: int       # CG iterations
+    axes: tuple           # per-axis node arrays, ascending, z axes first; their ends are the box
+    channels: np.ndarray  # (*grid, C): u on the full grid, then (FD) room for d_1 u, ..., d_N u
+    residual: float       # |scheme(u)| / |scheme(boundary data)| at the interior nodes
+    iterations: int       # CG iterations (FD), or collocation solves (Chebyshev)
+    series: np.ndarray = None  # the chopped tensor Chebyshev coefficients of u (Chebyshev)
 
     @property
     def values(self):
@@ -124,18 +133,26 @@ class GridSolution:
         return self.channels[..., 0]
 
     def as_handle(self):
-        """FunctionHandle evaluating by multilinear interpolation.
+        """FunctionHandle whose value and partials come from one kernel call
+        per point set (the handle's `jet`).
 
-        The kernel (`_multilinear`) reads the channel array, which holds u
-        once: this fills channels 1.. with the second-order central
-        differences d_1 u, ..., one axis at a time.  Value and partials come
-        from one call per point set (the handle's `jet`)."""
-        data = self.channels
-        for axis, nodes in enumerate(self.axes):
-            data[..., axis + 1] = np.gradient(self.values, nodes, axis=axis, edge_order=2)
-        flat = data.reshape(-1, data.shape[-1])  # a view: one row of channels per node
+        A collocation solution is read from its chopped tensor Chebyshev
+        series, the partials from `chebder` of it (`_series_jet`).  An FD
+        solution is read by multilinear interpolation (`_multilinear`) of the
+        channel array, which holds u once: this fills channels 1.. with the
+        second-order central differences d_1 u, ..., one axis at a time.
+        The jet holds these arrays, not the solution."""
         m = self.spec.m
-        lo, hi = np.array([(nodes[0], nodes[-1]) for nodes in self.axes]).T
+        axes = self.axes
+        lo, hi = np.array([(nodes[0], nodes[-1]) for nodes in axes]).T
+        flat = stack = None
+        if self.series is None:
+            data = self.channels
+            for axis, nodes in enumerate(axes):
+                data[..., axis + 1] = np.gradient(self.values, nodes, axis=axis, edge_order=2)
+            flat = data.reshape(-1, data.shape[-1])  # a view: one row of channels per node
+        else:
+            stack = _derivative_stack(self.series, lo, hi)
 
         def jet(z, t):
             x = np.empty((len(lo), len(z)))  # one contiguous row of coordinates per axis
@@ -146,7 +163,7 @@ class GridSolution:
                 outside = ~np.all((x.T >= lo) & (x.T <= hi), axis=1)
                 box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(lo, hi))
                 raise BadGrid(f"point {x.T[outside][0]} lies outside the FD solution box {box}")
-            c = _multilinear(self.axes, flat, x)
+            c = _multilinear(axes, flat, x) if stack is None else _series_jet(stack, lo, hi, x)
             return c[:, 0], list(c[:, 1:m + 1].T), list(c[:, m + 1:].T)
 
         u = FunctionHandle(self.spec, jet, label="fd-solution")
@@ -180,6 +197,42 @@ def _multilinear(axes, flat, x):
     return out
 
 
+def _derivative_stack(series, lo, hi):
+    """(N + 1, *series.shape): the tensor Chebyshev series of u on the box
+    [lo, hi], then those of d_1 u, ..., d_N u (`chebder`, zero-padded)."""
+    from numpy.polynomial.chebyshev import chebder
+
+    stack = np.zeros((series.ndim + 1,) + series.shape)
+    stack[0] = series
+    for axis in range(series.ndim):
+        d = chebder(series, scl=2.0 / (hi[axis] - lo[axis]), axis=axis)
+        stack[(axis + 1,) + (slice(None),) * axis + (slice(0, d.shape[axis]),)] = d
+    return stack
+
+
+def _series_jet(stack, lo, hi, x):
+    """The series of `_derivative_stack` summed at the points with
+    coordinates x (one row per axis, inside the box [lo, hi]): one row of
+    channels per point.  The t axis is contracted first, over the distinct
+    t of the points only (a sphere rule has few), then the z axes, last
+    first, on blocks of points that gather at most 2^20 coefficients."""
+    from numpy.polynomial.chebyshev import chebvander
+
+    s = (2.0 * x - (lo + hi)[:, None]) / (hi - lo)[:, None]  # the points in [-1, 1]^N
+    t_values, where = np.unique(s[-1], return_inverse=True)
+    at_t = np.tensordot(chebvander(t_values, stack.shape[-1] - 1), stack, axes=(1, -1))
+    vander = [chebvander(sd, n - 1) for sd, n in zip(s[:-1], stack.shape[1:-1])]
+    out = np.empty((x.shape[1], len(stack)))
+    block = max(1, 2 ** 20 // math.prod(at_t.shape[1:]))
+    for start in range(0, x.shape[1], block):
+        part = slice(start, start + block)
+        b = at_t[where[part]]  # (points, channels, *z lengths)
+        for v in reversed(vander):
+            b = np.einsum("p...i,pi->p...", b, v[part])
+        out[part] = b
+    return out
+
+
 def cg(*args, **kwargs):
     """scipy's conjugate gradients, imported on the first call so that the
     package imports no scipy; `fd_solve` calls it by this module name."""
@@ -188,7 +241,201 @@ def cg(*args, **kwargs):
 
 
 def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
-    """Solve B_a u = 0 with Dirichlet data, by preconditioned conjugate gradients.
+    """Solve B_a u = 0 on a box with Dirichlet data `boundary_fn`, for
+    N = m + k in {2, 3} (k = 1) and 5 to 257 nodes per axis.
+
+    At integer alpha the coefficient |z|^(2a)/4 is a polynomial and B_a is
+    hypoelliptic, so u is analytic on the box: tensor Chebyshev
+    collocation converges spectrally (`_collocation_solve`), and grid_sizes
+    caps its nodes per axis.  At any other alpha u is only finitely smooth
+    at z = 0, where Chebyshev converges algebraically, and the second-order
+    FD scheme on exactly grid_sizes nodes (`_fd_scheme_solve`) is cheaper
+    for the same accuracy.  A relative residual above `tol` raises
+    NoConvergence."""
+    ndim = spec.m + spec.k
+    if ndim not in (2, 3) or spec.k != 1:
+        raise BadGrid("solver supports m in {1, 2} with k = 1")
+    if len(box) != ndim or len(grid_sizes) != ndim:
+        raise BadGrid("box/grid must have one entry per axis")
+    if any(n < 5 or n > 257 for n in grid_sizes):
+        raise BadGrid("grid sizes must be in [5, 257]")
+    if not all(lo < hi for lo, hi in box):
+        raise BadGrid(f"every box axis needs lo < hi, got {box}")
+    if float(spec.alpha).is_integer():
+        return _collocation_solve(spec, box, grid_sizes, boundary_fn, tol)
+    return _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol)
+
+
+def _boundary_grid(axes, m, boundary_fn):
+    """The full-grid array over the axes holding boundary_fn on the boundary
+    nodes, where alone it is evaluated, and 0 at the interior nodes."""
+    shape = tuple(len(ax) for ax in axes)
+    mesh = [np.broadcast_to(x, shape) for x in np.meshgrid(*axes, indexing="ij", sparse=True)]
+    edge = np.ones(shape, dtype=bool)
+    edge[(slice(1, -1),) * len(axes)] = False
+    full = np.zeros(shape)
+    pts_z = np.stack([mesh[i][edge] for i in range(m)], axis=1)
+    full[edge] = np.asarray(boundary_fn(pts_z, mesh[m][edge].reshape(-1, 1)), dtype=float).ravel()
+    return full
+
+
+def _collocation_solve(spec, box, grid_sizes, boundary_fn, tol):
+    """Tensor Chebyshev-Lobatto collocation (Trefethen, Spectral Methods in
+    MATLAB, SIAM 2000, ch. 6-7) on n + 1 nodes per axis, n doubled from 8
+    until the chopped coefficient lengths (`_chop`) stop growing, capped
+    per axis by grid_sizes - 1 and by COLLOCATION_BYTES."""
+    caps = [size - 1 for size in grid_sizes]
+
+    def sizes(n):
+        return [min(n, cap) for cap in caps]
+
+    n, lengths, solves = 8, None, 0
+    while True:
+        axes, full, resid = _collocation(spec, box, sizes(n), boundary_fn)
+        solves += 1
+        series = _chop(full)
+        grew = lengths is None or any(a > b for a, b in zip(series.shape, lengths))
+        lengths = series.shape
+        bigger = 2 * n
+        while bigger > n and _system_bytes(spec, sizes(bigger)) > COLLOCATION_BYTES:
+            bigger -= 1
+        if not grew or sizes(bigger) == sizes(n):
+            break
+        n = bigger
+    if not resid <= tol:
+        raise NoConvergence(
+            f"collocation on {[len(ax) for ax in axes]} nodes left residual {resid:.3e} "
+            f"after {solves} iterations (one solve per n), tolerance {tol}",
+            iterations=solves, residual=resid)
+    return GridSolution(spec=spec, axes=tuple(axes), channels=full[..., None], residual=resid,
+                        iterations=solves, series=series)
+
+
+def _system_bytes(spec, sizes):
+    """Bytes of the z-system matrices that one collocation solve on n + 1
+    nodes per axis (`sizes`: the n) stacks for its batched solve."""
+    *nz, nt = [n - 1 for n in sizes]
+    if len(nz) == 2 and spec.alpha == 1:  # z_2 diagonalised: systems of size n_1
+        return 8 * nt * nz[1] * nz[0] ** 2
+    return 8 * nt * math.prod(nz) ** 2
+
+
+def _chebyshev_axis(n, lo, hi):
+    """The n + 1 Chebyshev-Lobatto nodes of [lo, hi], ascending and with the
+    ends exactly lo and hi, and the differentiation matrix on them
+    (Trefethen 2000, ch. 6, with the diagonal as minus the off-diagonal
+    row sums)."""
+    x = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))  # -cos(j pi / n), symmetric
+    c = np.ones(n + 1)
+    c[[0, -1]] = 2.0
+    c[1::2] *= -1.0
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * x
+    nodes[[0, -1]] = lo, hi
+    return nodes, d * (2.0 / (hi - lo))
+
+
+def _collocation(spec, box, sizes, boundary_fn):
+    """One collocation solve on sizes[i] + 1 nodes per axis: returns the
+    axes, u on the full grid and the relative residual of the scheme."""
+    m = spec.m
+    axes, d2 = [], []
+    for n, (lo, hi) in zip(sizes, box):
+        nodes, d = _chebyshev_axis(n, lo, hi)
+        axes.append(nodes)
+        d2.append(d @ d)
+    full = _boundary_grid(axes, m, boundary_fn)
+    interior = (slice(1, -1),) * len(axes)
+    zs = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
+    coeff = sum(z ** 2 for z in zs) ** int(spec.alpha) / 4.0
+
+    def scheme(g):
+        # B_a of the full-grid array g at the interior nodes: the interior
+        # rows of each axis's second-derivative matrix, applied along it
+        out = np.zeros(coeff.shape + (sizes[-1] - 1,))
+        for axis, mat in enumerate(d2):
+            index = list(interior)
+            index[axis] = slice(None)
+            term = np.moveaxis(np.tensordot(mat[1:-1], g[tuple(index)], axes=(1, axis)), 0, axis)
+            out += coeff[..., None] * term if axis >= m else term
+        return out
+
+    rhs = -scheme(full)
+    terms = None
+    if m == 2 and spec.alpha == 1:  # |z|^2/4 = z_1^2/4 + z_2^2/4
+        terms = [ax[1:-1] ** 2 / 4.0 for ax in axes[:m]]
+    full[interior] = _mode_solve([mat[1:-1, 1:-1] for mat in d2], coeff, terms, rhs)
+    resid = float(np.linalg.norm(scheme(full))) / (float(np.linalg.norm(rhs)) or 1.0)
+    return axes, full, resid
+
+
+def _mode_solve(blocks, coeff, terms, rhs):
+    """The interior u of the collocation system sum_i A_i u + c(z) A_t u =
+    rhs, each interior second-derivative block A applied along its axis.
+
+    A_t = V diag(lam) V^-1 (`eig`; real for Chebyshev), so t-mode j leaves
+    (A_z + lam_j diag(c)) w_j = (rhs V^-T)_j, and all of them are one
+    batched `solve`.  Where c separates, c = c_1(z_1) + c_2(z_2) (`terms`),
+    the z_2 block A_2 + lam_j diag(c_2) of each mode is V_j diag(s_j) V_j^-1
+    too, and every pair (j, q) leaves a system
+    A_1 + diag(lam_j c_1 + s_jq) of size n_1."""
+    *a_z, a_t = blocks
+    lam, vec = np.linalg.eig(a_t)
+    modes = rhs @ np.linalg.inv(vec).T  # (*z, t-modes)
+    if terms is None:
+        lap = a_z[0]
+        if len(a_z) == 2:
+            lap = np.kron(a_z[0], np.eye(len(a_z[1]))) + np.kron(np.eye(len(a_z[0])), a_z[1])
+        flat = modes.reshape(-1, len(lam)).T[..., None]
+        w = np.linalg.solve(_shifted(lap, lam[:, None] * coeff.ravel()), flat)
+        w = w[..., 0].T.reshape(modes.shape)
+    else:
+        c1, c2 = terms
+        s, v2 = np.linalg.eig(_shifted(a_z[1], lam[:, None] * c2))
+        r = np.moveaxis(modes, -1, 0) @ np.linalg.inv(v2).transpose(0, 2, 1)  # (t, z_1, q)
+        y = np.linalg.solve(_shifted(a_z[0], lam[:, None, None] * c1 + s[..., None]),
+                            r.transpose(0, 2, 1)[..., None])[..., 0]  # (t, q, z_1)
+        w = np.moveaxis(y.transpose(0, 2, 1) @ v2.transpose(0, 2, 1), 0, -1)
+    return (w @ vec.T).real
+
+
+def _shifted(base, diagonals):
+    """The stack of base + diag(d) over the rows d of `diagonals`, built in
+    one allocation."""
+    out = np.empty(diagonals.shape[:-1] + base.shape, dtype=np.result_type(base, diagonals))
+    out[...] = base
+    i = np.arange(len(base))
+    out[..., i, i] += diagonals
+    return out
+
+
+def _chop(values):
+    """The tensor Chebyshev coefficients of u from its values on the
+    ascending Lobatto nodes (a DCT-I per axis, by FFT), cut where round-off
+    begins (Aurentz & Trefethen, ACM TOMS 43, 2017): each axis after its
+    last index holding a coefficient above eps n^2 max|c| (n the largest
+    degree), and every coefficient below that set to 0.  The round-off
+    measured in these coefficients on polynomial data, n = 8 ... 256 in 2-D
+    and to 48 in 3-D, is 2e-16 ... 4e-13, 9x or more below the cut."""
+    c = values
+    for axis in range(values.ndim):
+        v = np.moveaxis(c, axis, -1)
+        n = v.shape[-1] - 1
+        f = np.fft.rfft(np.concatenate([v, v[..., -2:0:-1]], axis=-1)).real / n
+        f[..., [0, n]] /= 2.0
+        f[..., 1::2] *= -1.0  # ascending nodes: T_k(-x) = (-1)^k T_k(x)
+        c = np.moveaxis(f, -1, axis)
+    big = np.abs(c) > np.finfo(float).eps * (max(values.shape) - 1) ** 2 * np.max(np.abs(c))
+    lengths = []
+    for axis in range(c.ndim):
+        kept = np.flatnonzero(big.any(axis=tuple(a for a in range(c.ndim) if a != axis)))
+        lengths.append(kept[-1] + 1 if kept.size else 1)
+    return np.where(big, c, 0.0)[tuple(slice(0, n) for n in lengths)]
+
+
+def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
+    """The FD path of `fd_solve`, by preconditioned conjugate gradients.
 
     `stencil` is the scheme: the second-order centred B_a stencil at the
     interior nodes of a full-grid array, with the degenerate coefficient
@@ -198,40 +445,22 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     The coefficient depends on z only and the t axis is uniform with
     Dirichlet ends, so an orthonormal DST-I in t diagonalises the
     t-difference (fast diagonalisation, Lynch, Rice & Thomas 1964) and
-    leaves one SPD system in z per t-mode.  Where the coefficient separates,
-    c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1), the z_2 axis is diagonalised
-    too and all z_1 systems are one tridiagonal solve
-    (`_separable_mode_solver`), refined once against the stencil when z_2
-    is diagonalised; otherwise (m = 2, alpha != 1) each mode is one banded
-    Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).  Either is the exact inverse, which
-    preconditions CG: it stops after one or two iterations.  Supports
-    N = m + k in {2, 3} with at most 257 nodes per axis."""
+    leaves one SPD system in z per t-mode: for m = 1 all of them are one
+    tridiagonal solve (`_separable_mode_solver`), for m = 2 each mode is one
+    banded Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).
+    Either is the exact inverse, which preconditions CG: it stops after one
+    or two iterations."""
     from scipy.fft import dst
     from scipy.sparse.linalg import LinearOperator
 
-    m, k = spec.m, spec.k
-    ndim = m + k
-    if ndim not in (2, 3) or k != 1:
-        raise BadGrid("solver supports m in {1, 2} with k = 1")
-    if len(box) != ndim or len(grid_sizes) != ndim:
-        raise BadGrid("box/grid must have one entry per axis")
-    if any(n < 5 or n > 257 for n in grid_sizes):
-        raise BadGrid("grid sizes must be in [5, 257]")
-    if not all(lo < hi for lo, hi in box):
-        raise BadGrid(f"every box axis needs lo < hi, got {box}")
-
+    m = spec.m
+    ndim = m + spec.k
     axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes))
     steps = [ax[1] - ax[0] for ax in axes]
     shape = tuple(grid_sizes)
     ni = tuple(n - 2 for n in shape)
     interior = (slice(1, -1),) * ndim
-
-    mesh = [np.broadcast_to(x, shape) for x in np.meshgrid(*axes, indexing="ij", sparse=True)]
-    edge = np.ones(shape, dtype=bool)
-    edge[interior] = False
-    full = np.zeros(shape)  # the boundary data, evaluated on the boundary nodes only
-    pts_z = np.stack([mesh[i][edge] for i in range(m)], axis=1)
-    full[edge] = np.asarray(boundary_fn(pts_z, mesh[m][edge].reshape(-1, 1)), dtype=float).ravel()
+    full = _boundary_grid(axes, m, boundary_fn)
 
     zmesh = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
     coeff = (sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0)[..., None]
@@ -257,10 +486,9 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     # t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
     n_t = ni[-1]
     lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
-    if m == 1 or spec.alpha == 1:
-        # c(z) = sum_i c_i(z_i) with c_i = |z_i|^(2a)/4
-        terms = [(ax[1:-1] ** 2) ** spec.alpha / 4.0 for ax in axes[:m]]
-        solve_modes = _separable_mode_solver(steps[:m], terms, lam)
+    if m == 1:
+        solve_modes = _separable_mode_solver(steps[0], (axes[0][1:-1] ** 2) ** spec.alpha / 4.0,
+                                             lam)
     else:
         solve_modes = _banded_mode_solver(steps[:m], coeff[..., 0], lam)
 
@@ -274,17 +502,9 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
         work[interior] = x.reshape(ni)
         return -stencil(work).ravel()
 
-    def refined_inverse(r):
-        # the z_2 eigenvectors are backward stable only normwise, where the
-        # Cholesky solves are componentwise: one step of iterative refinement
-        # against the stencil wins back the digits this costs on smooth data
-        x = inverse(r)
-        return x + inverse(r - negated_stencil(x))
-
     n = math.prod(ni)
     a_op = LinearOperator((n, n), matvec=negated_stencil, dtype=float)  # SPD
-    exact_inverse = refined_inverse if m == 2 and spec.alpha == 1 else inverse
-    precond = LinearOperator((n, n), matvec=exact_inverse, dtype=float)
+    precond = LinearOperator((n, n), matvec=inverse, dtype=float)
     b = stencil(full).ravel()
     iterates = []  # one entry per CG iteration
     sol, info = cg(a_op, b, x0=np.zeros(n), rtol=1e-12, atol=0.0,
@@ -304,44 +524,26 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
                         iterations=iterations)
 
 
-def _separable_mode_solver(steps, terms, lam):
-    """Exact solver of the t-modes for a separable coefficient
-    c(z) = sum_i c_i(z_i), given as the arrays c_i = terms[i] on the interior
-    z_i nodes (m = 1, or m = 2 with alpha = 1).  It maps the array of modes
-    (rows: z nodes with z_1 slowest, columns: t-modes j) to the solutions of
-    -lap_zz - lam_j diag(c).
-
-    For m = 2 the z_2 operator -d^2/h_2^2 - lam_j diag(c_2) of each mode is
-    V_j diag(e_j) V_j^T (`eigh_tridiagonal`), and one batched matmul moves
-    the modes into that basis.  Every pair (j, q) then leaves the
-    tridiagonal z_1 system -d^2/h_1^2 - lam_j diag(c_1) + e_jq; all of them
-    form one block-diagonal SPD matrix (zero couplings at the block ends),
-    solved by one banded Cholesky call with kd = 1."""
-    from scipy.linalg import eigh_tridiagonal, solveh_banded
-    h1, n1 = steps[0], len(terms[0])
-    diag = (2.0 / h1 ** 2 - lam[:, None] * terms[0])[:, None, :]  # (n_t, 1, n_1)
-    vecs = None
-    if len(terms) == 2:
-        n2 = len(terms[1])
-        off = np.full(n2 - 1, -1.0 / steps[1] ** 2)
-        vecs = np.empty((len(lam), n2, n2))
-        eigenvalues = np.empty((len(lam), n2, 1))
-        for j, lam_j in enumerate(lam):
-            eigenvalues[j, :, 0], vecs[j] = eigh_tridiagonal(
-                2.0 / steps[1] ** 2 - lam_j * terms[1], off, check_finite=False)
-        diag = diag + eigenvalues  # (n_t, n_2, n_1)
+def _separable_mode_solver(h, c, lam):
+    """Exact solver of the t-modes for m = 1, the coefficient c given on the
+    interior z nodes.  It maps the array of modes (rows: z nodes, columns:
+    t-modes j) to the solutions of the tridiagonal systems
+    -d^2/h^2 - lam_j diag(c), which form one block-diagonal SPD matrix (zero
+    couplings at the block ends), solved by one banded Cholesky call with
+    kd = 1."""
+    from scipy.linalg import solveh_banded
+    n1 = len(c)
+    diag = (2.0 / h ** 2 - lam[:, None] * c)  # (n_t, n_1)
 
     def solve(modes):
-        # b views modes as (n_t, n_2 or 1, n_1); the solutions overwrite it
-        b = modes.reshape(n1, -1, len(lam)).transpose(2, 1, 0)
-        rhs = b.copy() if vecs is None else np.matmul(vecs.transpose(0, 2, 1), b)
+        # b views modes as (n_t, n_1); the solutions overwrite it
+        b = modes.T
         ab = np.empty((2, diag.size))  # upper band storage
-        ab[0] = -1.0 / h1 ** 2
+        ab[0] = -1.0 / h ** 2
         ab[0, ::n1] = 0.0  # no coupling across block ends
         ab[1] = diag.ravel()
-        x = solveh_banded(ab, rhs.ravel(), overwrite_ab=True, overwrite_b=True,
-                          check_finite=False).reshape(rhs.shape)
-        b[...] = x if vecs is None else vecs @ x
+        b[...] = solveh_banded(ab, b.ravel(), overwrite_ab=True, overwrite_b=True,
+                               check_finite=False).reshape(b.shape)
         return modes
 
     return solve

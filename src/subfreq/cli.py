@@ -139,16 +139,16 @@ def cmd_discrepancy(args):
 
 
 def _solve_problem(path):
-    """Read a problem file and solve it; returns (spec, grid, solution)."""
+    """Read a problem file and solve it; returns (spec, solution)."""
     spec, box, grid, poly = problem_from_json(_read(path), os.path.dirname(path))
-    return spec, grid, fd_solve(spec, box, grid, poly.evaluate)
+    return spec, fd_solve(spec, box, grid, poly.evaluate)
 
 
 def _baouendi_input(args):
     """Returns (spec, function handle). Solves the FD problem when a problem
     file is given, otherwise loads a polynomial."""
     if args.problem:
-        spec, _, sol = _solve_problem(args.problem)
+        spec, sol = _solve_problem(args.problem)
         return spec, sol.as_handle()
     if not (args.poly and args.m and args.k and args.alpha is not None):
         raise ParseError("need --problem, or --poly with --m --k --alpha")
@@ -158,10 +158,11 @@ def _baouendi_input(args):
 
 
 def cmd_baouendi_solve(args):
-    spec, grid, sol = _solve_problem(args.problem)
+    spec, sol = _solve_problem(args.problem)
     if args.out:
         np.savez(args.out, *sol.axes, values=sol.values)
-    print(f"m={spec.m} k={spec.k} alpha={spec.alpha} grid={grid} "
+    # the nodes solved on: the problem's grid, or fewer by collocation
+    print(f"m={spec.m} k={spec.k} alpha={spec.alpha} grid={[len(ax) for ax in sol.axes]} "
           f"residual={sol.residual:.3e}")
     return 0
 

@@ -21,9 +21,15 @@ of the operator, radial
 derivatives by finite differences (`log_grid_derivative`) instead of the
 dilation's exact d/dr, and handles of black-box functions whose jet
 takes central-difference partials (`callable_handle`) where the package
-builds every handle from the jet of a polynomial or of an FD solution, and
+builds every handle from the jet of a polynomial or of an FD solution,
 Gauss-Jacobi rules at 40 digits (`gauss_jacobi_mp`, mpmath) and from
-scipy (`gauss_jacobi_scipy`) instead of the package's numpy rule.
+scipy (`gauss_jacobi_scipy`) instead of the package's numpy rule, the FD
+scheme and the collocation scheme assembled as sparse matrices and solved
+directly (`fd_sparse_solution`, `collocation_sparse_solution`, the latter
+from barycentric differentiation matrices on any nodes) instead of the
+solver's fast diagonalisation, and an exact non-polynomial B_a-harmonic
+function, the fundamental solution moved to a pole outside the box
+(`pole_solution`).
 """
 
 import math
@@ -516,3 +522,76 @@ def fd_sparse_solution(spec, box, grid_sizes, boundary_fn):
                         shape=(n, n)).tocsc()
     u[inner] = spsolve(matrix, rhs)
     return u.reshape(shape)
+
+
+def differentiation_matrix(nodes):
+    """The first-derivative matrix of polynomial interpolation on any
+    distinct nodes, from the barycentric weights
+    w_j = 1 / prod_{k != j} (x_j - x_k) (Berrut & Trefethen, SIAM Review 46,
+    2004), with the diagonal as minus the off-diagonal row sums."""
+    x = np.asarray(nodes, dtype=float)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    w = 1.0 / np.prod(diff, axis=1)
+    d = w[None, :] / w[:, None] / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
+
+
+def collocation_sparse_solution(spec, axes, boundary_fn):
+    """Nodal solution of the collocation scheme on the tensor grid of the
+    node arrays `axes`: the interior equations
+    sum_i D2_{z_i} u + |z|^(2a)/4 D2_t u = 0, D2 the square of
+    `differentiation_matrix` on each axis, assembled from Kronecker
+    products as a scipy.sparse matrix, the Dirichlet data `boundary_fn(z, t)`
+    moved to the right-hand side, and solved by `spsolve`.  Returns the
+    full-grid array."""
+    from functools import reduce
+
+    from scipy.sparse import diags, identity, kron
+    from scipy.sparse.linalg import spsolve
+
+    shape = tuple(len(ax) for ax in axes)
+    index = np.indices(shape).reshape(len(shape), -1).T  # (nodes, axes)
+    coords = np.stack([axes[a][index[:, a]] for a in range(len(shape))], axis=1)
+    on_edge = np.any((index == 0) | (index == np.array(shape) - 1), axis=1)
+    c = np.sum(coords[:, :spec.m] ** 2, axis=1) ** spec.alpha / 4.0
+    operator = 0
+    for a, ax in enumerate(axes):
+        d = differentiation_matrix(ax)
+        factors = [identity(n) for n in shape]
+        factors[a] = d @ d
+        term = reduce(kron, factors)
+        operator = operator + (diags(c) @ term if a >= spec.m else term)
+    operator = operator.tocsr()[~on_edge]
+    u = np.zeros(len(index))
+    u[on_edge] = boundary_fn(coords[on_edge, :spec.m], coords[on_edge, spec.m:])
+    u[~on_edge] = spsolve(operator[:, ~on_edge].tocsc(), -(operator[:, on_edge] @ u[on_edge]))
+    return u.reshape(shape)
+
+
+def pole_solution(spec, pole=1.6):
+    """(value, jet) of u = rho(z, t - pole)^(2-Q) - rho(0, -pole)^(2-Q) (k = 1),
+    from `Geometry.rho_power`: the fundamental solution of B_a, up to its
+    constant, moved to the pole (0, pole) (B_a commutes with translations in
+    t) and shifted to vanish at the origin.  It is B_a-harmonic off the
+    pole, so on [-1, 1]^N for pole > 1, and no polynomial.  The jet's
+    partials are exact: u = S^p + const with S = |z|^(2(a+1)) +
+    4 (a+1)^2 (t - pole)^2 and p = (2 - Q) / (2 (a+1)), so
+    du = p S^(p-1) dS with S^(p-1) = rho^(2 - Q - 2(a+1))."""
+    a1 = spec.alpha + 1.0
+    q = 2.0 - spec.Q
+    offset = spec.rho_power(np.zeros(spec.m), np.array([-pole]), q)
+
+    def value(z, t):
+        return spec.rho_power(z, t - pole, q) - offset
+
+    def jet(z, t):
+        s = t - pole
+        outer = q / (2.0 * a1) * spec.rho_power(z, s, q - 2.0 * a1)
+        radial = 2.0 * a1 * np.sum(z ** 2, axis=1) ** (a1 - 1.0)
+        return (value(z, t), [outer * radial * z[:, i] for i in range(spec.m)],
+                [outer * 8.0 * a1 ** 2 * s[:, 0]])
+
+    return value, jet

@@ -247,25 +247,55 @@ def test_fd_solver_guards(ba112):
             sf.fd_solve(ba112, box, [9, 9], boundary)
 
 
+def _nodal_error(sol, exact):
+    """max |u - exact| over the nodes of a grid solution."""
+    mesh = np.meshgrid(*sol.axes, indexing="ij")
+    m = sol.spec.m
+    zs = np.stack([mesh[i].ravel() for i in range(m)], axis=1)
+    ts = np.stack([x.ravel() for x in mesh[m:]], axis=1)
+    return np.max(np.abs(sol.values - np.reshape(exact(zs, ts), sol.values.shape)))
+
+
+def _quadratic_jet(spec, c=0.1):
+    """The jet of t + c (|z|^(2(a+1)) - A t^2), A = 4 (a+1) (2a + m) (k = 1):
+    the B_a-harmonic `mixed_fixture` at any alpha, with exact partials (no
+    Polynomial off the integers)."""
+    a = spec.alpha
+    big_a = 4.0 * (a + 1.0) * (2.0 * a + spec.m)
+
+    def jet(z, t):
+        z2 = np.sum(z ** 2, axis=1)
+        value = t[:, 0] + c * (z2 ** (a + 1.0) - big_a * t[:, 0] ** 2)
+        dz = [2.0 * c * (a + 1.0) * z2 ** a * z[:, i] for i in range(spec.m)]
+        return value, dz, [1.0 - 2.0 * c * big_a * t[:, 0]]
+
+    return jet
+
+
+def _quadratic_solution(spec, c=0.1):
+    """The value of `_quadratic_jet`."""
+    jet = _quadratic_jet(spec, c)
+    return lambda z, t: jet(z, t)[0]
+
+
 @pytest.mark.parametrize("dims, sizes", [((1, 1, 2), (33, 65)), ((2, 1, 1), (17, 33))],
                          ids=["ba112", "ba211"])
 def test_fd_reproduces_exact_solution(dims, sizes):
-    # manufactured solution: polynomial in the kernel of B_alpha supplies
-    # both the boundary data and the exact reference
+    # manufactured solution in the kernel of B_a, boundary data and exact
+    # reference at once.  Integer alpha: collocation reproduces the
+    # polynomial to round-off on at most 17 nodes per axis, whatever the
+    # grid cap.  alpha + 1/2: FD converges at second order
     spec = sf.BaouendiSpec(*dims)
-    exact = mixed_fixture(spec)
-    ndim = spec.m + spec.k
-    box = [(-1.0, 1.0)] * ndim
-    errs = []
+    exact = mixed_fixture(spec).evaluate
+    box = [(-1.0, 1.0)] * spec.N
     for n in sizes:
-        sol = sf.fd_solve(spec, box, [n] * ndim, exact.evaluate)
-        mesh = np.meshgrid(*sol.axes, indexing="ij")
-        zs = np.stack([mesh[i].ravel() for i in range(spec.m)], axis=1)
-        ts = mesh[-1].ravel()[:, None]
-        ref = exact.evaluate(zs, ts).reshape(sol.values.shape)
-        errs.append(np.max(np.abs(sol.values - ref)))
+        sol = sf.fd_solve(spec, box, [n] * spec.N, exact)
+        assert max(len(ax) for ax in sol.axes) <= 17
+        assert _nodal_error(sol, exact) <= 1e-13 * np.max(np.abs(sol.values))
+    half = sf.BaouendiSpec(spec.m, spec.k, spec.alpha + 0.5)
+    exact = _quadratic_solution(half)
+    errs = [_nodal_error(sf.fd_solve(half, box, [n] * spec.N, exact), exact) for n in sizes]
     assert errs[1] < 1e-3
-    # second-order convergence
     assert errs[0] / errs[1] > 3.0
 
 
@@ -308,12 +338,24 @@ def _generic_boundary(z, t):
 
 
 def _stencil_residual(spec, sol):
-    """Relative residual of the centered B_a stencil on the interior nodes,
-    applied to sol.values by slicing, independently of the solver's stencil."""
+    """Relative residual of the solver's scheme on the interior nodes,
+    independently of the solver: the centred B_a stencil applied to
+    sol.values by slicing (FD), relative to the larger of its two terms, or
+    the square of the barycentric differentiation matrix of each axis
+    (collocation, `oracles`), relative to the round-off scale
+    sum_axes |D2|_inf max|c| max|u| of that product."""
     u = sol.values
     inner = (slice(1, -1),) * u.ndim
+    norms = []
 
     def second_difference(axis):
+        if sol.series is not None:
+            d = oracles.differentiation_matrix(sol.axes[axis])
+            norms.append(np.max(np.sum(np.abs(d @ d), axis=1)))
+            index = list(inner)
+            index[axis] = slice(None)
+            d2 = np.tensordot((d @ d)[1:-1], u[tuple(index)], axes=(1, axis))
+            return np.moveaxis(d2, 0, axis)
         lo, hi = list(inner), list(inner)
         lo[axis], hi[axis] = slice(None, -2), slice(2, None)
         h = sol.axes[axis][1] - sol.axes[axis][0]
@@ -324,6 +366,8 @@ def _stencil_residual(spec, sol):
     lap_z = sum(second_difference(i) for i in range(spec.m))
     lap_t = coeff * sum(second_difference(spec.m + j) for j in range(spec.k))
     scale = max(np.max(np.abs(lap_z)), np.max(np.abs(lap_t)))
+    if norms:
+        scale = sum(norms) * max(1.0, np.max(coeff)) * np.max(np.abs(u))
     return np.max(np.abs(lap_z + lap_t)) / scale
 
 
@@ -340,11 +384,12 @@ def test_fd_solution_satisfies_stencil(dims, alpha, box, grid):
     assert _stencil_residual(spec, sol) <= 1e-10
 
 
-@pytest.mark.parametrize("dims, grid", [((1, 1, 2), [257, 257]), ((2, 1, 2), [33, 33, 65]),
-                                        ((2, 1, 1), [33, 33, 65])])
+@pytest.mark.parametrize("dims, grid", [((1, 1, 2.5), [257, 257]), ((2, 1, 2.5), [33, 33, 65]),
+                                        ((2, 1, 1.5), [33, 33, 65])])
 def test_fd_solver_converges_in_one_or_two_iterations(dims, grid):
-    # the preconditioner is the exact inverse; a wrong mode eigenvalue or
-    # band shows here as extra iterations, not as a wrong solution
+    # the FD path (non-integer alpha): the preconditioner is the exact
+    # inverse; a wrong mode eigenvalue or band shows here as extra
+    # iterations, not as a wrong solution
     spec = sf.BaouendiSpec(*dims)
     sol = sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
     assert sol.iterations <= 2
@@ -355,13 +400,20 @@ def test_fd_solver_converges_in_one_or_two_iterations(dims, grid):
     ((1, 1, 2), [(-1.0, 0.8), (-0.5, 0.7)], [33, 41]),
     ((2, 1, 1), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
     ((2, 1, 3), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
-], ids=["ba112", "ba211", "ba213"])
+    ((1, 1, 2.5), [(-1.0, 0.8), (-0.5, 0.7)], [33, 41]),
+    ((2, 1, 1.5), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
+    ((2, 1, 3.5), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
+], ids=["ba112", "ba211", "ba213", "ba1-1-2.5", "ba2-1-1.5", "ba2-1-3.5"])
 def test_fd_solve_matches_sparse_direct_solve(dims, box, grid):
     # non-symmetric boxes and unequal grids, against the scheme assembled as
-    # a sparse matrix and solved directly
+    # a sparse matrix and solved directly: the collocation scheme on the
+    # solution's own nodes (integer alpha), or the FD scheme
     spec = sf.BaouendiSpec(*dims)
-    ref = oracles.fd_sparse_solution(spec, box, grid, _generic_boundary)
     sol = sf.fd_solve(spec, box, grid, _generic_boundary)
+    if sol.series is None:
+        ref = oracles.fd_sparse_solution(spec, box, grid, _generic_boundary)
+    else:
+        ref = oracles.collocation_sparse_solution(spec, sol.axes, _generic_boundary)
     assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -383,29 +435,60 @@ def _band_rows_of_solves(monkeypatch, spec, grid):
 
 
 def test_separable_coefficient_takes_the_tridiagonal_path(monkeypatch):
-    # alpha = 1: |z|^2/4 = z_1^2/4 + z_2^2/4, so the z_2 axis is diagonalised
-    # and every z_1 system is tridiagonal (2 band rows)
-    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 1), [13, 11, 17])
+    # the FD path (non-integer alpha): for m = 1 every z system is
+    # tridiagonal (2 band rows), for m = 2 one banded Cholesky per t-mode,
+    # kd = n_2
+    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(1, 1, 1.5), [13, 17])
     assert rows and max(rows) <= 2
-    # alpha = 2 does not separate: one banded Cholesky per t-mode, kd = n_2
-    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 2), [13, 11, 17])
+    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 1.5), [13, 11, 17])
     assert rows and set(rows) == {11 - 2 + 1}
 
 
-def test_diagonalised_z2_path_is_refined_to_round_off():
-    # the z_2 eigenvectors are backward stable only normwise; one refinement
-    # step against the stencil brings the residual to about 6e-16 here
-    # (about 4e-15 without it), in one CG iteration
-    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33, 33, 65],
-                      _generic_boundary)
-    assert sol.iterations == 1
-    assert sol.residual <= 1.5e-15
+def _system_sizes_of_solves(monkeypatch, spec, grid):
+    """The (batch, size) of every `numpy.linalg.solve` of one fd_solve."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        sizes.append((a.shape[:-2], a.shape[-1]))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes, sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
 
 
-@pytest.mark.parametrize("dims, grid", [((1, 1, 2), [33, 17]), ((2, 1, 2), [13, 11, 17])])
+def test_separable_coefficient_diagonalises_z2_in_the_collocation_solve(monkeypatch):
+    # alpha = 1: |z|^2/4 = z_1^2/4 + z_2^2/4, so each t-mode's z_2 block is
+    # diagonalised and one batched solve takes a system of size n_1 per
+    # (t-mode, z_2-mode); at alpha = 2 one system of size n_1 n_2 per t-mode
+    for alpha in (1, 2):
+        sizes, sol = _system_sizes_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, alpha),
+                                             [13, 11, 17])
+        n1, n2, nt = (len(ax) - 2 for ax in sol.axes)
+        assert len(sizes) == sol.iterations >= 2  # one batched solve per collocation solve
+        assert sizes[-1] == (((nt, n2), n1) if alpha == 1 else ((nt,), n1 * n2))
+
+
+def test_diagonalised_z2_collocation_reaches_round_off():
+    # the z_2 eigenvectors are backward stable only normwise; the
+    # collocation solve still reaches a residual near round-off, and on an
+    # analytic solution (`oracles.pole_solution`; generic boundary data
+    # leaves corner singularities) n doubles until every axis is resolved:
+    # the chopped series is shorter than the nodes on each axis
+    spec = sf.BaouendiSpec(2, 1, 1)
+    value, _ = oracles.pole_solution(spec)
+    sol = sf.fd_solve(spec, [(-1.0, 1.0)] * 3, [33, 33, 65], value)
+    assert sol.residual <= 1e-14
+    assert sol.iterations >= 3
+    assert all(n < len(ax) for n, ax in zip(sol.series.shape, sol.axes))
+    assert _nodal_error(sol, value) <= 1e-13
+
+
+@pytest.mark.parametrize("dims, grid", [((1, 1, 1.5), [33, 17]), ((2, 1, 2.5), [13, 11, 17])])
 def test_fd_solve_calls_cg_by_its_module_name(monkeypatch, dims, grid):
     # the benchmark's tracer counts CG iterations by rebinding `baouendi.cg`
-    # and counting the callback, so fd_solve must look the name up per call
+    # and counting the callback, so the FD path (non-integer alpha) must
+    # look the name up per call
     from subfreq import baouendi
 
     calls, callbacks = [], []
@@ -447,28 +530,31 @@ def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):
         assert n_fd == pytest.approx(n_ex, rel=0.05)
 
 
-def test_fd_curve_frequency_from_spheres_is_closer_than_from_the_ball(ba112, rule_ba112):
-    # on the benchmark's 129^2 (1,1,2) problem and radii, N = I / H (the
-    # curve of a grid solution) is nowhere farther from the closed form than
-    # N = r D / H with the ball D of `dirichlet` (2.8e-2 against 3.7e-2 at
-    # r = 0.25); in 3-D one radius of the 65^3 problem gets worse
-    exact = Polynomial.t_var(1, 1, 0, tweight=3) \
-        + sf.solid_harmonic_quadratic(ba112) * Fraction(1, 3)
-    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [129, 129], exact.evaluate).as_handle()
+def test_fd_curve_frequency_from_spheres_is_closer_than_from_the_ball():
+    # the FD path (non-integer alpha), on the benchmark's 129^2 problem and
+    # radii with alpha 2.5: N = I / H (the curve of a grid solution) is
+    # nowhere farther from the exact curve than N = r D / H with the ball D
+    # of `dirichlet`
+    spec = sf.BaouendiSpec(1, 1, 2.5)
+    rule = sf.build_sphere_rule(spec, 32)
+    jet = _quadratic_jet(spec, 1.0 / 3.0)
+    u = sf.fd_solve(spec, [(-1.0, 1.0)] * 2, [129, 129], lambda z, t: jet(z, t)[0]).as_handle()
     radii = sf.geometric_radii(0.25, 0.7, 5)
-    n_exact = sf.frequency_curve(FunctionHandle.from_polynomial(ba112, exact), rule_ba112, radii).N
-    curve = sf.frequency_curve(u, rule_ba112, radii)
-    n_ball = radii * sf.dirichlet(u, radii, rule_ba112) / curve.H
+    n_exact = sf.frequency_curve(FunctionHandle(spec, jet), rule, radii).N
+    curve = sf.frequency_curve(u, rule, radii)
+    n_ball = radii * sf.dirichlet(u, radii, rule) / curve.H
     assert np.all(np.abs(curve.N - n_exact) <= np.abs(n_ball - n_exact))
 
 
 def test_grid_handle_holds_u_once():
-    # fd_solve stores u as channel 0 of the array the kernel reads, so
-    # building the handle copies no grid: it keeps less than a tenth of one
-    # grid array and peaks at the temporaries of one np.gradient call
+    # the FD path (non-integer alpha) stores u as channel 0 of the array the
+    # kernel reads, so building the handle copies no grid: it keeps less
+    # than a tenth of one grid array and peaks at the temporaries of one
+    # np.gradient call
     import tracemalloc
 
-    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33] * 3, _generic_boundary)
+    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1.5), [(-1.0, 1.0)] * 3, [33] * 3,
+                      _generic_boundary)
     assert np.shares_memory(sol.values, sol.channels)
     tracemalloc.start()
     try:
@@ -522,21 +608,28 @@ def test_grid_handle_rejects_points_outside_the_box(ba112, bad):
     assert u.value(z[:0], t[:0]).shape == (0,)
 
 
+def _kernel_calls(monkeypatch):
+    """The number of points of every call of the collocation handle's
+    kernel (`_series_jet`), appended as it is called."""
+    import subfreq.baouendi as baouendi
+
+    kernel, sizes = baouendi._series_jet, []
+
+    def counted(stack, lo, hi, x):
+        sizes.append(x.shape[1])
+        return kernel(stack, lo, hi, x)
+
+    monkeypatch.setattr(baouendi, "_series_jet", counted)
+    return sizes
+
+
 def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba112,
                                                                 monkeypatch):
     # the curve's u^2 (the H column), |grad_H u|^2, u Zu and (Zu - kappa u)^2
     # on the nodes of all the radii: one kernel call each, value and partials
     # from the same call, and no call on the nodes of one sphere
-    import subfreq.baouendi as baouendi
-
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
-    kernel, sizes = baouendi._multilinear, []
-
-    def counted(axes, flat, x):
-        sizes.append(x.shape[1])
-        return kernel(axes, flat, x)
-
-    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    sizes = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.4, 0.5])
     sf.check_weiss_derivative(u, 3, radii, rule_ba112)
     assert sizes.count(len(radii) * len(rule_ba112)) == 4
@@ -550,19 +643,12 @@ def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatc
     # I = int u Zu psi are one call each on the nodes of all the spheres, and
     # no radial shell of a ball is read, whatever SHELL_POINTS is; the
     # discrepancy of B_a vanishes in closed form
-    import subfreq.baouendi as baouendi
     from subfreq import quadrature
 
     if shells_per_call is not None:
         monkeypatch.setattr(quadrature, "SHELL_POINTS", shells_per_call * len(rule_ba112))
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
-    kernel, sizes = baouendi._multilinear, []
-
-    def counted(axes, flat, x):
-        sizes.append(x.shape[1])
-        return kernel(axes, flat, x)
-
-    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    sizes = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.5, 0.4, 0.2, 0.45])
     curve = sf.frequency_curve(u, rule_ba112, radii, kappa=3)
     assert sizes == [len(radii) * len(rule_ba112)] * 2
@@ -573,8 +659,10 @@ def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatc
 
 def test_fd_h_identity_still_reads_the_ball(ba112, rule_ba112):
     # the curve's D = I / r would make the Rellich check read 0; it compares
-    # the ball D of `dirichlet` with I instead, so on the linear grid handle
-    # it reads the mismatch between interpolated values and partials
+    # the ball D of `dirichlet` with I instead.  The collocation handle's
+    # value and partials come from one series, so the identity holds to
+    # round-off (the linear FD grid handle read its interpolation mismatch,
+    # above 1e-6)
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate).as_handle()
     radii = np.array([0.3, 0.4, 0.5])
     res = sf.check_H_identity(u, radii, rule_ba112)
@@ -586,7 +674,7 @@ def test_fd_h_identity_still_reads_the_ball(ba112, rule_ba112):
     np.testing.assert_array_equal(res["lhs"], (q1 * h + 2.0 * i_col) / radii)
     expected = np.abs(res["lhs"] - ball) / np.maximum(np.abs(res["lhs"]), np.abs(ball))
     np.testing.assert_array_equal(res["residuals"], expected)
-    assert np.all(res["residuals"] > 1e-6)
+    assert np.all(res["residuals"] <= 1e-12)
 
 
 def test_fd_d_variation_reads_the_ball(ba112, rule_ba112):
@@ -606,17 +694,9 @@ def test_fd_d_variation_reads_the_ball(ba112, rule_ba112):
 def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):
     # D, H, W and M come from the curve; the check adds u Zu of u - P on the
     # nodes of all the radii, value and partials from one kernel call
-    import subfreq.baouendi as baouendi
-
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate).as_handle()
     p = FunctionHandle.from_polynomial(ba112, Polynomial.t_var(1, 1, 0, tweight=3))
-    kernel, calls = baouendi._multilinear, []
-
-    def counted(axes, flat, x):
-        calls.append(x.shape[1])
-        return kernel(axes, flat, x)
-
-    monkeypatch.setattr(baouendi, "_multilinear", counted)
+    calls = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.4, 0.5])
     sf.frequency_curve(u, rule_ba112, radii, kappa=3, ref=p)
     curve_calls = len(calls)
@@ -689,18 +769,114 @@ def test_spec_needs_a_finite_positive_alpha(alpha):
 
 
 def test_fd_handle_is_freed_by_reference_counting(ba112):
-    # the handle's closures hold its jet, not the handle: no cycle keeps the
-    # solution's channel array alive until the cyclic GC runs
-    sol = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate)
-    u = sol.as_handle()
-    z, t = np.array([[0.25], [-0.5]]), np.array([[0.5], [0.125]])
-    assert all(np.all(np.isfinite(f(z, t))) for f in (u.zu, u.value_zu, u.value_sq))
-    handle, solution = weakref.ref(u), weakref.ref(sol)
-    gc.disable()
-    try:
-        del u
-        assert handle() is None
-        del sol
-        assert solution() is None
-    finally:
-        gc.enable()
+    # the handle's closures hold its jet, and the jet the arrays it reads,
+    # not the handle or the solution: no cycle keeps the solution's arrays
+    # alive until the cyclic GC runs, on the collocation (alpha 2) and the
+    # FD (alpha 1.5) path, and the handle outlives the solution
+    for spec in (ba112, sf.BaouendiSpec(1, 1, 1.5)):
+        sol = sf.fd_solve(spec, [(-1.0, 1.0)] * 2, [17, 17], _quadratic_solution(spec))
+        assert (sol.series is None) == (spec.alpha == 1.5)
+        u = sol.as_handle()
+        z, t = np.array([[0.25], [-0.5]]), np.array([[0.5], [0.125]])
+        assert all(np.all(np.isfinite(f(z, t))) for f in (u.zu, u.value_zu, u.value_sq))
+        handle, solution = weakref.ref(u), weakref.ref(sol)
+        gc.disable()
+        try:
+            del sol
+            assert solution() is None
+            assert np.all(np.isfinite(u.value(z, t)))
+            del u
+            assert handle() is None
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)])
+def test_collocation_converges_spectrally_on_a_pole_solution(dims):
+    # u = rho(z, t - 1.6)^(2-Q) - const is B_a-harmonic on [-1, 1]^N and no
+    # polynomial; its pole at distance 0.6 from the box bounds the
+    # Chebyshev coefficients by about 2.85^-n.  On at most 33 nodes per axis
+    # (29 for (2,1,2), by COLLOCATION_BYTES): the nodal error, N between
+    # that grid and one of at most 28 nodes, N against the exact jet, and N
+    # nondecreasing as the paper proves for every B_a-harmonic function
+    spec = sf.BaouendiSpec(*dims)
+    value, jet = oracles.pole_solution(spec)
+    box = [(-1.0, 1.0)] * spec.N
+    coarse, fine = (sf.fd_solve(spec, box, [n] * spec.N, value) for n in (28, 33))
+    assert [len(ax) for ax in coarse.axes] != [len(ax) for ax in fine.axes]
+    assert _nodal_error(fine, value) <= 1e-10
+    rule = sf.build_sphere_rule(spec, 16)
+    radii = sf.geometric_radii(0.1, 0.7, 16)
+    n_coarse, n_fine = (sf.frequency_curve(sol.as_handle(), rule, radii).N
+                        for sol in (coarse, fine))
+    assert np.max(np.abs(n_fine - n_coarse)) <= 1e-9
+    n_exact = sf.frequency_curve(FunctionHandle(spec, jet), rule, radii).N
+    assert np.max(np.abs(n_fine - n_exact)) <= 1e-9
+    assert np.all(np.diff(n_fine) >= 0.0)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 1, 1)])
+def test_collocation_handle_reads_the_exact_jet_on_any_box(dims):
+    # value and every partial from the series, mapped from a box that is
+    # neither [-1, 1] nor symmetric, against the exact jet of the pole
+    # solution at random points inside it
+    spec = sf.BaouendiSpec(*dims)
+    value, jet = oracles.pole_solution(spec)
+    box = [(-0.9, 0.6), (-0.4, 0.7), (-0.8, 0.5)][-spec.N:]
+    u = sf.fd_solve(spec, box, [33] * spec.N, value).as_handle()
+    rng = np.random.default_rng(2)
+    x = rng.uniform([lo for lo, _ in box], [hi for _, hi in box], (200, spec.N))
+    z, t = x[:, :spec.m], x[:, spec.m:]
+    got, want = u.jet(z, t), jet(z, t)
+    np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+    for a, b in zip(got[1] + got[2], want[1] + want[2]):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dims, grid", [((1, 1, 2), [129, 129]), ((1, 1, 2), [257, 257]),
+                                        ((2, 1, 1), [65, 65, 65])])
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(-1, 3)])
+def test_benchmark_polynomial_problems_stop_at_17_nodes(dims, grid, c):
+    # the fd-curves problems t + c P: the chopped series is resolved at
+    # n = 8 and does not grow at n = 16, so the doubling stops there,
+    # whatever the grid cap; a cut below the solve's round-off would keep
+    # growing to the cap
+    spec = sf.BaouendiSpec(*dims)
+    exact = Polynomial.t_var(spec.m, 1, 0, tweight=spec.tweight) \
+        + sf.solid_harmonic_quadratic(spec) * c
+    sol = sf.fd_solve(spec, [(-1.0, 1.0)] * spec.N, grid, exact.evaluate)
+    assert [len(ax) for ax in sol.axes] == [17] * spec.N
+    assert sol.iterations == 2
+    assert sol.series.shape == (2 * spec.tweight + 1,) * spec.m + (3,)
+    assert _nodal_error(sol, exact.evaluate) <= 1e-13 * np.max(np.abs(sol.values))
+
+
+def test_integer_alpha_solves_by_collocation_without_cg(monkeypatch):
+    # |z|^(2a) is a polynomial at integer alpha (2 or 2.0), and only then:
+    # no CG, Chebyshev-Lobatto nodes (ends exactly the box), and the chopped
+    # series kept; alpha 1.5 takes the uniform FD grid
+    from subfreq import baouendi
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called")
+
+    monkeypatch.setattr(baouendi, "cg", no_cg)
+    for alpha in (2, 2.0):
+        sol = sf.fd_solve(sf.BaouendiSpec(1, 1, alpha), [(-1.0, 0.5), (-0.5, 0.7)], [33, 33],
+                          _generic_boundary)
+        assert sol.series is not None and sol.iterations >= 2
+        for ax, (lo, hi) in zip(sol.axes, [(-1.0, 0.5), (-0.5, 0.7)]):
+            n = len(ax) - 1
+            x = lo + (hi - lo) * (1.0 - np.cos(np.pi * np.arange(n + 1) / n)) / 2.0
+            np.testing.assert_allclose(ax, x, rtol=0.0, atol=1e-15)
+            assert (ax[0], ax[-1]) == (lo, hi)
+    with pytest.raises(AssertionError, match="CG called"):
+        sf.fd_solve(sf.BaouendiSpec(1, 1, 1.5), [(-1.0, 1.0)] * 2, [9, 9], _generic_boundary)
+
+
+def test_spec_rejects_an_alpha_whose_q_squared_overflows():
+    # Q^2 / (Q - 2) is the rule's gamma: at alpha 1e300 it ended in an
+    # uncaught OverflowError
+    with pytest.raises(DimensionMismatch, match=r"makes Q\^2 overflow"):
+        sf.BaouendiSpec(1, 1, 1e300)
+    assert sf.BaouendiSpec(1, 1, 1e150).Q == 1e150 + 2.0

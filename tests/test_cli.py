@@ -245,6 +245,29 @@ def test_baouendi_frequency_on_a_problem_loads_no_scipy_interpolate(t_problem_17
                    stdout=subprocess.DEVNULL)
 
 
+@pytest.mark.parametrize("command", ["solve", "frequency"])
+def test_integer_alpha_problem_loads_no_scipy(t_problem_17, tmp_path, command):
+    # alpha = 2: the collocation solve and its series handle are numpy's, so
+    # neither command imports any scipy module (the FD path does)
+    argv = ["baouendi", command, "--problem", t_problem_17]
+    argv += (["--out", str(tmp_path / "u.npz")] if command == "solve"
+             else ["--steps", "2", "--resolution", "8", "--rmax", "0.9"])
+    code = ("import sys; from subfreq.cli import entry; "
+            f"assert entry({argv!r}) == 0; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_baouendi_ortho_alpha_whose_q_squared_overflows_exit_2(capsys):
+    # alpha 1e300 is finite and positive, but the rule's Q^2 / (Q - 2)
+    # overflowed: an uncaught OverflowError, exit 1 (verification failure)
+    assert entry(["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "makes Q^2 overflow a float" in captured.err
+
+
 @pytest.mark.parametrize("center, message", [
     ("[1]", "a point is a JSON pair"),
     ('{"a":1}', "a point is a JSON pair"),
@@ -510,7 +533,9 @@ def test_baouendi_weiss_on_one_repeated_radius(mixed_112_files, tmp_path, capsys
     repeated = capsys.readouterr().out
     assert entry(argv + ["1"]) == 0
     assert repeated == capsys.readouterr().out
-    assert float(_fields(repeated)["max_residual"]) > 1e-6
+    # the collocation solution of this polynomial problem reads 2e-11 (the
+    # FD grid handle read more than 1e-6); a zero step printed exactly 0
+    assert float(_fields(repeated)["max_residual"]) > 0.0
 
 
 def test_baouendi_missing_inputs_exit_2(capsys):

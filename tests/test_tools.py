@@ -29,7 +29,11 @@ def test_job_digests_compare(tmp_path):
     keys = sorted(data)
     assert {key.split("/")[0] for key in keys} == {"group-exact", "fd-curves"}
     assert {key.split("/")[1] for key in keys} == {"s1", "s2"}
-    assert any("out" in rec for rec in data.values())  # the --out arrays of `solve`
+    # the --out arrays of `solve`, with their nodal error against the exact
+    # solution, the problem's boundary polynomial
+    solves = [rec["out"] for key, rec in data.items() if key.endswith("-solve")]
+    assert solves and all(out["path"].endswith(".npz") for out in solves)
+    assert all(0.0 <= out["nodal_error"] <= 1e-10 for out in solves)
     assert all(rec["seconds"] > 0.0 for rec in data.values())
 
     same = run_tool("--compare", str(records), str(records))
@@ -83,6 +87,22 @@ def test_compare_ignores_seconds_and_timing_sums_them():
                                         "w/s2: A 0.1250 s, B 0.3750 s, B/A 3.000"]
     del a["w/s1/y"]["seconds"]  # a record from before the timing reads nan
     assert job_digests.timing(a, b)[0] == "w/s1: A nan s, B 0.7500 s, B/A nan"
+
+
+def test_compare_prints_the_nodal_error_of_both_sides():
+    # a changed array file: the line ends with the nodal error of A and of B
+    a = {"w/s1/solve": {**_record("grid=[9]\n", 0.5),
+                        "out": {"path": "u.npz", "sha256": "a", "nodal_error": 1e-3}},
+         "w/s1/new": {**_record("", 0.5), "out": {"path": "v.npz", "sha256": "a"}}}
+    b = {"w/s1/solve": {**_record("grid=[9]\n", 0.5),
+                        "out": {"path": "u.npz", "sha256": "b", "nodal_error": 2.5e-14}},
+         "w/s1/new": {**_record("", 0.5),
+                      "out": {"path": "v.npz", "sha256": "b", "nodal_error": 0.0}}}
+    lines = job_digests.compare(a, b)
+    assert lines == ["w/s1/new: differs in out v.npz; largest relative number change 0; "
+                     "nodal error A -, B 0",
+                     "w/s1/solve: differs in out u.npz; largest relative number change 0; "
+                     "nodal error A 0.001, B 2.5e-14"]
 
 
 def test_a_job_whose_repeat_differs_exits_naming_it():

@@ -3,8 +3,11 @@
 Run every `jobs.json` argv of both benchmark workloads, at seeds 1 and 2,
 through `subfreq.cli.entry` of one checkout, and write a JSON record per
 job: the sha256 of exit code + stdout + stderr, the sha256 of each file the
-job writes with `--out`, and the text outputs themselves (stdout and text
-`--out` files) so that changed CSV cells can be measured.  The whole job
+job writes with `--out`, the text outputs themselves (stdout and text
+`--out` files) so that changed CSV cells can be measured, and for a
+`solve --out` array file the max nodal error against the boundary
+polynomial of the job's problem file, the exact solution of every
+benchmark problem.  The whole job
 list runs REPEATS times, one pass after the other, so a job's runs are
 spread over the run; its record holds `seconds`, the least time of `entry`
 over those runs, and the tool exits 1 naming the first job whose repeat
@@ -20,7 +23,8 @@ the benchmark, BLAS and OpenMP run on one thread.  `--compare` prints every
 job whose record differs, with the largest relative change of a number in
 its text outputs (|a - b| / max(|a|, |b|); inf when the texts differ in
 anything but their numbers), followed for a CSV by the column of that
-number and its absolute change, and exits 1 when any job differs.  It
+number and its absolute change, then the nodal error of A and of B when
+the job writes an array file, and exits 1 when any job differs.  It
 ignores `seconds`, and ends with one line per workload and seed: the sum of
 the job `seconds` of A and of B, and their ratio B / A.
 """
@@ -42,6 +46,8 @@ import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
@@ -120,7 +126,29 @@ def _run(cli, argv):
         record["out"] = {"path": path, "sha256": _sha(data)}
         if not path.endswith(".npz"):
             record["out"]["text"] = data.decode("utf-8")
+        elif "--problem" in argv:
+            record["out"]["nodal_error"] = nodal_error(argv[argv.index("--problem") + 1], path)
     return record
+
+
+def nodal_error(problem, path):
+    """max |u - P| over the nodes of an array file (`*axes, values=`), P the
+    boundary polynomial of the problem file, evaluated by the checkout's
+    own benchmark check (`bench/checks.py`, on sys.path with `gen`)."""
+    import checks
+
+    with open(problem, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    with open(os.path.join(os.path.dirname(problem), spec["boundary"][len("poly:"):]),
+              encoding="utf-8") as fh:
+        terms = json.load(fh)
+    with np.load(path) as data:
+        axes = [data[f"arr_{i}"] for i in range(len(data.files) - 1)]
+        values = data["values"]
+    mesh = [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+    m = spec["m"]
+    exact = checks.eval_terms(terms, np.stack(mesh[:m], axis=1), np.stack(mesh[m:], axis=1))
+    return float(np.max(np.abs(values - exact.reshape(values.shape))))
 
 
 def _number_change(a, b):
@@ -185,8 +213,12 @@ def compare(records_a, records_b):
             changes.append(text_change(out_a["text"], out_b["text"]))
         relative, absolute, column = max(changes, key=lambda change: change[0])
         where = f" ({column}, absolute {absolute:.3g})" if column else ""
+        errors = [out.get("nodal_error") for out in (out_a, out_b)]
+        nodal = ("" if errors == [None, None] else
+                 "; nodal error " + ", ".join(f"{side} {'-' if e is None else f'{e:.3g}'}"
+                                              for side, e in zip("AB", errors)))
         lines.append(f"{key}: differs in {', '.join(parts)}; "
-                     f"largest relative number change {relative:.3g}{where}")
+                     f"largest relative number change {relative:.3g}{where}{nodal}")
     return lines
 
 
