@@ -117,25 +117,16 @@ def test_a_job_whose_repeat_differs_exits_naming_it():
 
 
 def test_run_jobs_interleaves_the_repeats(monkeypatch):
-    # per workload one pass over its job list per repeat, not REPEATS runs
-    # in a row, and the workloads one after the other, so that neither
-    # workload's jobs run between the other's passes
+    # one pass over the whole job list per repeat, not REPEATS runs in a row
     order = []
     monkeypatch.setattr(job_digests, "_run",
                         lambda cli, argv: order.append(tuple(argv)) or _record("", 0.5))
     monkeypatch.setattr(sys, "path", list(sys.path))  # run_jobs puts bench/ on it
     records = job_digests.run_jobs(str(ROOT), "tiny")
     sys.modules.pop("gen")
-    jobs = {}  # jobs per workload, in the order the workloads ran
-    for key in records:
-        jobs[key.split("/")[0]] = jobs.get(key.split("/")[0], 0) + 1
-    assert list(jobs) == ["group-exact", "fd-curves"]
-    assert len(order) == job_digests.REPEATS * len(records)
-    start = 0
-    for n in jobs.values():
-        passes = order[start:start + job_digests.REPEATS * n]
-        assert all(passes[i] == passes[i % n] for i in range(len(passes)))
-        start += len(passes)
+    jobs = len(records)
+    assert len(order) == job_digests.REPEATS * jobs
+    assert all(order[i] == order[i % jobs] for i in range(len(order)))
     assert all(record["seconds"] == 0.5 for record in records.values())
 
 

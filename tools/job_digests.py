@@ -7,15 +7,11 @@ job writes with `--out`, the text outputs themselves (stdout and text
 `--out` files) so that changed CSV cells can be measured, and for a
 `solve --out` array file the max nodal error against the boundary
 polynomial of the job's problem file, the exact solution of every
-benchmark problem.  Each workload's job
-list (both seeds) runs REPEATS times, one pass after the other, so a job's
-runs are spread over its workload's run; its record holds `seconds`, the
-least time of `entry` over those runs, and the tool exits 1 naming the
-first job whose repeat differs from its first run.  The workloads run one
-after the other, as the benchmark runs each in its own process, so that
-one workload's jobs do not time the other's: glibc raises its mmap
-threshold after freeing a large array, and the arrays of later jobs then
-come from an already-mapped heap.
+benchmark problem.  The whole job
+list runs REPEATS times, one pass after the other, so a job's runs are
+spread over the run; its record holds `seconds`, the least time of `entry`
+over those runs, and the tool exits 1 naming the first job whose repeat
+differs from its first run.
 
     python3 tools/job_digests.py --checkout PARENT --out parent.json
     python3 tools/job_digests.py --out change.json
@@ -71,9 +67,8 @@ def _out_file(argv):
 
 def run_jobs(checkout, size="full"):
     """{"<workload>/s<seed>/<job id>": record} for every job of the checkout:
-    per workload, REPEATS passes over its job list, so that the repeats of a
-    job are spread over the run rather than back to back, and the workloads
-    one after the other."""
+    REPEATS passes over the whole job list, so that the repeats of a job are
+    spread over the run rather than back to back."""
     sys.path.insert(0, os.path.join(checkout, "bench"))
     import gen
 
@@ -83,21 +78,21 @@ def run_jobs(checkout, size="full"):
     records = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        batches = []
         for workload in gen.WORKLOADS:
-            batches = []
             for seed in SEEDS:
                 inputs = os.path.join(tmp, f"{workload}-{seed}")
                 jobs = gen.generate(sf, workload, seed, inputs, size)
                 batches.append((inputs, [(f"{workload}/s{seed}/{job['id']}", job["argv"])
                                          for job in jobs]))
-            for repeat in range(REPEATS):
-                for inputs, jobs in batches:
-                    os.chdir(inputs)
-                    try:
-                        for key, argv in jobs:
-                            _fold(records, key, _run(cli, argv), repeat)
-                    finally:
-                        os.chdir(cwd)
+        for repeat in range(REPEATS):
+            for inputs, jobs in batches:
+                os.chdir(inputs)
+                try:
+                    for key, argv in jobs:
+                        _fold(records, key, _run(cli, argv), repeat)
+                finally:
+                    os.chdir(cwd)
     return records
 
 
