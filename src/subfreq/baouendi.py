@@ -115,6 +115,11 @@ def relative_orthogonality(spec, r, rule):
 # allocated; the solve holds about twice this at its peak.
 COLLOCATION_BYTES = 2 ** 27
 
+# A collocation series is resolved when its top two degrees on every axis
+# are below this fraction of its largest coefficient (`_resolved`): above
+# the round-off cut of `_chop` for n <= 67, so above the solve's round-off.
+RESOLVED = 1e-12
+
 
 @dataclass
 class GridSolution:
@@ -245,12 +250,12 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     N = m + k in {2, 3} (k = 1) and 5 to 257 nodes per axis.
 
     At integer alpha the coefficient |z|^(2a)/4 is a polynomial and B_a is
-    hypoelliptic, so u is analytic on the box: tensor Chebyshev
-    collocation converges spectrally (`_collocation_solve`), and grid_sizes
-    caps its nodes per axis.  At any other alpha u is only finitely smooth
-    at z = 0, where Chebyshev converges algebraically, and the second-order
-    FD scheme on exactly grid_sizes nodes (`_fd_scheme_solve`) is cheaper
-    for the same accuracy.  A relative residual above `tol` raises
+    hypoelliptic, so u is analytic inside the box, and tensor Chebyshev
+    collocation (`_collocation_solve`) converges spectrally wherever the
+    data let u be analytic up to the boundary.  When its series does not
+    resolve within the caps that grid_sizes sets, and at any other alpha (u
+    only finitely smooth at z = 0), the solution is the second-order FD
+    scheme on exactly grid_sizes nodes (`_fd_scheme_solve`).  A relative residual above `tol` raises
     NoConvergence."""
     ndim = spec.m + spec.k
     if ndim not in (2, 3) or spec.k != 1:
@@ -262,7 +267,9 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     if not all(lo < hi for lo, hi in box):
         raise BadGrid(f"every box axis needs lo < hi, got {box}")
     if float(spec.alpha).is_integer():
-        return _collocation_solve(spec, box, grid_sizes, boundary_fn, tol)
+        sol = _collocation_solve(spec, box, grid_sizes, boundary_fn, tol)
+        if sol is not None:
+            return sol
     return _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol)
 
 
@@ -282,25 +289,27 @@ def _boundary_grid(axes, m, boundary_fn):
 def _collocation_solve(spec, box, grid_sizes, boundary_fn, tol):
     """Tensor Chebyshev-Lobatto collocation (Trefethen, Spectral Methods in
     MATLAB, SIAM 2000, ch. 6-7) on n + 1 nodes per axis, n doubled from 8
-    until the chopped coefficient lengths (`_chop`) stop growing, capped
-    per axis by grid_sizes - 1 and by COLLOCATION_BYTES."""
-    caps = [size - 1 for size in grid_sizes]
+    until the series is resolved (`_resolved`), or None if it is not within
+    the caps: per axis max(8, (size - 1) // 8), at most size - 1, so that
+    the solves spent on data that does not resolve cost less than FD on
+    `size` nodes per axis, and COLLOCATION_BYTES."""
+    caps = [min(size - 1, max(8, (size - 1) // 8)) for size in grid_sizes]
 
     def sizes(n):
         return [min(n, cap) for cap in caps]
 
-    n, lengths, solves = 8, None, 0
+    n, solves = 8, 0
     while True:
         axes, full, resid = _collocation(spec, box, sizes(n), boundary_fn)
         solves += 1
-        series = _chop(full)
-        grew = lengths is None or any(a > b for a, b in zip(series.shape, lengths))
-        lengths = series.shape
-        bigger = 2 * n
-        while bigger > n and _system_bytes(spec, sizes(bigger)) > COLLOCATION_BYTES:
-            bigger -= 1
-        if not grew or sizes(bigger) == sizes(n):
+        coeffs = _coefficients(full)
+        if _resolved(coeffs):
             break
+        bigger = 2 * n
+        while bigger > n and _system_bytes(sizes(bigger)) > COLLOCATION_BYTES:
+            bigger -= 1
+        if sizes(bigger) == sizes(n):
+            return None
         n = bigger
     if not resid <= tol:
         raise NoConvergence(
@@ -308,15 +317,13 @@ def _collocation_solve(spec, box, grid_sizes, boundary_fn, tol):
             f"after {solves} iterations (one solve per n), tolerance {tol}",
             iterations=solves, residual=resid)
     return GridSolution(spec=spec, axes=tuple(axes), channels=full[..., None], residual=resid,
-                        iterations=solves, series=series)
+                        iterations=solves, series=_chop(coeffs))
 
 
-def _system_bytes(spec, sizes):
+def _system_bytes(sizes):
     """Bytes of the z-system matrices that one collocation solve on n + 1
     nodes per axis (`sizes`: the n) stacks for its batched solve."""
     *nz, nt = [n - 1 for n in sizes]
-    if len(nz) == 2 and spec.alpha == 1:  # z_2 diagonalised: systems of size n_1
-        return 8 * nt * nz[1] * nz[0] ** 2
     return 8 * nt * math.prod(nz) ** 2
 
 
@@ -362,42 +369,26 @@ def _collocation(spec, box, sizes, boundary_fn):
         return out
 
     rhs = -scheme(full)
-    terms = None
-    if m == 2 and spec.alpha == 1:  # |z|^2/4 = z_1^2/4 + z_2^2/4
-        terms = [ax[1:-1] ** 2 / 4.0 for ax in axes[:m]]
-    full[interior] = _mode_solve([mat[1:-1, 1:-1] for mat in d2], coeff, terms, rhs)
+    full[interior] = _mode_solve([mat[1:-1, 1:-1] for mat in d2], coeff, rhs)
     resid = float(np.linalg.norm(scheme(full))) / (float(np.linalg.norm(rhs)) or 1.0)
     return axes, full, resid
 
 
-def _mode_solve(blocks, coeff, terms, rhs):
+def _mode_solve(blocks, coeff, rhs):
     """The interior u of the collocation system sum_i A_i u + c(z) A_t u =
     rhs, each interior second-derivative block A applied along its axis.
-
     A_t = V diag(lam) V^-1 (`eig`; real for Chebyshev), so t-mode j leaves
     (A_z + lam_j diag(c)) w_j = (rhs V^-T)_j, and all of them are one
-    batched `solve`.  Where c separates, c = c_1(z_1) + c_2(z_2) (`terms`),
-    the z_2 block A_2 + lam_j diag(c_2) of each mode is V_j diag(s_j) V_j^-1
-    too, and every pair (j, q) leaves a system
-    A_1 + diag(lam_j c_1 + s_jq) of size n_1."""
+    batched `solve`."""
     *a_z, a_t = blocks
     lam, vec = np.linalg.eig(a_t)
     modes = rhs @ np.linalg.inv(vec).T  # (*z, t-modes)
-    if terms is None:
-        lap = a_z[0]
-        if len(a_z) == 2:
-            lap = np.kron(a_z[0], np.eye(len(a_z[1]))) + np.kron(np.eye(len(a_z[0])), a_z[1])
-        flat = modes.reshape(-1, len(lam)).T[..., None]
-        w = np.linalg.solve(_shifted(lap, lam[:, None] * coeff.ravel()), flat)
-        w = w[..., 0].T.reshape(modes.shape)
-    else:
-        c1, c2 = terms
-        s, v2 = np.linalg.eig(_shifted(a_z[1], lam[:, None] * c2))
-        r = np.moveaxis(modes, -1, 0) @ np.linalg.inv(v2).transpose(0, 2, 1)  # (t, z_1, q)
-        y = np.linalg.solve(_shifted(a_z[0], lam[:, None, None] * c1 + s[..., None]),
-                            r.transpose(0, 2, 1)[..., None])[..., 0]  # (t, q, z_1)
-        w = np.moveaxis(y.transpose(0, 2, 1) @ v2.transpose(0, 2, 1), 0, -1)
-    return (w @ vec.T).real
+    lap = a_z[0]
+    if len(a_z) == 2:
+        lap = np.kron(a_z[0], np.eye(len(a_z[1]))) + np.kron(np.eye(len(a_z[0])), a_z[1])
+    flat = modes.reshape(-1, len(lam)).T[..., None]
+    w = np.linalg.solve(_shifted(lap, lam[:, None] * coeff.ravel()), flat)
+    return (w[..., 0].T.reshape(modes.shape) @ vec.T).real
 
 
 def _shifted(base, diagonals):
@@ -410,14 +401,9 @@ def _shifted(base, diagonals):
     return out
 
 
-def _chop(values):
+def _coefficients(values):
     """The tensor Chebyshev coefficients of u from its values on the
-    ascending Lobatto nodes (a DCT-I per axis, by FFT), cut where round-off
-    begins (Aurentz & Trefethen, ACM TOMS 43, 2017): each axis after its
-    last index holding a coefficient above eps n^2 max|c| (n the largest
-    degree), and every coefficient below that set to 0.  The round-off
-    measured in these coefficients on polynomial data, n = 8 ... 256 in 2-D
-    and to 48 in 3-D, is 2e-16 ... 4e-13, 9x or more below the cut."""
+    ascending Lobatto nodes: a DCT-I per axis, by FFT."""
     c = values
     for axis in range(values.ndim):
         v = np.moveaxis(c, axis, -1)
@@ -426,7 +412,26 @@ def _chop(values):
         f[..., [0, n]] /= 2.0
         f[..., 1::2] *= -1.0  # ascending nodes: T_k(-x) = (-1)^k T_k(x)
         c = np.moveaxis(f, -1, axis)
-    big = np.abs(c) > np.finfo(float).eps * (max(values.shape) - 1) ** 2 * np.max(np.abs(c))
+    return c
+
+
+def _resolved(c):
+    """Whether the series c resolves u: on every axis the coefficients of
+    the two highest degrees (one of each parity) are at most RESOLVED
+    max|c|.  As any test on a finite series, a gap in u's spectrum that
+    aliases onto low degrees can fool it."""
+    top = RESOLVED * np.max(np.abs(c))
+    return all(np.max(np.abs(np.moveaxis(c, axis, 0)[-2:])) <= top for axis in range(c.ndim))
+
+
+def _chop(c):
+    """The coefficients c cut where round-off begins (Aurentz & Trefethen,
+    ACM TOMS 43, 2017): each axis after its last index holding a
+    coefficient above eps n^2 max|c| (n the largest degree), and every
+    coefficient below that set to 0.  The round-off measured in these
+    coefficients on polynomial data, n = 8 ... 256 in 2-D and to 48 in
+    3-D, is 2e-16 ... 4e-13, 9x or more below the cut."""
+    big = np.abs(c) > np.finfo(float).eps * (max(c.shape) - 1) ** 2 * np.max(np.abs(c))
     lengths = []
     for axis in range(c.ndim):
         kept = np.flatnonzero(big.any(axis=tuple(a for a in range(c.ndim) if a != axis)))
@@ -445,11 +450,14 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
     The coefficient depends on z only and the t axis is uniform with
     Dirichlet ends, so an orthonormal DST-I in t diagonalises the
     t-difference (fast diagonalisation, Lynch, Rice & Thomas 1964) and
-    leaves one SPD system in z per t-mode: for m = 1 all of them are one
-    tridiagonal solve (`_separable_mode_solver`), for m = 2 each mode is one
-    banded Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).
-    Either is the exact inverse, which preconditions CG: it stops after one
-    or two iterations."""
+    leaves one SPD system in z per t-mode.  Where the coefficient separates,
+    c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1), the z_2 axis is diagonalised
+    too and all z_1 systems are one tridiagonal solve
+    (`_separable_mode_solver`), refined once against the stencil when z_2
+    is diagonalised; otherwise (m = 2, alpha != 1) each mode is one banded
+    Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).  Either
+    is the exact inverse, which preconditions CG: it stops after one or two
+    iterations."""
     from scipy.fft import dst
     from scipy.sparse.linalg import LinearOperator
 
@@ -460,6 +468,7 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
     shape = tuple(grid_sizes)
     ni = tuple(n - 2 for n in shape)
     interior = (slice(1, -1),) * ndim
+
     full = _boundary_grid(axes, m, boundary_fn)
 
     zmesh = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
@@ -486,9 +495,10 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
     # t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
     n_t = ni[-1]
     lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
-    if m == 1:
-        solve_modes = _separable_mode_solver(steps[0], (axes[0][1:-1] ** 2) ** spec.alpha / 4.0,
-                                             lam)
+    if m == 1 or spec.alpha == 1:
+        # c(z) = sum_i c_i(z_i) with c_i = |z_i|^(2a)/4
+        terms = [(ax[1:-1] ** 2) ** spec.alpha / 4.0 for ax in axes[:m]]
+        solve_modes = _separable_mode_solver(steps[:m], terms, lam)
     else:
         solve_modes = _banded_mode_solver(steps[:m], coeff[..., 0], lam)
 
@@ -502,9 +512,17 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
         work[interior] = x.reshape(ni)
         return -stencil(work).ravel()
 
+    def refined_inverse(r):
+        # the z_2 eigenvectors are backward stable only normwise, where the
+        # Cholesky solves are componentwise: one step of iterative refinement
+        # against the stencil wins back the digits this costs on smooth data
+        x = inverse(r)
+        return x + inverse(r - negated_stencil(x))
+
     n = math.prod(ni)
     a_op = LinearOperator((n, n), matvec=negated_stencil, dtype=float)  # SPD
-    precond = LinearOperator((n, n), matvec=inverse, dtype=float)
+    exact_inverse = refined_inverse if m == 2 and spec.alpha == 1 else inverse
+    precond = LinearOperator((n, n), matvec=exact_inverse, dtype=float)
     b = stencil(full).ravel()
     iterates = []  # one entry per CG iteration
     sol, info = cg(a_op, b, x0=np.zeros(n), rtol=1e-12, atol=0.0,
@@ -524,26 +542,44 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
                         iterations=iterations)
 
 
-def _separable_mode_solver(h, c, lam):
-    """Exact solver of the t-modes for m = 1, the coefficient c given on the
-    interior z nodes.  It maps the array of modes (rows: z nodes, columns:
-    t-modes j) to the solutions of the tridiagonal systems
-    -d^2/h^2 - lam_j diag(c), which form one block-diagonal SPD matrix (zero
-    couplings at the block ends), solved by one banded Cholesky call with
-    kd = 1."""
-    from scipy.linalg import solveh_banded
-    n1 = len(c)
-    diag = (2.0 / h ** 2 - lam[:, None] * c)  # (n_t, n_1)
+def _separable_mode_solver(steps, terms, lam):
+    """Exact solver of the t-modes for a separable coefficient
+    c(z) = sum_i c_i(z_i), given as the arrays c_i = terms[i] on the interior
+    z_i nodes (m = 1, or m = 2 with alpha = 1).  It maps the array of modes
+    (rows: z nodes with z_1 slowest, columns: t-modes j) to the solutions of
+    -lap_zz - lam_j diag(c).
+
+    For m = 2 the z_2 operator -d^2/h_2^2 - lam_j diag(c_2) of each mode is
+    V_j diag(e_j) V_j^T (`eigh_tridiagonal`), and one batched matmul moves
+    the modes into that basis.  Every pair (j, q) then leaves the
+    tridiagonal z_1 system -d^2/h_1^2 - lam_j diag(c_1) + e_jq; all of them
+    form one block-diagonal SPD matrix (zero couplings at the block ends),
+    solved by one banded Cholesky call with kd = 1."""
+    from scipy.linalg import eigh_tridiagonal, solveh_banded
+    h1, n1 = steps[0], len(terms[0])
+    diag = (2.0 / h1 ** 2 - lam[:, None] * terms[0])[:, None, :]  # (n_t, 1, n_1)
+    vecs = None
+    if len(terms) == 2:
+        n2 = len(terms[1])
+        off = np.full(n2 - 1, -1.0 / steps[1] ** 2)
+        vecs = np.empty((len(lam), n2, n2))
+        eigenvalues = np.empty((len(lam), n2, 1))
+        for j, lam_j in enumerate(lam):
+            eigenvalues[j, :, 0], vecs[j] = eigh_tridiagonal(
+                2.0 / steps[1] ** 2 - lam_j * terms[1], off, check_finite=False)
+        diag = diag + eigenvalues  # (n_t, n_2, n_1)
 
     def solve(modes):
-        # b views modes as (n_t, n_1); the solutions overwrite it
-        b = modes.T
+        # b views modes as (n_t, n_2 or 1, n_1); the solutions overwrite it
+        b = modes.reshape(n1, -1, len(lam)).transpose(2, 1, 0)
+        rhs = b.copy() if vecs is None else np.matmul(vecs.transpose(0, 2, 1), b)
         ab = np.empty((2, diag.size))  # upper band storage
-        ab[0] = -1.0 / h ** 2
+        ab[0] = -1.0 / h1 ** 2
         ab[0, ::n1] = 0.0  # no coupling across block ends
         ab[1] = diag.ravel()
-        b[...] = solveh_banded(ab, b.ravel(), overwrite_ab=True, overwrite_b=True,
-                               check_finite=False).reshape(b.shape)
+        x = solveh_banded(ab, rhs.ravel(), overwrite_ab=True, overwrite_b=True,
+                          check_finite=False).reshape(rhs.shape)
+        b[...] = x if vecs is None else vecs @ x
         return modes
 
     return solve

@@ -284,13 +284,13 @@ def test_fd_reproduces_exact_solution(dims, sizes):
     # manufactured solution in the kernel of B_a, boundary data and exact
     # reference at once.  Integer alpha: collocation reproduces the
     # polynomial to round-off on at most 17 nodes per axis, whatever the
-    # grid cap.  alpha + 1/2: FD converges at second order
+    # grid.  alpha + 1/2: FD converges at second order
     spec = sf.BaouendiSpec(*dims)
     exact = mixed_fixture(spec).evaluate
     box = [(-1.0, 1.0)] * spec.N
     for n in sizes:
         sol = sf.fd_solve(spec, box, [n] * spec.N, exact)
-        assert max(len(ax) for ax in sol.axes) <= 17
+        assert sol.series is not None and max(len(ax) for ax in sol.axes) <= 17
         assert _nodal_error(sol, exact) <= 1e-13 * np.max(np.abs(sol.values))
     half = sf.BaouendiSpec(spec.m, spec.k, spec.alpha + 0.5)
     exact = _quadratic_solution(half)
@@ -338,24 +338,13 @@ def _generic_boundary(z, t):
 
 
 def _stencil_residual(spec, sol):
-    """Relative residual of the solver's scheme on the interior nodes,
+    """Relative residual of the FD scheme on the interior nodes,
     independently of the solver: the centred B_a stencil applied to
-    sol.values by slicing (FD), relative to the larger of its two terms, or
-    the square of the barycentric differentiation matrix of each axis
-    (collocation, `oracles`), relative to the round-off scale
-    sum_axes |D2|_inf max|c| max|u| of that product."""
+    sol.values by slicing, relative to the larger of its two terms."""
     u = sol.values
     inner = (slice(1, -1),) * u.ndim
-    norms = []
 
     def second_difference(axis):
-        if sol.series is not None:
-            d = oracles.differentiation_matrix(sol.axes[axis])
-            norms.append(np.max(np.sum(np.abs(d @ d), axis=1)))
-            index = list(inner)
-            index[axis] = slice(None)
-            d2 = np.tensordot((d @ d)[1:-1], u[tuple(index)], axes=(1, axis))
-            return np.moveaxis(d2, 0, axis)
         lo, hi = list(inner), list(inner)
         lo[axis], hi[axis] = slice(None, -2), slice(2, None)
         h = sol.axes[axis][1] - sol.axes[axis][0]
@@ -366,8 +355,6 @@ def _stencil_residual(spec, sol):
     lap_z = sum(second_difference(i) for i in range(spec.m))
     lap_t = coeff * sum(second_difference(spec.m + j) for j in range(spec.k))
     scale = max(np.max(np.abs(lap_z)), np.max(np.abs(lap_t)))
-    if norms:
-        scale = sum(norms) * max(1.0, np.max(coeff)) * np.max(np.abs(u))
     return np.max(np.abs(lap_z + lap_t)) / scale
 
 
@@ -379,8 +366,11 @@ def _stencil_residual(spec, sol):
     ((2, 1), 3, [(-1.0, 1.0), (-0.6, 0.8), (-0.5, 0.7)], [17, 9, 21]),
 ])
 def test_fd_solution_satisfies_stencil(dims, alpha, box, grid):
+    # generic data leave corner singularities, which no Chebyshev series on
+    # these grids resolves, so integer alpha takes the FD scheme too
     spec = sf.BaouendiSpec(*dims, alpha)
     sol = sf.fd_solve(spec, box, grid, _generic_boundary)
+    assert sol.series is None and [len(ax) for ax in sol.axes] == grid
     assert _stencil_residual(spec, sol) <= 1e-10
 
 
@@ -405,15 +395,42 @@ def test_fd_solver_converges_in_one_or_two_iterations(dims, grid):
     ((2, 1, 3.5), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [17, 11, 21]),
 ], ids=["ba112", "ba211", "ba213", "ba1-1-2.5", "ba2-1-1.5", "ba2-1-3.5"])
 def test_fd_solve_matches_sparse_direct_solve(dims, box, grid):
-    # non-symmetric boxes and unequal grids, against the scheme assembled as
-    # a sparse matrix and solved directly: the collocation scheme on the
-    # solution's own nodes (integer alpha), or the FD scheme
+    # non-symmetric boxes and unequal grids, against the FD scheme assembled
+    # as a sparse matrix and solved directly (generic data take the FD
+    # scheme at every alpha)
     spec = sf.BaouendiSpec(*dims)
     sol = sf.fd_solve(spec, box, grid, _generic_boundary)
-    if sol.series is None:
-        ref = oracles.fd_sparse_solution(spec, box, grid, _generic_boundary)
-    else:
-        ref = oracles.collocation_sparse_solution(spec, sol.axes, _generic_boundary)
+    ref = oracles.fd_sparse_solution(spec, box, grid, _generic_boundary)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _forbid_fd(monkeypatch):
+    """Make the FD fallback of fd_solve fail: a series that does not resolve
+    would otherwise be solved by FD on a large grid."""
+    from subfreq import baouendi
+
+    def no_fd(*args):
+        raise AssertionError("the Chebyshev series did not resolve")
+
+    monkeypatch.setattr(baouendi, "_fd_scheme_solve", no_fd)
+
+
+@pytest.mark.parametrize("dims, box, grid", [
+    ((1, 1, 2), [(-1.0, 0.8), (-0.5, 0.7)], [129, 113]),
+    ((2, 1, 1), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [129, 113, 137]),
+    ((2, 1, 3), [(-1.0, 0.8), (-0.6, 0.9), (-0.5, 0.7)], [129, 113, 137]),
+], ids=["ba112", "ba211", "ba213"])
+def test_collocation_solve_matches_sparse_direct_solve(monkeypatch, dims, box, grid):
+    # the same boxes, unequal node counts (caps 16, 14 and 17 per axis), and
+    # analytic data (the pole solution, its pole far off), against the
+    # collocation scheme on the solution's own nodes assembled as a sparse
+    # matrix and solved directly
+    _forbid_fd(monkeypatch)
+    spec = sf.BaouendiSpec(*dims)
+    value, _ = oracles.pole_solution(spec, pole=30.0)
+    sol = sf.fd_solve(spec, box, grid, value)
+    assert len({len(ax) for ax in sol.axes}) == 2
+    ref = oracles.collocation_sparse_solution(spec, sol.axes, value)
     assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -435,17 +452,23 @@ def _band_rows_of_solves(monkeypatch, spec, grid):
 
 
 def test_separable_coefficient_takes_the_tridiagonal_path(monkeypatch):
-    # the FD path (non-integer alpha): for m = 1 every z system is
-    # tridiagonal (2 band rows), for m = 2 one banded Cholesky per t-mode,
-    # kd = n_2
-    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(1, 1, 1.5), [13, 17])
+    # the FD scheme (generic data, which no series resolves here): where the
+    # coefficient separates (m = 1, or alpha = 1) every z_1 system is
+    # tridiagonal (2 band rows); m = 2 at any other alpha takes one banded
+    # Cholesky per t-mode, kd = n_2
+    for dims in ((1, 1, 1.5), (1, 1, 2)):
+        rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(*dims), [13, 17])
+        assert rows and max(rows) <= 2
+    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 1), [13, 11, 17])
     assert rows and max(rows) <= 2
-    rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, 1.5), [13, 11, 17])
-    assert rows and set(rows) == {11 - 2 + 1}
+    for alpha in (1.5, 2):
+        rows = _band_rows_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, alpha), [13, 11, 17])
+        assert rows and set(rows) == {11 - 2 + 1}
 
 
-def _system_sizes_of_solves(monkeypatch, spec, grid):
-    """The (batch, size) of every `numpy.linalg.solve` of one fd_solve."""
+def test_collocation_solves_all_t_modes_in_one_batched_call(monkeypatch):
+    # each collocation solve is one batched solve of one z system of size
+    # n_1 n_2 per t-mode, at alpha 1 and 2 alike
     sizes = []
     solve = np.linalg.solve
 
@@ -454,34 +477,26 @@ def _system_sizes_of_solves(monkeypatch, spec, grid):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
-    return sizes, sf.fd_solve(spec, [(-1.0, 1.0)] * len(grid), grid, _generic_boundary)
-
-
-def test_separable_coefficient_diagonalises_z2_in_the_collocation_solve(monkeypatch):
-    # alpha = 1: |z|^2/4 = z_1^2/4 + z_2^2/4, so each t-mode's z_2 block is
-    # diagonalised and one batched solve takes a system of size n_1 per
-    # (t-mode, z_2-mode); at alpha = 2 one system of size n_1 n_2 per t-mode
     for alpha in (1, 2):
-        sizes, sol = _system_sizes_of_solves(monkeypatch, sf.BaouendiSpec(2, 1, alpha),
-                                             [13, 11, 17])
+        spec = sf.BaouendiSpec(2, 1, alpha)
+        value, _ = oracles.pole_solution(spec, pole=10.0)
+        sizes.clear()
+        sol = sf.fd_solve(spec, [(-1.0, 1.0)] * 3, [129, 113, 137], value)
         n1, n2, nt = (len(ax) - 2 for ax in sol.axes)
-        assert len(sizes) == sol.iterations >= 2  # one batched solve per collocation solve
-        assert sizes[-1] == (((nt, n2), n1) if alpha == 1 else ((nt,), n1 * n2))
+        assert sol.series is not None and len(sizes) == sol.iterations >= 2
+        assert sizes[-1] == ((nt,), n1 * n2)
 
 
-def test_diagonalised_z2_collocation_reaches_round_off():
-    # the z_2 eigenvectors are backward stable only normwise; the
-    # collocation solve still reaches a residual near round-off, and on an
-    # analytic solution (`oracles.pole_solution`; generic boundary data
-    # leaves corner singularities) n doubles until every axis is resolved:
-    # the chopped series is shorter than the nodes on each axis
-    spec = sf.BaouendiSpec(2, 1, 1)
-    value, _ = oracles.pole_solution(spec)
-    sol = sf.fd_solve(spec, [(-1.0, 1.0)] * 3, [33, 33, 65], value)
-    assert sol.residual <= 1e-14
-    assert sol.iterations >= 3
-    assert all(n < len(ax) for n, ax in zip(sol.series.shape, sol.axes))
-    assert _nodal_error(sol, value) <= 1e-13
+def test_diagonalised_z2_path_is_refined_to_round_off():
+    # the FD scheme at alpha = 1 (generic data, which no series resolves
+    # here): the z_2 eigenvectors are backward stable only normwise; one
+    # refinement step against the stencil brings the residual to about
+    # 6e-16 here (about 4e-15 without it), in one CG iteration
+    sol = sf.fd_solve(sf.BaouendiSpec(2, 1, 1), [(-1.0, 1.0)] * 3, [33, 33, 65],
+                      _generic_boundary)
+    assert sol.series is None
+    assert sol.iterations == 1
+    assert sol.residual <= 1.5e-15
 
 
 @pytest.mark.parametrize("dims, grid", [((1, 1, 1.5), [33, 17]), ((2, 1, 2.5), [13, 11, 17])])
@@ -792,17 +807,21 @@ def test_fd_handle_is_freed_by_reference_counting(ba112):
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2)])
-def test_collocation_converges_spectrally_on_a_pole_solution(dims):
+def test_collocation_converges_spectrally_on_a_pole_solution(monkeypatch, dims):
     # u = rho(z, t - 1.6)^(2-Q) - const is B_a-harmonic on [-1, 1]^N and no
     # polynomial; its pole at distance 0.6 from the box bounds the
-    # Chebyshev coefficients by about 2.85^-n.  On at most 33 nodes per axis
-    # (29 for (2,1,2), by COLLOCATION_BYTES): the nodal error, N between
-    # that grid and one of at most 28 nodes, N against the exact jet, and N
-    # nondecreasing as the paper proves for every B_a-harmonic function
+    # Chebyshev coefficients by about 2.85^-n, so the series resolves at
+    # n = 28 to 32.  Grids whose caps (size - 1) // 8 allow that: 257 per
+    # axis (33 nodes, 29 in 3-D by COLLOCATION_BYTES) and 225 per z axis
+    # (29 z nodes, 33 t nodes).  The nodal error, N between the two, N
+    # against the exact jet, and N nondecreasing as the paper proves for
+    # every B_a-harmonic function
+    _forbid_fd(monkeypatch)
     spec = sf.BaouendiSpec(*dims)
     value, jet = oracles.pole_solution(spec)
     box = [(-1.0, 1.0)] * spec.N
-    coarse, fine = (sf.fd_solve(spec, box, [n] * spec.N, value) for n in (28, 33))
+    coarse, fine = (sf.fd_solve(spec, box, grid, value)
+                    for grid in ([225] * spec.m + [257], [257] * spec.N))
     assert [len(ax) for ax in coarse.axes] != [len(ax) for ax in fine.axes]
     assert _nodal_error(fine, value) <= 1e-10
     rule = sf.build_sphere_rule(spec, 16)
@@ -816,14 +835,15 @@ def test_collocation_converges_spectrally_on_a_pole_solution(dims):
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 1, 1)])
-def test_collocation_handle_reads_the_exact_jet_on_any_box(dims):
+def test_collocation_handle_reads_the_exact_jet_on_any_box(monkeypatch, dims):
     # value and every partial from the series, mapped from a box that is
     # neither [-1, 1] nor symmetric, against the exact jet of the pole
     # solution at random points inside it
+    _forbid_fd(monkeypatch)
     spec = sf.BaouendiSpec(*dims)
     value, jet = oracles.pole_solution(spec)
     box = [(-0.9, 0.6), (-0.4, 0.7), (-0.8, 0.5)][-spec.N:]
-    u = sf.fd_solve(spec, box, [33] * spec.N, value).as_handle()
+    u = sf.fd_solve(spec, box, [257] * spec.N, value).as_handle()
     rng = np.random.default_rng(2)
     x = rng.uniform([lo for lo, _ in box], [hi for _, hi in box], (200, spec.N))
     z, t = x[:, :spec.m], x[:, spec.m:]
@@ -836,25 +856,26 @@ def test_collocation_handle_reads_the_exact_jet_on_any_box(dims):
 @pytest.mark.parametrize("dims, grid", [((1, 1, 2), [129, 129]), ((1, 1, 2), [257, 257]),
                                         ((2, 1, 1), [65, 65, 65])])
 @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(-1, 3)])
-def test_benchmark_polynomial_problems_stop_at_17_nodes(dims, grid, c):
-    # the fd-curves problems t + c P: the chopped series is resolved at
-    # n = 8 and does not grow at n = 16, so the doubling stops there,
-    # whatever the grid cap; a cut below the solve's round-off would keep
-    # growing to the cap
+def test_benchmark_polynomial_problems_stop_at_9_nodes(dims, grid, c):
+    # the fd-curves problems t + c P, of degree at most 6 per axis: at
+    # n = 8 the top two degrees of the series are round-off, so the first
+    # solve is resolved, whatever the grid; a test below the solve's
+    # round-off would double to the caps and fall back to FD
     spec = sf.BaouendiSpec(*dims)
     exact = Polynomial.t_var(spec.m, 1, 0, tweight=spec.tweight) \
         + sf.solid_harmonic_quadratic(spec) * c
     sol = sf.fd_solve(spec, [(-1.0, 1.0)] * spec.N, grid, exact.evaluate)
-    assert [len(ax) for ax in sol.axes] == [17] * spec.N
-    assert sol.iterations == 2
+    assert [len(ax) for ax in sol.axes] == [9] * spec.N
+    assert sol.iterations == 1
     assert sol.series.shape == (2 * spec.tweight + 1,) * spec.m + (3,)
     assert _nodal_error(sol, exact.evaluate) <= 1e-13 * np.max(np.abs(sol.values))
 
 
 def test_integer_alpha_solves_by_collocation_without_cg(monkeypatch):
     # |z|^(2a) is a polynomial at integer alpha (2 or 2.0), and only then:
-    # no CG, Chebyshev-Lobatto nodes (ends exactly the box), and the chopped
-    # series kept; alpha 1.5 takes the uniform FD grid
+    # on data whose series resolves, no CG, Chebyshev-Lobatto nodes (ends
+    # exactly the box), and the chopped series kept; alpha 1.5 takes the
+    # uniform FD grid
     from subfreq import baouendi
 
     def no_cg(*args, **kwargs):
@@ -862,8 +883,9 @@ def test_integer_alpha_solves_by_collocation_without_cg(monkeypatch):
 
     monkeypatch.setattr(baouendi, "cg", no_cg)
     for alpha in (2, 2.0):
-        sol = sf.fd_solve(sf.BaouendiSpec(1, 1, alpha), [(-1.0, 0.5), (-0.5, 0.7)], [33, 33],
-                          _generic_boundary)
+        spec = sf.BaouendiSpec(1, 1, alpha)
+        value, _ = oracles.pole_solution(spec, pole=10.0)
+        sol = sf.fd_solve(spec, [(-1.0, 0.5), (-0.5, 0.7)], [129, 129], value)
         assert sol.series is not None and sol.iterations >= 2
         for ax, (lo, hi) in zip(sol.axes, [(-1.0, 0.5), (-0.5, 0.7)]):
             n = len(ax) - 1
@@ -872,6 +894,29 @@ def test_integer_alpha_solves_by_collocation_without_cg(monkeypatch):
             assert (ax[0], ax[-1]) == (lo, hi)
     with pytest.raises(AssertionError, match="CG called"):
         sf.fd_solve(sf.BaouendiSpec(1, 1, 1.5), [(-1.0, 1.0)] * 2, [9, 9], _generic_boundary)
+
+
+@pytest.mark.parametrize("dims, grid, caps", [((1, 1, 2), [257, 129], [[8, 8], [16, 16], [32, 16]]),
+                                              ((2, 1, 1), [65, 33, 129], [[8, 8, 8], [8, 8, 16]])])
+def test_unresolved_series_falls_back_to_fd_on_the_grid(monkeypatch, dims, grid, caps):
+    # t^2 is not B_a-harmonic: the solution has corner singularities, its
+    # Chebyshev coefficients decay algebraically, and no series within the
+    # caps (size - 1) // 8 resolves it.  Then the solve is FD on exactly
+    # the problem's grid, the solution FD gave before collocation existed,
+    # after one collocation solve per doubling of n up to the caps
+    from subfreq import baouendi
+
+    solves = []
+    collocation = baouendi._collocation
+    monkeypatch.setattr(baouendi, "_collocation",
+                        lambda *args: solves.append(args[2]) or collocation(*args))
+    spec = sf.BaouendiSpec(*dims)
+    box = [(-1.0, 1.0)] * spec.N
+    sol = sf.fd_solve(spec, box, grid, lambda z, t: t[:, 0] ** 2)
+    assert sol.series is None and sol.iterations == 1
+    for ax, (lo, hi), n in zip(sol.axes, box, grid):
+        np.testing.assert_array_equal(ax, np.linspace(lo, hi, n))
+    assert solves == caps
 
 
 def test_spec_rejects_an_alpha_whose_q_squared_overflows():
