@@ -38,6 +38,11 @@ from .polynomials import (
 )
 
 
+# The most factors (alpha + 1) and monomials of |z|^(2 alpha) that `tweight`
+# admits; `ortho` takes about 1 s at the bound (m = 2, alpha 256; m = 3, 21).
+SYMBOLIC_SIZE = 257
+
+
 @dataclass(frozen=True)
 class BaouendiSpec(Geometry):
     """The geometry (m, k, alpha) of B_a, with Q = m + (alpha+1) k."""
@@ -54,10 +59,13 @@ class BaouendiSpec(Geometry):
     @property
     def tweight(self):
         """The layer weight alpha + 1 of the symbolic calculus, which needs an
-        integer alpha (so that |z|^(2 alpha) is polynomial)."""
+        integer alpha (so that |z|^(2 alpha) is polynomial) within SYMBOLIC_SIZE."""
         a = self.alpha
         if not (isinstance(a, int) or isinstance(a, float) and a.is_integer()):
             raise NonIntegerAlpha(f"operation needs integer alpha, got {a}")
+        if max(a + 1, math.comb(int(a) + self.m - 1, self.m - 1)) > SYMBOLIC_SIZE:
+            raise DimensionMismatch(f"alpha = {a} at m = {self.m} is too large for the symbolic "
+                                    f"calculus: over {SYMBOLIC_SIZE} factors or monomials")
         return int(a) + 1
 
     @cached_property
@@ -129,7 +137,7 @@ class GridSolution:
     axes: tuple           # per-axis node arrays, ascending, z axes first; their ends are the box
     channels: np.ndarray  # (*grid, C): u on the full grid, then (FD) room for d_1 u, ..., d_N u
     residual: float       # |scheme(u)| / |scheme(boundary data)| at the interior nodes
-    iterations: int       # CG iterations (FD), or collocation solves (Chebyshev)
+    iterations: int       # 1 (FD: one exact solve), or collocation solves (Chebyshev)
     series: np.ndarray = None  # the chopped tensor Chebyshev coefficients of u (Chebyshev)
 
     @property
@@ -239,8 +247,8 @@ def _series_jet(stack, lo, hi, x):
 
 
 def cg(*args, **kwargs):
-    """scipy's conjugate gradients, imported on the first call so that the
-    package imports no scipy; `fd_solve` calls it by this module name."""
+    """scipy's conjugate gradients, imported on the first call.  No solver
+    calls it; `bench/tracing.py` wraps it by this name (`Tracer.install`)."""
     from scipy.sparse.linalg import cg as scipy_cg
     return scipy_cg(*args, **kwargs)
 
@@ -440,33 +448,26 @@ def _chop(c):
 
 
 def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
-    """The FD path of `fd_solve`, by preconditioned conjugate gradients.
+    """The FD path of `fd_solve`: one application of the scheme's exact
+    inverse, counted as one iteration.
 
     `stencil` is the scheme: the second-order centred B_a stencil at the
     interior nodes of a full-grid array, with the degenerate coefficient
     |z|^(2a)/4 on the t-differences only, so the (negated) operator is
     symmetric positive definite.  It gives the right-hand side (the stencil
-    of the boundary data), the matrix-free CG operator and the residual.
-    The coefficient depends on z only and the t axis is uniform with
-    Dirichlet ends, so an orthonormal DST-I in t diagonalises the
-    t-difference (fast diagonalisation, Lynch, Rice & Thomas 1964) and
-    leaves one SPD system in z per t-mode.  Where the coefficient separates,
-    c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1), the z_2 axis is diagonalised
-    too and all z_1 systems are one tridiagonal solve
-    (`_separable_mode_solver`), refined once against the stencil when z_2
-    is diagonalised; otherwise (m = 2, alpha != 1) each mode is one banded
-    Cholesky solve with half-bandwidth n_2 (`_banded_mode_solver`).  Either
-    is the exact inverse, which preconditions CG: it stops after one or two
-    iterations."""
-    from scipy.fft import dst
-    from scipy.sparse.linalg import LinearOperator
-
+    of the boundary data) and the residual.  The coefficient depends on z
+    only and the t axis is uniform with Dirichlet ends, so an orthonormal
+    DST-I in t (`_dst`) diagonalises the t-difference (fast
+    diagonalisation, Lynch, Rice & Thomas 1964) and leaves one SPD system
+    in z per t-mode: all z_1 systems are one tridiagonal solve where the
+    coefficient separates, c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1,
+    with z_2 diagonalised too: `_separable_mode_solver`), else per mode one
+    banded Cholesky solve (`_banded_mode_solver`)."""
     m = spec.m
     ndim = m + spec.k
     axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes))
     steps = [ax[1] - ax[0] for ax in axes]
-    shape = tuple(grid_sizes)
-    ni = tuple(n - 2 for n in shape)
+    ni = tuple(n - 2 for n in grid_sizes)
     interior = (slice(1, -1),) * ndim
 
     full = _boundary_grid(axes, m, boundary_fn)
@@ -477,8 +478,7 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
     def stencil(g):
         # the centred B_a stencil of the full-grid array g at the interior
         # nodes: per axis (g_lo - 2 g + g_hi) / h^2, in place in one temporary
-        out = np.zeros(ni)
-        d2 = np.empty(ni)
+        out, d2 = np.zeros(ni), np.empty(ni)
         for axis, h in enumerate(steps):
             lo, hi = list(interior), list(interior)
             lo[axis], hi[axis] = slice(None, -2), slice(2, None)
@@ -491,8 +491,8 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
             out += d2
         return out
 
-    # exact inverse: d2_t = S diag(lam) S with S the orthonormal DST-I, so
-    # t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
+    # exact inverse of the negated stencil: d2_t = S diag(lam) S with S the
+    # orthonormal DST-I, so t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
     n_t = ni[-1]
     lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
     if m == 1 or spec.alpha == 1:
@@ -503,43 +503,30 @@ def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
         solve_modes = _banded_mode_solver(steps[:m], coeff[..., 0], lam)
 
     def inverse(r):
-        modes = dst(r.reshape(-1, n_t), type=1, norm="ortho", axis=1)
-        return dst(solve_modes(modes), type=1, norm="ortho", axis=1).ravel()
+        return _dst(solve_modes(_dst(r.reshape(-1, n_t)))).reshape(ni)
 
-    work = np.zeros(shape)  # zero boundary, interior overwritten by each matvec
-
-    def negated_stencil(x):
-        work[interior] = x.reshape(ni)
-        return -stencil(work).ravel()
-
-    def refined_inverse(r):
-        # the z_2 eigenvectors are backward stable only normwise, where the
-        # Cholesky solves are componentwise: one step of iterative refinement
-        # against the stencil wins back the digits this costs on smooth data
-        x = inverse(r)
-        return x + inverse(r - negated_stencil(x))
-
-    n = math.prod(ni)
-    a_op = LinearOperator((n, n), matvec=negated_stencil, dtype=float)  # SPD
-    exact_inverse = refined_inverse if m == 2 and spec.alpha == 1 else inverse
-    precond = LinearOperator((n, n), matvec=exact_inverse, dtype=float)
-    b = stencil(full).ravel()
-    iterates = []  # one entry per CG iteration
-    sol, info = cg(a_op, b, x0=np.zeros(n), rtol=1e-12, atol=0.0,
-                   maxiter=20000, M=precond, callback=iterates.append)
-    iterations = len(iterates)
-    full[interior] = sol.reshape(ni)
+    b = stencil(full)
+    full[interior] = inverse(b)
+    if m == 2 and spec.alpha == 1:
+        # the z_2 eigenvectors are backward stable only normwise: one step of
+        # iterative refinement against the stencil wins back the digits lost
+        full[interior] += inverse(stencil(full))
     resid = float(np.linalg.norm(stencil(full))) / (float(np.linalg.norm(b)) or 1.0)
-    if info != 0 or resid > tol:
-        raise NoConvergence(
-            f"CG stopped (info={info}) after {iterations} iterations with "
-            f"residual {resid:.3e}, tolerance {tol}",
-            iterations=iterations, residual=resid)
+    if not resid <= tol:
+        raise NoConvergence(f"the FD solve left residual {resid:.3e} after 1 iterations "
+                            f"(one exact solve), tolerance {tol}", iterations=1, residual=resid)
 
-    channels = np.empty(shape + (ndim + 1,))
+    channels = np.empty(full.shape + (ndim + 1,))
     channels[..., 0] = full
-    return GridSolution(spec=spec, axes=axes, channels=channels, residual=resid,
-                        iterations=iterations)
+    return GridSolution(spec=spec, axes=axes, channels=channels, residual=resid, iterations=1)
+
+
+def _dst(x):
+    """The orthonormal DST-I of the rows of x, its own inverse: one `rfft` of
+    their odd extensions, as `_coefficients` computes the DCT-I."""
+    n, zero = x.shape[-1], np.zeros(x.shape[:-1] + (1,))
+    f = np.fft.rfft(np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1))
+    return f.imag[..., 1:n + 1] * -math.sqrt(0.5 / (n + 1))
 
 
 def _separable_mode_solver(steps, terms, lam):

@@ -313,14 +313,22 @@ def build_parser():
 def entry(argv=None):
     """Run one command: `cmd_<command>[_<subcommand>]`, looked up by name
     when called, so a rebound module attribute is the one that runs, once
-    every float flag is checked finite."""
+    every float flag is checked finite; a float overflow of a command with
+    radii is an input error that names them."""
     args = build_parser().parse_args(argv)
     sub = getattr(args, "subcommand", None)
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ParseError(f"--{name} must be finite, got {value}")
-        return globals()[f"cmd_{args.command}_{sub}" if sub else f"cmd_{args.command}"](args)
+        radii = [f"--{name} {getattr(args, name)}" for name in ("radius", "rmin", "rmax")
+                 if hasattr(args, name)]
+        with np.errstate(over="raise" if radii else None):
+            try:
+                return globals()[f"cmd_{args.command}" + (f"_{sub}" if sub else "")](args)
+            except FloatingPointError as exc:
+                where = " to ".join(radii)
+                raise ParseError(f"the integrals at {where} overflow a float ({exc})") from exc
     except (SubfreqError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,16 +18,18 @@ import numpy as np
 from .errors import IntegerOverflow, PrimesExhausted
 
 
-def to_fraction(x):
+def to_fraction(x, name="the value"):
     """Convert ints, Fractions, "p/q" strings, and floats to Fraction; a float
-    reads as the decimal it prints as (0.1 is 1/10, 1e-13 is 1/10^13)."""
+    reads as the decimal it prints as (0.1 is 1/10, 1e-13 is 1/10^13).  The
+    error of any other x ("1/0", "abc", a list) names it: `name` is x."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+    try:
+        if isinstance(x, (int, str, float)):
+            return Fraction(repr(x) if isinstance(x, float) else x)
+        raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise type(exc)(f"{name} is {x!r}: {exc}") from exc
 
 
 def cleared(rows):

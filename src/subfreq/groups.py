@@ -139,7 +139,8 @@ def make_group(m, k, J):
     for ell, mat in enumerate(J):
         if len(mat) != m or any(len(row) != m for row in mat):
             raise DimensionMismatch(f"J_{ell + 1} is not {m}x{m}")
-        mat = tuple(tuple(exactla.to_fraction(x) for x in row) for row in mat)
+        mat = tuple(tuple(exactla.to_fraction(x, f"J_{ell + 1}[{i}][{j}]")
+                          for j, x in enumerate(row)) for i, row in enumerate(mat))
         for i in range(m):
             for j in range(m):
                 if mat[i][j] != -mat[j][i]:

@@ -243,12 +243,13 @@ class Polynomial:
             if isinstance(data, str):
                 data = json.loads(data)
             terms = {}
-            for item in data:
+            for n, item in enumerate(data):
                 a = tuple(json_int(x, "a z exponent", 0) for x in item["z"])
                 b = tuple(json_int(x, "a t exponent", 0) for x in item["t"])
                 if m is None:
                     m, k = len(a), len(b)
-                terms[a, b] = terms.get((a, b), Fraction(0)) + exactla.to_fraction(item["coeff"])
+                c = exactla.to_fraction(item["coeff"], f"the coeff of term {n}")
+                terms[a, b] = terms.get((a, b), Fraction(0)) + c
             if m is None:
                 raise ParseError("empty polynomial file needs explicit dimensions")
             return cls(m, k, tweight, terms)

@@ -260,6 +260,36 @@ def test_integer_alpha_problem_loads_no_scipy(t_problem_17, tmp_path, command):
                    stdout=subprocess.DEVNULL)
 
 
+def test_fd_solve_loads_only_scipy_linalg(t_problem_17, tmp_path):
+    # alpha = 1.5 takes the FD scheme: its DST-I is numpy's FFT and its
+    # exact inverse is banded LAPACK, so scipy.linalg alone is imported
+    problem = json.loads(pathlib.Path(t_problem_17).read_text())
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({**problem, "alpha": 1.5}))
+    code = ("import sys; from subfreq.cli import entry; "
+            f"assert entry(['baouendi', 'solve', '--problem', {str(path)!r}]) == 0; "
+            "assert 'scipy.linalg' in sys.modules; "
+            "assert not [m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'fft'], ['scipy', 'sparse'], ['scipy', 'special'])]")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert "alpha=1.5 grid=[17, 17]" in out
+
+
+@pytest.mark.parametrize("m, alpha", [("1", "1e15"), ("2", "1000")])
+def test_baouendi_ortho_alpha_beyond_the_symbolic_size_exit_2(m, alpha):
+    # m = 1, alpha 1e15 multiplied |z|^2 out 1e15 times (a hang); m = 2,
+    # alpha 1000 ended after 11 s in an OverflowError traceback, exit 1
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "subfreq", "baouendi", "ortho", "--m", m,
+                           "--k", "1", "--alpha", alpha], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)), timeout=30)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"at m = {m} is too large for the symbolic calculus" in proc.stderr
+
+
 def test_baouendi_ortho_alpha_whose_q_squared_overflows_exit_2(capsys):
     # alpha 1e300 is finite and positive, but the rule's Q^2 / (Q - 2)
     # overflowed: an uncaught OverflowError, exit 1 (verification failure)
@@ -427,9 +457,20 @@ BAD_INPUTS = {
        for value, message in (("0", "--radius must be > 0"), ("-1", "--radius must be > 0"),
                               ("inf", "--radius must be finite"),
                               ("nan", "--radius must be finite"))},
-    "group-zero-denominator": (["group", "--group", "{zero_group}"], "bad group spec"),
+    "group-zero-denominator": (["group", "--group", "{zero_group}"],
+                               "bad group spec: J_1[0][1] is '-1/0'"),
     "poly-zero-denominator": (["frequency", "--group", "{h1}", "--poly", "{zero_poly}"],
-                              "bad polynomial data"),
+                              "bad polynomial data: the coeff of term 0 is '1/0'"),
+    # finite radii whose integrals overflow used to print inf and NaN columns
+    "frequency-radius-overflow": (["frequency", "--group", "{h1}", "--poly", "{x}", "--rmin",
+                                   "1e-300", "--rmax", "1e300", "--steps", "3"],
+                                  "integrals at --rmin 1e-300 to --rmax 1e+300 overflow a float"),
+    "frequency-small-radius-overflow": (["frequency", "--group", "{h1}", "--poly", "{x}",
+                                         "--rmin", "1e-300", "--rmax", "2", "--kappa", "-5"],
+                                        "integrals at --rmin 1e-300 to --rmax 2.0 overflow"),
+    "ortho-radius-overflow": (["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "2",
+                               "--radius", "1e300"],
+                              "the integrals at --radius 1e+300 overflow a float"),
     "solve-alpha-infinity": (["baouendi", "solve", "--problem", "{inf_alpha}"],
                              "alpha must be finite"),
     "frequency-alpha-infinity": (["baouendi", "frequency", "--problem", "{inf_alpha}"],
