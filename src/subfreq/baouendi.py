@@ -82,8 +82,13 @@ class BaouendiSpec(Geometry):
         from the arrays of Euclidean partials dz = [d_{z_i} u] and
         dt = [d_{t_j} u] there.  The exact form of a Polynomial is
         `carre_du_champ`."""
-        weight = np.sum(z ** 2, axis=1) ** float(self.alpha) / 4.0
+        weight = self.coefficient(np.sum(z ** 2, axis=1))
         return sum(d * d for d in dz) + weight * sum(d * d for d in dt)
+
+    def coefficient(self, z_sq):
+        """The coefficient |z|^(2a)/4 of Delta_t in B_a at the points whose
+        |z|^2 is z_sq, in floats (`laplacian_operator` holds it exactly)."""
+        return z_sq ** float(self.alpha) / 4.0
 
     def discrepancy(self, p=None):
         """The discrepancy E_u vanishes identically for B_a: the zero numerator,
@@ -113,7 +118,8 @@ def relative_orthogonality(spec, r, rule):
     inner = orthogonality_check(spec, p, p_prime, r, rule)
     n1 = abs(orthogonality_check(spec, p, p, r, rule)) ** 0.5
     n2 = abs(orthogonality_check(spec, p_prime, p_prime, r, rule)) ** 0.5
-    return inner, abs(inner) / (n1 * n2)
+    # a numpy division, so that norms which underflow to 0 meet the caller's np.errstate
+    return inner, float(abs(inner) / np.float64(n1 * n2))
 
 
 # -- Dirichlet solvers: Chebyshev collocation and finite differences -------
@@ -263,7 +269,8 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
     data let u be analytic up to the boundary.  When its series does not
     resolve within the caps that grid_sizes sets, and at any other alpha (u
     only finitely smooth at z = 0), the solution is the second-order FD
-    scheme on exactly grid_sizes nodes (`_fd_scheme_solve`).  A relative residual above `tol` raises
+    scheme on exactly grid_sizes nodes (`_fd_scheme_solve`).  Both solve
+    one discrete B_a (`_scheme_solve`); a relative residual above `tol` raises
     NoConvergence."""
     ndim = spec.m + spec.k
     if ndim not in (2, 3) or spec.k != 1:
@@ -274,27 +281,60 @@ def fd_solve(spec, box, grid_sizes, boundary_fn, tol=1e-10):
         raise BadGrid("grid sizes must be in [5, 257]")
     if not all(lo < hi for lo, hi in box):
         raise BadGrid(f"every box axis needs lo < hi, got {box}")
+    sol = None
     if float(spec.alpha).is_integer():
-        sol = _collocation_solve(spec, box, grid_sizes, boundary_fn, tol)
-        if sol is not None:
-            return sol
-    return _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol)
+        sol = _collocation_solve(spec, box, grid_sizes, boundary_fn)
+    if sol is None:
+        sol = _fd_scheme_solve(spec, box, grid_sizes, boundary_fn)
+    if not sol.residual <= tol:
+        method = "FD" if sol.series is None else "collocation"
+        raise NoConvergence(
+            f"{method} on {[len(ax) for ax in sol.axes]} nodes left residual {sol.residual:.3e} "
+            f"after {sol.iterations} iterations, tolerance {tol}",
+            iterations=sol.iterations, residual=sol.residual)
+    return sol
 
 
-def _boundary_grid(axes, m, boundary_fn):
-    """The full-grid array over the axes holding boundary_fn on the boundary
-    nodes, where alone it is evaluated, and 0 at the interior nodes."""
+def _scheme_solve(spec, axes, boundary_fn, second, inverse, refine=False):
+    """The discrete B_a u = 0 on the tensor grid over `axes` (z axes first),
+    u = boundary_fn on the boundary nodes, where alone it is evaluated: u on
+    the full grid and the relative residual |scheme(u)| / |scheme(data)|.
+    At the interior nodes the scheme is the sum over the axes of `second(g,
+    axis)`, the discretisation's second derivative along `axis` of g
+    (interior on the other axes), times |z|^(2a)/4 on the t axis.
+    `inverse(coeff)`, given that coefficient at the interior z nodes,
+    returns the map from b to the interior values v of scheme(v) = -b (v
+    zero on the boundary); `refine` adds one step of iterative refinement."""
+    m = spec.m
     shape = tuple(len(ax) for ax in axes)
+    interior = (slice(1, -1),) * len(axes)
     mesh = [np.broadcast_to(x, shape) for x in np.meshgrid(*axes, indexing="ij", sparse=True)]
     edge = np.ones(shape, dtype=bool)
-    edge[(slice(1, -1),) * len(axes)] = False
+    edge[interior] = False
     full = np.zeros(shape)
     pts_z = np.stack([mesh[i][edge] for i in range(m)], axis=1)
     full[edge] = np.asarray(boundary_fn(pts_z, mesh[m][edge].reshape(-1, 1)), dtype=float).ravel()
-    return full
+    zs = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
+    coeff = spec.coefficient(sum(z ** 2 for z in zs))
+
+    def scheme(g):
+        out = np.zeros(tuple(n - 2 for n in shape))
+        for axis in range(len(axes)):
+            index = list(interior)
+            index[axis] = slice(None)
+            d2 = second(g[tuple(index)], axis)
+            out += coeff[..., None] * d2 if axis >= m else d2
+        return out
+
+    solve = inverse(coeff)
+    b = scheme(full)
+    full[interior] = solve(b)
+    if refine:
+        full[interior] += solve(scheme(full))
+    return full, float(np.linalg.norm(scheme(full))) / (float(np.linalg.norm(b)) or 1.0)
 
 
-def _collocation_solve(spec, box, grid_sizes, boundary_fn, tol):
+def _collocation_solve(spec, box, grid_sizes, boundary_fn):
     """Tensor Chebyshev-Lobatto collocation (Trefethen, Spectral Methods in
     MATLAB, SIAM 2000, ch. 6-7) on n + 1 nodes per axis, n doubled from 8
     until the series is resolved (`_resolved`), or None if it is not within
@@ -319,11 +359,6 @@ def _collocation_solve(spec, box, grid_sizes, boundary_fn, tol):
         if sizes(bigger) == sizes(n):
             return None
         n = bigger
-    if not resid <= tol:
-        raise NoConvergence(
-            f"collocation on {[len(ax) for ax in axes]} nodes left residual {resid:.3e} "
-            f"after {solves} iterations (one solve per n), tolerance {tol}",
-            iterations=solves, residual=resid)
     return GridSolution(spec=spec, axes=tuple(axes), channels=full[..., None], residual=resid,
                         iterations=solves, series=_chop(coeffs))
 
@@ -354,32 +389,21 @@ def _chebyshev_axis(n, lo, hi):
 def _collocation(spec, box, sizes, boundary_fn):
     """One collocation solve on sizes[i] + 1 nodes per axis: returns the
     axes, u on the full grid and the relative residual of the scheme."""
-    m = spec.m
     axes, d2 = [], []
     for n, (lo, hi) in zip(sizes, box):
         nodes, d = _chebyshev_axis(n, lo, hi)
         axes.append(nodes)
         d2.append(d @ d)
-    full = _boundary_grid(axes, m, boundary_fn)
-    interior = (slice(1, -1),) * len(axes)
-    zs = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
-    coeff = sum(z ** 2 for z in zs) ** int(spec.alpha) / 4.0
 
-    def scheme(g):
-        # B_a of the full-grid array g at the interior nodes: the interior
-        # rows of each axis's second-derivative matrix, applied along it
-        out = np.zeros(coeff.shape + (sizes[-1] - 1,))
-        for axis, mat in enumerate(d2):
-            index = list(interior)
-            index[axis] = slice(None)
-            term = np.moveaxis(np.tensordot(mat[1:-1], g[tuple(index)], axes=(1, axis)), 0, axis)
-            out += coeff[..., None] * term if axis >= m else term
-        return out
+    def second(g, axis):
+        # the interior rows of the axis's second-derivative matrix, applied along it
+        return np.moveaxis(np.tensordot(d2[axis][1:-1], g, axes=(1, axis)), 0, axis)
 
-    rhs = -scheme(full)
-    full[interior] = _mode_solve([mat[1:-1, 1:-1] for mat in d2], coeff, rhs)
-    resid = float(np.linalg.norm(scheme(full))) / (float(np.linalg.norm(rhs)) or 1.0)
-    return axes, full, resid
+    def inverse(coeff):
+        blocks = [mat[1:-1, 1:-1] for mat in d2]
+        return lambda b: _mode_solve(blocks, coeff, -b)
+
+    return (axes,) + _scheme_solve(spec, axes, boundary_fn, second, inverse)
 
 
 def _mode_solve(blocks, coeff, rhs):
@@ -447,76 +471,46 @@ def _chop(c):
     return np.where(big, c, 0.0)[tuple(slice(0, n) for n in lengths)]
 
 
-def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn, tol):
+def _fd_scheme_solve(spec, box, grid_sizes, boundary_fn):
     """The FD path of `fd_solve`: one application of the scheme's exact
     inverse, counted as one iteration.
 
-    `stencil` is the scheme: the second-order centred B_a stencil at the
-    interior nodes of a full-grid array, with the degenerate coefficient
-    |z|^(2a)/4 on the t-differences only, so the (negated) operator is
-    symmetric positive definite.  It gives the right-hand side (the stencil
-    of the boundary data) and the residual.  The coefficient depends on z
-    only and the t axis is uniform with Dirichlet ends, so an orthonormal
-    DST-I in t (`_dst`) diagonalises the t-difference (fast
-    diagonalisation, Lynch, Rice & Thomas 1964) and leaves one SPD system
-    in z per t-mode: all z_1 systems are one tridiagonal solve where the
-    coefficient separates, c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1,
-    with z_2 diagonalised too: `_separable_mode_solver`), else per mode one
-    banded Cholesky solve (`_banded_mode_solver`)."""
+    The scheme is the second-order centred B_a stencil, per axis
+    (g_lo - 2 g + g_hi) / h^2, with the degenerate coefficient on the
+    t-differences only, so the (negated) operator is symmetric positive
+    definite.  The coefficient depends on z only and the t axis is uniform
+    with Dirichlet ends, so an orthonormal DST-I in t (`_dst`)
+    diagonalises the t-difference (fast diagonalisation, Lynch, Rice &
+    Thomas 1964) and leaves one SPD system in z per t-mode: all z_1
+    systems are one tridiagonal solve where the coefficient separates,
+    c(z) = sum_i c_i(z_i) (m = 1, or alpha = 1, with z_2 diagonalised too:
+    `_separable_mode_solver`), else per mode one banded Cholesky solve
+    (`_banded_mode_solver`).  The z_2 eigenvectors are backward stable only
+    normwise, so that path takes one step of iterative refinement."""
     m = spec.m
-    ndim = m + spec.k
     axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, grid_sizes))
     steps = [ax[1] - ax[0] for ax in axes]
-    ni = tuple(n - 2 for n in grid_sizes)
-    interior = (slice(1, -1),) * ndim
+    separable = m == 1 or spec.alpha == 1
 
-    full = _boundary_grid(axes, m, boundary_fn)
+    def second(g, axis):
+        v = np.moveaxis(g, axis, 0)
+        return np.moveaxis((v[:-2] - 2.0 * v[1:-1] + v[2:]) / steps[axis] ** 2, 0, axis)
 
-    zmesh = np.meshgrid(*[ax[1:-1] for ax in axes[:m]], indexing="ij")
-    coeff = (sum(z ** 2 for z in zmesh) ** spec.alpha / 4.0)[..., None]
+    def inverse(coeff):
+        # d2_t = S diag(lam) S with S the orthonormal DST-I, so t-mode j
+        # leaves the SPD system -lap_zz - lam_j diag(c) in z
+        n_t = grid_sizes[-1] - 2
+        lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
+        if separable:
+            terms = [spec.coefficient(ax[1:-1] ** 2) for ax in axes[:m]]
+            solve_modes = _separable_mode_solver(steps[:m], terms, lam)
+        else:
+            solve_modes = _banded_mode_solver(steps[:m], coeff, lam)
+        return lambda b: _dst(solve_modes(_dst(b.reshape(-1, n_t)))).reshape(b.shape)
 
-    def stencil(g):
-        # the centred B_a stencil of the full-grid array g at the interior
-        # nodes: per axis (g_lo - 2 g + g_hi) / h^2, in place in one temporary
-        out, d2 = np.zeros(ni), np.empty(ni)
-        for axis, h in enumerate(steps):
-            lo, hi = list(interior), list(interior)
-            lo[axis], hi[axis] = slice(None, -2), slice(2, None)
-            np.multiply(g[interior], 2.0, out=d2)
-            np.subtract(g[tuple(lo)], d2, out=d2)
-            np.add(d2, g[tuple(hi)], out=d2)
-            np.divide(d2, h ** 2, out=d2)
-            if axis >= m:
-                np.multiply(coeff, d2, out=d2)
-            out += d2
-        return out
-
-    # exact inverse of the negated stencil: d2_t = S diag(lam) S with S the
-    # orthonormal DST-I, so t-mode j leaves the SPD system -lap_zz - lam_j diag(c) in z
-    n_t = ni[-1]
-    lam = -(2.0 / steps[-1] * np.sin(np.arange(1, n_t + 1) * np.pi / (2 * (n_t + 1)))) ** 2
-    if m == 1 or spec.alpha == 1:
-        # c(z) = sum_i c_i(z_i) with c_i = |z_i|^(2a)/4
-        terms = [(ax[1:-1] ** 2) ** spec.alpha / 4.0 for ax in axes[:m]]
-        solve_modes = _separable_mode_solver(steps[:m], terms, lam)
-    else:
-        solve_modes = _banded_mode_solver(steps[:m], coeff[..., 0], lam)
-
-    def inverse(r):
-        return _dst(solve_modes(_dst(r.reshape(-1, n_t)))).reshape(ni)
-
-    b = stencil(full)
-    full[interior] = inverse(b)
-    if m == 2 and spec.alpha == 1:
-        # the z_2 eigenvectors are backward stable only normwise: one step of
-        # iterative refinement against the stencil wins back the digits lost
-        full[interior] += inverse(stencil(full))
-    resid = float(np.linalg.norm(stencil(full))) / (float(np.linalg.norm(b)) or 1.0)
-    if not resid <= tol:
-        raise NoConvergence(f"the FD solve left residual {resid:.3e} after 1 iterations "
-                            f"(one exact solve), tolerance {tol}", iterations=1, residual=resid)
-
-    channels = np.empty(full.shape + (ndim + 1,))
+    full, resid = _scheme_solve(spec, axes, boundary_fn, second, inverse,
+                                refine=separable and m == 2)
+    channels = np.empty(full.shape + (len(axes) + 1,))
     channels[..., 0] = full
     return GridSolution(spec=spec, axes=axes, channels=channels, residual=resid, iterations=1)
 

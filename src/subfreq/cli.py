@@ -313,8 +313,8 @@ def build_parser():
 def entry(argv=None):
     """Run one command: `cmd_<command>[_<subcommand>]`, looked up by name
     when called, so a rebound module attribute is the one that runs, once
-    every float flag is checked finite; a float overflow of a command with
-    radii is an input error that names them."""
+    every float flag is checked finite; a float overflow, division by zero
+    or 0 / 0 of a command with radii is an input error that names them."""
     args = build_parser().parse_args(argv)
     sub = getattr(args, "subcommand", None)
     try:
@@ -323,12 +323,14 @@ def entry(argv=None):
                 raise ParseError(f"--{name} must be finite, got {value}")
         radii = [f"--{name} {getattr(args, name)}" for name in ("radius", "rmin", "rmax")
                  if hasattr(args, name)]
-        with np.errstate(over="raise" if radii else None):
+        check = "raise" if radii else None
+        with np.errstate(over=check, divide=check, invalid=check):
             try:
                 return globals()[f"cmd_{args.command}" + (f"_{sub}" if sub else "")](args)
-            except FloatingPointError as exc:
+            except FloatingPointError as exc:  # inf from overflow, or x / 0 after underflow
                 where = " to ".join(radii)
-                raise ParseError(f"the integrals at {where} overflow a float ({exc})") from exc
+                flow = "overflow" if "overflow" in str(exc) else "underflow"
+                raise ParseError(f"the integrals at {where} {flow} a float ({exc})") from exc
     except (SubfreqError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -499,12 +499,25 @@ def test_diagonalised_z2_path_is_refined_to_round_off():
     assert sol.residual <= 1.5e-15
 
 
-def test_fd_no_convergence_carries_iterations_and_residual(ba112):
-    with pytest.raises(NoConvergence) as exc:
-        sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], _generic_boundary, tol=0.0)
-    assert exc.value.residual > 0.0
-    assert exc.value.iterations == 1
-    assert "iterations" in str(exc.value) and "residual" in str(exc.value)
+def test_fd_no_convergence_carries_iterations_and_residual(monkeypatch, ba112):
+    # both paths meet the one tolerance check of fd_solve: FD on generic data
+    # (one exact solve, after a collocation solve that does not resolve), and
+    # collocation on a polynomial that its series resolves
+    from subfreq import baouendi
+
+    solves = []
+    collocation = baouendi._collocation
+    monkeypatch.setattr(baouendi, "_collocation",
+                        lambda *args: solves.append(args[2]) or collocation(*args))
+    for boundary, path in ((_generic_boundary, "FD"),
+                           (mixed_fixture(ba112).evaluate, "collocation")):
+        solves.clear()
+        with pytest.raises(NoConvergence) as exc:
+            sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], boundary, tol=0.0)
+        assert exc.value.residual > 0.0
+        assert exc.value.iterations == (1 if path == "FD" else len(solves))
+        assert solves and str(exc.value).startswith(path)
+        assert "iterations" in str(exc.value) and "residual" in str(exc.value)
 
 
 def test_grid_solution_frequency_close_to_exact(ba112, rule_ba112):

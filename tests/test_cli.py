@@ -471,6 +471,26 @@ BAD_INPUTS = {
     "ortho-radius-overflow": (["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "2",
                                "--radius", "1e300"],
                               "the integrals at --radius 1e+300 overflow a float"),
+    # finite radii whose powers underflow to 0 used to print 0/0 as NaN columns
+    # after RuntimeWarnings (ortho: a ZeroDivisionError traceback, exit 1)
+    **{f"{name}-radius-underflow": (argv + ["--rmin", "1e-300", "--rmax", "1e-200"],
+                                    "integrals at --rmin 1e-300 to --rmax 1e-200 underflow")
+       for name, argv in (
+           ("frequency", ["frequency", "--group", "{h1}", "--poly", "{x}", "--steps", "3"]),
+           ("frequency-poly", ["baouendi", "frequency", "--poly", "{u}", "--m", "1", "--k", "1",
+                               "--alpha", "2", "--steps", "3"]),
+           ("frequency-problem", ["baouendi", "frequency", "--problem", "{problem}",
+                                  "--steps", "3"]),
+           ("monneau", ["baouendi", "monneau", "--problem", "{problem}", "--ref", "{t}",
+                        "--kappa", "3"]),
+           ("weiss", ["baouendi", "weiss", "--problem", "{problem}", "--kappa", "3"]))},
+    "ortho-radius-underflow": (["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "2",
+                                "--radius", "1e-22"],
+                               "the integrals at --radius 1e-22 underflow a float"),
+    "harmonics-negative-degree": (["harmonics", "--group", "{h1}", "--degree", "-1"],
+                                  "kappa must be >= 0"),
+    "group-list-entry": (["group", "--group", "{list_group}"],
+                         "bad group spec: J_1[0][1] is [1]: cannot convert list to Fraction"),
     "solve-alpha-infinity": (["baouendi", "solve", "--problem", "{inf_alpha}"],
                              "alpha must be finite"),
     "frequency-alpha-infinity": (["baouendi", "frequency", "--problem", "{inf_alpha}"],
@@ -488,7 +508,8 @@ def test_non_finite_flags_and_malformed_files_exit_2(case, h1_file, x_file, mixe
     files = {"h1": h1_file, "x": x_file, "u": mixed_112_files[0], "t": mixed_112_files[1],
              "problem": t_problem_17}
     contents = {"zero_group": {"m": 2, "k": 1, "J": [[[0, "-1/0"], ["1/0", 0]]]},
-                "zero_poly": [{"coeff": "1/0", "z": [1, 0], "t": [0]}]}
+                "zero_poly": [{"coeff": "1/0", "z": [1, 0], "t": [0]}],
+                "list_group": {"m": 2, "k": 1, "J": [[[0, [1]], [-1, 0]]]}}
     problem = json.loads(pathlib.Path(t_problem_17).read_text())
     contents["inf_alpha"] = {**problem, "alpha": float("inf")}
     contents["inf_box"] = {**problem, "box": [[-float("inf"), 1], [-1, 1]]}

@@ -70,6 +70,19 @@ def test_make_group_rejects_wrong_shapes():
         sf.make_group(3, 1, [[[0, -1], [1, 0]]])
 
 
+def test_make_group_and_heisenberg_reject_non_positive_dimensions():
+    for m, k in ((0, 1), (2, 0)):
+        with pytest.raises(DimensionMismatch, match="m and k must be positive"):
+            sf.make_group(m, k, [])
+    with pytest.raises(DimensionMismatch, match="n must be >= 1"):
+        sf.heisenberg(0)
+
+
+def test_make_group_names_an_entry_that_is_a_list():
+    with pytest.raises(TypeError, match=r"J_1\[0\]\[1\] is \[1\]: cannot convert list to Fraction"):
+        sf.make_group(2, 1, [[[0, [1]], [-1, 0]]])
+
+
 def test_heisenberg_basic(h1):
     assert (h1.m, h1.k, h1.N, h1.Q) == (2, 1, 3, 4)
     assert h1.classification == {"is_htype": True, "is_metivier": True}

@@ -515,6 +515,32 @@ def test_context_mismatch_raises(h1):
         sf.apply_X(h1, 0, p)
 
 
+def test_arithmetic_across_contexts_and_negative_powers_raise():
+    x, _, _ = x_y_t()
+    with pytest.raises(DimensionMismatch, match="polynomial contexts differ"):
+        x + Polynomial.z_var(1, 1, 0)
+    with pytest.raises(DimensionMismatch, match="polynomial contexts differ"):
+        x * Polynomial.z_var(2, 1, 0, tweight=3)
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+
+
+def test_field_and_layer_indices_out_of_range_raise(h1):
+    x, _, _ = x_y_t()
+    with pytest.raises(IndexOutOfRange, match=r"field index 2 outside 0\.\.1"):
+        sf.apply_X(h1, 2, x)
+    with pytest.raises(IndexOutOfRange, match=r"field index -1 outside 0\.\.1"):
+        sf.apply_X(h1, -1, x)
+    with pytest.raises(IndexOutOfRange, match=r"layer index 1 outside 0\.\.0"):
+        sf.apply_theta(h1, 1, x)
+
+
+@pytest.mark.parametrize("context", [sf.heisenberg(1), sf.BaouendiSpec(1, 1, 2)])
+def test_harmonic_basis_rejects_a_negative_degree(context):
+    with pytest.raises(DimensionMismatch, match="kappa must be >= 0"):
+        sf.harmonic_basis(context, -1)
+
+
 def test_json_round_trip():
     x, y, t = x_y_t()
     p = x * x * y * Fraction(3, 4) - t + Polynomial.constant(2, 1, 2)

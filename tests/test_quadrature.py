@@ -189,6 +189,13 @@ def test_mean_value_rejects_a_rule_of_another_geometry(h1):
                       sf.build_sphere_rule(sf.BaouendiSpec(2, 1, 2), 8))
 
 
+def test_mean_value_rejects_a_baouendi_spec(rule_ba112):
+    # the solid mean value translates by the group law, which B_a has not
+    spec = sf.BaouendiSpec(1, 1, 2)
+    with pytest.raises(NotHType, match="mean_value is a group-side operation"):
+        sf.mean_value(spec, lambda z, t: np.ones(len(z)), Point((0.1,), (0.2,)), 0.5, rule_ba112)
+
+
 def test_mean_value_of_fundamental_solution(h1, rule_h1):
     # Gamma is harmonic away from its pole, so its solid average over a
     # ball avoiding the pole reproduces the center value
