@@ -153,7 +153,9 @@ class GridSolution:
 
     def as_handle(self):
         """FunctionHandle whose value and partials come from one kernel call
-        per point set (the handle's `jet`).
+        per point set (the handle's `jet`, which keeps its last points and
+        result), so the integrals of a curve on one column of radii share
+        one call.
 
         A collocation solution is read from its chopped tensor Chebyshev
         series, the partials from `chebder` of it (`_series_jet`).  An FD

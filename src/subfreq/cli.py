@@ -314,7 +314,8 @@ def entry(argv=None):
     """Run one command: `cmd_<command>[_<subcommand>]`, looked up by name
     when called, so a rebound module attribute is the one that runs, once
     every float flag is checked finite; a float overflow, division by zero
-    or 0 / 0 of a command with radii is an input error that names them."""
+    or 0 / 0 of a command with radii, or an integral of it that underflows
+    (`quadrature`, Columns), is an input error that names them."""
     args = build_parser().parse_args(argv)
     sub = getattr(args, "subcommand", None)
     try:
@@ -327,7 +328,7 @@ def entry(argv=None):
         with np.errstate(over=check, divide=check, invalid=check):
             try:
                 return globals()[f"cmd_{args.command}" + (f"_{sub}" if sub else "")](args)
-            except FloatingPointError as exc:  # inf from overflow, or x / 0 after underflow
+            except FloatingPointError as exc:  # overflow, an integral's underflow, x / 0, 0 / 0
                 where = " to ".join(radii)
                 flow = "overflow" if "overflow" in str(exc) else "underflow"
                 raise ParseError(f"the integrals at {where} {flow} a float ({exc})") from exc

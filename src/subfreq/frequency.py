@@ -45,6 +45,9 @@ class FunctionHandle:
     `integrand` f(u, Zu) and `disc_sq` are Polynomials too.  A numeric handle
     (an FD solution, `GridSolution.as_handle`, or a black box) reads value,
     |grad_H u|^2 and Zu from its jet, and sums over the rule integrate them.
+    Its jet keeps its last point set and result (`_once_per_point_set`), so
+    every integral of the handle on one point set reads one jet call; the
+    arrays it returns are read-only.
     `disc` is the discrepancy numerator from the context: exact on H-type
     group polynomials, zero for B_a, else None.  `_rellich` marks a handle
     with B_a u = 0 by construction (an FD solution): curves read D = I / r.
@@ -52,6 +55,8 @@ class FunctionHandle:
     _rellich = False
 
     def __init__(self, context, jet, poly=None, label=""):
+        if poly is None:
+            jet = _once_per_point_set(jet)
         self.context = context
         self.jet = jet                # (z, t) -> (u, [d_z u], [d_t u]) arrays at the points
         self.poly = poly              # u itself, when u is a Polynomial
@@ -118,6 +123,30 @@ class FunctionHandle:
             return u - v, [a - b for a, b in zip(dz, ez)], [a - b for a, b in zip(dt, et)]
 
         return FunctionHandle(self.context, jet, label=label)
+
+
+def _once_per_point_set(jet):
+    """jet with a one-entry memo: called again on points equal to the last
+    ones, it returns the last result instead of calling jet.  The entry holds
+    a copy of the points and read-only views of the arrays, so that a write
+    into one raises instead of changing a later result."""
+    last = []
+
+    def memo(z, t):
+        if not (last and np.array_equal(last[0], z) and np.array_equal(last[1], t)):
+            last.clear()  # the old result is not held while jet runs
+            u, dz, dt = jet(z, t)
+            result = _read_only(u), tuple(map(_read_only, dz)), tuple(map(_read_only, dt))
+            last[:] = np.array(z), np.array(t), result
+        return last[2]
+
+    return memo
+
+
+def _read_only(a):
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 def polynomial_jet(p):
@@ -322,13 +351,14 @@ def frequency_curve(u, rule, radii, kappa=None, ref=None):
     ZeroHeight radii yield NaN in the N column."""
     rule.require(u.context)
     r = np.asarray(radii, dtype=float)
+    if kappa is not None:  # before the integrals: an overflow here outranks their underflow
+        scale_d, scale_h = (_powers(r, rule.Q - e + 2.0 * kappa) for e in (2.0, 1.0))
     d = (surface_integral(u.value_zu, r, rule) / r if u._rellich
          else volume_integral(u.grad_sq, r, rule))
     h = height(u, r, rule)
     w, m = np.full((2, len(r)), math.nan)
     if kappa is not None:
-        w = d / _powers(r, rule.Q - 2.0 + 2.0 * kappa) \
-            - kappa * h / _powers(r, rule.Q - 1.0 + 2.0 * kappa)
+        w = d / scale_d - kappa * h / scale_h
         if ref is not None:
             m = _monneau_from(_monneau_difference(u, ref), kappa, r, rule)
     return FrequencyCurve(radii=r, D=d, H=h,

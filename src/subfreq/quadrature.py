@@ -53,6 +53,12 @@ radii (an array back).  One `sphere_series` serves every radius of a closed
 form; a callable is called on the nodes of all the spheres (or shells) at
 once.  Each entry is the one-radius float bit for bit: powers of r are
 taken one radius at a time and each sphere is summed on its own, in order.
+An integral whose product of the radius scale r^Q or r^(Q-1) with the
+sums underflows a float raises FloatingPointError instead of reading 0 or
+a subnormal.  Underflows inside the sums (u^2 psi at far-off nodes, say)
+often leave the integral right, and stay under the caller's np.errstate,
+as does a scale that underflows to 0 itself: its 0 column meets the
+caller's divisions (0 / 0 in the discrepancy norm, x / 0 in W and M).
 """
 
 import bisect
@@ -272,7 +278,9 @@ def volume_integral(f, r, rule):
         vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(-1, n)
         sums[start:start + len(vals)] = [np.dot(rule.weights, shell) for shell in vals]
     shells = wv * sums.reshape(len(radii), len(v))
-    return _column(r, _powers(radii, rule.Q) * np.add.accumulate(shells, axis=1)[:, -1])
+    scale, balls = _powers(radii, rule.Q), np.add.accumulate(shells, axis=1)[:, -1]
+    with np.errstate(under="raise"):  # (Columns)
+        return _column(r, scale * balls)
 
 
 def surface_integral(f, r, rule, weighted=True):
@@ -288,13 +296,17 @@ def surface_integral(f, r, rule, weighted=True):
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted)
         gamma = rule.psi_sign * rule.gamma if weighted else rule.gamma
-        return _column(r, gamma * scale * np.array([np.sum(c * x ** d) for x in radii]))
+        sums = np.array([np.sum(c * x ** d) for x in radii])
+        with np.errstate(under="raise"):  # (Columns)
+            return _column(r, gamma * scale * sums)
     # delta_r of the nodes, with the scalar power r^(alpha+1) of each radius
     z = radii[:, None, None] * rule.z
     t = _powers(radii, rule.alpha + 1.0)[:, None, None] * rule.t
     vals = f(z.reshape(-1, rule.m), t.reshape(-1, rule.k)).reshape(len(radii), len(rule))
     w = rule.weights * rule.psi if weighted else rule.weights
-    return _column(r, scale * np.array([np.dot(w, row) for row in vals]))
+    sums = np.array([np.dot(w, row) for row in vals])
+    with np.errstate(under="raise"):  # (Columns)
+        return _column(r, scale * sums)
 
 
 def mean_value(G, u, g, r, rule):

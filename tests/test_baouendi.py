@@ -625,25 +625,24 @@ def _kernel_calls(monkeypatch):
     return sizes
 
 
-def test_weiss_check_evaluates_the_fd_handle_once_per_integrand(ba112, rule_ba112,
-                                                                monkeypatch):
+def test_weiss_check_evaluates_the_fd_handle_once_per_point_set(ba112, rule_ba112,
+                                                                 monkeypatch):
     # the curve's u^2 (the H column), |grad_H u|^2, u Zu and (Zu - kappa u)^2
-    # on the nodes of all the radii: one kernel call each, value and partials
-    # from the same call, and no call on the nodes of one sphere
+    # on the nodes of all the radii: one kernel call for all four, value and
+    # partials from the same call, and no call on the nodes of one sphere
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
     sizes = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.4, 0.5])
     sf.check_weiss_derivative(u, 3, radii, rule_ba112)
-    assert sizes.count(len(radii) * len(rule_ba112)) == 4
-    assert len(rule_ba112) not in sizes
+    assert sizes == [len(radii) * len(rule_ba112)]
 
 
 @pytest.mark.parametrize("shells_per_call", [None, 3], ids=["default", "chunks-of-3"])
-def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatch,
-                                                   shells_per_call):
+def test_fd_curve_calls_the_kernel_once_per_point_set(ba112, rule_ba112, monkeypatch,
+                                                     shells_per_call):
     # an FD solution solves B_a u = 0, so its curve reads D = I / r: H and
-    # I = int u Zu psi are one call each on the nodes of all the spheres, and
-    # no radial shell of a ball is read, whatever SHELL_POINTS is; the
+    # I = int u Zu psi read one call on the nodes of all the spheres, and no
+    # radial shell of a ball is read, whatever SHELL_POINTS is; the
     # discrepancy of B_a vanishes in closed form
     from subfreq import quadrature
 
@@ -653,8 +652,8 @@ def test_fd_curve_calls_the_kernel_once_per_column(ba112, rule_ba112, monkeypatc
     sizes = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.5, 0.4, 0.2, 0.45])
     curve = sf.frequency_curve(u, rule_ba112, radii, kappa=3)
-    assert sizes == [len(radii) * len(rule_ba112)] * 2
     i_col = sf.surface_integral(u.value_zu, radii, rule_ba112)
+    assert sizes == [len(radii) * len(rule_ba112)]
     np.testing.assert_array_equal(curve.D, i_col / radii)
     np.testing.assert_array_equal(curve.disc_norm, np.zeros(len(radii)))
 
@@ -693,18 +692,79 @@ def test_fd_d_variation_reads_the_ball(ba112, rule_ba112):
     assert np.max(res["residuals"]) <= 2e-4
 
 
-def test_monneau_check_evaluates_the_fd_difference_once(ba112, rule_ba112, monkeypatch):
+def test_monneau_check_evaluates_the_fd_handle_once_per_point_set(ba112, rule_ba112,
+                                                                   monkeypatch):
     # D, H, W and M come from the curve; the check adds u Zu of u - P on the
-    # nodes of all the radii, value and partials from one kernel call
+    # nodes of all the radii, which reads u's jet of the curve: one kernel
+    # call for the curve with its M column and the check together
     u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [33, 33], mixed_fixture(ba112).evaluate).as_handle()
     p = FunctionHandle.from_polynomial(ba112, Polynomial.t_var(1, 1, 0, tweight=3))
     calls = _kernel_calls(monkeypatch)
     radii = np.array([0.3, 0.4, 0.5])
     sf.frequency_curve(u, rule_ba112, radii, kappa=3, ref=p)
-    curve_calls = len(calls)
     sf.check_monneau_derivative(u, p, 3, radii, rule_ba112)
-    assert len(calls) == 2 * curve_calls + 1
-    assert calls[-1] == len(radii) * len(rule_ba112)
+    assert calls == [len(radii) * len(rule_ba112)]
+
+
+@pytest.fixture()
+def mixed_solution_112(ba112):
+    return sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate)
+
+
+def test_handle_memo_keeps_only_the_last_point_set(mixed_solution_112, rule_ba112,
+                                                   monkeypatch):
+    # radii A, B, A of one shape: the second A is a new point set for the
+    # one-entry memo, and every column is the one a fresh handle reads, bit
+    # for bit
+    u = mixed_solution_112.as_handle()
+    calls = _kernel_calls(monkeypatch)
+    columns = [np.array([0.3, 0.4]), np.array([0.45, 0.2]), np.array([0.3, 0.4])]
+    got = [[sf.surface_integral(f, radii, rule_ba112) for f in (u.value_sq, u.value_zu)]
+           for radii in columns]
+    assert calls == [len(radii) * len(rule_ba112) for radii in columns]
+    for radii, (h, i) in zip(columns, got):
+        fresh = mixed_solution_112.as_handle()
+        np.testing.assert_array_equal(h, sf.surface_integral(fresh.value_sq, radii, rule_ba112))
+        np.testing.assert_array_equal(i, sf.surface_integral(fresh.value_zu, radii, rule_ba112))
+
+
+def test_handle_memo_reads_the_chunks_of_a_ball(mixed_solution_112, rule_ba112, monkeypatch):
+    # a ball read in chunks of 3 shells is a new point set per chunk, after
+    # the entry of the spheres
+    from subfreq import quadrature
+
+    monkeypatch.setattr(quadrature, "SHELL_POINTS", 3 * len(rule_ba112))
+    radii = np.array([0.3, 0.4, 0.5])
+    u = mixed_solution_112.as_handle()
+    calls = _kernel_calls(monkeypatch)
+    sf.surface_integral(u.value_sq, radii, rule_ba112)
+    d = sf.dirichlet(u, radii, rule_ba112)
+    assert len(calls) == 1 + len(radii) * quadrature.RADIAL_STEPS // 3
+    np.testing.assert_array_equal(d, sf.dirichlet(mixed_solution_112.as_handle(), radii,
+                                                  rule_ba112))
+
+
+def test_handle_memo_returns_read_only_arrays(mixed_solution_112):
+    # a write into a returned array would change every later hit
+    u = mixed_solution_112.as_handle()
+    z, t = np.array([[0.25], [-0.5]]), np.array([[0.5], [0.125]])
+    value, dz, dt = u.jet(z, t)
+    for a in (value, *dz, *dt, u.value(z, t)):
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+    assert u.jet(z, t)[0].tobytes() == mixed_solution_112.as_handle().value(z, t).tobytes()
+
+
+def test_shifted_handle_reads_the_memo_of_u(mixed_solution_112, ba112, rule_ba112,
+                                            monkeypatch):
+    u = mixed_solution_112.as_handle()
+    p = FunctionHandle.from_polynomial(ba112, Polynomial.t_var(1, 1, 0, tweight=3))
+    calls = _kernel_calls(monkeypatch)
+    radii = np.array([0.3, 0.4])
+    h = sf.height(u, radii, rule_ba112)
+    m = sf.height(u.shifted_by(p), radii, rule_ba112)
+    assert calls == [len(radii) * len(rule_ba112)]
+    assert np.all(h > 0.0) and np.all(m > 0.0)
 
 
 def test_problem_from_json(tmp_path):

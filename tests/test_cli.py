@@ -484,6 +484,14 @@ BAD_INPUTS = {
            ("monneau", ["baouendi", "monneau", "--problem", "{problem}", "--ref", "{t}",
                         "--kappa", "3"]),
            ("weiss", ["baouendi", "weiss", "--problem", "{problem}", "--kappa", "3"]))},
+    # radii whose integrals underflow to 0 without a 0/0 used to print D = H = 0
+    # and N = nan, or a discrepancy_norm of 0, with exit 0
+    "frequency-problem-tiny-radius": (["baouendi", "frequency", "--problem", "{problem}",
+                                       "--rmin", "1e-40", "--rmax", "1e-40"],
+                                      "integrals at --rmin 1e-40 to --rmax 1e-40 underflow"),
+    "frequency-tiny-radius": (["frequency", "--group", "{h1}", "--poly", "{x}",
+                               "--rmin", "1e-40", "--rmax", "1e-40"],
+                              "integrals at --rmin 1e-40 to --rmax 1e-40 underflow"),
     "ortho-radius-underflow": (["baouendi", "ortho", "--m", "1", "--k", "1", "--alpha", "2",
                                 "--radius", "1e-22"],
                                "the integrals at --radius 1e-22 underflow a float"),
@@ -525,6 +533,29 @@ def test_non_finite_flags_and_malformed_files_exit_2(case, h1_file, x_file, mixe
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["frequency", "--problem", "{problem}"],
+    ["weiss", "--problem", "{problem}", "--kappa", "1"],
+    ["ortho", "--m", "1", "--k", "1", "--alpha", "120"],
+], ids=["frequency-problem", "weiss-problem", "ortho"])
+def test_high_alpha_at_ordinary_radii_exits_0(argv, t_problem_17, tmp_path, capsys):
+    # at alpha = 60 the terms u^2 psi of the sums underflow at the nodes near
+    # t = 0 on the default radii, while every integral stays a normal float
+    # (H(0.05) is about 1e-241, N = 61): only an integral that underflows is
+    # an error, so the command writes its curve and exits 0
+    problem = tmp_path / "alpha60.json"
+    problem.write_text(json.dumps({**json.loads(pathlib.Path(t_problem_17).read_text()),
+                                   "alpha": 60}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert entry(["baouendi", *(arg.format(problem=problem) for arg in argv)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[0] == "frequency":
+        assert float(captured.out.splitlines()[1].split(",")[3]) == pytest.approx(61.0)
 
 
 def test_baouendi_polynomial_mode(tmp_path, capsys):
@@ -744,6 +775,28 @@ def test_one_parser_serves_every_call_and_keeps_no_state(h1_file, x_file, tmp_pa
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] != ""
     assert builds.count("subfreq") == 1
+
+
+def test_curve_commands_sum_the_series_once(tmp_path, monkeypatch, capsys):
+    # every integral of the solution's handle on the nodes of all the radii
+    # reads one kernel call: the curve, the Weiss check and the Monneau check
+    import subfreq.baouendi as baouendi
+
+    t_file = tmp_path / "t.json"
+    t_file.write_text('[{"coeff":"1","z":[0,0],"t":[1]}]')
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"m": 2, "k": 1, "alpha": 1, "box": [[-1, 1]] * 3,
+                                   "grid": [17, 17, 17], "boundary": f"poly:{t_file}"}))
+    kernel, calls = baouendi._series_jet, []
+    monkeypatch.setattr(baouendi, "_series_jet",
+                        lambda *args: calls.append(args[-1].shape) or kernel(*args))
+    flags = ["--problem", str(problem), "--resolution", "8", "--steps", "3"]
+    for argv in (["frequency", *flags], ["weiss", *flags, "--kappa", "2"],
+                 ["monneau", *flags, "--kappa", "2", "--ref", str(t_file)]):
+        calls.clear()
+        assert entry(["baouendi", *argv]) == 0
+        assert len(calls) == 1, argv
+    assert capsys.readouterr().err == ""
 
 
 def test_jobs_leave_no_cyclic_garbage(h1_file, x_file, t_problem_17, capsys):
