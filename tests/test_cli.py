@@ -175,6 +175,90 @@ def test_entry_finds_the_command_by_name_when_called(h1_file, monkeypatch, capsy
     assert calls == [h1_file, 1] and capsys.readouterr().out == ""
 
 
+_S, _T = argparse._StoreAction, argparse._StoreTrueAction
+# flag -> (dest, type, default, required, action class, help); a trailing
+# "?" or "!" names the optional or the required variant of a flag
+_FLAG = {
+    "json": ("json", None, False, False, _T, None),
+    "out": ("out", None, None, False, _S, None),
+    "group": ("group", None, None, True, _S, None),
+    "poly": ("poly", None, None, True, _S, None),
+    "resolution": ("resolution", int, 32, False, _S, None),
+    "steps": ("steps", int, 16, False, _S, None),
+    "kappa?": ("kappa", float, None, False, _S, None),
+    "kappa!": ("kappa", float, None, True, _S, None),
+    **{name: (name.rstrip("?"), kind, None, False, _S, None)  # the optional baouendi inputs
+       for name, kind in (("problem", None), ("poly?", None), ("m", int), ("k", int),
+                          ("alpha", float))},
+}
+_B_CURVE = ["problem", "poly?", "m", "k", "alpha", "resolution", "out", "steps",
+            ("--rmin", "rmin", float, 0.05, False, _S, None),
+            ("--rmax", "rmax", float, 0.4, False, _S, None)]
+# (sub)command -> (its help, its flags: a _FLAG key or a full row)
+CLI_SURFACE = {
+    ("group",): ("classify a group file", ["group", "json", "out"]),
+    ("harmonics",): ("solid harmonic basis of a degree", [
+        "group", "json", "out", ("--degree", "degree", int, None, True, _S, None)]),
+    ("frequency",): ("frequency curve CSV for a polynomial", [
+        "group", "poly", "kappa?", "resolution", "steps", "out",
+        ("--center", "center", None, None, False, _S, "JSON point [[z...],[t...]]"),
+        ("--ref", "ref", None, None, False, _S, "reference polynomial for the M column"),
+        ("--rmin", "rmin", float, 0.5, False, _S, None),
+        ("--rmax", "rmax", float, 1.5, False, _S, None)]),
+    ("discrepancy",): ("symbolic discrepancy of a polynomial", ["group", "poly", "json", "out"]),
+    ("baouendi", "solve"): ("finite-difference Dirichlet solve", [
+        "out", ("--problem", "problem", None, None, True, _S, None)]),
+    ("baouendi", "frequency"): ("frequency curve CSV", [*_B_CURVE, "kappa?"]),
+    ("baouendi", "ortho"): ("orthogonality of solid harmonics", [
+        "resolution", "json", "out",
+        ("--m", "m", int, None, True, _S, None), ("--k", "k", int, None, True, _S, None),
+        ("--alpha", "alpha", float, None, True, _S, None),
+        ("--radius", "radius", float, 1.0, False, _S, None)]),
+    ("baouendi", "weiss"): ("Weiss derivative identity check", [*_B_CURVE, "kappa!"]),
+    ("baouendi", "monneau"): ("Monneau derivative identity check", [
+        *_B_CURVE, "kappa!", ("--ref", "ref", None, None, True, _S, None)]),
+    ("verify",): ("run the identity battery", [
+        "resolution", "json", "out",
+        ("--inject-psi-sign-error", "inject_psi_sign_error", None, False, False, _T,
+         argparse.SUPPRESS)]),
+}
+
+
+def _surface_row(flag):
+    if isinstance(flag, tuple):
+        return flag[0], flag[1:]
+    return "--" + flag.rstrip("?!"), _FLAG[flag]
+
+
+def _commands(parser, path=()):
+    """(path, help, parser) of every (sub)command that runs a cmd_* function."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            for name, child in action.choices.items():
+                if any(isinstance(a, argparse._SubParsersAction) for a in child._actions):
+                    yield from _commands(child, (*path, name))
+                else:
+                    yield (*path, name), helps[name], child
+
+
+def test_cli_surface_is_pinned():
+    # every flag of every (sub)command keeps its name, dest, type, default,
+    # required-ness, action and help, and entry finds a cmd_* for each command
+    help_row = ("help", None, argparse.SUPPRESS, False, argparse._HelpAction,
+                "show this help message and exit")
+    found = {path: (text, {tuple(a.option_strings): (a.dest, a.type, a.default, a.required,
+                                                     type(a), a.help)
+                           for a in parser._actions})
+             for path, text, parser in _commands(cli.build_parser())}
+    expected = {path: (text, {("-h", "--help"): help_row,
+                              **{(name,): row for name, row in map(_surface_row, flags)}})
+                for path, (text, flags) in CLI_SURFACE.items()}
+    assert found == expected
+    commands = {"cmd_" + "_".join(path) for path in found}
+    assert commands == {name for name in dir(cli) if name.startswith("cmd_")}
+
+
 def test_frequency_with_center(h1_file, x_file, capsys):
     assert entry(["frequency", "--group", h1_file, "--poly", x_file,
                   "--center", "[[0.5, 0.25], [0.125]]",
