@@ -49,19 +49,27 @@ def _load_poly(path, context):
     return Polynomial.from_json(_read(path), context.m, context.k, context.tweight)
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
+def _emit(args, text, data=None):
+    """Write json.dumps(data) under --json, else text (a str, or a function
+    that builds it when it costs to build) as lines, to --out or to stdout;
+    returns the exit code 0."""
+    if getattr(args, "json", False):
+        text = json.dumps(data)
+    elif callable(text):
+        text = text()
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
+    return 0
 
 
 def _emit_curve(args, curve):
     if np.all(np.isnan(curve.N)):
         print("warning: H(r) = 0 at every radius; N is NaN", file=sys.stderr)
-    _emit(args, curve.to_csv())
-    return 0
+    return _emit(args, curve.to_csv())
 
 
 def _radii(args):
@@ -85,28 +93,17 @@ def _point(text):
     return Point(tuple(raw[0]), tuple(raw[1]))
 
 
-def _add_radius_flags(p, rmin=0.5, rmax=1.5, steps=16):
-    p.add_argument("--rmin", type=float, default=rmin)
-    p.add_argument("--rmax", type=float, default=rmax)
-    p.add_argument("--steps", type=int, default=steps)
-
-
 def cmd_group(args):
     g = _load_group(args.group)
     info = {"m": g.m, "k": g.k, "N": g.N, "Q": g.Q,
             "htype": g.classification["is_htype"],
             "metivier": g.classification["is_metivier"]}
-    if args.json:
-        _emit(args, json.dumps(info))
-    else:
-        _emit(args, " ".join(f"{key}={str(val).lower()}" for key, val in info.items()))
-    return 0
+    return _emit(args, " ".join(f"{key}={str(val).lower()}" for key, val in info.items()), info)
 
 
 def cmd_harmonics(args):
     payload = [p.to_json() for p in harmonic_basis(_load_group(args.group), args.degree)]
-    _emit(args, json.dumps(payload) if args.json else "\n".join(map(json.dumps, payload)))
-    return 0
+    return _emit(args, lambda: "\n".join(map(json.dumps, payload)), payload)
 
 
 def cmd_frequency(args):
@@ -129,13 +126,9 @@ def cmd_discrepancy(args):
     g.require_htype("discrepancy")
     p = _load_poly(args.poly, g)
     disc = discrepancy_poly(g, p)
-    if args.json:
-        _emit(args, json.dumps({"vanishes": disc.is_zero(),
-                                "numerator": disc.to_json()}))
-    else:
-        _emit(args, f"vanishes={str(disc.is_zero()).lower()}\n"
-                    f"{json.dumps(disc.to_json())}")
-    return 0
+    data = {"vanishes": disc.is_zero(), "numerator": disc.to_json()}
+    return _emit(args, lambda: f"vanishes={str(data['vanishes']).lower()}\n"
+                               f"{json.dumps(data['numerator'])}", data)
 
 
 def _solve_problem(path):
@@ -180,11 +173,7 @@ def cmd_baouendi_ortho(args):
     spec = BaouendiSpec(args.m, args.k, args.alpha)
     rule = build_sphere_rule(spec, args.resolution)
     inner, rel = relative_orthogonality(spec, args.radius, rule)
-    if args.json:
-        _emit(args, json.dumps({"inner": inner, "relative": rel}))
-    else:
-        _emit(args, f"inner={inner:.3e} relative={rel:.3e}")
-    return 0
+    return _emit(args, f"inner={inner:.3e} relative={rel:.3e}", {"inner": inner, "relative": rel})
 
 
 def cmd_baouendi_weiss(args):
@@ -192,8 +181,7 @@ def cmd_baouendi_weiss(args):
     rule = build_sphere_rule(spec, args.resolution)
     res = check_weiss_derivative(u, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))
-    _emit(args, f"max_residual={worst:.6e}")
-    return 0
+    return _emit(args, f"max_residual={worst:.6e}")
 
 
 def cmd_baouendi_monneau(args):
@@ -205,108 +193,78 @@ def cmd_baouendi_monneau(args):
     rule = build_sphere_rule(spec, args.resolution)
     res = check_monneau_derivative(u, ref, args.kappa, _radii(args), rule)
     worst = float(np.max(res["residuals"]))
-    _emit(args, f"max_residual={worst:.6e} nondecreasing={str(res['nondecreasing']).lower()}")
-    return 0
+    return _emit(args, f"max_residual={worst:.6e} "
+                       f"nondecreasing={str(res['nondecreasing']).lower()}")
 
 
 def cmd_verify(args):
     results = verify_mod.run_battery(resolution=args.resolution,
                                      flip_psi=args.inject_psi_sign_error)
     failed = [r for r in results if not r["passed"]]
-    if args.json:
-        _emit(args, json.dumps(results))
-    else:
-        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}"
-                 for r in results]
-        lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
-        _emit(args, "\n".join(lines))
+    lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    _emit(args, "\n".join(lines), results)
     return 1 if failed else 0
+
+
+def _flags(**flags):
+    """A parent parser (no -h) that declares --<name> by add_argument's
+    keywords, for each keyword; a command takes it by `parents=`."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for name, keywords in flags.items():
+        parser.add_argument(f"--{name}", **keywords)
+    return parser
 
 
 @functools.cache
 def build_parser():
-    """The parser, built once per process; parse_args leaves it unchanged."""
+    """The parser, built once per process; parse_args leaves it unchanged.
+    Each flag that commands share is declared once, as a parent parser."""
     parser = argparse.ArgumentParser(
         prog="subfreq",
         description="Frequency functions on step-2 Carnot groups and for "
                     "Baouendi operators")
     sub = parser.add_subparsers(dest="command", required=True)
+    out, as_json = _flags(out={}), _flags(json={"action": "store_true"})
+    group, poly = _flags(group={"required": True}), _flags(poly={"required": True})
+    resolution = _flags(resolution={"type": int, "default": 32})
+    kappa = _flags(kappa={"type": float})
 
-    p = sub.add_parser("group", help="classify a group file")
-    p.add_argument("--group", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
+    def radii(rmin, rmax):
+        return _flags(rmin={"type": float, "default": rmin},
+                      rmax={"type": float, "default": rmax}, steps={"type": int, "default": 16})
 
-    p = sub.add_parser("harmonics", help="solid harmonic basis of a degree")
-    p.add_argument("--group", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
+    sub.add_parser("group", help="classify a group file", parents=[group, as_json, out])
+    sub.add_parser("harmonics", help="solid harmonic basis of a degree", parents=[
+        group, _flags(degree={"type": int, "required": True}), as_json, out])
+    sub.add_parser("frequency", help="frequency curve CSV for a polynomial", parents=[
+        group, poly, _flags(center={"help": "JSON point [[z...],[t...]]"}), kappa,
+        _flags(ref={"help": "reference polynomial for the M column"}),
+        resolution, radii(0.5, 1.5), out])
+    sub.add_parser("discrepancy", help="symbolic discrepancy of a polynomial",
+                   parents=[group, poly, as_json, out])
 
-    p = sub.add_parser("frequency", help="frequency curve CSV for a polynomial")
-    p.add_argument("--group", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--center", help="JSON point [[z...],[t...]]")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--ref", help="reference polynomial for the M column")
-    p.add_argument("--resolution", type=int, default=32)
-    _add_radius_flags(p)
-    p.add_argument("--out")
+    bsub = sub.add_parser("baouendi", help="Baouendi operator tools").add_subparsers(
+        dest="subcommand", required=True)
+    # the inputs of `_baouendi_input`: a problem file, or a polynomial and its (m, k, alpha)
+    b_input = [_flags(problem={}, poly={}, m={"type": int}, k={"type": int},
+                      alpha={"type": float}), resolution, out]
+    b_radii, kappa_required = radii(0.05, 0.4), _flags(kappa={"type": float, "required": True})
+    bsub.add_parser("solve", help="finite-difference Dirichlet solve",
+                    parents=[_flags(problem={"required": True}), out])
+    bsub.add_parser("frequency", help="frequency curve CSV", parents=[*b_input, kappa, b_radii])
+    bsub.add_parser("ortho", help="orthogonality of solid harmonics", parents=[
+        _flags(m={"type": int, "required": True}, k={"type": int, "required": True},
+               alpha={"type": float, "required": True}, radius={"type": float, "default": 1.0}),
+        resolution, as_json, out])
+    bsub.add_parser("weiss", help="Weiss derivative identity check",
+                    parents=[*b_input, kappa_required, b_radii])
+    bsub.add_parser("monneau", help="Monneau derivative identity check", parents=[
+        *b_input, _flags(ref={"required": True}), kappa_required, b_radii])
 
-    p = sub.add_parser("discrepancy", help="symbolic discrepancy of a polynomial")
-    p.add_argument("--group", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-
-    bp = sub.add_parser("baouendi", help="Baouendi operator tools")
-    bsub = bp.add_subparsers(dest="subcommand", required=True)
-
-    def common_b(p):
-        p.add_argument("--problem")
-        p.add_argument("--poly")
-        p.add_argument("--m", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--resolution", type=int, default=32)
-        p.add_argument("--out")
-
-    p = bsub.add_parser("solve", help="finite-difference Dirichlet solve")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--out")
-
-    p = bsub.add_parser("frequency", help="frequency curve CSV")
-    common_b(p)
-    p.add_argument("--kappa", type=float)
-    _add_radius_flags(p, rmin=0.05, rmax=0.4)
-
-    p = bsub.add_parser("ortho", help="orthogonality of solid harmonics")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-
-    p = bsub.add_parser("weiss", help="Weiss derivative identity check")
-    common_b(p)
-    p.add_argument("--kappa", type=float, required=True)
-    _add_radius_flags(p, rmin=0.05, rmax=0.4)
-
-    p = bsub.add_parser("monneau", help="Monneau derivative identity check")
-    common_b(p)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    _add_radius_flags(p, rmin=0.05, rmax=0.4)
-
-    p = sub.add_parser("verify", help="run the identity battery")
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--inject-psi-sign-error", action="store_true",
-                   help=argparse.SUPPRESS)
-
+    p = sub.add_parser("verify", help="run the identity battery",
+                       parents=[resolution, as_json, out])
+    p.add_argument("--inject-psi-sign-error", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

@@ -22,7 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DiscrepancyNonzero, DiscrepancyUnknown, ZeroDenominator, ZeroHeight
+from .errors import (
+    DimensionMismatch,
+    DiscrepancyNonzero,
+    DiscrepancyUnknown,
+    ZeroDenominator,
+    ZeroHeight,
+)
 from .groups import left_translate
 from .polynomials import carre_du_champ, euler
 from .quadrature import _powers, surface_integral, volume_integral
@@ -112,7 +118,11 @@ class FunctionHandle:
 
     def shifted_by(self, other):
         """Handle for u - other (used by Monneau and the Weiss identity): exact
-        for two polynomials, else the difference of the two jets."""
+        for two polynomials, else the difference of the two jets.  Both must
+        live on one context (an equal group or spec)."""
+        if other.context != self.context:
+            raise DimensionMismatch(f"u - P of a function on {self.context} and one on "
+                                    f"{other.context}")
         label = f"{self.label}-{other.label}"
         if self.poly is not None and other.poly is not None:
             return FunctionHandle.from_polynomial(
@@ -252,9 +262,10 @@ def check_H_identity(u, radii, rule):
     """Residuals of H'(r) = (Q-1)/r H(r) + 2 D(r), with the exact H' =
     ((Q-1) H + 2 I) / r: the Rellich identity I = r D, D the ball integral."""
     r, q1 = np.asarray(radii, dtype=float), rule.Q - 1.0
-    h, d = height(u, r, rule), volume_integral(u.grad_sq, r, rule)
-    lhs = (q1 * h + 2.0 * surface_integral(u.value_zu, r, rule)) / r
-    return _identity_check(r, lhs, q1 / r * h + 2.0 * d)
+    # the sphere integrals first: a numeric handle's jet keeps one point set
+    h, i = height(u, r, rule), surface_integral(u.value_zu, r, rule)
+    lhs = (q1 * h + 2.0 * i) / r
+    return _identity_check(r, lhs, q1 / r * h + 2.0 * volume_integral(u.grad_sq, r, rule))
 
 
 def check_D_variation(u, radii, rule, include_discrepancy=True):
@@ -271,11 +282,13 @@ def check_D_variation(u, radii, rule, include_discrepancy=True):
     with_disc = include_discrepancy and not u.disc.is_zero()
     rule.require(u.context)
     r = np.asarray(radii, dtype=float)
+    # the sphere integrals first: a numeric handle's jet keeps one point set
     zu_sq = surface_integral(u.integrand(lambda v, zu: zu * zu), r, rule)
+    lhs = surface_integral(u.grad_sq, r, rule, weighted=False)
     rhs = (rule.Q - 2.0) / r * volume_integral(u.grad_sq, r, rule) + 2.0 / r ** 2 * zu_sq
     if with_disc:
         rhs += 8.0 / r ** 4 * surface_integral(u.zu * u.disc, r, rule, weighted=False)
-    return _identity_check(r, surface_integral(u.grad_sq, r, rule, weighted=False), rhs)
+    return _identity_check(r, lhs, rhs)
 
 
 def check_weiss_derivative(u, kappa, radii, rule):

@@ -692,6 +692,19 @@ def test_fd_d_variation_reads_the_ball(ba112, rule_ba112):
     assert np.max(res["residuals"]) <= 2e-4
 
 
+@pytest.mark.parametrize("check", [sf.check_H_identity, sf.check_D_variation], ids=["H", "D"])
+def test_identity_checks_read_the_spheres_before_the_ball(ba112, monkeypatch, check):
+    # both sphere integrals read one kernel call before the ball's shells
+    # replace the memo's entry: [96, 3072] points, not [96, 3072, 96]
+    from subfreq import quadrature
+
+    u = sf.fd_solve(ba112, [(-1.0, 1.0)] * 2, [17, 17], mixed_fixture(ba112).evaluate).as_handle()
+    rule, radii = sf.build_sphere_rule(ba112, 8), np.array([0.3, 0.4, 0.5])
+    calls = _kernel_calls(monkeypatch)
+    check(u, radii, rule)
+    assert calls == [len(radii) * len(rule), len(radii) * quadrature.RADIAL_STEPS * len(rule)]
+
+
 def test_monneau_check_evaluates_the_fd_handle_once_per_point_set(ba112, rule_ba112,
                                                                    monkeypatch):
     # D, H, W and M come from the curve; the check adds u Zu of u - P on the

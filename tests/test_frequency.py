@@ -15,7 +15,7 @@ from subfreq.errors import (
     ZeroDenominator,
     ZeroHeight,
 )
-from subfreq.frequency import CSV_HEADER, FunctionHandle, _identity_check
+from subfreq.frequency import CSV_HEADER, FunctionHandle, _identity_check, polynomial_jet
 from subfreq.groups import Point
 from subfreq.polynomials import Polynomial, harmonic_basis
 
@@ -45,6 +45,30 @@ def test_functionals_reject_a_rule_of_another_geometry(context, p, other):
             sf.monneau(u, v, 1.0, 0.5, rule)
     # a bare Polynomial integrates on any rule
     assert sf.surface_integral(p * p, 0.5, rule) > 0.0
+
+
+def test_u_minus_p_rejects_a_reference_of_another_context(h1):
+    # jets of t on (2,1,1) and (1,1,2): zip dropped the second z partial and
+    # the Monneau check read residuals [0, 0]
+    ba211 = sf.BaouendiSpec(2, 1, 1)
+    rule_211, rule = sf.build_sphere_rule(ba211, 8), sf.build_sphere_rule(h1, 8)
+    t_211 = Polynomial.t_var(2, 1, 0, tweight=2)
+    u = FunctionHandle(ba211, polynomial_jet(t_211))
+    ref = FunctionHandle(sf.BaouendiSpec(1, 1, 2),
+                         polynomial_jet(Polynomial.t_var(1, 1, 0, tweight=3)))
+    with pytest.raises(DimensionMismatch, match="u - P of a function on"):
+        sf.check_monneau_derivative(u, ref, 2, [0.3, 0.5], rule_211)
+    # x on H^1 has nonzero discrepancy; as a B_a(2,1,1) handle it skipped
+    # that hypothesis, and M read 3.308 at r = 1
+    t, x = handle(h1, fixtures.poly_t(h1)), fixtures.poly_x(h1)
+    with pytest.raises(DiscrepancyNonzero):
+        sf.monneau(t, handle(h1, x), 2, 1.0, rule)
+    with pytest.raises(DimensionMismatch, match="u - P of a function on"):
+        sf.monneau(t, handle(ba211, x), 2, 1.0, rule)
+    # an equal context built on its own is the same context
+    same = FunctionHandle(sf.BaouendiSpec(2, 1, 1.0), polynomial_jet(t_211))
+    assert np.all(sf.check_monneau_derivative(u, same, 2, [0.3, 0.5], rule_211)["M"] == 0.0)
+    assert sf.monneau(t, handle(sf.heisenberg(1), fixtures.poly_t(h1)), 2, 1.0, rule) == 0.0
 
 
 def test_height_of_constant(h1, rule_h1):
