@@ -208,8 +208,9 @@ def cmd_verify(args):
 
 
 def _flags(**flags):
-    """A parent parser (no -h) that declares --<name> by add_argument's
-    keywords, for each keyword; a command takes it by `parents=`."""
+    """A parent parser (add_help=False) with one flag --<name> per keyword,
+    declared by add_argument with that keyword's dict; a command lists it
+    in `parents=`."""
     parser = argparse.ArgumentParser(add_help=False)
     for name, keywords in flags.items():
         parser.add_argument(f"--{name}", **keywords)
@@ -246,7 +247,8 @@ def build_parser():
 
     bsub = sub.add_parser("baouendi", help="Baouendi operator tools").add_subparsers(
         dest="subcommand", required=True)
-    # the inputs of `_baouendi_input`: a problem file, or a polynomial and its (m, k, alpha)
+    # what `_baouendi_input` reads (a problem file, or a polynomial and its
+    # (m, k, alpha)), the rule's resolution and --out
     b_input = [_flags(problem={}, poly={}, m={"type": int}, k={"type": int},
                       alpha={"type": float}), resolution, out]
     b_radii, kappa_required = radii(0.05, 0.4), _flags(kappa={"type": float, "required": True})
