@@ -113,8 +113,9 @@ def _certified(a, v):
 def kernel_basis(rows, ncols):
     """Basis of the null space of the integer matrix `rows` (len(rows) rows
     of ncols ints, as lists or a 2-D int64 array), as sparse primitive
-    integer vectors {column: Fraction}: one per free column of the reduced
-    matrix, in increasing column order, its first nonzero entry positive.
+    integer vectors {column: int} (coprime Python ints): one per free column
+    of the reduced matrix, in increasing column order, its first nonzero
+    entry positive.
 
     A certified vector whose last nonzero entry is a free column f mod p
     shows f free over QQ, so the free columns and the basis are the rational
@@ -146,10 +147,7 @@ def kernel_basis(rows, ncols):
         v = np.zeros((ncols, len(free)), dtype=w.dtype)
         v[list(pivots)], v[free, np.arange(len(free))] = w, scale
         if _certified(a, v):
-            fractions = {x: Fraction(x) for x in set(v[v != 0].tolist())}  # shared, immutable
-            return [dict(zip(np.flatnonzero(col).tolist(),
-                             map(fractions.__getitem__, col[col != 0].tolist())))
-                    for col in v.T]
+            return [dict(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist())) for col in v.T]
     raise PrimesExhausted(f"no kernel certified after {len(PRIMES)} primes")
 
 

@@ -352,7 +352,8 @@ class FrequencyCurve:
     disc_norm: np.ndarray
 
     def to_csv(self):
-        rows = zip(self.radii, self.D, self.H, self.N, self.W, self.M, self.disc_norm)
+        columns = (self.radii, self.D, self.H, self.N, self.W, self.M, self.disc_norm)
+        rows = zip(*(column.tolist() for column in columns))
         return "\n".join([CSV_HEADER, *(",".join(f"{x:.17g}" for x in r) for r in rows), ""])
 
 

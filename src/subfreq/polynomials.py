@@ -11,7 +11,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import comb, fsum, lcm, perm, prod
+from math import comb, fsum, gcd, lcm, perm, prod
 from operator import add, sub
 
 import numpy as np
@@ -28,6 +28,9 @@ from .errors import (
 )
 
 
+_ONE = Fraction(1)
+
+
 def _unit(n, j, power=1):
     """The exponent tuple of length n with `power` at j and 0 elsewhere."""
     return (0,) * j + (power,) + (0,) * (n - j - 1)
@@ -40,44 +43,88 @@ def _index(i, n, offset, layer):
     return offset + i
 
 
+# -- the integer form -------------------------------------------------------
+#
+# A Polynomial and an operator are both `content * sum_e n_e [e]`: a positive
+# Fraction `content` times nonzero ints n_e keyed by the terms e, the n_e
+# coprime.  The form is unique, so two are equal exactly when their contents
+# and int dicts are, and the arithmetic multiplies ints and, once per result,
+# the contents.
+
+
+def _canonical(content, terms):
+    """(content g, terms / g) for g the gcd of the nonzero ints of `terms`,
+    zeros dropped: the canonical form of content * terms (content 1 for 0)."""
+    if 0 in terms.values():
+        terms = {key: n for key, n in terms.items() if n}
+    g = gcd(*terms.values())
+    if g > 1:
+        terms, content = {key: n // g for key, n in terms.items()}, content * g
+    return (content, terms) if terms else (_ONE, terms)
+
+
+def _cleared(coeffs):
+    """(1/d, d coeffs) for the Fraction values of coeffs, d the lcm of their
+    denominators."""
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    return Fraction(1, d), {key: c.numerator * (d // c.denominator) for key, c in coeffs.items()}
+
+
+def _sum(parts):
+    """(g, sum_i (c_i / g) terms_i) over the (content c_i, int terms_i) parts,
+    g the gcd of the contents: the sum over one denominator."""
+    parts = list(parts)
+    num, den = gcd(*(c.numerator for c, _ in parts)), lcm(*(c.denominator for c, _ in parts))
+    total = {}
+    for c, terms in parts:
+        scale = c.numerator // num * (den // c.denominator)
+        for key, n in terms.items():
+            total[key] = total[key] + scale * n if key in total else scale * n
+    return Fraction(num, den), total
+
+
 class Polynomial:
     """Immutable polynomial with exact rational coefficients.
 
     `terms` maps one exponent tuple, the m z-exponents then the k
-    t-exponents, to a nonzero Fraction.  That format is private to this
+    t-exponents, to a nonzero int, and the coefficient of the term is
+    `content * terms[key]`: `content` is a positive Fraction and the ints
+    are coprime (the module's integer form).  That format is private to this
     module: the constructor, `monomial`, `constant` and `from_json` read and
-    validate (a, b) pairs, and `_make` builds every computed result."""
+    validate (a, b) pairs with rational coefficients, and `_make` builds
+    every computed result."""
 
-    __slots__ = ("m", "k", "tweight", "terms", "_series")
+    __slots__ = ("m", "k", "tweight", "content", "terms", "_series")
 
     def __init__(self, m, k, tweight, terms=None):
-        self.m, self.k, self.tweight, self._series, self.terms = m, k, tweight, {}, {}
+        coeffs = {}
         for (a, b), coeff in (terms or {}).items():
             if len(a) != m or len(b) != k:
                 raise DimensionMismatch(f"exponents {a}, {b} are not {m} z and {k} t exponents")
-            coeff = exactla.to_fraction(coeff)
-            if coeff != 0:
-                self.terms[tuple(a) + tuple(b)] = coeff
+            coeffs[tuple(a) + tuple(b)] = exactla.to_fraction(coeff)
+        self.m, self.k, self.tweight, self._series = m, k, tweight, {}
+        self.content, self.terms = _canonical(*_cleared(coeffs))
 
     @classmethod
-    def _make(cls, m, k, tweight, terms):
-        """The Polynomial of the terms {exponent tuple: Fraction}, unchecked, zeros dropped."""
+    def _make(cls, m, k, tweight, content, terms):
+        """The Polynomial content * terms of the terms {exponent tuple: int},
+        unchecked, brought to the integer form."""
         p = cls.__new__(cls)
         p.m, p.k, p.tweight, p._series = m, k, tweight, {}
-        p.terms = {key: c for key, c in terms.items() if c}
+        p.content, p.terms = _canonical(content, terms)
         return p
 
-    def _like(self, terms):
-        return Polynomial._make(self.m, self.k, self.tweight, terms)
+    def _like(self, content, terms):
+        return Polynomial._make(self.m, self.k, self.tweight, content, terms)
 
     def _constant(self, c):
-        return self._like({(0,) * (self.m + self.k): c})
+        return self._like(Fraction(1, c.denominator), {(0,) * (self.m + self.k): c.numerator})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, m, k, tweight=2):
-        return cls._make(m, k, tweight, {})
+        return cls._make(m, k, tweight, _ONE, {})
 
     @classmethod
     def constant(cls, m, k, c, tweight=2):
@@ -90,7 +137,7 @@ class Polynomial:
     @classmethod
     def _power_sum(cls, m, k, tweight, variables, power):
         """sum_j x_j^power over the flat variable indices j (z first, then t)."""
-        return cls._make(m, k, tweight, {_unit(m + k, j, power): Fraction(1) for j in variables})
+        return cls._make(m, k, tweight, _ONE, {_unit(m + k, j, power): 1 for j in variables})
 
     @classmethod
     def z_var(cls, m, k, i, tweight=2):
@@ -123,33 +170,31 @@ class Polynomial:
         return other
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in self._operand(other).terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return self._like(terms)
+        other = self._operand(other)
+        return self._like(*_sum([(self.content, self.terms), (other.content, other.terms)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._like(self.content, {key: -n for key, n in self.terms.items()})
 
     def __sub__(self, other):
         return self + -self._operand(other)
 
     def __mul__(self, other):
         other, terms = self._operand(other), {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
+        for key1, n1 in self.terms.items():
+            for key2, n2 in other.terms.items():
                 key = tuple(map(add, key1, key2))
-                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
-        return self._like(terms)
+                terms[key] = terms[key] + n1 * n2 if key in terms else n1 * n2
+        return self._like(self.content * other.content, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = self._constant(Fraction(1))
+        result = self._constant(_ONE)
         for _ in range(n):
             result = result * self
         return result
@@ -157,11 +202,11 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return ((self.m, self.k, self.tweight) == (other.m, other.k, other.tweight)
-                and self.terms == other.terms)
+        return ((self.m, self.k, self.tweight, self.content)
+                == (other.m, other.k, other.tweight, other.content) and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.m, self.k, self.tweight, frozenset(self.terms.items())))
+        return hash((self.m, self.k, self.tweight, self.content, frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms
@@ -176,8 +221,8 @@ class Polynomial:
 
     def _diff(self, j):
         """d/dx_j, x_j the flat variable j (distinct keys stay distinct)."""
-        return self._like({key[:j] + (key[j] - 1,) + key[j + 1:]: c * key[j]
-                           for key, c in self.terms.items() if key[j]})
+        return self._like(self.content, {key[:j] + (key[j] - 1,) + key[j + 1:]: n * key[j]
+                                         for key, n in self.terms.items() if key[j]})
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -186,9 +231,10 @@ class Polynomial:
         are summed in key order, so equal Polynomials give equal floats."""
         z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
         xs = [z[..., i] for i in range(self.m)] + [t[..., ell] for ell in range(self.k)]
+        num, den = self.content.numerator, self.content.denominator
         out = np.zeros(z.shape[:-1], dtype=float)
-        for key, c in sorted(self.terms.items()):
-            term = np.full(z.shape[:-1], float(c))
+        for key, n in sorted(self.terms.items()):
+            term = np.full(z.shape[:-1], n * num / den)  # the float of the coefficient
             for x, p in zip(xs, key):
                 if p:
                     term = term * x ** p
@@ -208,23 +254,28 @@ class Polynomial:
         floats whatever their term order.  Built once per (alpha, e)."""
         key = (alpha, e)
         if key not in self._series:
-            parts = {}
-            for exps, c in self.terms.items():
+            parts, num, den = {}, self.content.numerator, self.content.denominator
+            for exps, n in self.terms.items():
                 a, b = exps[:self.m], exps[self.m:]
                 moment = polar_moment(self.m, self.k, alpha, e, a, b)
                 if moment:
-                    parts.setdefault(sum(a) + (alpha + 1.0) * sum(b), []).append(float(c) * moment)
+                    parts.setdefault(sum(a) + (alpha + 1.0) * sum(b), []).append(
+                        n * num / den * moment)
             degrees = sorted(parts)
             self._series[key] = (np.array(degrees, dtype=float),
                                  np.array([fsum(parts[d]) for d in degrees], dtype=float))
         return self._series[key]
 
     def substitute(self, z_subs, t_subs):
-        """Substitute polynomials for each variable."""
-        subs = list(z_subs) + list(t_subs)
-        result = self._like({})
-        for key, c in self.terms.items():
-            prod = self._constant(c)
+        """Substitute polynomials for each variable: m for z, k for t."""
+        z_subs, t_subs = list(z_subs), list(t_subs)
+        if (len(z_subs), len(t_subs)) != (self.m, self.k):
+            raise DimensionMismatch(f"substitute takes {self.m} z and {self.k} t polynomials, "
+                                    f"got {len(z_subs)} and {len(t_subs)}")
+        subs = z_subs + t_subs
+        result = self._like(_ONE, {})
+        for key, n in self.terms.items():
+            prod = self._constant(self.content * n)
             for s, p in zip(subs, key):
                 if p:
                     prod = prod * (s ** p)
@@ -234,8 +285,10 @@ class Polynomial:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return [{"coeff": str(c), "z": list(key[:self.m]), "t": list(key[self.m:])}
-                for key, c in sorted(self.terms.items())]
+        # an int content writes str(int), the text of the Fraction
+        c = self.content.numerator if self.content.denominator == 1 else self.content
+        return [{"coeff": str(c * n), "z": list(key[:self.m]), "t": list(key[self.m:])}
+                for key, n in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data, m=None, k=None, tweight=2):
@@ -259,9 +312,9 @@ class Polynomial:
             return "Polynomial(0)"
         names = [f"z{i + 1}" for i in range(self.m)] + [f"t{l + 1}" for l in range(self.k)]
         bits = []
-        for key, c in sorted(self.terms.items()):
+        for key, n in sorted(self.terms.items()):
             vars_ = "".join(f"{x}^{p}" if p != 1 else x for x, p in zip(names, key) if p)
-            bits.append(f"{c}{'*' if vars_ else ''}{vars_}")
+            bits.append(f"{self.content * n}{'*' if vars_ else ''}{vars_}")
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
@@ -273,50 +326,56 @@ def _check_calculus(context, p):
 
 # -- operators as data ------------------------------------------------------
 #
-# A linear differential operator with polynomial coefficients is a dict
-# {(a, b): c} of its terms c x^a d^b: a and b are exponent tuples of the flat
-# variables (z first, then t) and c is a nonzero Fraction.  The x^a d^b are a
+# A linear differential operator with polynomial coefficients is an
+# `_Operator`, the integer form of its terms content n x^a d^b: a and b are
+# exponent tuples of the flat variables (z first, then t).  The x^a d^b are a
 # basis of these operators, so two operators are equal exactly when their
-# dicts are.  A context builds its operators once, on first use
+# forms are.  A context builds its operators once, on first use
 # (`laplacian_operator`, and a group's `operators`).
 
+_Operator = namedtuple("_Operator", "content terms")
 _Operators = namedtuple("_Operators", "X theta Z discrepancy")
 
 
+def _operator(coeffs):
+    """The operator of the terms {(a, b): Fraction}."""
+    return _Operator(*_canonical(*_cleared(coeffs)))
+
+
 def _op_sum(ops):
-    """The sum of the operators, zero terms dropped."""
-    terms = {}
-    for op in ops:
-        for key, c in op.items():
-            terms[key] = terms[key] + c if key in terms else c
-    return {key: c for key, c in terms.items() if c}
+    """The sum of the operators, over one denominator."""
+    return _Operator(*_canonical(*_sum(ops)))
 
 
-def _compose(p, q):
+def _compose(p, q, leading=True):
     """The composition p q (q applied first), by Leibniz:
-    d^b x^a = sum_{g <= b} C(b, g) a!/(a-g)! x^(a-g) d^(b-g)."""
+    d^b x^a = sum_{g <= b} C(b, g) a!/(a-g)! x^(a-g) d^(b-g).  Without the
+    `leading` g = 0 terms x^(a1+a2) d^(b1+b2), which p q and q p share."""
     terms = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            a, b, c12 = tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), c1 * c2
-            for g in product(*[range(min(x, y) + 1) for x, y in zip(b1, a2)]):
-                c = c12 * (prod(map(comb, b1, g)) * prod(map(perm, a2, g)))
+    for (a1, b1), n1 in p.terms.items():
+        for (a2, b2), n2 in q.terms.items():
+            a, b, n12 = tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), n1 * n2
+            gs = product(*[range(min(x, y) + 1) for x, y in zip(b1, a2)])
+            if not leading:
+                next(gs)
+            for g in gs:
+                n = n12 * prod(map(comb, b1, g)) * prod(map(perm, a2, g))
                 key = (tuple(map(sub, a, g)), tuple(map(sub, b, g)))
-                terms[key] = terms[key] + c if key in terms else c
-    return {key: c for key, c in terms.items() if c}
+                terms[key] = terms[key] + n if key in terms else n
+    return _Operator(*_canonical(p.content * q.content, terms))
 
 
 def _apply(op, p):
-    """op p in closed form: c x^a d^b maps the monomial x^e to
-    c e!/(e-b)! x^(e-b+a), with the falling factorials `math.perm`."""
+    """op p in closed form: n x^a d^b maps the monomial x^e to
+    n e!/(e-b)! x^(e-b+a), with the falling factorials `math.perm`."""
     terms = {}
-    for (a, b), c in op.items():
-        for e, ce in p.terms.items():
+    for (a, b), n in op.terms.items():
+        for e, ne in p.terms.items():
             f = prod(map(perm, e, b))
             if f:
                 key = tuple(map(add, map(sub, e, b), a))
-                terms[key] = terms[key] + c * ce * f if key in terms else c * ce * f
-    return p._like(terms)
+                terms[key] = terms[key] + n * ne * f if key in terms else n * ne * f
+    return p._like(op.content * p.content, terms)
 
 
 def _group_operators(G):
@@ -324,17 +383,18 @@ def _group_operators(G):
     Theta_l = sum_i <J_l z, e_i> d_{z_i}, Z = sum_i z_i d_{z_i}
     + 2 sum_l t_l d_{t_l} and the discrepancy numerator sum_l t_l Theta_l."""
     n, m, k = G.N, G.m, G.k
-    X = [{((0,) * n, _unit(n, i)): Fraction(1)}
-         | {(a, _unit(n, m + ell)): c / 2
-            for ell in range(k) for a, c in _jz_component(G, ell, i).terms.items()}
+    jz = [[{a: p.content * c for a, c in p.terms.items()}
+           for p in (_jz_component(G, ell, i) for i in range(m))] for ell in range(k)]
+    X = [{((0,) * n, _unit(n, i)): _ONE}
+         | {(a, _unit(n, m + ell)): c / 2 for ell in range(k) for a, c in jz[ell][i].items()}
          for i in range(m)]
-    theta = [{(a, _unit(n, i)): c
-              for i in range(m) for a, c in _jz_component(G, ell, i).terms.items()}
+    theta = [{(a, _unit(n, i)): c for i in range(m) for a, c in jz[ell][i].items()}
              for ell in range(k)]
     Z = {(_unit(n, j), _unit(n, j)): Fraction(1 if j < m else G.tweight) for j in range(n)}
     disc = {(tuple(map(add, a, _unit(n, m + ell))), b): c
             for ell in range(k) for (a, b), c in theta[ell].items()}
-    return _Operators(X, theta, Z, disc)
+    return _Operators([*map(_operator, X)], [*map(_operator, theta)], _operator(Z),
+                      _operator(disc))
 
 
 def _sum_of_squares(fields):
@@ -349,14 +409,15 @@ def commutator_identities(G):
     ops, lap, n, m = G.operators, G.laplacian_operator, G.N, G.m
 
     def bracket(p, q):
-        return _op_sum([_compose(p, q), {key: -c for key, c in _compose(q, p).items()}])
+        qp = _compose(q, p, leading=False)
+        return _op_sum([_compose(p, q, leading=False),
+                        (qp.content, {key: -c for key, c in qp.terms.items()})])
 
     def centre(i, j):
-        return {((0,) * n, _unit(n, m + ell)): mat[j][i]
-                for ell, mat in enumerate(G.J) if mat[j][i]}
+        return _operator({((0,) * n, _unit(n, m + ell)): mat[j][i] for ell, mat in enumerate(G.J)})
 
     return (all(bracket(x, ops.Z) == x for x in ops.X)
-            and bracket(lap, ops.Z) == {key: 2 * c for key, c in lap.items()}
+            and bracket(lap, ops.Z) == lap._replace(content=2 * lap.content)
             and all(bracket(ops.X[i], ops.X[j]) == centre(i, j)
                     for i in range(m) for j in range(i + 1, m)))
 
@@ -372,7 +433,8 @@ def _check_group_poly(G, p):
 
 def _jz_component(G, ell, i):
     """<J_l z, e_i> as a polynomial (degree 1 in z)."""
-    return Polynomial._make(G.m, G.k, 2, {_unit(G.N, j): c for j, c in enumerate(G.J[ell][i])})
+    return Polynomial._make(G.m, G.k, 2, *_cleared({_unit(G.N, j): c
+                                                    for j, c in enumerate(G.J[ell][i])}))
 
 
 def apply_X(G, i, p):
@@ -405,9 +467,12 @@ def euler_Z(G, p):
 
 def euler(p):
     """The Euler field of the dilations encoded in tweight: it multiplies
-    z^a t^b by its degree |a| + tweight |b| (a Fraction for a real tweight)."""
+    z^a t^b by its degree |a| + tweight |b| (a Fraction for a real tweight),
+    here d |a| + n |b| over d for tweight = n / d."""
     m, w = p.m, exactla.to_fraction(p.tweight)
-    return p._like({key: c * (sum(key[:m]) + w * sum(key[m:])) for key, c in p.terms.items()})
+    wn, wd = w.numerator, w.denominator
+    return p._like(p.content / wd, {key: n * (wd * sum(key[:m]) + wn * sum(key[m:]))
+                                    for key, n in p.terms.items()})
 
 
 def discrepancy_poly(G, p):
@@ -427,9 +492,10 @@ def _baouendi_operator(spec):
     """B_a = sum_i d_{z_i}^2 + (|z|^(2 alpha) / 4) sum_l d_{t_l}^2 as an
     operator, for an integer alpha = w - 1 (`BaouendiSpec.tweight`)."""
     n, m, k, w = spec.N, spec.m, spec.k, spec.tweight
-    terms = (Polynomial.z_norm_sq(m, k, w) ** (w - 1) * Fraction(1, 4)).terms.items()
-    return ({((0,) * n, _unit(n, i, 2)): Fraction(1) for i in range(m)}
-            | {(a, _unit(n, m + ell, 2)): c for ell in range(k) for a, c in terms})
+    coeff = Polynomial.z_norm_sq(m, k, w) ** (w - 1)
+    return _operator({((0,) * n, _unit(n, i, 2)): _ONE for i in range(m)}
+                     | {(a, _unit(n, m + ell, 2)): coeff.content * c / 4
+                        for ell in range(k) for a, c in coeff.terms.items()})
 
 
 def baouendi_apply(spec, p):
@@ -445,8 +511,17 @@ def baouendi_apply(spec, p):
 def carre_du_champ(context, p):
     """|grad_H p|^2 = (L(p^2) - 2 p L p) / 2 with L = context.laplacian, the
     carre du champ of a sum of squares: sum_i (X_i p)^2 for Delta_H =
-    sum_i X_i^2, |d_z p|^2 + (|z|^(2 alpha) / 4) |d_t p|^2 for B_a."""
-    return (context.laplacian(p * p) - p * context.laplacian(p) * 2) * Fraction(1, 2)
+    sum_i X_i^2, |d_z p|^2 + (|z|^(2 alpha) / 4) |d_t p|^2 for B_a.  As the
+    bilinear form sum_j d_j p R_j p: R_j = sum c x^a d^(b - e_j) over the
+    second-order terms c x^a d^b of L whose first derivative is j."""
+    _check_calculus(context, p)
+    op, split = context.laplacian_operator, {}
+    for (a, b), n in op.terms.items():
+        if sum(b) == 2:
+            j = next(i for i, x in enumerate(b) if x)
+            split.setdefault(j, {})[a, b[:j] + (b[j] - 1,) + b[j + 1:]] = n
+    parts = [p._diff(j) * _apply(_Operator(op.content, r), p) for j, r in split.items()]
+    return p._like(*_sum((q.content, q.terms) for q in parts))
 
 
 # -- solid harmonic bases --------------------------------------------------
@@ -486,24 +561,25 @@ def solid_harmonic_quadratic(context):
     img_lead, img_t = context.laplacian(lead), context.laplacian(tnorm)
     if img_lead.terms.keys() != img_t.terms.keys():
         raise ArithmeticError("images of the lead and of |t|^2 have different monomials")
-    ratios = {c / img_t.terms[key] for key, c in img_lead.terms.items()}
+    ratios = {Fraction(n, img_t.terms[key]) for key, n in img_lead.terms.items()}
     if len(ratios) != 1:
         raise ArithmeticError("images of the lead and of |t|^2 are not proportional")
-    return lead - tnorm * ratios.pop()
+    return lead - tnorm * (ratios.pop() * img_lead.content / img_t.content)
 
 
 def _operator_matrix(op, source):
     """The int64 matrix of scale * op on the monomials x^e, e the rows of
     `source`, and its rows' exponents (sorted) and scale, the lcm of op's
-    denominators: c x^a d^b adds c scale e!/(e-b)! at the row of x^(e-b+a).
-    Raises IntegerOverflow when an entry could leave int64."""
-    scale = lcm(*(c.denominator for c in op.values()))
+    denominators (the denominator of its content, since its ints are
+    coprime): n x^a d^b adds n content scale e!/(e-b)! at the row of
+    x^(e-b+a).  Raises IntegerOverflow when an entry could leave int64."""
+    scale, factor = op.content.denominator, op.content.numerator
     top = source.max(axis=0, initial=0).tolist()
-    if sum(abs(c * scale) * prod(map(perm, top, b)) for (_, b), c in op.items()) >= 2 ** 62:
+    if sum(abs(n * factor) * prod(map(perm, top, b)) for (_, b), n in op.terms.items()) >= 2 ** 62:
         raise IntegerOverflow("the operator matrix has entries beyond int64")
     keys, cols, values = [], [], []
-    for (a, b), c in op.items():
-        value = np.full(len(source), int(c * scale), dtype=np.int64)
+    for (a, b), n in op.terms.items():
+        value = np.full(len(source), n * factor, dtype=np.int64)
         for j, power in enumerate(b):
             for i in range(power):
                 value *= source[:, j] - i
@@ -523,8 +599,9 @@ def harmonic_basis(context, kappa):
     certified modular kernel (`exactla.kernel_basis`) of the integer matrix
     of context.laplacian_operator on the monomials of degree kappa.
 
-    Basis vectors have integer-cleared coefficients and a deterministic
-    order (one vector per free column of the reduced operator matrix).
+    Basis vectors are the kernel's primitive int vectors, with content 1,
+    in a deterministic order (one vector per free column of the reduced
+    operator matrix).
     """
     if kappa < 0:
         raise DimensionMismatch("kappa must be >= 0")
@@ -532,4 +609,5 @@ def harmonic_basis(context, kappa):
     source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
     matrix, _, _ = _operator_matrix(context.laplacian_operator, np.array(source, dtype=np.int64))
     kernel = exactla.kernel_basis(matrix, len(source))
-    return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]
+    return [Polynomial._make(m, k, w, _ONE, {source[i]: n for i, n in vec.items()})
+            for vec in kernel]

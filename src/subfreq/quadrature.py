@@ -49,10 +49,11 @@ with c_d from `Polynomial.sphere_series` (e = 2 alpha for the psi weight,
 e = 0 without it), and no node.  Callables and FD handles use the nodes.
 
 Columns.  Both integrals take one radius (a float back) or a 1-D array of
-radii (an array back).  One `sphere_series` serves every radius of a closed
-form; a callable is called on the nodes of all the spheres (or shells) at
-once.  Each entry is the one-radius float bit for bit: powers of r are
-taken one radius at a time and each sphere is summed on its own, in order.
+radii (an array back).  One `sphere_series` and one (radii, degrees) table
+of powers serve every radius of a closed form; a callable is called on the
+nodes of all the spheres (or shells) at once.  Each entry is the one-radius
+float bit for bit: powers of r are taken one radius at a time and each
+sphere is summed on its own, in order.
 An integral whose product of the radius scale r^Q or r^(Q-1) with the
 sums underflows a float raises FloatingPointError instead of reading 0 or
 a subnormal.  Underflows inside the sums (u^2 psi at far-off nodes, say)
@@ -252,6 +253,17 @@ def _powers(r, e):
     return r ** e if np.ndim(r) == 0 else np.array([x ** e for x in r])
 
 
+def _power_table(radii, d):
+    """The (radii, degrees) table of x ** d, one row per radius x: each row
+    is numpy's scalar-to-array power of one radius, which a broadcast
+    radii[:, None] ** d does not reproduce bit for bit (at a single degree
+    numpy takes its array-to-scalar power kernel)."""
+    table = np.empty((len(radii), len(d)))
+    for x, row in zip(radii, table):
+        np.power(x, d, out=row)
+    return table
+
+
 def _column(r, values):
     """values, one per radius, as a float when r is one radius."""
     return float(values[0]) if np.ndim(r) == 0 else values
@@ -267,7 +279,7 @@ def volume_integral(f, r, rule):
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted=False)
         q = rule.Q + d
-        return _column(r, rule.gamma * np.array([np.sum(c * x ** q / q) for x in radii]))
+        return _column(r, rule.gamma * np.sum(c * _power_table(radii, q) / q, axis=1))
     v, wv = _radial_rule(rule.Q)
     n = len(rule)
     per_call = max(1, SHELL_POINTS // n)
@@ -296,7 +308,7 @@ def surface_integral(f, r, rule, weighted=True):
     if isinstance(f, Polynomial):
         d, c = _sphere_series(f, rule, weighted)
         gamma = rule.psi_sign * rule.gamma if weighted else rule.gamma
-        sums = np.array([np.sum(c * x ** d) for x in radii])
+        sums = np.sum(c * _power_table(radii, d), axis=1)
         with np.errstate(under="raise"):  # (Columns)
             return _column(r, gamma * scale * sums)
     # delta_r of the nodes, with the scalar power r^(alpha+1) of each radius

@@ -50,6 +50,7 @@ from subfreq.groups import _check_point, make_group
 from subfreq.polynomials import (
     Polynomial,
     _apply,
+    _cleared,
     _monomials_of_degree,
     apply_X,
     sublaplacian,
@@ -57,6 +58,11 @@ from subfreq.polynomials import (
 
 
 FD_STEP = 1e-5
+
+
+def coefficients(p):
+    """The coefficient of each term of the Polynomial p, {exponent tuple: Fraction}."""
+    return {key: p.content * n for key, n in p.terms.items()}
 
 
 class InsufficientSamples(ValueError):
@@ -140,7 +146,7 @@ def rank(rows):
 def kernel_basis_sympy(rows, ncols):
     """`exactla.kernel_basis` by sympy: the null space over ZZ of the sparse
     rational rows {column: entry}, each cleared of denominators, as sparse
-    primitive integer vectors {column: Fraction}, one per free column in
+    primitive integer vectors {column: int}, one per free column in
     increasing order, each with its first nonzero entry positive."""
     elements = {i: {j: QQ(x.numerator, x.denominator) for j, x in row.items() if x}
                 for i, row in enumerate(rows)}
@@ -151,7 +157,7 @@ def kernel_basis_sympy(rows, ncols):
     for _, vec in sorted(numerators.nullspace().to_sdm().items()):
         entries = sorted((j, int(x)) for j, x in vec.items())
         g = gcd(*(x for _, x in entries)) * (1 if entries[0][1] > 0 else -1)
-        basis.append({j: Fraction(x // g) for j, x in entries})
+        basis.append({j: x // g for j, x in entries})
     return basis
 
 
@@ -162,11 +168,12 @@ def harmonic_basis_sympy(context, kappa):
     source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
     rows = {}
     for col, key in enumerate(source):
-        image = _apply(context.laplacian_operator, Polynomial._make(m, k, w, {key: Fraction(1)}))
-        for image_key, c in image.terms.items():
+        image = _apply(context.laplacian_operator, Polynomial._make(m, k, w, Fraction(1), {key: 1}))
+        for image_key, c in coefficients(image).items():
             rows.setdefault(image_key, {})[col] = c
     kernel = kernel_basis_sympy(list(rows.values()), len(source))
-    return [Polynomial._make(m, k, w, {source[i]: c for i, c in vec.items()}) for vec in kernel]
+    return [Polynomial._make(m, k, w, Fraction(1), {source[i]: c for i, c in vec.items()})
+            for vec in kernel]
 
 
 def harmonic_basis_by_cauchy_data(context, kappa):
@@ -189,7 +196,7 @@ def harmonic_basis_by_cauchy_data(context, kappa):
         if key[s] > 1:
             continue
         p = {key: Fraction(1)}
-        while image := context.laplacian(Polynomial._make(m, k, w, p)).terms:
+        while image := coefficients(context.laplacian(Polynomial._make(m, k, w, *_cleared(p)))):
             j = min(e[s] for e in image)
             for e, c in image.items():
                 if e[s] == j:
@@ -217,7 +224,7 @@ def harmonic_basis_by_cauchy_data(context, kappa):
         scale = math.lcm(*(c.denominator for _, c in vec))
         ints = [(j, int(c * scale)) for j, c in vec]
         g = gcd(*(x for _, x in ints)) * (1 if ints[0][1] > 0 else -1)
-        basis.append(Polynomial._make(m, k, w, {source[j]: Fraction(x // g) for j, x in ints}))
+        basis.append(Polynomial._make(m, k, w, Fraction(1), {source[j]: x // g for j, x in ints}))
     return basis
 
 
@@ -228,7 +235,7 @@ def in_span(p, basis):
     rows = []
     for q in basis + [p]:
         row = [Fraction(0)] * len(keys)
-        for key, c in q.terms.items():
+        for key, c in coefficients(q).items():
             row[index[key]] = c
         rows.append(row)
     return rank(rows) == rank(rows[:-1])

@@ -64,10 +64,11 @@ def test_toolkit_api_names_are_exported():
 
 
 def test_the_monomial_format_stays_in_polynomials():
-    # Polynomial.terms is keyed by a private exponent-tuple format, and
-    # _make / _like build results from it without checks: no other module
-    # reads the one or calls the others
-    private = {"terms", "_make", "_like"}
+    # Polynomial.terms is keyed by a private exponent-tuple format and holds
+    # the ints of the integer form content * terms, and _make / _like build
+    # results from it without checks: no other module reads the one or calls
+    # the others
+    private = {"terms", "content", "_make", "_like"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "polynomials.py":

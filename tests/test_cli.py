@@ -772,10 +772,10 @@ def test_verify_fails_a_nan_residual(check, name, monkeypatch):
 def _flip_j_term(ops, which=0):
     """The fields of ops with the sign of X_0's J term number `which` flipped:
     the terms whose coefficient holds a z, (1/2) <J_l z, e_0> d_{t_l}."""
-    x0 = dict(ops.X[0])
+    x0 = dict(ops.X[0].terms)
     key = [key for key in x0 if sum(key[0])][which]
     x0[key] = -x0[key]
-    return [x0] + list(ops.X[1:])
+    return [ops.X[0]._replace(terms=x0)] + list(ops.X[1:])
 
 
 @pytest.mark.parametrize("fault", ["Z-tweight-1", "X0-J-sign"])
@@ -789,7 +789,7 @@ def test_verify_fails_a_wrong_operator(capsys, monkeypatch, fault):
     g = sf.heisenberg(1)
     ops = g.operators
     if fault == "Z-tweight-1":
-        vars(g)["operators"] = ops._replace(Z={key: Fraction(1) for key in ops.Z})
+        vars(g)["operators"] = ops._replace(Z=ops.Z._replace(terms={key: 1 for key in ops.Z.terms}))
     else:  # Delta_H composed from the wrong fields
         vars(g)["operators"] = ops._replace(X=_flip_j_term(ops))
         vars(g)["laplacian_operator"] = _sum_of_squares(g.operators.X)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import types
 from fractions import Fraction
 
@@ -31,6 +32,23 @@ def small_polys(m=2, k=1, tweight=2):
         lambda terms: Polynomial(m, k, tweight, terms))
 
 
+def rational_polys(m=2, k=1, tweight=2):
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    key = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * m),
+        st.tuples(*[st.integers(0, 1)] * k))
+    return st.dictionaries(key, coeff, max_size=5).map(
+        lambda terms: Polynomial(m, k, tweight, terms))
+
+
+def assert_integer_form(p):
+    """p = content * terms with a positive Fraction content and nonzero
+    coprime int terms (content 1 for 0)."""
+    assert type(p.content) is Fraction and p.content > 0
+    assert all(type(n) is int and n for n in p.terms.values())
+    assert math.gcd(*p.terms.values()) == 1 or (p.is_zero() and p.content == 1)
+
+
 def x_y_t():
     m, k = 2, 1
     return (Polynomial.z_var(m, k, 0), Polynomial.z_var(m, k, 1),
@@ -46,10 +64,75 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert (p - p).is_zero()
     # results are built without the constructor's checks, so each must be
-    # what reading it back from its file gives: nonzero Fraction coefficients
+    # what reading it back from its file gives, in the integer form
     for res in (p + q, p * q, p - q, p.diff_z(0), p.diff_t(0), p ** 2, sf.euler(p)):
-        assert (res == Polynomial.from_json(json.dumps(res.to_json()), 2, 1, 2)
-                and all(type(c) is Fraction and c != 0 for c in res.terms.values()))
+        assert res == Polynomial.from_json(json.dumps(res.to_json()), 2, 1, 2)
+        assert_integer_form(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), rational_polys(), st.fractions(-3, 3, max_denominator=5))
+def test_every_result_is_in_the_integer_form(p, q, c):
+    # one form per polynomial: each result and what reading its file gives
+    # are equal, hash alike and write the same file
+    results = [p, q, p + q, p - q, p * q, p * c, p + c, -p, p.diff_z(1), p.diff_t(0),
+               sf.euler(q), p ** 2 - q * p, Polynomial.from_json(json.dumps(p.to_json()), 2, 1, 2)]
+    for res in results:
+        back = Polynomial.from_json(json.dumps(res.to_json()), 2, 1, 2)
+        for r in (res, back):
+            assert_integer_form(r)
+        assert back == res and hash(back) == hash(res) and back.to_json() == res.to_json()
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+
+@pytest.mark.parametrize("name, kappa", [("h2", 4), ("h2", 5), ("g6", 4), ("ba211", 6)])
+def test_the_calculus_keeps_the_integer_form(name, kappa):
+    # harmonic bases, operator images and the carre du champ, with a rational
+    # content: each is in the one form, so a rebuilt copy hashes alike
+    context = CONTEXTS[name]()
+    basis = sf.harmonic_basis(context, kappa)
+    p = sum((q * Fraction(i + 1, 3) for i, q in enumerate(basis)), Polynomial.zero(
+        context.m, context.k, context.tweight))
+    for res in basis + [p, context.laplacian(p * p), sf.carre_du_champ(context, p)]:
+        assert_integer_form(res)
+        coeffs = oracles.coefficients(res)
+        copy = Polynomial(res.m, res.k, res.tweight,
+                          {(key[:res.m], key[res.m:]): c for key, c in coeffs.items()})
+        assert copy == res and hash(copy) == hash(res)
+
+
+FRACTION_OPS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__neg__", "__abs__",
+                "__pow__", "__eq__", "__lt__", "__hash__", "__float__", "__int__")
+
+
+def test_products_and_operators_multiply_ints(monkeypatch):
+    # *, _apply and _compose run no Fraction arithmetic in their inner loops:
+    # on H^2 inputs of dozens of terms with a rational content each call runs
+    # the same few Fraction operations, on the contents
+    from subfreq.polynomials import _apply, _compose
+    G = sf.heisenberg(2)
+    ops, lap = G.operators, G.laplacian_operator
+    p, q = (sum((b * Fraction(i + 1, 3) for i, b in enumerate(sf.harmonic_basis(G, kappa))),
+                Polynomial.zero(G.m, G.k)) * Fraction(5, 7) for kappa in (4, 3))
+    assert min(len(p.terms), len(q.terms), len(lap.terms)) >= 6 and len(p.terms) >= 30
+    calls = []
+
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return count
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    work = {"p * q": lambda: p * q, "Delta_H p": lambda: _apply(lap, p),
+            "X_0 q": lambda: _apply(ops.X[0], q), "Delta_H X_1": lambda: _compose(lap, ops.X[1]),
+            "disc Delta_H": lambda: _compose(ops.discrepancy, lap)}
+    for what, call in work.items():
+        calls.clear()
+        call()
+        assert len(calls) <= 4, f"{what}: {len(calls)} Fraction operations {sorted(set(calls))}"
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,8 +154,9 @@ def test_equal_polynomials_evaluate_to_equal_floats(h1, rule_h1):
     # bit on every node of the res-32 rule
     for p in sf.harmonic_basis(h1, 4):
         f = sf.FunctionHandle.from_polynomial(h1, p).grad_sq
-        g = Polynomial(f.m, f.k, f.tweight, {(key[:f.m], key[f.m:]): c
-                                             for key, c in reversed(f.terms.items())})
+        g = Polynomial(f.m, f.k, f.tweight,
+                       {(key[:f.m], key[f.m:]): c
+                        for key, c in reversed(oracles.coefficients(f).items())})
         assert g == f and list(g.terms) != list(f.terms)
         np.testing.assert_array_equal(g.evaluate(rule_h1.z, rule_h1.t),
                                       f.evaluate(rule_h1.z, rule_h1.t))
@@ -349,7 +433,7 @@ def test_harmonic_basis_is_sympys_bit_for_bit(name, kappa):
     basis = sf.harmonic_basis(context, kappa)
     expected = oracles.harmonic_basis_sympy(context, kappa)
     assert [p.to_json() for p in basis] == [p.to_json() for p in expected]
-    assert all(c.denominator == 1 for p in basis for c in p.terms.values())
+    assert all(p.content == 1 and all(type(n) is int for n in p.terms.values()) for p in basis)
 
 
 @pytest.mark.parametrize("name, kappas", [("h1", range(9)), ("h2", range(7)), ("ba211", [6])],
@@ -372,20 +456,21 @@ def test_operator_matrix_columns_are_the_scaled_images(name, kappa):
     op = context.laplacian_operator
     source = [a + b for a, b in _monomials_of_degree(m, k, w, kappa)]
     matrix, targets, scale = _operator_matrix(op, np.array(source))
-    assert scale == np.lcm.reduce([c.denominator for c in op.values()]) and matrix.dtype == np.int64
+    denominators = [(op.content * n).denominator for n in op.terms.values()]
+    assert scale == np.lcm.reduce(denominators) and matrix.dtype == np.int64
     assert len({tuple(t) for t in targets.tolist()}) == len(targets) == len(matrix)
     for col, key in enumerate(source):
-        image = _apply(op, Polynomial._make(m, k, w, {key: Fraction(1)}))
+        image = _apply(op, Polynomial._make(m, k, w, Fraction(1), {key: 1}))
         column = {tuple(t): int(x) for t, x in zip(targets.tolist(), matrix[:, col]) if x}
-        assert column == {key: c * scale for key, c in image.terms.items()}
+        assert column == {key: c * scale for key, c in oracles.coefficients(image).items()}
 
 
 def test_operator_matrix_refuses_entries_beyond_int64():
     from subfreq.errors import IntegerOverflow
-    from subfreq.polynomials import _operator_matrix
+    from subfreq.polynomials import _operator, _operator_matrix
 
     # d^2 / 3 times 2^60: x^2 -> 2^61, x^3 -> 3 2^61 x
-    op = {((0,), (2,)): Fraction(2 ** 60, 3)}
+    op = _operator({((0,), (2,)): Fraction(2 ** 60, 3)})
     assert _operator_matrix(op, np.array([[1], [2]]))[0].tolist() == [[0, 2 ** 61]]
     with pytest.raises(IntegerOverflow):
         _operator_matrix(op, np.array([[2], [3]]))
@@ -413,6 +498,16 @@ def test_six_dim_discrepancy_fixture():
                    + Polynomial.z_var(4, 2, 2) * Polynomial.z_var(4, 2, 3))
                 * (-2))
     assert disc == expected
+
+
+def test_substitute_needs_a_polynomial_for_every_variable():
+    # zip stopped at the shorter list: x y t with [x] for z and [t] for t was
+    # z1 t1, and with [x, y] and no t it was z1 z2
+    x, y, t = x_y_t()
+    for z_subs, t_subs in (([x], [t]), ([x, y], []), ([x, y, t], [t])):
+        with pytest.raises(DimensionMismatch, match="substitute takes 2 z and 1 t"):
+            (x * y * t).substitute(z_subs, t_subs)
+    assert (x * y * t).substitute([y, x], [t * 2]) == x * y * t * 2
 
 
 def test_left_translate_matches_group_law(h1):
@@ -568,9 +663,10 @@ def test_from_json_reads_a_float_coefficient_as_its_decimal():
     p = Polynomial.from_json(json.dumps([{"coeff": 0.1, "z": [1], "t": [0]},
                                          {"coeff": 2.5e-13, "z": [0], "t": [1]},
                                          {"coeff": 3, "z": [0], "t": [0]}]))
-    assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): Fraction(1, 4 * 10 ** 12),
-                       (0, 0): Fraction(3)}
-    assert p.terms[1, 0] == to_fraction(0.1) != Fraction(0.1)
+    coeffs = oracles.coefficients(p)
+    assert coeffs == {(1, 0): Fraction(1, 10), (0, 1): Fraction(1, 4 * 10 ** 12),
+                      (0, 0): Fraction(3)}
+    assert coeffs[1, 0] == to_fraction(0.1) != Fraction(0.1)
 
 
 @pytest.mark.parametrize("z, t", [([1.5, 0], [0.9]), ([-1, 0], [0]), ([True, 0], [0]),

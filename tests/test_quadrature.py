@@ -131,6 +131,23 @@ def test_integrals_on_a_radius_column_are_the_one_radius_integrals(rule_name, ki
         np.testing.assert_array_equal(column, one)
 
 
+def test_a_single_degree_column_is_the_one_radius_closed_form_bit_for_bit(h1, rule_h1):
+    # u^2 = x^2 on H^1 has the one sphere degree d = [2.], where a broadcast
+    # radii[:, None] ** d takes numpy's array-to-scalar power (x * x) and
+    # differs in the last bit from the power r ** d of one radius
+    radii, rule = sf.geometric_radii(0.25, 2.0, 32), rule_h1
+    f = fixtures.poly_x(h1) ** 2
+    for weighted in (True, False):
+        d, c = f.sphere_series(rule.alpha, 2.0 * rule.alpha if weighted else 0.0)
+        assert d.tolist() == [2.0]
+        gamma = rule.psi_sign * rule.gamma if weighted else rule.gamma
+        one = [gamma * r ** (rule.Q - 1.0) * np.sum(c * r ** d) for r in radii]
+        np.testing.assert_array_equal(sf.surface_integral(f, radii, rule, weighted), one)
+    d, c = f.sphere_series(rule.alpha, 0.0)
+    one = [rule.gamma * np.sum(c * r ** (rule.Q + d) / (rule.Q + d)) for r in radii]
+    np.testing.assert_array_equal(sf.volume_integral(f, radii, rule), one)
+
+
 def test_equal_polynomials_integrate_to_equal_floats(h1, rule_h1):
     # the closed forms read a polynomial's value, not its term order: a
     # curve's integrands rebuilt with their terms reversed give the same
@@ -140,8 +157,9 @@ def test_equal_polynomials_integrate_to_equal_floats(h1, rule_h1):
     for p in inputs + [fixtures.mixed_cylindrical(h1)]:
         u = sf.FunctionHandle.from_polynomial(h1, p)
         for f in (u.grad_sq, u.value_sq, u.value_zu):
-            g = Polynomial(f.m, f.k, f.tweight, {(key[:f.m], key[f.m:]): c
-                                                 for key, c in reversed(f.terms.items())})
+            g = Polynomial(f.m, f.k, f.tweight,
+                           {(key[:f.m], key[f.m:]): c
+                            for key, c in reversed(oracles.coefficients(f).items())})
             assert g == f
             for integral in (sf.volume_integral, sf.surface_integral):
                 np.testing.assert_array_equal(integral(g, radii, rule_h1),
