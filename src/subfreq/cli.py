@@ -29,7 +29,7 @@ from .frequency import (
     polynomial_jet,
 )
 from .groups import Point, group_from_json
-from .polynomials import Polynomial, discrepancy_poly, harmonic_basis
+from .polynomials import Polynomial, discrepancy_poly, harmonic_basis, json_lines
 from .quadrature import build_sphere_rule
 
 
@@ -49,12 +49,13 @@ def _load_poly(path, context):
     return Polynomial.from_json(_read(path), context.m, context.k, context.tweight)
 
 
-def _emit(args, text, data=None):
-    """Write json.dumps(data) under --json, else text (a str, or a function
-    that builds it when it costs to build) as lines, to --out or to stdout;
-    returns the exit code 0."""
+def _emit(args, text, data=None, *, _json=None):
+    """Write json.dumps(data) under --json (or `_json`, the JSON text a
+    command has already encoded, when given), else text (a str, or a
+    function that builds it when it costs to build) as lines, to --out or to
+    stdout; returns the exit code 0."""
     if getattr(args, "json", False):
-        text = json.dumps(data)
+        text = json.dumps(data) if _json is None else _json
     elif callable(text):
         text = text()
     text = text if text.endswith("\n") else text + "\n"
@@ -102,8 +103,8 @@ def cmd_group(args):
 
 
 def cmd_harmonics(args):
-    payload = [p.to_json() for p in harmonic_basis(_load_group(args.group), args.degree)]
-    return _emit(args, lambda: "\n".join(map(json.dumps, payload)), payload)
+    lines = json_lines(harmonic_basis(_load_group(args.group), args.degree))
+    return _emit(args, "\n".join(lines), _json="[" + ", ".join(lines) + "]")
 
 
 def cmd_frequency(args):

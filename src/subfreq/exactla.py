@@ -147,7 +147,10 @@ def kernel_basis(rows, ncols):
         v = np.zeros((ncols, len(free)), dtype=w.dtype)
         v[list(pivots)], v[free, np.arange(len(free))] = w, scale
         if _certified(a, v):
-            return [dict(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist())) for col in v.T]
+            vecs, cols = np.nonzero(v.T)  # the nonzero entries, vector by vector
+            ends = np.searchsorted(vecs, np.arange(len(free) + 1)).tolist()
+            cols, values = cols.tolist(), v[cols, vecs].tolist()
+            return [dict(zip(cols[s:e], values[s:e])) for s, e in zip(ends, ends[1:])]
     raise PrimesExhausted(f"no kernel certified after {len(PRIMES)} primes")
 
 

@@ -318,6 +318,24 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
+def json_lines(polys):
+    """The text json.dumps(p.to_json()) of each Polynomial p of polys, byte
+    for byte: each exponent tuple's `", "z": [...], "t": [...]}` text is
+    built once per call (per m) and shared, so a term costs the str of its
+    coefficient and two concatenations."""
+    tails, lines = {}, []
+    for p in polys:
+        c = p.content.numerator if p.content.denominator == 1 else p.content
+        shared, m, parts = tails.setdefault(p.m, {}), p.m, []
+        for key, n in sorted(p.terms.items()):
+            tail = shared.get(key)
+            if tail is None:
+                tail = shared[key] = f'", "z": {list(key[:m])}, "t": {list(key[m:])}}}'
+            parts.append('{"coeff": "' + str(c * n) + tail)
+        lines.append("[" + ", ".join(parts) + "]")
+    return lines
+
+
 def _check_calculus(context, p):
     """DimensionMismatch unless p has the context's (m, k) and `tweight`."""
     if (p.m, p.k, p.tweight) != (context.m, context.k, context.tweight):
@@ -587,9 +605,14 @@ def _operator_matrix(op, source):
         keys.append(source[hit] + (np.array(a) - b))
         cols.append(hit)
         values.append(value[hit])
-    targets, rows = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])  # the rows in lexicographic order
+    first = np.ones(len(keys), dtype=bool)  # a row unlike the one before it
+    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    targets, rows = keys[order[first]], np.empty(len(keys), dtype=np.intp)
+    rows[order] = np.cumsum(first) - 1
     matrix = np.zeros((len(targets), len(source)), dtype=np.int64)
-    np.add.at(matrix, (rows.ravel(), np.concatenate(cols)), np.concatenate(values))
+    np.add.at(matrix, (rows, np.concatenate(cols)), np.concatenate(values))
     return matrix, targets, scale
 
 

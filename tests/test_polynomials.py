@@ -20,7 +20,8 @@ from subfreq.errors import (
     ParseError,
 )
 from subfreq.groups import Point
-from subfreq.polynomials import Polynomial
+from subfreq.cli import entry
+from subfreq.polynomials import Polynomial, json_lines
 
 
 def small_polys(m=2, k=1, tweight=2):
@@ -409,11 +410,52 @@ def test_harmonic_basis_deterministic(h1):
     ("h2", 6, "48d4db0dba0f6103f00bbcd697e6afa28ecf2d539a28df8ef7cda9c301a79b49"),
     ("g6", 4, "83691b7ac846e93760003c3978d8da0ed92368ab858c9f52a779c2334df8e84a"),
 ], ids=["h2-6", "g6-4"])
-def test_harmonic_basis_pinned(group, kappa, digest):
-    # the order, sign and scaling of the basis are part of `harmonics --json`
+def test_harmonic_basis_pinned(group, kappa, digest, tmp_path, capsys):
+    # the order, sign and scaling of the basis are part of `harmonics --json`:
+    # the library's JSON and the CLI's bytes, on stdout and through --out
     G = sf.heisenberg(2) if group == "h2" else sf.example_group_6d()
+    path, out = tmp_path / "group.json", tmp_path / "basis.json"
+    path.write_text(json.dumps(sf.group_to_json(G)), encoding="utf-8")
+    argv = ["harmonics", "--group", str(path), "--degree", str(kappa), "--json"]
+    assert entry(argv) == 0 and entry(argv + ["--out", str(out)]) == 0
+    printed, written = capsys.readouterr().out, out.read_text(encoding="utf-8")
+    assert printed.endswith("\n") and written == printed
     payload = json.dumps([p.to_json() for p in sf.harmonic_basis(G, kappa)])
-    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    for text in (payload, printed[:-1], written[:-1]):
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def json_polys(m, k, tweight):
+    # rational and negative coefficients and ints far beyond int64
+    coeff = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                      st.integers(min_value=-2 ** 100, max_value=2 ** 100))
+    key = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * m),
+        st.tuples(*[st.integers(0, 2)] * k))
+    return st.dictionaries(key, coeff, max_size=5).map(
+        lambda terms: Polynomial(m, k, tweight, terms))
+
+
+# (m, k, tweight): groups with k = 1 and 2, B_a at alpha = 2 and a problem
+# file's boundary data at alpha = 1.5
+JSON_DIMS = [(2, 1, 2), (4, 2, 2), (1, 2, 2), (2, 1, 3), (1, 1, 2.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(JSON_DIMS).flatmap(lambda dims: json_polys(*dims)), max_size=4))
+def test_json_lines_are_json_dumps_of_to_json(polys):
+    # one list may mix contexts: the shared z/t texts are kept per m
+    assert json_lines(polys) == [json.dumps(p.to_json()) for p in polys]
+
+
+def test_json_lines_of_the_edge_cases():
+    t_real = sf.euler(Polynomial.t_var(1, 1, 0, tweight=2.5))
+    wide = sf.harmonic_basis(sf.heisenberg(1), 60)  # coefficients near 1e29
+    assert max(abs(n) for p in wide for n in p.terms.values()) > 2 ** 63
+    assert json_lines([]) == []
+    assert json_lines([Polynomial.zero(2, 1)]) == ["[]"]
+    assert json_lines([t_real]) == ['[{"coeff": "5/2", "z": [0], "t": [1]}]']
+    assert json_lines(wide) == [json.dumps(p.to_json()) for p in wide]
 
 
 CONTEXTS = {"h1": lambda: sf.heisenberg(1), "h2": lambda: sf.heisenberg(2),
