@@ -50,12 +50,12 @@ def _load_poly(path, context):
 
 
 def _emit(args, text, data=None, *, _json=None):
-    """Write json.dumps(data) under --json (or `_json`, the JSON text a
-    command has already encoded, when given), else text (a str, or a
-    function that builds it when it costs to build) as lines, to --out or to
-    stdout; returns the exit code 0."""
+    """Write json.dumps(data) under --json (or `_json()`, when given, a
+    function that returns the JSON text a command has encoded itself), else
+    text (a str, or a function that builds it when it costs to build) as
+    lines, to --out or to stdout; returns the exit code 0."""
     if getattr(args, "json", False):
-        text = json.dumps(data) if _json is None else _json
+        text = json.dumps(data) if _json is None else _json()
     elif callable(text):
         text = text()
     text = text if text.endswith("\n") else text + "\n"
@@ -104,7 +104,7 @@ def cmd_group(args):
 
 def cmd_harmonics(args):
     lines = json_lines(harmonic_basis(_load_group(args.group), args.degree))
-    return _emit(args, "\n".join(lines), _json="[" + ", ".join(lines) + "]")
+    return _emit(args, lambda: "\n".join(lines), _json=lambda: f"[{', '.join(lines)}]")
 
 
 def cmd_frequency(args):
